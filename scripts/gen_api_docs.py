@@ -33,7 +33,6 @@ MODULES = [
     "repro.experiments",
     "repro.serve",
     "repro.shard",
-    "repro.aio",
     "repro.errors",
 ]
 

@@ -20,7 +20,7 @@ The library provides:
 * :mod:`repro.workloads` / :mod:`repro.analysis` — drivers and
   measurement;
 * :mod:`repro.runtime` — the scheduler seam: the same protocol objects
-  under the discrete-event cores or a real asyncio loop;
+  under the discrete-event scheduler or a real asyncio loop;
 * :mod:`repro.serve` — a live TCP counter service and its open-loop
   load generator (``repro serve`` / ``repro loadgen``).
 

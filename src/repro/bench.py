@@ -4,8 +4,7 @@ Times the hot paths directly (no pytest-benchmark dependency at run
 time) so CI and developers get one comparable artifact:
 
 * event-queue schedule+pop throughput;
-* message delivery throughput at every :class:`TraceLevel`, on both the
-  table-driven fast core and the compatible heapq core, with the
+* message delivery throughput at every :class:`TraceLevel`, with the
   speedup over the seed's FULL-tracing baseline;
 * counter-registry spec resolution and RunSession construction rates;
 * wall time of a small E7-style sweep, serial vs parallel;
@@ -14,7 +13,7 @@ time) so CI and developers get one comparable artifact:
 * a crash-recovery smoke grid (central[standby] under a mid-run
   primary crash) with failover latency and bottleneck overhead;
 * a ``large_n`` grid: ww-tree one-shot runs at n = 10^4 and 10^5,
-  million-event territory that only the fast core makes routine;
+  million-event territory;
 * a ``serving`` grid: wall-clock rate sweeps against a live TCP
   counter service (asyncio runtime, scaled simulated delays) with
   p50/p99 latency per offered rate and the detected saturation knee;
@@ -47,7 +46,7 @@ import sys
 import time
 
 from repro.registry import RunSession, parse_spec, registered_names
-from repro.sim.events import EventQueue, FlatEventQueue
+from repro.sim.events import EventQueue
 from repro.sim.network import Network
 from repro.sim.processor import InertProcessor
 from repro.sim.trace import TraceLevel
@@ -86,12 +85,11 @@ def git_sha() -> str | None:
     return out.stdout.strip() or None
 
 
-def bench_event_queue(events: int = 1000, core: str = "compat") -> float:
+def bench_event_queue(events: int = 1000) -> float:
     """Mirror of ``test_event_queue_throughput`` in bench_simulator.py."""
-    queue_type = FlatEventQueue if core == "fast" else EventQueue
 
     def churn():
-        queue = queue_type()
+        queue = EventQueue()
         for index in range(events):
             queue.schedule((index * 7) % 13 + 0.5, lambda: None)
         while queue:
@@ -100,15 +98,13 @@ def bench_event_queue(events: int = 1000, core: str = "compat") -> float:
     return _best_rate(churn, 2 * events)  # schedule + pop each count
 
 
-def bench_messages(
-    level: TraceLevel, messages: int = 1000, core: str = "fast"
-) -> float:
+def bench_messages(level: TraceLevel, messages: int = 1000) -> float:
     """Mirror of ``test_message_throughput*`` in bench_simulator.py.
 
     The blast size matches the benchmark suite (and the seed baseline
     measurement) so the speedup ratios are apples to apples.
     """
-    network = Network(trace_level=level, core=core)
+    network = Network(trace_level=level)
     network.register_all([InertProcessor(pid) for pid in range(1, 17)])
 
     def blast():
@@ -331,7 +327,7 @@ def bench_sweep(workers: int) -> float:
 
 
 def bench_large_n(sizes: tuple[int, ...] = (10_000, 100_000)) -> dict:
-    """ww-tree one-shot runs at large n on the fast core, OFF tracing.
+    """ww-tree one-shot runs at large n, OFF tracing.
 
     Each point is a single cold run (no repeat loop — these are
     multi-second, million-event simulations): build the session, run
@@ -356,7 +352,7 @@ def bench_large_n(sizes: tuple[int, ...] = (10_000, 100_000)) -> dict:
             "events_per_s": round(events / run_s),
         }
     return {
-        "grid": "ww-tree sequential one-shot, OFF tracing, fast core, "
+        "grid": "ww-tree sequential one-shot, OFF tracing, "
         "single cold run per point",
         "note": "every returned value asserted correct; events include "
         "message deliveries and local timer callbacks",
@@ -597,23 +593,16 @@ def build_report(grids: tuple[str, ...] = GRIDS) -> dict:
     }
     if "queue" in grids:
         _grid_boundary()
-        report["event_queue_ops_per_s"] = {
-            "fast": round(bench_event_queue(core="fast")),
-            "compat": round(bench_event_queue(core="compat")),
-        }
+        report["event_queue_ops_per_s"] = round(bench_event_queue())
     if "messages" in grids:
         _grid_boundary()
         rates = {
-            core: {
-                "full": bench_messages(TraceLevel.FULL, core=core),
-                "loads": bench_messages(TraceLevel.LOADS, core=core),
-                "off": bench_messages(TraceLevel.OFF, core=core),
-            }
-            for core in ("fast", "compat")
+            "full": bench_messages(TraceLevel.FULL),
+            "loads": bench_messages(TraceLevel.LOADS),
+            "off": bench_messages(TraceLevel.OFF),
         }
         report["messages_per_s"] = {
-            core: {level: round(rate) for level, rate in levels.items()}
-            for core, levels in rates.items()
+            level: round(rate) for level, rate in rates.items()
         }
         report["seed_reference"] = {
             "full_msgs_per_s": SEED_FULL_MSGS_PER_S,
@@ -622,7 +611,7 @@ def build_report(grids: tuple[str, ...] = GRIDS) -> dict:
         }
         report["speedup_vs_seed_full"] = {
             level: round(rate / SEED_FULL_MSGS_PER_S, 2)
-            for level, rate in rates["fast"].items()
+            for level, rate in rates.items()
         }
     if "registry" in grids:
         _grid_boundary()

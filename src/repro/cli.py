@@ -104,10 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "tolerates message loss",
     )
     run.add_argument(
-        "--runtime", default="sim", choices=["sim", "sim-compat", "sync"],
-        help="scheduler: sim (event-driven, default), sim-compat (heapq "
-             "core), or sync (deterministic lockstep rounds — the model "
-             "phase-king agreement assumes)",
+        "--runtime", default="sim", choices=["sim", "sync"],
+        help="scheduler: sim (event-driven, default) or sync "
+             "(deterministic lockstep rounds — the model phase-king "
+             "agreement assumes)",
     )
     run.add_argument("--top", type=int, default=5, help="hottest processors shown")
 

@@ -139,7 +139,7 @@ class ScheduleController(DeliveryPolicy, SchedulerHook):
     # ------------------------------------------------------------------
     # SchedulerHook: the tie-break decision point
     # ------------------------------------------------------------------
-    def choose(self, ready: list[tuple[float, int, Callable[..., None], Any]]) -> int:
+    def choose(self, ready: list[Any]) -> int:
         choice = self._strategy.choose_tiebreak(ready, self)
         choice %= len(ready)
         self._decisions.append(choice)

@@ -52,6 +52,14 @@ from repro.sim.messages import Message, ProcessorId
 from repro.sim.network import Network
 
 
+def _swap_in(network: Network, mutant: _CentralClient) -> None:
+    """Replace the processor registered under *mutant*'s pid (both the
+    registry and the drain loops' dispatch table)."""
+    mutant.attach(network)
+    network._processors[mutant.pid] = mutant
+    network._handlers[mutant.pid] = mutant.on_message
+
+
 class _StaleReadClient(_CentralClient):
     """Server-side mutant: replies race the increment (see module doc)."""
 
@@ -90,9 +98,8 @@ class StaleReadCentralCounter(CentralCounter):
         # happened in the base constructor, so swap in place.
         for pid, client in list(self._clients.items()):
             mutant = _StaleReadClient(pid, self)
-            mutant.attach(network)
             self._clients[pid] = mutant
-            network._processors[pid] = mutant
+            _swap_in(network, mutant)
 
     @property
     def replies_in_flight(self) -> int:
@@ -136,9 +143,8 @@ class CachedReadCentralCounter(CentralCounter):
         super().__init__(network, n, server_id)
         for pid in list(self._clients):
             mutant = _CachedReadClient(pid, self)
-            mutant.attach(network)
             self._clients[pid] = mutant
-            network._processors[pid] = mutant
+            _swap_in(network, mutant)
 
 
 class TrustingByzCounter(ByzantineCounter):

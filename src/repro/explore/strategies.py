@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import ConfigurationError
 from repro.lowerbound.weights import weight_of
@@ -79,7 +79,7 @@ class Strategy(ABC):
     @abstractmethod
     def choose_tiebreak(
         self,
-        ready: list[tuple[float, int, Callable[..., None], Any]],
+        ready: list[Any],
         controller: "ScheduleController",
     ) -> int:
         """Ready-list index to run first (clamped by the controller)."""
@@ -117,7 +117,7 @@ class BaselineStrategy(Strategy):
 
     def choose_tiebreak(
         self,
-        ready: list[tuple[float, int, Callable[..., None], Any]],
+        ready: list[Any],
         controller: "ScheduleController",
     ) -> int:
         return 0
@@ -155,7 +155,7 @@ class ReplayStrategy(Strategy):
 
     def choose_tiebreak(
         self,
-        ready: list[tuple[float, int, Callable[..., None], Any]],
+        ready: list[Any],
         controller: "ScheduleController",
     ) -> int:
         return self._next()
@@ -188,7 +188,7 @@ class RandomWalkStrategy(Strategy):
 
     def choose_tiebreak(
         self,
-        ready: list[tuple[float, int, Callable[..., None], Any]],
+        ready: list[Any],
         controller: "ScheduleController",
     ) -> int:
         return self._rng.randrange(len(ready))
@@ -243,7 +243,7 @@ class PermutationStrategy(Strategy):
 
     def choose_tiebreak(
         self,
-        ready: list[tuple[float, int, Callable[..., None], Any]],
+        ready: list[Any],
         controller: "ScheduleController",
     ) -> int:
         return 0
@@ -294,7 +294,7 @@ class GuidedStrategy(Strategy):
 
     def choose_tiebreak(
         self,
-        ready: list[tuple[float, int, Callable[..., None], Any]],
+        ready: list[Any],
         controller: "ScheduleController",
     ) -> int:
         # Prefer running the heaviest-weighted delivery first, keeping
@@ -302,9 +302,8 @@ class GuidedStrategy(Strategy):
         best_index = 0
         best_score = -1.0
         for index, entry in enumerate(ready):
-            arg = entry[3]
-            if isinstance(arg, tuple) and len(arg) == 7:
-                score = self._score(arg, controller)  # type: ignore[arg-type]
+            if isinstance(entry, Message):
+                score = self._score(entry, controller)
             else:
                 score = 0.0
             score += self._rng.random() * 1e-9  # deterministic tie noise

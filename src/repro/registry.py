@@ -418,16 +418,12 @@ class RunSession:
             :func:`~repro.sim.faults.parse_fault_spec`) or a prebuilt
             :class:`~repro.sim.faults.FaultPlan`; ``None`` keeps the
             paper's failure-free model.
-        core: event-loop implementation forwarded to
-            :class:`~repro.sim.network.Network` — ``"auto"`` (default),
-            ``"fast"`` or ``"compat"``; all three produce byte-identical
-            traces.
         runtime: scheduler name from
             :data:`~repro.runtime.RUNTIME_NAMES` — ``"sim"`` (default)
-            drains the discrete-event queue directly, ``"sim-compat"``
-            is the same scheduler forced onto the ``compat`` core, and
-            ``"asyncio"`` executes the identical events cooperatively
-            inside an event loop.  Message accounting is the same
+            drains the discrete-event queue directly, ``"sync"`` runs
+            it in lockstep rounds, and ``"asyncio"`` executes the
+            identical events cooperatively inside an event loop.
+            Message accounting is the same
             :class:`~repro.sim.trace.Trace` under every choice.
         time_scale: real seconds slept per unit of simulated time
             between events (asyncio runtime only; 0 = run flat out).
@@ -475,7 +471,6 @@ class RunSession:
         event_limit: int | None = None,
         faults: str | FaultPlan | None = None,
         reliable: bool = False,
-        core: str = "auto",
         runtime: str = "sim",
         time_scale: float = 0.0,
     ) -> None:
@@ -483,13 +478,6 @@ class RunSession:
             raise ConfigurationError(
                 f"unknown runtime {runtime!r}; expected one of {RUNTIME_NAMES}"
             )
-        if runtime == "sim-compat":
-            if core == "fast":
-                raise ConfigurationError(
-                    "runtime='sim-compat' forces the compat event core; "
-                    "it cannot be combined with core='fast'"
-                )
-            core = "compat"
         self._ref = parse_spec(counter)
         self._seed = seed
         self._ref.spec.check_n(n)
@@ -544,7 +532,6 @@ class RunSession:
         network_kwargs: dict[str, Any] = {
             "policy": policy,
             "trace_level": trace_level,
-            "core": core,
         }
         if event_limit is not None:
             network_kwargs["event_limit"] = event_limit

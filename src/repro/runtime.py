@@ -6,11 +6,8 @@ get executed is a separate concern.  This module makes that concern a
 first-class seam — a :class:`Runtime` is the thing that drains the event
 queue, and there are three interchangeable implementations:
 
-* ``"sim"`` — :class:`SimulatedRuntime` over the table-driven fast core:
-  the discrete-event scheduler every measurement runs on;
-* ``"sim-compat"`` — the same :class:`SimulatedRuntime` over the
-  historical ``heapq`` core (byte-identical traces; hosts scheduler
-  hooks and fault plans natively);
+* ``"sim"`` — :class:`SimulatedRuntime`: the discrete-event scheduler
+  every measurement runs on;
 * ``"asyncio"`` — :class:`AsyncioRuntime`: the same protocol objects
   executed cooperatively inside a real :mod:`asyncio` event loop, so a
   counter can serve live traffic (see :mod:`repro.serve`) or embed in an
@@ -54,7 +51,7 @@ __all__ = [
     "make_runtime",
 ]
 
-RUNTIME_NAMES = ("sim", "sim-compat", "sync", "asyncio")
+RUNTIME_NAMES = ("sim", "sync", "asyncio")
 """Runtimes resolvable by :func:`make_runtime` (and ``RunSession``)."""
 
 
@@ -102,9 +99,7 @@ class SimulatedRuntime:
     A thin, allocation-free veneer over
     :meth:`~repro.sim.network.Network.run_until_quiescent` — the sync
     drivers call straight through, so traces are byte-identical to
-    pre-seam behavior.  Which event-queue core backs it (``fast`` or
-    ``compat``) is the network's ``core=`` constructor concern; the
-    runtime reports it via :attr:`core`.
+    pre-seam behavior.
     """
 
     name = "sim"
@@ -128,11 +123,6 @@ class SimulatedRuntime:
         """Current simulated time."""
         return self._network.now
 
-    @property
-    def core(self) -> str:
-        """The backing event-queue core (``"fast"`` or ``"compat"``)."""
-        return self._network.core
-
     def step(self) -> bool:
         """Execute the earliest pending event; ``False`` when quiescent."""
         return self._network.step()
@@ -146,7 +136,7 @@ class SimulatedRuntime:
         return self._network.run_until_quiescent()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimulatedRuntime(core={self.core!r})"
+        return "SimulatedRuntime()"
 
 
 class SynchronousRuntime:
@@ -210,13 +200,13 @@ class SynchronousRuntime:
         Returns 0 (and counts no round) when the network is quiescent.
         """
         network = self._network
-        queue = network._queue
-        start = queue.next_time()
+        next_time = network.next_event_time
+        start = next_time()
         if start is None:
             return 0
         executed = 0
         step = network.step
-        while queue.next_time() == start:
+        while next_time() == start:
             step()
             executed += 1
         self._rounds += 1
@@ -244,7 +234,7 @@ class AsyncioRuntime:
 
     Between events the runtime yields to the loop, so other tasks — a
     TCP server, a load generator, your application — interleave with
-    the simulation.  Generalizes the former ``repro.aio.AsyncRunner``.
+    the simulation.
 
     Args:
         network: the network whose events to run.
@@ -357,12 +347,9 @@ def make_runtime(
 ) -> Runtime:
     """Build the runtime registered under *name* for *network*.
 
-    ``"sim"`` and ``"sim-compat"`` both map to :class:`SimulatedRuntime`
-    — the core distinction is a *network* construction concern, which
-    :class:`~repro.registry.RunSession` resolves before calling here.
     The asyncio options are ignored by the simulated runtimes.
     """
-    if name in ("sim", "sim-compat"):
+    if name == "sim":
         return SimulatedRuntime(network)
     if name == "sync":
         return SynchronousRuntime(network)

@@ -181,9 +181,11 @@ class KeyedCounterService(LineProtocolService):
 
         Field order is part of the wire contract (tests pin it):
         ``spec n shards served inflight backlog shed expired deduped
-        rid_committed keys batches splits merges messages``.
+        rid_committed keys batches splits merges messages``.  At trace
+        level ``OFF`` nothing counts messages and the field reads ``na``.
         """
         map_stats = self.map.stats()
+        messages = [entry["messages"] for entry in map_stats["per_shard"]]
         return {
             "spec": self.spec,
             "n": self.n,
@@ -199,9 +201,7 @@ class KeyedCounterService(LineProtocolService):
             "batches": map_stats["batches"],
             "splits": map_stats["splits"],
             "merges": map_stats["merges"],
-            "messages": sum(
-                entry["messages"] for entry in map_stats["per_shard"]
-            ),
+            "messages": "na" if None in messages else sum(messages),
         }
 
     # ------------------------------------------------------------------

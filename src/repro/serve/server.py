@@ -529,8 +529,10 @@ class CounterService(LineProtocolService):
 
         Field order is part of the wire contract (tests pin it):
         ``spec n served inflight backlog shed expired deduped
-        rid_committed messages``.
+        rid_committed messages``.  At trace level ``OFF`` nothing counts
+        messages and the field reads ``na``.
         """
+        trace = self.session.network.trace
         return {
             "spec": self.spec,
             "n": self.n,
@@ -541,7 +543,7 @@ class CounterService(LineProtocolService):
             "expired": self._expired,
             "deduped": self._deduped,
             "rid_committed": self._dedup.committed_total,
-            "messages": self.session.network.trace.total_messages,
+            "messages": trace.total_messages if trace.keeps_loads else "na",
         }
 
     # ------------------------------------------------------------------

@@ -404,6 +404,7 @@ class CounterShardMap:
         per_shard = []
         for shard_range in self.router.ranges():
             shard = self._shards[shard_range.shard_id]
+            trace = shard.session.network.trace
             per_shard.append(
                 {
                     "shard": shard.shard_id,
@@ -412,7 +413,10 @@ class CounterShardMap:
                     "keys": shard.keys,
                     "ops": shard.local_ops,
                     "batches": shard.batches,
-                    "messages": shard.session.network.trace.total_messages,
+                    # None when the trace level (OFF) keeps no counts.
+                    "messages": (
+                        trace.total_messages if trace.keeps_loads else None
+                    ),
                 }
             )
         return {

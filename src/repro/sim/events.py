@@ -3,66 +3,46 @@
 The simulator is a classic discrete-event loop.  Two facts matter for
 reproducibility:
 
-* ties in time are broken by a monotonically increasing sequence number, so
-  two runs with the same seed pop events in exactly the same order;
-* events carry plain callables, so the queue knows nothing about messages —
+* ties in time are broken by scheduling order, so two runs with the same
+  seed pop events in exactly the same order;
+* the queue stores opaque *items* and knows nothing about messages —
   message semantics live entirely in :mod:`repro.sim.network`.
 
-Internally the heap stores plain ``(time, seq, action, arg)`` tuples
-rather than :class:`Event` objects: tuple allocation and comparison are
-the per-event cost of the whole simulator, and ``seq`` is unique, so the
-comparison never reaches the callable.  :class:`Event` remains the public
-view type returned by :meth:`EventQueue.schedule` and
-:meth:`EventQueue.pop`.
-
-The ``arg`` slot is the zero-overhead delivery path: the network
-schedules ``(deliver, message)`` directly instead of wrapping a closure
-per message.  Entries scheduled through the plain :meth:`EventQueue.schedule`
-API carry a sentinel and are invoked with no argument.
+:class:`EventQueue` is a bucket (calendar) queue: one list per distinct
+timestamp, a heap over the distinct timestamps only, and recycled bucket
+storage.  Appending to an existing bucket is a single ``list.append``,
+which is what makes constant-delay workloads (the common case) cheap.
+Within a bucket append order *is* scheduling order and buckets drain in
+time order, so the total order is the classic ``(time, seq)``; same-time
+items scheduled while a bucket drains are appended to the live bucket
+and picked up in the same pass.
 
 A :class:`SchedulerHook` may be installed to take over tie-breaking:
-whenever more than one entry shares the minimum timestamp, the hook
-chooses which one runs next instead of the default FIFO-by-``seq``
-order.  The clean path pays a single ``is None`` check per
-:meth:`EventQueue.run_many` call; the hooked path keeps the current
-time's candidates in a persistent *ready* buffer, so unchosen entries
-are not re-pushed through the heap on every pop.  :meth:`EventQueue.clear`
-drops any installed hook so a reused queue cannot leak one exploration's
+the hook's *frontier* is the unconsumed tail of the live bucket, and
+whenever it holds more than one item the hook chooses which runs next
+instead of the default FIFO order.  :meth:`EventQueue.clear` drops any
+installed hook so a reused queue cannot leak one exploration's
 tie-break state into the next.
-
-:class:`FlatEventQueue` is the table-driven fast core behind
-``Network(core="fast")``: a bucket (calendar) queue keyed by timestamp
-with recycled bucket storage, a heap over *distinct* times only, and
-bare payload items instead of per-event tuples.  It executes events in
-exactly the order :class:`EventQueue` would — asserted by the
-equivalence suites — but does not support scheduler hooks; hooked runs
-route through the compatible heap queue.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
-
-from repro.errors import ConfigurationError
-
-_NO_ARG = object()
-"""Sentinel marking a heap entry whose action takes no argument."""
 
 
 class SchedulerHook:
     """Tie-break arbiter for equal-time events (duck-typed interface).
 
     Install one with :meth:`EventQueue.install_hook`.  Whenever two or
-    more pending entries share the minimum timestamp, the queue calls
-    :meth:`choose` with the ready list (raw ``(time, seq, action, arg)``
-    heap entries in ``seq`` order — the order the default scheduler
-    would have used) and runs the entry at the returned index.  Message
-    deliveries carry the :class:`~repro.sim.messages.Message` in the
-    ``arg`` slot, so a hook can make informed choices; plain callbacks
-    carry a private sentinel there and should be treated as opaque.
+    more pending items share the minimum timestamp, the queue calls
+    :meth:`choose` with the ready list — the unconsumed items of the
+    live bucket in scheduling order, the order the default scheduler
+    would have used — and runs the item at the returned index.  Message
+    deliveries appear as the :class:`~repro.sim.messages.Message`
+    itself, so a hook can make informed choices; every other item is a
+    local action and should be treated as opaque.
 
     ``choose`` must return an index in ``range(len(ready))``; anything
     else raises ``IndexError`` at pop time.  Hooks see only *ordering*
@@ -70,46 +50,60 @@ class SchedulerHook:
     legal execution.
     """
 
-    def choose(self, ready: list[tuple[float, int, Callable[..., None], Any]]) -> int:
+    def choose(self, ready: list[Any]) -> int:
         raise NotImplementedError
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
-    """A callback scheduled at a simulated time.
-
-    Ordering is ``(time, seq)``: earlier times first, FIFO among equal
-    times.  The callback is excluded from comparisons.
-    """
+    """A callback scheduled at a simulated time — the view type
+    :meth:`EventQueue.schedule` and :meth:`EventQueue.pop` return."""
 
     time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
+    action: Callable[[], None]
 
 
 class EventQueue:
-    """A deterministic min-heap of scheduled actions.
+    """A deterministic bucket queue of scheduled items.
 
-    The queue also tracks the current simulated time: popping an event
-    advances ``now`` to that event's timestamp.  Scheduling into the past
+    The queue also tracks the current simulated time: consuming an item
+    advances ``now`` to that item's timestamp.  Scheduling into the past
     is a programming error and raises ``ValueError``.
+
+    Items scheduled through :meth:`schedule` are zero-argument actions,
+    and :meth:`pop` / :meth:`run_next` / :meth:`run_many` execute items
+    as such.  An owner that appends other payloads through
+    :meth:`push_at` (the network's messages ride bare, with no
+    per-event wrapper) must also be the one that drains them.
     """
 
-    __slots__ = ("_heap", "_counter", "_now", "_hook", "_ready")
+    __slots__ = (
+        "_buckets",
+        "_times",
+        "_free",
+        "_active",
+        "_active_pos",
+        "_now",
+        "_len",
+        "_hook",
+    )
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[..., None], Any]] = []
-        self._counter = itertools.count()
+        self._buckets: dict[float, list[Any]] = {}
+        self._times: list[float] = []
+        self._free: list[list[Any]] = []
+        # The live bucket (the one at ``now``) and the cursor into it.
+        # It stays registered in ``_buckets`` until fully drained, so
+        # zero-delay schedules land in it and run this pass.
+        self._active: list[Any] | None = None
+        self._active_pos = 0
         self._now = 0.0
+        self._len = 0
         self._hook: SchedulerHook | None = None
-        # Persistent frontier buffer for the hooked path: entries sharing
-        # the current minimum timestamp, in seq order.  Always empty when
-        # no hook is installed.
-        self._ready: list[tuple[float, int, Callable[..., None], Any]] = []
 
     @property
     def now(self) -> float:
-        """Current simulated time (time of the last popped event)."""
+        """Current simulated time (time of the last consumed item)."""
         return self._now
 
     @property
@@ -120,25 +114,33 @@ class EventQueue:
     def install_hook(self, hook: SchedulerHook | None) -> None:
         """Install (or with ``None`` remove) a tie-break arbiter.
 
-        While installed, every pop that finds several entries sharing
-        the minimum time asks ``hook.choose(ready)`` which runs first.
-        The hook is dropped by :meth:`clear` — a reused queue always
-        starts with default FIFO tie-breaking.
+        While installed, every pop that finds several items sharing the
+        minimum time asks ``hook.choose(ready)`` which runs first.
+        Pending items keep their order either way.  The hook is dropped
+        by :meth:`clear` — a reused queue always starts with default
+        FIFO tie-breaking.
         """
         self._hook = hook
-        if hook is None and self._ready:
-            # Return the buffered frontier to the heap so the clean loop
-            # sees every pending entry again.
-            heap = self._heap
-            for entry in self._ready:
-                heapq.heappush(heap, entry)
-            self._ready.clear()
 
     def __len__(self) -> int:
-        return len(self._heap) + len(self._ready)
+        return self._len
 
     def __bool__(self) -> bool:
-        return bool(self._heap) or bool(self._ready)
+        return self._len > 0
+
+    # ------------------------------------------------------------------
+    # Scheduling
+    # ------------------------------------------------------------------
+    def push_at(self, time: float, item: Any) -> None:
+        """Append *item* to the bucket for absolute *time*."""
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            free = self._free
+            bucket = free.pop() if free else []
+            self._buckets[time] = bucket
+            heapq.heappush(self._times, time)
+        bucket.append(item)
+        self._len += 1
 
     def schedule(self, delay: float, action: Callable[[], None]) -> Event:
         """Schedule *action* to run *delay* time units from now.
@@ -150,375 +152,70 @@ class EventQueue:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         time = self._now + delay
-        seq = next(self._counter)
-        heapq.heappush(self._heap, (time, seq, action, _NO_ARG))
-        return Event(time=time, seq=seq, action=action)
-
-    def schedule_call(self, delay: float, action: Callable[[Any], None], arg: Any) -> None:
-        """Fast path: schedule ``action(arg)`` without wrapping a closure.
-
-        This is what the network uses for message delivery — the message
-        rides in the heap entry itself, so a send allocates no lambda and
-        no :class:`Event` object.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(
-            self._heap, (self._now + delay, next(self._counter), action, arg)
-        )
-
-    def _pop_entry(self) -> tuple[float, int, Callable[..., None], Any]:
-        """Pop the next entry, honoring the tie-break hook if installed.
-
-        The hooked path keeps the candidates sharing the minimum
-        timestamp in the persistent ``_ready`` buffer (in ``seq`` order,
-        i.e. default-scheduler order): each pop merges any newly
-        scheduled equal-time entries from the heap, lets the hook pick
-        one, and leaves the rest buffered — unchosen entries are never
-        re-pushed through the heap.  New entries always carry a higher
-        ``seq`` than everything buffered, and nothing can be scheduled
-        before ``now``, so the buffer stays in seq order and the
-        frontier time stays minimal until it drains.  Without a hook —
-        or with a single ready entry — this is a plain heappop.
-        """
-        heap = self._heap
-        ready = self._ready
-        if not ready:
-            first = heapq.heappop(heap)
-            if self._hook is None or not heap or heap[0][0] != first[0]:
-                return first
-            ready.append(first)
-        time = ready[0][0]
-        while heap and heap[0][0] == time:
-            ready.append(heapq.heappop(heap))
-        if len(ready) == 1:
-            return ready.pop()
-        return ready.pop(self._hook.choose(ready))
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event, advancing ``now``."""
-        time, seq, action, arg = self._pop_entry()
-        self._now = time
-        if arg is not _NO_ARG:
-            action = _bind(action, arg)
-        return Event(time=time, seq=seq, action=action)
-
-    def run_next(self) -> None:
-        """Pop the earliest event and execute its action."""
-        time, _, action, arg = self._pop_entry()
-        self._now = time
-        if arg is _NO_ARG:
-            action()
-        else:
-            action(arg)
-
-    def run_many(self, limit: int) -> int:
-        """Execute up to *limit* events in a tight loop; return how many ran.
-
-        This is the simulator's inner loop: locals for the heap and pop
-        function, one time-advance per event, no per-event bookkeeping
-        beyond the counter.  Callers (e.g.
-        :meth:`~repro.sim.network.Network.run_until_quiescent`) batch
-        their event-limit accounting around it.
-        """
-        if self._hook is not None:
-            return self._run_many_hooked(limit)
-        heap = self._heap
-        pop = heapq.heappop
-        no_arg = _NO_ARG
-        ran = 0
-        while heap and ran < limit:
-            time, _, action, arg = pop(heap)
-            self._now = time
-            ran += 1
-            if arg is no_arg:
-                action()
-            else:
-                action(arg)
-        return ran
-
-    def _run_many_hooked(self, limit: int) -> int:
-        """The :meth:`run_many` loop with hook-mediated tie-breaking.
-
-        Kept out of the clean loop so explorations pay for candidate
-        gathering but ordinary runs pay one ``is None`` check per batch.
-        """
-        heap = self._heap
-        ready = self._ready
-        no_arg = _NO_ARG
-        ran = 0
-        while (heap or ready) and ran < limit:
-            time, _, action, arg = self._pop_entry()
-            self._now = time
-            ran += 1
-            if arg is no_arg:
-                action()
-            else:
-                action(arg)
-        return ran
-
-    def next_time(self) -> float | None:
-        """Timestamp of the earliest pending entry, or ``None`` if empty.
-
-        A read-only peek — nothing is popped and ``now`` does not move.
-        The synchronous runtime uses this to delimit lockstep rounds.
-        """
-        if self._ready:
-            return self._ready[0][0]
-        if self._heap:
-            return self._heap[0][0]
-        return None
-
-    def clear(self) -> None:
-        """Drop all pending events and reset the queue to its initial state.
-
-        Simulated time returns to zero, the tie-break counter restarts,
-        and any installed :class:`SchedulerHook` is removed, so a cleared
-        queue is indistinguishable from a fresh one — a cleared-then-reused
-        queue must not report the stale time of a schedule it abandoned nor
-        replay a previous exploration's tie-break choices.
-        """
-        self._heap.clear()
-        self._ready.clear()
-        self._counter = itertools.count()
-        self._now = 0.0
-        self._hook = None
-
-
-def _bind(action: Callable[[Any], None], arg: Any) -> Callable[[], None]:
-    """Adapt an argument-carrying entry to the no-argument Event view."""
-
-    def call() -> None:
-        action(arg)
-
-    return call
-
-
-class _Local:
-    """Bucket entry for a generically scheduled action (non-bound path).
-
-    The fast queue stores message payloads *bare* in its buckets; every
-    other entry is wrapped in one of these so the drain loop can tell
-    the two apart with a single ``type(item) is _Local`` check.
-    """
-
-    __slots__ = ("action", "arg")
-
-    def __init__(self, action: Callable[..., None], arg: Any) -> None:
-        self.action = action
-        self.arg = arg
-
-
-class FlatEventQueue:
-    """Table-driven bucket queue: the fast core's event store.
-
-    Entries live in per-timestamp *buckets* (plain lists, recycled
-    through a free list instead of reallocated), and a heap orders only
-    the *distinct* pending timestamps — at most one bucket exists per
-    time, so the heap never compares beyond the float.  Appending to an
-    existing bucket replaces a ``heappush`` of a fresh 4-tuple with a
-    single ``list.append``, which is what makes constant-delay
-    workloads (the common case) cheap.
-
-    Execution order is identical to :class:`EventQueue`: within a
-    bucket, append order *is* ``seq`` order, and buckets drain in time
-    order, so the total order is exactly ``(time, seq)``.  Same-time
-    entries scheduled while a bucket drains are appended to the live
-    bucket and picked up in the same pass — the FIFO tie-break
-    :class:`EventQueue` provides by construction.
-
-    Two scheduling paths exist:
-
-    * :meth:`bind` registers one *bound action* (the network's delivery
-      handler); :meth:`schedule_call` for that action stores its
-      argument bare — zero per-event allocation;
-    * every other entry is wrapped in a 2-slot :class:`_Local`.
-
-    Scheduler hooks are deliberately unsupported:
-    :meth:`~repro.sim.network.Network.install_scheduler_hook` migrates
-    pending entries to a compatible :class:`EventQueue` first.  The
-    :class:`Event` objects returned by :meth:`schedule` / :meth:`pop`
-    carry a synthetic (monotone, but queue-local) ``seq``.
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_times",
-        "_free",
-        "_active",
-        "_active_pos",
-        "_now",
-        "_len",
-        "_bound",
-        "_seq",
-    )
-
-    def __init__(self) -> None:
-        self._buckets: dict[float, list[Any]] = {}
-        self._times: list[float] = []
-        self._free: list[list[Any]] = []
-        self._active: list[Any] | None = None
-        self._active_pos = 0
-        self._now = 0.0
-        self._len = 0
-        self._bound: Callable[[Any], None] | None = None
-        self._seq = 0
-
-    # ------------------------------------------------------------------
-    # Introspection (EventQueue API)
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time (time of the last executed bucket)."""
-        return self._now
-
-    @property
-    def scheduler_hook(self) -> SchedulerHook | None:
-        """Always ``None`` — the fast core never hosts a hook."""
-        return None
-
-    def install_hook(self, hook: SchedulerHook | None) -> None:
-        """Reject hooks: hooked runs belong on the compatible queue.
-
-        ``None`` (removal) is accepted as a no-op so substrate-reset
-        paths can run unconditionally.
-        """
-        if hook is not None:
-            raise ConfigurationError(
-                "FlatEventQueue does not support scheduler hooks; use "
-                "Network(core='compat') or install the hook through "
-                "Network.install_scheduler_hook, which migrates pending "
-                "events to the compatible EventQueue first"
-            )
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __bool__(self) -> bool:
-        return self._len > 0
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def bind(self, action: Callable[[Any], None]) -> None:
-        """Register the one *bound action* whose arguments ride bare."""
-        self._bound = action
-
-    def _append(self, delay: float, item: Any) -> float:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            free = self._free
-            bucket = free.pop() if free else []
-            buckets[time] = bucket
-            heapq.heappush(self._times, time)
-        bucket.append(item)
-        self._len += 1
-        return time
-
-    def schedule(self, delay: float, action: Callable[[], None]) -> Event:
-        """Schedule *action* to run *delay* time units from now."""
-        time = self._append(delay, _Local(action, _NO_ARG))
-        seq = self._seq
-        self._seq = seq + 1
-        return Event(time=time, seq=seq, action=action)
-
-    def schedule_call(
-        self, delay: float, action: Callable[[Any], None], arg: Any
-    ) -> None:
-        """Schedule ``action(arg)``; bare-stores ``arg`` if *action* is
-        the bound action, else wraps a :class:`_Local`."""
-        if action is self._bound:
-            self._append(delay, arg)
-        else:
-            self._append(delay, _Local(action, arg))
+        self.push_at(time, action)
+        return Event(time=time, action=action)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _next_item(self) -> Any:
-        """Consume and return the earliest item, advancing ``now``.
+        """Consume and return the next item, advancing ``now``.
 
         Raises ``IndexError`` on an empty queue (like ``heappop``).
-        The active bucket stays registered in ``_buckets`` until fully
-        drained, so zero-delay schedules land in it and run this pass.
+        The network's fused drain loops inline this; keep them in sync.
         """
         bucket = self._active
         pos = self._active_pos
-        if bucket is not None:
-            if pos < len(bucket):
-                item = bucket[pos]
-                bucket[pos] = None
-                self._active_pos = pos + 1
-                self._len -= 1
-                return item
-            del self._buckets[self._now]
-            bucket.clear()
-            self._free.append(bucket)
-            self._active = None
-        time = heapq.heappop(self._times)
-        bucket = self._buckets[time]
-        self._now = time
-        self._active = bucket
-        item = bucket[0]
-        bucket[0] = None
-        self._active_pos = 1
+        if bucket is None or pos >= len(bucket):
+            if bucket is not None:
+                del self._buckets[self._now]
+                bucket.clear()
+                self._free.append(bucket)
+                self._active = None
+            time = heapq.heappop(self._times)
+            bucket = self._active = self._buckets[time]
+            self._now = time
+            pos = self._active_pos = 0
+        hook = self._hook
+        if hook is not None and len(bucket) - pos > 1:
+            # The ready list is the unconsumed tail: drop the consumed
+            # prefix so the bucket *is* that list, and remove the pick
+            # in place so unchosen items keep their order.
+            if pos:
+                del bucket[:pos]
+                self._active_pos = 0
+            item = bucket.pop(hook.choose(bucket))
+        else:
+            item = bucket[pos]
+            bucket[pos] = None
+            self._active_pos = pos + 1
         self._len -= 1
         return item
 
-    def _execute(self, item: Any) -> None:
-        if type(item) is _Local:
-            action = item.action
-            arg = item.arg
-            if arg is _NO_ARG:
-                action()
-            else:
-                action(arg)
-        else:
-            self._bound(item)
-
     def pop(self) -> Event:
         """Remove and return the earliest event, advancing ``now``."""
-        item = self._next_item()
-        seq = self._seq
-        self._seq = seq + 1
-        if type(item) is _Local:
-            action = item.action
-            if item.arg is not _NO_ARG:
-                action = _bind(action, item.arg)
-        else:
-            action = _bind(self._bound, item)
-        return Event(time=self._now, seq=seq, action=action)
+        action = self._next_item()
+        return Event(time=self._now, action=action)
 
     def run_next(self) -> None:
         """Pop the earliest event and execute its action."""
-        self._execute(self._next_item())
+        self._next_item()()
 
     def run_many(self, limit: int) -> int:
-        """Execute up to *limit* events; return how many ran.
-
-        This is the generic drain loop; the network inlines a fused
-        version per trace level (see
-        :meth:`repro.sim.network.Network.run_until_quiescent`).
-        """
+        """Execute up to *limit* events; return how many ran."""
         ran = 0
         next_item = self._next_item
-        execute = self._execute
         while self._len and ran < limit:
-            execute(next_item())
+            next_item()()
             ran += 1
         return ran
 
     def next_time(self) -> float | None:
-        """Timestamp of the earliest pending entry, or ``None`` if empty.
+        """Timestamp of the earliest pending item, or ``None`` if empty.
 
-        Mirrors :meth:`EventQueue.next_time`.  An active bucket with
-        unconsumed items answers the current time (zero-delay schedules
-        land in it and run this pass); otherwise the earliest registered
-        bucket time wins.
+        A read-only peek — nothing is consumed and ``now`` does not
+        move.  A live bucket with unconsumed items answers the current
+        time; otherwise the earliest registered bucket time wins.
         """
         active = self._active
         if active is not None and self._active_pos < len(active):
@@ -527,34 +224,14 @@ class FlatEventQueue:
             return self._times[0]
         return None
 
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def _pending_in_order(self) -> list[tuple[float, Any]]:
-        """Every pending ``(time, item)`` in execution order.
-
-        Used by the network to migrate a fast queue's backlog onto a
-        compatible :class:`EventQueue` when a hook or fault plan arrives
-        mid-session.
-        """
-        items: list[tuple[float, Any]] = []
-        active = self._active
-        if active is not None:
-            now = self._now
-            for item in active[self._active_pos:]:
-                items.append((now, item))
-        for time in sorted(self._times):
-            for item in self._buckets[time]:
-                items.append((time, item))
-        return items
-
     def clear(self) -> None:
-        """Drop all pending events and reset to the initial state.
+        """Drop all pending events and reset the queue to its initial state.
 
-        Clears in place — the bucket dict and time heap keep their
-        identities, so peers that aliased them stay wired.  The bound
-        action survives (it is construction-time wiring, not run
-        state).
+        Simulated time returns to zero and any installed
+        :class:`SchedulerHook` is removed, so a cleared queue is
+        indistinguishable from a fresh one — a cleared-then-reused queue
+        must not report the stale time of a schedule it abandoned nor
+        replay a previous exploration's tie-break choices.
         """
         self._buckets.clear()
         self._times.clear()
@@ -563,4 +240,8 @@ class FlatEventQueue:
         self._active_pos = 0
         self._now = 0.0
         self._len = 0
-        self._seq = 0
+        self._hook = None
+
+
+# For the frozen bench/ probes; goes when a benchmark PR drops compat_*.
+FlatEventQueue = EventQueue

@@ -19,26 +19,15 @@ delivery policy.
 
 Performance: message delivery is the hot path of every experiment, so the
 network specializes it per :class:`~repro.sim.trace.TraceLevel` at
-construction time — the delivery handler, the policy's ``delay`` method
-and the constant-delay shortcut are pre-bound once, a send schedules a
-``(deliver, message)`` heap entry instead of a closure, and
-:meth:`run_until_quiescent` checks the event limit per batch rather than
-per event.  ``FULL`` tracing keeps the exact historical behavior;
-``LOADS`` skips record materialization and payload copies; ``OFF`` skips
-tracing entirely.
-
-Table-driven fast core: by default (``core="auto"``) the network runs on
-a :class:`~repro.sim.events.FlatEventQueue` — messages ride *bare* in
-per-timestamp buckets (no per-event tuple), per-processor ``on_message``
-handlers are resolved once into a dispatch table, and
-:meth:`run_until_quiescent` drains whole buckets in a fused loop with the
-trace updates inlined.  The fast core is observationally identical to the
-compatible ``heapq`` path (byte-identical traces and fingerprints —
-asserted over every registered counter spec in the test suite) but does
-not host :class:`~repro.sim.events.SchedulerHook` tie-breaks or fault
-plans; installing either migrates all pending events onto a compatible
-:class:`~repro.sim.events.EventQueue` and continues there.  Pass
-``core="compat"`` to opt out of the fast core entirely.
+construction time — the policy's ``delay`` method and the constant-delay
+shortcut are pre-bound once, a send appends the bare message to its
+timestamp's bucket in the :class:`~repro.sim.events.EventQueue` (no
+per-event tuple, no closure), per-processor ``on_message`` handlers are
+resolved once into a dispatch table, and one fused drain loop per trace
+level walks whole buckets with the trace updates inlined.  ``FULL``
+tracing keeps every record; ``LOADS`` skips record materialization and
+payload copies; ``OFF`` skips tracing entirely.  Scheduler hooks and
+fault plans run on the same queue and the same loops.
 """
 
 from __future__ import annotations
@@ -52,13 +41,7 @@ from repro.errors import (
     SimulationLimitError,
     UnknownProcessorError,
 )
-from repro.sim.events import (
-    _NO_ARG,
-    EventQueue,
-    FlatEventQueue,
-    SchedulerHook,
-    _Local,
-)
+from repro.sim.events import EventQueue, SchedulerHook
 from repro.sim.faults import FaultPlan
 from repro.sim.messages import NO_OP, Message, MessageRecord, OpIndex, ProcessorId
 from repro.sim.policies import DeliveryPolicy, UnitDelay
@@ -94,13 +77,9 @@ class Network:
             Accepts a :class:`~repro.sim.trace.TraceLevel` or its name.
         fault_plan: optional seeded :class:`~repro.sim.faults.FaultPlan`
             consulted per send (``None`` keeps the failure-free model and
-            the byte-identical fast path).
-        core: event-loop implementation — ``"auto"`` (default; the
-            table-driven fast core, unless a *fault_plan* is given),
-            ``"fast"`` (table-driven core; hooks/faults migrate it to the
-            compatible queue on installation) or ``"compat"`` (the
-            historical ``heapq`` path).  All three produce byte-identical
-            traces.
+            the clean :meth:`send`).
+        core: accepted and ignored — kept for the frozen ``bench/``
+            probes; goes when a benchmark PR drops them.
     """
 
     def __init__(
@@ -112,17 +91,13 @@ class Network:
         core: str = "auto",
     ) -> None:
         trace_level = TraceLevel.coerce(trace_level)
+        # Validated, otherwise ignored: the frozen bench/ probes pass it.
         if core not in ("auto", "fast", "compat"):
             raise ConfigurationError(
                 f"unknown core {core!r}: expected 'auto', 'fast' or 'compat'"
             )
-        if core == "auto":
-            core = "compat" if fault_plan is not None else "fast"
-        self._fast = core == "fast"
         self._policy = policy or UnitDelay()
-        self._queue: EventQueue | FlatEventQueue = (
-            FlatEventQueue() if self._fast else EventQueue()
-        )
+        self._queue = EventQueue()
         self._processors: dict[ProcessorId, Processor] = {}
         self._handlers: dict[ProcessorId, Callable[[Message], None]] = {}
         self._trace = Trace(level=trace_level)
@@ -142,32 +117,20 @@ class Network:
             self._policy, "constant_delay", None
         )
         self._copy_payloads = trace_level is TraceLevel.FULL
-        if trace_level is TraceLevel.FULL:
-            self._deliver: Callable[[Message], None] = self._deliver_full
-        elif trace_level is TraceLevel.LOADS:
-            self._deliver = self._deliver_loads
-        else:
-            self._deliver = self._deliver_off
-        # Aliases of the trace's counter dicts for the LOADS delivery
-        # handler — the dicts are shared objects, so the trace sees every
-        # update (and deepcopy keeps them shared via its memo).
+        # Aliases of the trace's counter dicts for the drain loops — the
+        # dicts are shared objects, so the trace sees every update (and
+        # deepcopy keeps them shared via its memo).
         self._sent_counts = self._trace._sent
         self._received_counts = self._trace._received
         self._op_counts = self._trace._op_counts
         self._footprints = self._trace._footprints
-        # The drain strategy run_until_quiescent uses: a fused
-        # bucket-walking loop per trace level on the fast core, the
-        # queue's own run_many on the compatible core.
-        if self._fast:
-            self._queue.bind(self._deliver)
-            if trace_level is TraceLevel.FULL:
-                self._drain: Callable[[int], int] = self._drain_fast_full
-            elif trace_level is TraceLevel.LOADS:
-                self._drain = self._drain_fast_loads
-            else:
-                self._drain = self._drain_fast_off
+        # One fused bucket-walking drain per trace level.
+        if trace_level is TraceLevel.FULL:
+            self._drain: Callable[[int], int] = self._drain_full
+        elif trace_level is TraceLevel.LOADS:
+            self._drain = self._drain_loads
         else:
-            self._drain = self._queue.run_many
+            self._drain = self._drain_off
         if fault_plan is not None:
             self.install_fault_plan(fault_plan)
 
@@ -213,16 +176,6 @@ class Network:
     def fault_plan(self) -> FaultPlan | None:
         """The installed fault plan, or ``None`` (the failure-free model)."""
         return self._fault_plan
-
-    @property
-    def core(self) -> str:
-        """The event-loop implementation currently in force.
-
-        ``"fast"`` is the table-driven bucket core; ``"compat"`` the
-        ``heapq`` path.  A network built on the fast core reports
-        ``"compat"`` after a scheduler hook or fault plan migrated it.
-        """
-        return "fast" if self._fast else "compat"
 
     @property
     def run_context(self) -> str:
@@ -272,7 +225,7 @@ class Network:
             )
         processor.attach(self)
         self._processors[processor.pid] = processor
-        # Dispatch table: the fast drain loops jump straight to the
+        # Dispatch table: the drain loops jump straight to the
         # handler, skipping the per-message dict + attribute lookups.
         self._handlers[processor.pid] = processor.on_message
         return processor
@@ -290,12 +243,10 @@ class Network:
 
         The clean :meth:`send` stays untouched at class level — networks
         without a plan pay nothing and produce byte-identical traces.
-        Installing rebinds ``send`` on this instance only.  Install
-        before traffic starts; the plan's ledger is per-network-run.
-        Faulty sends schedule through the compatible queue, so a fast
-        core migrates first.
+        Installing rebinds ``send`` on this instance only; events
+        already pending keep their order.  The plan's ledger is
+        per-network-run.
         """
-        self._ensure_compat_core()
         self._fault_plan = plan
         self.send = self._send_faulty  # type: ignore[method-assign]
 
@@ -312,47 +263,14 @@ class Network:
 
         Forwarded to :meth:`EventQueue.install_hook`: while installed,
         equal-time events run in the order the hook chooses rather than
-        FIFO.  This is the schedule explorer's control point; ordinary
-        runs never install one and keep the zero-overhead loop.  Both
-        :meth:`reset` and :meth:`EventQueue.clear` drop the hook, so a
-        reused substrate cannot leak one exploration's tie-break state
-        into the next run.  The fast core does not arbitrate ties, so
-        installing a hook migrates pending events to the compatible
-        queue first; removing one (``None``) never migrates.
+        FIFO; events already pending keep their order.  This is the
+        schedule explorer's control point.  A drain reads the hook when
+        it starts, so install between drains, not from inside a handler.
+        Both :meth:`reset` and :meth:`EventQueue.clear` drop the hook,
+        so a reused substrate cannot leak one exploration's tie-break
+        state into the next run.
         """
-        if hook is not None:
-            self._ensure_compat_core()
         self._queue.install_hook(hook)
-
-    # ------------------------------------------------------------------
-    # Core migration
-    # ------------------------------------------------------------------
-    def _ensure_compat_core(self) -> None:
-        """Switch to the compatible ``heapq`` queue, carrying state over.
-
-        Pending entries transfer in execution order onto a fresh
-        :class:`EventQueue` (so their relative order — and therefore the
-        trace — is unchanged), simulated time is preserved, and the
-        drain strategy drops back to the queue's generic loop.  No-op on
-        a network already running the compatible core.
-        """
-        if not self._fast:
-            return
-        old = self._queue
-        new = EventQueue()
-        new._now = old._now
-        heap = new._heap
-        counter = new._counter
-        deliver = self._deliver
-        for time, item in old._pending_in_order():
-            if type(item) is _Local:
-                heappush(heap, (time, next(counter), item.action, item.arg))
-            else:
-                heappush(heap, (time, next(counter), deliver, item))
-        old.clear()
-        self._queue = new
-        self._fast = False
-        self._drain = new.run_many
 
     # ------------------------------------------------------------------
     # Messaging
@@ -393,27 +311,19 @@ class Network:
                 raise ValueError(
                     f"policy {self._policy!r} returned negative delay {delay}"
                 )
-        if self._fast:
-            # Inlined FlatEventQueue._append: the message rides bare in
-            # its time bucket — no per-event tuple, no heap traffic
-            # unless the timestamp is new.
-            time = now + delay
-            buckets = queue._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                free = queue._free
-                bucket = free.pop() if free else []
-                buckets[time] = bucket
-                heappush(queue._times, time)
-            bucket.append(message)
-            queue._len += 1
-        else:
-            # Inlined EventQueue.schedule_call: one send is one heap
-            # entry, with the message riding in it instead of a closure.
-            heappush(
-                queue._heap,
-                (now + delay, next(queue._counter), self._deliver, message),
-            )
+        # Inlined EventQueue.push_at: the message rides bare in its time
+        # bucket — no per-event tuple, no heap traffic unless the
+        # timestamp is new.
+        time = now + delay
+        buckets = queue._buckets
+        bucket = buckets.get(time)
+        if bucket is None:
+            free = queue._free
+            bucket = free.pop() if free else []
+            buckets[time] = bucket
+            heappush(queue._times, time)
+        bucket.append(message)
+        queue._len += 1
         return message
 
     def _send_faulty(
@@ -426,9 +336,9 @@ class Network:
         """The send path with a fault plan installed.
 
         Mirrors :meth:`send` (keep in sync) up to scheduling: the plan
-        is consulted once per message and may drop it (no heap entry, no
-        in-flight increment — a lost message cannot block quiescence),
-        duplicate it (one heap entry per copy, all sharing the uid),
+        is consulted once per message and may drop it (nothing queued,
+        no in-flight increment — a lost message cannot block quiescence),
+        duplicate it (one bucket entry per copy, all sharing the uid),
         boost its delay, or rewrite its payload (Byzantine rules: the
         corrupted message is what gets delivered).  Every injected
         fault lands in the plan's ledger and, levels permitting, the
@@ -457,96 +367,18 @@ class Network:
         outcome = self._fault_plan.consult(message, now, now + delay)
         if outcome is None:
             self._in_flight += 1
-            heappush(
-                queue._heap,
-                (now + delay, next(queue._counter), self._deliver, message),
-            )
+            queue.push_at(now + delay, message)
             return message
         trace = self._trace
         for record in outcome.records:
             trace.record_fault(record)
-        deliver = self._deliver
-        counter = queue._counter
-        heap = queue._heap
         # A Byzantine rewrite replaces what goes on the wire (same uid,
         # same endpoints); the caller still gets the message it sent.
         delivered = outcome.message if outcome.message is not None else message
         for time in outcome.delivery_times:
             self._in_flight += 1
-            heappush(heap, (time, next(counter), deliver, delivered))
+            queue.push_at(time, delivered)
         return message
-
-    def _deliver_full(self, message: Message) -> None:
-        """Deliver under ``FULL`` tracing: record, then run the handler."""
-        self._in_flight -= 1
-        sender, pid, kind, _, op_index, uid, send_time = message
-        self._trace.record(
-            _tuple_new(
-                MessageRecord,
-                (sender, pid, kind, op_index, uid, send_time, self._queue._now),
-            )
-        )
-        receiver = self._processors[pid]
-        previous_op = self._active_op
-        if op_index == previous_op:
-            receiver.on_message(message)
-            return
-        self._active_op = op_index
-        try:
-            receiver.on_message(message)
-        finally:
-            self._active_op = previous_op
-
-    def _deliver_loads(self, message: Message) -> None:
-        """Deliver under ``LOADS`` tracing: counters only, no record.
-
-        The counter updates are :meth:`Trace.count` inlined onto the
-        pre-bound dicts — they are the entire cost of LOADS tracing, so
-        they run without a method call.  Keep in sync with
-        :meth:`repro.sim.trace.Trace.count`.
-        """
-        self._in_flight -= 1
-        # Message tuple layout: (sender, receiver, kind, payload, op_index,
-        # uid, send_time) — indexed access skips the descriptor lookups.
-        sender = message[0]
-        pid = message[1]
-        op_index = message[4]
-        self._trace._total += 1
-        self._sent_counts[sender] += 1
-        self._received_counts[pid] += 1
-        if op_index != NO_OP:
-            self._op_counts[op_index] += 1
-            footprint = self._footprints.get(op_index)
-            if footprint is None:
-                self._footprints[op_index] = {sender, pid}
-            else:
-                footprint.add(sender)
-                footprint.add(pid)
-        receiver = self._processors[pid]
-        previous_op = self._active_op
-        if op_index == previous_op:
-            receiver.on_message(message)
-            return
-        self._active_op = op_index
-        try:
-            receiver.on_message(message)
-        finally:
-            self._active_op = previous_op
-
-    def _deliver_off(self, message: Message) -> None:
-        """Deliver under ``OFF`` tracing: run the handler, keep nothing."""
-        self._in_flight -= 1
-        receiver = self._processors[message[1]]
-        op_index = message[4]
-        previous_op = self._active_op
-        if op_index == previous_op:
-            receiver.on_message(message)
-            return
-        self._active_op = op_index
-        try:
-            receiver.on_message(message)
-        finally:
-            self._active_op = previous_op
 
     # ------------------------------------------------------------------
     # Local events (operation initiation, timers)
@@ -607,18 +439,22 @@ class Network:
 
         The single-step entry point of the runtime seam
         (:mod:`repro.runtime`): cooperative schedulers interleave other
-        work between events, so they pull one event at a time instead of
-        using the fused drain loops.  Event-limit accounting matches
-        :meth:`run_until_quiescent` (checked per event here — a stepped
-        run is never hot enough for the batch optimization to matter).
+        work between events, so they pull one event at a time — the
+        same drain loop as :meth:`run_until_quiescent`, with a limit of
+        one and the event budget checked per event.
         """
-        if not self._queue:
+        if not self._drain(1):
             return False
-        self._queue.run_next()
         self._events_executed += 1
         if self._events_executed > self._event_limit:
             raise self._limit_error()
         return True
+
+    def next_event_time(self) -> float | None:
+        """Timestamp of the earliest pending event, or ``None`` when
+        quiescent (a read-only peek; lockstep rounds are delimited by
+        it)."""
+        return self._queue.next_time()
 
     def _limit_error(self) -> SimulationLimitError:
         """Build the (context-enriched) event-budget exhaustion error."""
@@ -638,22 +474,24 @@ class Network:
             context=context,
         )
 
-    def _drain_fast_off(self, limit: int) -> int:
+    def _drain_off(self, limit: int) -> int:
         """Fused bucket drain, ``OFF`` tracing: dispatch and nothing else.
 
-        Walks the fast queue's buckets in time order with the queue's
-        cursor held in locals; messages jump straight to the dispatch
-        table.  Queue length, the in-flight count and the active
-        operation are reconciled once in the ``finally`` — ``send``
-        updates ``_len``/``_in_flight`` through the instance during the
-        loop, so only this loop's own deltas are applied there.  Keep
-        the three ``_drain_fast_*`` variants in sync; they differ only
-        in the inlined trace updates.
+        :meth:`EventQueue._next_item` inlined: walks the queue's buckets
+        in time order with the cursor held in locals; messages jump
+        straight to the dispatch table, anything else is a local action.
+        Queue length, the in-flight count and the active operation are
+        reconciled once in the ``finally`` — ``send`` updates
+        ``_len``/``_in_flight`` through the instance during the loop, so
+        only this loop's own deltas are applied there.  Keep the three
+        ``_drain_*`` variants in sync; they differ only in the inlined
+        trace updates.
         """
         queue = self._queue
         buckets = queue._buckets
         times = queue._times
         free = queue._free
+        hook = queue._hook
         handlers = self._handlers
         bucket = queue._active
         pos = queue._active_pos
@@ -676,17 +514,18 @@ class Network:
                     queue._active = bucket
                     pos = 0
                     continue
-                item = bucket[pos]
-                bucket[pos] = None
-                pos += 1
+                if hook is not None and len(bucket) - pos > 1:
+                    if pos:
+                        del bucket[:pos]
+                        pos = 0
+                    item = bucket.pop(hook.choose(bucket))
+                else:
+                    item = bucket[pos]
+                    bucket[pos] = None
+                    pos += 1
                 ran += 1
-                if type(item) is _Local:
-                    action = item.action
-                    arg = item.arg
-                    if arg is _NO_ARG:
-                        action()
-                    else:
-                        action(arg)
+                if type(item) is not Message:
+                    item()
                 else:
                     delivered += 1
                     op_index = item[4]
@@ -700,17 +539,18 @@ class Network:
             self._active_op = previous_op
         return ran
 
-    def _drain_fast_loads(self, limit: int) -> int:
+    def _drain_loads(self, limit: int) -> int:
         """Fused bucket drain, ``LOADS`` tracing.
 
-        :meth:`_drain_fast_off` plus the columnar counter updates of
+        :meth:`_drain_off` plus the columnar counter updates of
         :meth:`~repro.sim.trace.Trace.count` inlined onto the pre-bound
-        dicts (keep in sync with it and with :meth:`_deliver_loads`).
+        dicts (keep in sync with it).
         """
         queue = self._queue
         buckets = queue._buckets
         times = queue._times
         free = queue._free
+        hook = queue._hook
         handlers = self._handlers
         trace = self._trace
         sent_counts = self._sent_counts
@@ -738,17 +578,18 @@ class Network:
                     queue._active = bucket
                     pos = 0
                     continue
-                item = bucket[pos]
-                bucket[pos] = None
-                pos += 1
+                if hook is not None and len(bucket) - pos > 1:
+                    if pos:
+                        del bucket[:pos]
+                        pos = 0
+                    item = bucket.pop(hook.choose(bucket))
+                else:
+                    item = bucket[pos]
+                    bucket[pos] = None
+                    pos += 1
                 ran += 1
-                if type(item) is _Local:
-                    action = item.action
-                    arg = item.arg
-                    if arg is _NO_ARG:
-                        action()
-                    else:
-                        action(arg)
+                if type(item) is not Message:
+                    item()
                 else:
                     delivered += 1
                     sender = item[0]
@@ -775,18 +616,19 @@ class Network:
             self._active_op = previous_op
         return ran
 
-    def _drain_fast_full(self, limit: int) -> int:
+    def _drain_full(self, limit: int) -> int:
         """Fused bucket drain, ``FULL`` tracing.
 
-        :meth:`_drain_fast_off` plus record materialization and
+        :meth:`_drain_off` plus record materialization and
         :meth:`~repro.sim.trace.Trace.record` inlined (keep in sync with
-        it and with :meth:`_deliver_full`) — unlike ``LOADS``, FULL
-        indexes ``NO_OP`` traffic in the per-operation views too.
+        it) — unlike ``LOADS``, FULL indexes ``NO_OP`` traffic in the
+        per-operation views too.
         """
         queue = self._queue
         buckets = queue._buckets
         times = queue._times
         free = queue._free
+        hook = queue._hook
         handlers = self._handlers
         trace = self._trace
         records = trace._records
@@ -816,17 +658,18 @@ class Network:
                     queue._active = bucket
                     pos = 0
                     continue
-                item = bucket[pos]
-                bucket[pos] = None
-                pos += 1
+                if hook is not None and len(bucket) - pos > 1:
+                    if pos:
+                        del bucket[:pos]
+                        pos = 0
+                    item = bucket.pop(hook.choose(bucket))
+                else:
+                    item = bucket[pos]
+                    bucket[pos] = None
+                    pos += 1
                 ran += 1
-                if type(item) is _Local:
-                    action = item.action
-                    arg = item.arg
-                    if arg is _NO_ARG:
-                        action()
-                    else:
-                        action(arg)
+                if type(item) is not Message:
+                    item()
                 else:
                     delivered += 1
                     sender = item[0]

@@ -223,8 +223,8 @@ class Trace:
         """Hex digest of the whole record stream (``FULL`` only).
 
         Two executions are trace-identical iff their fingerprints match
-        — the equivalence tests and the CI fast-vs-compat identity check
-        compare executions through this single value.  Hashes every
+        — the equivalence tests and the checked-in golden table compare
+        executions through this single value.  Hashes every
         field of every record in delivery order.
         """
         self._require_records("Trace.fingerprint")

@@ -392,9 +392,8 @@ async def run_concurrent_async(
 ) -> RunResult:
     """Inject *batch* concurrently, await quiescence, collect results.
 
-    Async counterpart of a single-batch :func:`run_concurrent` (kept to
-    the historical one-batch signature of ``repro.aio``); the value
-    multiset is not checked here — callers assert on the outcomes.
+    Async counterpart of a single-batch :func:`run_concurrent`; the
+    value multiset is not checked here — callers assert on the outcomes.
     """
     from repro.runtime import AsyncioRuntime
 

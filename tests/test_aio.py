@@ -1,4 +1,4 @@
-"""Tests for the asyncio bridge."""
+"""Tests for the asyncio drivers (``run_*_async``) and runtime."""
 
 from __future__ import annotations
 
@@ -6,12 +6,17 @@ import asyncio
 
 import pytest
 
-from repro.aio import AsyncRunner, run_concurrent_async, run_sequence_async
 from repro.core import TreeCounter
 from repro.counters import CentralCounter, CombiningTreeCounter
 from repro.errors import ProtocolError
+from repro.runtime import AsyncioRuntime
 from repro.sim.network import Network
-from repro.workloads import one_shot, run_sequence
+from repro.workloads import (
+    one_shot,
+    run_concurrent_async,
+    run_sequence,
+    run_sequence_async,
+)
 
 
 class TestAsyncSequential:
@@ -94,45 +99,13 @@ class TestAsyncConcurrent:
         assert sorted(o.value for o in result.outcomes) == list(range(16))
 
 
-class TestRunnerIsARuntime:
-    def test_shim_is_the_asyncio_runtime(self):
-        from repro.runtime import AsyncioRuntime, Runtime
-
-        runner = AsyncRunner(Network(), time_scale=0.25, yield_every=8)
-        assert isinstance(runner, AsyncioRuntime)
-        assert isinstance(runner, Runtime)
-        assert runner.time_scale == 0.25
-        assert runner.yield_every == 8
-
-    def test_run_until_quiescent_awaits_the_drain(self):
-        network = Network()
-        counter = CentralCounter(network, 4)
-        for pid in counter.client_ids():
-            counter.begin_inc(pid, pid - 1)
-
-        async def go():
-            return await AsyncRunner(network).run_until_quiescent()
-
-        executed = asyncio.run(go())
-        assert executed == network.events_executed > 0
-        assert sorted(
-            outcome
-            for pid in counter.client_ids()
-            for outcome in counter.results_for(pid)
-        ) == list(range(4))
-
-
 class TestRunnerValidation:
     def test_bad_parameters(self):
         network = Network()
         with pytest.raises(ValueError):
-            AsyncRunner(network, time_scale=-1.0)
+            AsyncioRuntime(network, time_scale=-1.0)
         with pytest.raises(ValueError):
-            AsyncRunner(network, yield_every=0)
+            AsyncioRuntime(network, yield_every=0)
 
     def test_runner_on_empty_network(self):
-        async def go():
-            runner = AsyncRunner(Network())
-            return await runner.run_until_quiescent()
-
-        assert asyncio.run(go()) == 0
+        assert asyncio.run(AsyncioRuntime(Network()).drain()) == 0

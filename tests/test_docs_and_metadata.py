@@ -18,7 +18,6 @@ ROOT = pathlib.Path(__file__).parent.parent
 
 PUBLIC_MODULES = [
     "repro",
-    "repro.aio",
     "repro.analysis",
     "repro.api",
     "repro.cli",

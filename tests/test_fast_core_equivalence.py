@@ -1,26 +1,89 @@
-"""The table-driven fast core is observationally identical to compat.
+"""The one event core reproduces the traces the two-core era pinned.
 
-The tentpole guarantee: for every registered counter spec, a run on the
-fast (bucket) core and a run on the compatible (heapq) core produce
-byte-identical traces — same records, same fingerprint, same loads, same
-returned values, same simulated clock.  Plus the migration contract:
-installing a scheduler hook or fault plan moves a fast network onto the
-compatible queue without disturbing pending events.
+``tests/data/trace_fingerprints.json`` was generated at the last commit
+that still carried the ``heapq`` reference queue (where the bucket queue
+and the heap were asserted trace-identical on every registered spec).
+This suite recomputes every entry — clean runs of every spec, faulty and
+Byzantine runs, and explorer episodes under each strategy with their
+full decision streams — and compares, so the surviving queue is held to
+the deleted reference's behaviour.  Plus the substrate contracts that
+used to be phrased as migration: a hook or fault plan installed with
+events already pending leaves their order alone.
+
+Regenerate the table (``PYTHONPATH=src python
+tests/test_fast_core_equivalence.py``) only in a PR that changes traces
+on purpose, and say so there.
 """
 
 from __future__ import annotations
 
 import copy
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.registry import RunSession, registered_names
-from repro.sim.events import EventQueue, FlatEventQueue
+from repro.errors import ConfigurationError, SimulationLimitError
+from repro.explore import STRATEGY_NAMES, ExploreConfig, Explorer
+from repro.explore.strategies import make_strategy
+from repro.registry import RunSession, parse_spec, registered_names
+from repro.sim.faults import parse_fault_spec
 from repro.sim.network import Network
 from repro.sim.processor import InertProcessor
 
+TABLE_PATH = Path(__file__).parent / "data" / "trace_fingerprints.json"
+
 ALL_SPECS = registered_names()
+CONCURRENT_SPECS = tuple(
+    spec for spec in ALL_SPECS if not parse_spec(spec).capabilities.sequential_only
+)
+
+CLEAN_SCENARIOS = {
+    "unit": ("one-shot", {}),
+    "random": ("one-shot", {"policy": "random", "seed": 11}),
+    "concurrent": ("one-shot-concurrent", {}),
+}
+
+FAULTY_RUNS = {
+    "ww-tree-lossy": (
+        "ww-tree",
+        81,
+        {"faults": "drop=0.05", "reliable": True, "policy": "random", "seed": 3},
+    ),
+    "central-lossy": (
+        "central",
+        16,
+        {"faults": "drop=0.05", "reliable": True, "policy": "random", "seed": 3},
+    ),
+    "byz-mixed": (
+        "byz-counter?f=1",
+        7,
+        {"faults": "byz=1@mixed", "policy": "random", "seed": 9},
+    ),
+}
+
+EXPLORE_CONFIGS = {
+    "bypass-tree": {
+        "counter": "combining-tree[bypass]",
+        "n": 8,
+    },
+    "lossy-central": {
+        "counter": "central",
+        "n": 6,
+        "seed": 2,
+        "faults": "drop=0.1,dup=0.05",
+        "transport": "reliable",
+    },
+    "byz-sequential": {
+        "counter": "byz-counter?f=1",
+        "n": 4,
+        "seed": 3,
+        "faults": "byz=1@mixed",
+        "workload": "sequential",
+    },
+}
+EXPLORE_EPISODES = 3
+
 
 # Smallest n each spec accepts out of the benchmark-friendly sizes
 # (quorum[maekawa] needs a perfect square).
@@ -28,78 +91,144 @@ def _n_for(spec: str) -> int:
     return 9 if spec == "quorum[maekawa]" else 8
 
 
-def _run(spec: str, core: str, **kwargs):
-    session = RunSession(spec, _n_for(spec), trace_level="FULL", core=core, **kwargs)
-    result = session.run_workload("one-shot")
-    return session, result
+def _summary(network: Network) -> dict:
+    return {
+        "fingerprint": network.trace.fingerprint(),
+        "events": network.events_executed,
+        "now": network.now,
+    }
+
+
+def clean_run(spec: str, scenario: str) -> dict:
+    workload, kwargs = CLEAN_SCENARIOS[scenario]
+    session = RunSession(spec, _n_for(spec), trace_level="FULL", **kwargs)
+    result = session.run_workload(workload)
+    values = result.values()
+    if scenario == "concurrent":
+        values = sorted(values)
+    return {**_summary(session.network), "values": values}
+
+
+def faulty_run(name: str) -> dict:
+    spec, n, kwargs = FAULTY_RUNS[name]
+    session = RunSession(spec, n, trace_level="FULL", **kwargs)
+    session.run_sequence(check_values=False)
+    return {
+        **_summary(session.network),
+        "faults": session.network.trace.fault_counts(),
+    }
+
+
+class _RecordingExplorer(Explorer):
+    """Keeps each episode's network so its trace can be fingerprinted."""
+
+    def _build(self, controller):
+        built = super()._build(controller)
+        self.network = built[1]
+        return built
+
+
+def explore_run(config_name: str, strategy_name: str) -> list[dict]:
+    config = ExploreConfig(
+        strategy=strategy_name, shrink=False, **EXPLORE_CONFIGS[config_name]
+    )
+    explorer = _RecordingExplorer(config)
+    strategy = make_strategy(strategy_name, seed=config.seed)
+    episodes = []
+    for episode in range(EXPLORE_EPISODES):
+        outcome = explorer.run_episode(strategy, episode)
+        schedule = outcome.schedule
+        episodes.append(
+            {
+                **_summary(explorer.network),
+                "decisions": ",".join(map(str, schedule.decisions)),
+                "non_fifo_ties": sum(
+                    1
+                    for decision, kind in zip(schedule.decisions, schedule.kinds)
+                    if kind == "tie" and decision
+                ),
+                "failed": outcome.failure is not None,
+            }
+        )
+    return episodes
+
+
+def compute_table() -> dict:
+    return {
+        "clean": {
+            spec: {
+                scenario: clean_run(spec, scenario)
+                for scenario in CLEAN_SCENARIOS
+                if scenario != "concurrent" or spec in CONCURRENT_SPECS
+            }
+            for spec in ALL_SPECS
+        },
+        "faulty": {name: faulty_run(name) for name in FAULTY_RUNS},
+        "explore": {
+            config_name: {
+                strategy: explore_run(config_name, strategy)
+                for strategy in STRATEGY_NAMES
+            }
+            for config_name in EXPLORE_CONFIGS
+        },
+    }
+
+
+@pytest.fixture(scope="module")
+def table() -> dict:
+    return json.loads(TABLE_PATH.read_text())
 
 
 class TestEverySpecIsTraceIdentical:
     @pytest.mark.parametrize("spec", ALL_SPECS)
-    def test_one_shot_unit_delay(self, spec):
-        fast_session, fast_result = _run(spec, "fast")
-        compat_session, compat_result = _run(spec, "compat")
-        assert fast_session.network.core == "fast"
-        assert compat_session.network.core == "compat"
-        fast_trace = fast_session.network.trace
-        compat_trace = compat_session.network.trace
-        assert fast_trace.records == compat_trace.records
-        assert fast_trace.fingerprint() == compat_trace.fingerprint()
-        assert fast_trace.loads() == compat_trace.loads()
-        assert fast_result.values() == compat_result.values()
-        assert fast_session.network.now == compat_session.network.now
-        assert (
-            fast_session.network.events_executed
-            == compat_session.network.events_executed
-        )
+    def test_one_shot_unit_delay(self, spec, table):
+        assert clean_run(spec, "unit") == table["clean"][spec]["unit"]
 
-    @pytest.mark.parametrize("spec", ("ww-tree", "combining-tree", "central"))
-    def test_one_shot_random_delays(self, spec):
-        fast_session, _ = _run(spec, "fast", policy="random", seed=11)
-        compat_session, _ = _run(spec, "compat", policy="random", seed=11)
-        assert (
-            fast_session.network.trace.fingerprint()
-            == compat_session.network.trace.fingerprint()
-        )
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_one_shot_random_delays(self, spec, table):
+        assert clean_run(spec, "random") == table["clean"][spec]["random"]
 
-    @pytest.mark.parametrize("spec", ("combining-tree", "counting-network"))
-    def test_concurrent_batch(self, spec):
-        results = {}
-        for core in ("fast", "compat"):
-            session = RunSession(spec, 8, trace_level="FULL", core=core)
-            result = session.run_workload("one-shot-concurrent")
-            results[core] = (
-                session.network.trace.fingerprint(),
-                sorted(result.values()),
-            )
-        assert results["fast"] == results["compat"]
+    @pytest.mark.parametrize("spec", CONCURRENT_SPECS)
+    def test_concurrent_batch(self, spec, table):
+        assert clean_run(spec, "concurrent") == table["clean"][spec]["concurrent"]
+
+
+class TestHookedAndFaultyRuns:
+    """The paths that used to force the heapq queue."""
+
+    @pytest.mark.faults
+    @pytest.mark.parametrize("name", FAULTY_RUNS)
+    def test_fault_plan_run(self, name, table):
+        run = faulty_run(name)
+        assert sum(run["faults"].values()) > 0
+        assert run == table["faulty"][name]
+
+    @pytest.mark.explore
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    @pytest.mark.parametrize("config_name", EXPLORE_CONFIGS)
+    def test_explorer_episodes(self, config_name, strategy, table):
+        recorded = table["explore"][config_name][strategy]
+        assert len(recorded) >= 3
+        assert explore_run(config_name, strategy) == recorded
+
+    def test_recorded_episodes_exercise_tie_breaks(self, table):
+        """The table is only a reference for the hook if hooks chose
+        something other than FIFO in it."""
+        for config_name, by_strategy in table["explore"].items():
+            for strategy in ("random", "guided"):
+                assert all(
+                    episode["non_fifo_ties"] for episode in by_strategy[strategy]
+                ), (config_name, strategy)
 
 
 class TestCoreSelection:
-    def test_auto_is_fast_when_clean(self):
-        assert Network().core == "fast"
-        assert isinstance(Network()._queue, FlatEventQueue)
-
-    def test_auto_is_compat_under_faults(self):
-        session = RunSession(
-            "ww-tree", 8, faults="drop=0.05", reliable=True, seed=3
-        )
-        assert session.network.core == "compat"
-
-    def test_explicit_compat_is_honored(self):
-        network = Network(core="compat")
-        assert network.core == "compat"
-        assert isinstance(network._queue, EventQueue)
-
     def test_unknown_core_rejected(self):
+        # ``core`` survives only for the frozen bench/ probes: the three
+        # historical strings are accepted and ignored.
+        for core in ("auto", "fast", "compat"):
+            Network(core=core)
         with pytest.raises(ConfigurationError):
             Network(core="turbo")
-
-    def test_flat_queue_rejects_hooks_directly(self):
-        queue = FlatEventQueue()
-        with pytest.raises(ConfigurationError):
-            queue.install_hook(object())
-        queue.install_hook(None)  # removal is always a no-op
 
 
 class _FifoHook:
@@ -109,7 +238,17 @@ class _FifoHook:
         return 0
 
 
-class TestMigration:
+class _LastHook:
+    """Always runs the newest equal-time candidate first."""
+
+    def choose(self, ready):
+        return len(ready) - 1
+
+
+class TestInstallWithEventsPending:
+    """A hook or fault plan installed mid-session preserves what is
+    already scheduled."""
+
     def _loaded_network(self):
         network = Network(trace_level="FULL")
         network.register_all([InertProcessor(pid) for pid in range(1, 5)])
@@ -118,12 +257,11 @@ class TestMigration:
         network.inject(lambda: None, op_index=3, delay=0.5)
         return network
 
-    def test_hook_install_migrates_pending_events(self):
+    def test_fifo_hook_keeps_pending_order(self):
         network = self._loaded_network()
-        pending = len(network._queue)
         baseline = self._loaded_network()
+        pending = len(network._queue)
         network.install_scheduler_hook(_FifoHook())
-        assert network.core == "compat"
         assert len(network._queue) == pending
         network.run_until_quiescent()
         baseline.run_until_quiescent()
@@ -131,26 +269,23 @@ class TestMigration:
         assert network.trace.records == baseline.trace.records
         assert network.now == baseline.now
 
-    def test_hook_removal_does_not_migrate(self):
-        network = Network()
-        network.install_scheduler_hook(None)
-        assert network.core == "fast"
-
-    def test_fault_plan_install_migrates(self):
-        from repro.sim.faults import parse_fault_spec
-
+    def test_hook_installed_mid_bucket_arbitrates_the_rest(self):
         network = self._loaded_network()
+        for _ in range(4):
+            network.step()  # the t=0.5 inject, then three of the t=1 bucket
+        network.install_scheduler_hook(_LastHook())
+        network.run_until_quiescent()
+        uids = [record.uid for record in network.trace.records]
+        assert uids == [0, 1, 2, *range(11, 2, -1)]
+
+    def test_fault_plan_keeps_pending_order(self):
+        network = self._loaded_network()
+        baseline = self._loaded_network()
         network.install_fault_plan(parse_fault_spec("dup=0.0", seed=1))
-        assert network.core == "compat"
         network.run_until_quiescent()
+        baseline.run_until_quiescent()
+        assert network.trace.records == baseline.trace.records
         assert network.in_flight == 0
-
-    def test_migrated_network_stays_compat_after_reset(self):
-        network = self._loaded_network()
-        network.install_scheduler_hook(_FifoHook())
-        network.run_until_quiescent()
-        network.reset()
-        assert network.core == "compat"
 
 
 class TestFastCoreBehavior:
@@ -173,12 +308,9 @@ class TestFastCoreBehavior:
         network.run_until_quiescent()
         network.reset()
         assert network._queue is queue
-        assert network.core == "fast"
         assert len(queue) == 0 and queue.now == 0.0
 
     def test_event_limit_still_enforced(self):
-        from repro.errors import SimulationLimitError
-
         class Bouncer(InertProcessor):
             def on_message(self, message):
                 self.send(message[0], "m", {})
@@ -188,3 +320,8 @@ class TestFastCoreBehavior:
         network.send(1, 2, "m", {})
         with pytest.raises(SimulationLimitError):
             network.run_until_quiescent()
+
+
+if __name__ == "__main__":
+    TABLE_PATH.parent.mkdir(exist_ok=True)
+    TABLE_PATH.write_text(json.dumps(compute_table(), indent=1) + "\n")

@@ -1,10 +1,12 @@
-"""Property-based equivalence of ``FlatEventQueue`` and ``EventQueue``.
+"""Property-based check of ``EventQueue`` against a ``heapq`` model.
 
-Hypothesis drives both queues through identical random command
-sequences — ``schedule``, ``schedule_call``, ``run_next``, ``pop``,
-``run_many``, and ``clear`` — and asserts that the bucket-backed fast
-queue observes exactly the same execution order and clock trajectory as
-the heapq reference.
+Hypothesis drives the bucket queue and a small in-test ``(time, seq)``
+heap through identical random command sequences — ``schedule``,
+``run_next``, ``pop``, ``run_many``, ``clear``, ``install_hook`` and
+``remove_hook`` — and asserts that the queue observes exactly the same
+execution order and clock trajectory as the model.  Hooked tie-breaking,
+zero-delay appends to the live frontier and hook removal mid-bucket are
+all covered by the same command stream.
 
 The queue API has no cancellation primitive (events, once scheduled,
 always run or are discarded wholesale by ``clear``), so there is no
@@ -14,27 +16,89 @@ covered by this suite.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.events import EventQueue, FlatEventQueue
+from repro.sim.events import Event, EventQueue
 
 # Small delay palette with repeats so buckets collide often — the
-# interesting regime for the flat queue is many events per tick.
+# interesting regime for the bucket queue is many events per tick.
 DELAYS = st.sampled_from((0.0, 0.0, 0.5, 1.0, 1.0, 1.5, 2.0))
 
 COMMANDS = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), DELAYS, st.integers(0, 7)),
-        st.tuples(st.just("schedule_call"), DELAYS, st.integers(0, 7)),
-        st.tuples(st.just("run_next"), st.just(None), st.just(None)),
-        st.tuples(st.just("pop"), st.just(None), st.just(None)),
-        st.tuples(st.just("run_many"), st.integers(1, 6), st.just(None)),
-        st.tuples(st.just("clear"), st.just(None), st.just(None)),
+        st.tuples(st.just("schedule_chain"), DELAYS, st.integers(0, 7)),
+        st.tuples(st.just("run_next"), st.none(), st.none()),
+        st.tuples(st.just("pop"), st.none(), st.none()),
+        st.tuples(st.just("run_many"), st.integers(1, 6), st.none()),
+        st.tuples(st.just("clear"), st.none(), st.none()),
+        st.tuples(st.just("install_hook"), st.integers(0, 1000), st.none()),
+        st.tuples(st.just("remove_hook"), st.none(), st.none()),
     ),
     min_size=1,
     max_size=60,
 )
+
+
+class ModelQueue:
+    """The reference: a heap of ``(time, seq, action)`` with the hooked
+    frontier gathered the slow, obvious way."""
+
+    def __init__(self):
+        self.heap = []
+        self.counter = itertools.count()
+        self.now = 0.0
+        self.hook = None
+
+    def __len__(self):
+        return len(self.heap)
+
+    def install_hook(self, hook):
+        self.hook = hook
+
+    def schedule(self, delay, action):
+        heapq.heappush(self.heap, (self.now + delay, next(self.counter), action))
+
+    def pop(self):
+        ready = sorted(e for e in self.heap if e[0] == self.heap[0][0])
+        chosen = ready[0]
+        if self.hook is not None and len(ready) > 1:
+            chosen = ready[self.hook.choose([entry[2] for entry in ready])]
+        self.heap.remove(chosen)
+        heapq.heapify(self.heap)
+        self.now = chosen[0]
+        return Event(time=chosen[0], action=chosen[2])
+
+    def run_next(self):
+        self.pop().action()
+
+    def run_many(self, limit):
+        ran = 0
+        while self.heap and ran < limit:
+            self.run_next()
+            ran += 1
+        return ran
+
+    def clear(self):
+        self.heap.clear()
+        self.counter = itertools.count()
+        self.now = 0.0
+        self.hook = None
+
+
+class _ModuloHook:
+    """Picks ``drawn % len(ready)`` — any index a hook may legally
+    return, fixed per installation."""
+
+    def __init__(self, drawn):
+        self.drawn = drawn
+
+    def choose(self, ready):
+        return self.drawn % len(ready)
 
 
 class _Log:
@@ -43,16 +107,20 @@ class _Log:
     def __init__(self, queue):
         self.queue = queue
         self.entries: list[tuple[str, int | None, float]] = []
-        if isinstance(queue, FlatEventQueue):
-            # Exercise the bare-arg fast path for the bound action.
-            queue.bind(self.fire)
-
-    def fire(self, tag):
-        self.entries.append(("fire", tag, self.queue.now))
 
     def plain(self, tag):
         def action():
             self.entries.append(("plain", tag, self.queue.now))
+
+        return action
+
+    def chain(self, tag):
+        """Fires, then schedules a zero-delay successor: an append to
+        the live frontier."""
+
+        def action():
+            self.entries.append(("chain", tag, self.queue.now))
+            self.queue.schedule(0.0, self.plain(tag + 100))
 
         return action
 
@@ -61,8 +129,8 @@ def _apply(commands, queue, log):
     for name, first, second in commands:
         if name == "schedule":
             queue.schedule(first, log.plain(second))
-        elif name == "schedule_call":
-            queue.schedule_call(first, log.fire, second)
+        elif name == "schedule_chain":
+            queue.schedule(first, log.chain(second))
         elif name == "run_next":
             if queue:
                 queue.run_next()
@@ -77,24 +145,36 @@ def _apply(commands, queue, log):
         elif name == "clear":
             queue.clear()
             log.entries.append(("clear", None, queue.now))
+        elif name == "install_hook":
+            queue.install_hook(_ModuloHook(first))
+        elif name == "remove_hook":
+            queue.install_hook(None)
     # Drain whatever survives so trailing schedules are observed too.
     while queue:
         queue.run_next()
 
 
+def _run_both(drive):
+    """Drive the model and the queue identically; return both logs."""
+    logs = []
+    queues = (ModelQueue(), EventQueue())
+    for queue in queues:
+        log = _Log(queue)
+        drive(queue, log)
+        logs.append(log.entries)
+    assert queues[0].now == queues[1].now
+    assert len(queues[0]) == len(queues[1]) == 0
+    return logs
+
+
 class TestFlatQueueMatchesHeapqReference:
     @given(commands=COMMANDS)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_identical_execution_and_clock(self, commands):
-        reference = EventQueue()
-        fast = FlatEventQueue()
-        reference_log = _Log(reference)
-        fast_log = _Log(fast)
-        _apply(commands, reference, reference_log)
-        _apply(commands, fast, fast_log)
-        assert fast_log.entries == reference_log.entries
-        assert fast.now == reference.now
-        assert len(fast) == len(reference) == 0
+        reference, observed = _run_both(
+            lambda queue, log: _apply(commands, queue, log)
+        )
+        assert observed == reference
 
     @given(
         delays=st.lists(DELAYS, min_size=1, max_size=40),
@@ -102,42 +182,55 @@ class TestFlatQueueMatchesHeapqReference:
     )
     @settings(max_examples=100, deadline=None)
     def test_clear_mid_stream_then_reschedule(self, delays, clear_at):
-        reference = EventQueue()
-        fast = FlatEventQueue()
-        reference_log = _Log(reference)
-        fast_log = _Log(fast)
-        for queue, log in ((reference, reference_log), (fast, fast_log)):
+        def drive(queue, log):
+            queue.install_hook(_ModuloHook(1))
             for index, delay in enumerate(delays):
                 if index == clear_at:
                     queue.run_many(2)
                     queue.clear()
-                queue.schedule_call(delay, log.fire, index)
+                queue.schedule(delay, log.plain(index))
             while queue:
                 queue.run_next()
-        assert fast_log.entries == reference_log.entries
-        assert fast.now == reference.now
 
-    @given(count=st.integers(1, 30))
+        reference, observed = _run_both(drive)
+        assert observed == reference
+        # clear() dropped the hook: everything scheduled after it ran FIFO
+        # within its timestamp.
+        if clear_at < len(delays):
+            after = [tag for _, tag, _ in observed if tag >= clear_at]
+            by_time = sorted(
+                range(clear_at, len(delays)), key=lambda i: (delays[i], i)
+            )
+            assert after == by_time
+
+    @given(count=st.integers(1, 30), drawn=st.integers(0, 1000))
     @settings(max_examples=50, deadline=None)
-    def test_zero_delay_cascade(self, count):
-        """Events that schedule more events at the same tick run in
-        FIFO order on both cores (the active bucket keeps growing)."""
+    def test_zero_delay_cascade(self, count, drawn):
+        """Events that schedule more events at the same tick run in the
+        same pass (the live bucket keeps growing), FIFO without a hook
+        and in the hook's order with one."""
 
-        def cascade(queue, log, remaining):
-            def action(tag):
-                log.entries.append(("fire", tag, queue.now))
-                if tag + 1 < remaining:
-                    queue.schedule_call(0.0, log.fire_cascade, tag + 1)
+        def drive_with(hook):
+            def drive(queue, log):
+                def cascade(tag):
+                    def action():
+                        log.entries.append(("fire", tag, queue.now))
+                        if tag + 2 < count:
+                            queue.schedule(0.0, cascade(tag + 2))
 
-            return action
+                    return action
 
-        results = []
-        for queue in (EventQueue(), FlatEventQueue()):
-            log = _Log(queue)
-            log.fire_cascade = cascade(queue, log, count)
-            queue.schedule_call(0.0, log.fire_cascade, 0)
-            while queue:
-                queue.run_next()
-            results.append(log.entries)
-        assert results[0] == results[1]
-        assert len(results[0]) == count
+                queue.install_hook(hook)
+                queue.schedule(0.0, cascade(0))
+                queue.schedule(0.0, cascade(1))
+                while queue:
+                    queue.run_next()
+
+            return drive
+
+        reference, observed = _run_both(drive_with(None))
+        assert observed == reference
+        assert [tag for _, tag, _ in observed] == list(range(max(count, 2)))
+        reference, observed = _run_both(drive_with(_ModuloHook(drawn)))
+        assert observed == reference
+        assert len(observed) == max(count, 2)

@@ -152,6 +152,24 @@ class TestStatsGrammar:
         (reply,) = _serve_and_ask("STATS one two")
         assert reply == "ERR BAD_REQUEST usage: STATS [key]"
 
+    @pytest.mark.parametrize("level", ["FULL", "LOADS", "OFF"])
+    def test_bare_stats_answers_at_every_trace_level(self, level):
+        *_, reply = _serve_and_ask(
+            "INC a", "INC b", "INC a", "STATS", trace_level=level
+        )
+        fields = dict(pair.split("=", 1) for pair in reply.split()[1:])
+        assert list(fields) == [
+            "spec", "n", "shards", "served", "inflight", "backlog", "shed",
+            "expired", "deduped", "rid_committed", "keys", "batches",
+            "splits", "merges", "messages",
+        ]
+        assert fields["served"] == "3"
+        # OFF counts no messages, and says so instead of dropping the line.
+        if level == "OFF":
+            assert fields["messages"] == "na"
+        else:
+            assert int(fields["messages"]) > 0
+
 
 class TestAdminGrammar:
     def test_split_and_merge_argument_validation(self):

@@ -48,9 +48,6 @@ class TestFactory:
 
     def test_sim_names_map_to_simulated(self):
         assert isinstance(make_runtime("sim", Network()), SimulatedRuntime)
-        assert isinstance(
-            make_runtime("sim-compat", Network()), SimulatedRuntime
-        )
 
     def test_asyncio_name_maps_to_asyncio(self):
         runtime = make_runtime(
@@ -89,7 +86,6 @@ class TestSimulatedRuntime:
         assert runtime.network is network
         assert runtime.trace is network.trace
         assert runtime.now == network.now
-        assert runtime.core == network.core
         assert not runtime.is_async
 
 
@@ -180,16 +176,13 @@ class TestRunSessionSelection:
     def test_default_runtime_is_sim(self):
         session = RunSession("central", 4)
         assert isinstance(session.runtime, SimulatedRuntime)
-        assert session.runtime.core == "fast"
 
-    def test_sim_compat_forces_compat_core(self):
-        session = RunSession("central", 4, runtime="sim-compat")
-        assert isinstance(session.runtime, SimulatedRuntime)
-        assert session.network.core == "compat"
-
-    def test_sim_compat_conflicts_with_fast_core(self):
-        with pytest.raises(ConfigurationError, match="sim-compat"):
-            RunSession("central", 4, runtime="sim-compat", core="fast")
+    def test_there_is_no_core_to_select(self):
+        assert "sim-compat" not in RUNTIME_NAMES
+        with pytest.raises(ConfigurationError, match="unknown runtime"):
+            RunSession("central", 4, runtime="sim-compat")
+        with pytest.raises(TypeError):
+            RunSession("central", 4, core="compat")
 
     def test_unknown_runtime_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown runtime"):

@@ -263,6 +263,25 @@ class TestProtocolEdgeCases:
         ]
 
 
+    @pytest.mark.parametrize("level", ["FULL", "LOADS", "OFF"])
+    def test_stats_answers_at_every_trace_level(self, level):
+        async def go():
+            service = CounterService("central", 4, port=0, trace_level=level)
+            await service.start()
+            try:
+                await service.inc()
+                await service.inc()
+                return await _request(service, "STATS")
+            finally:
+                await service.stop()
+
+        fields = dict(pair.split("=", 1) for pair in asyncio.run(go()).split()[1:])
+        assert list(fields)[-2:] == ["rid_committed", "messages"]
+        assert fields["served"] == "2"
+        # OFF counts no messages, and says so instead of dropping the line.
+        assert fields["messages"] == ("na" if level == "OFF" else "2")
+
+
 class TestLoadGenerator:
     def test_run_load_counts_every_increment(self):
         async def go():

@@ -21,6 +21,16 @@ class TestEventQueueBasics:
         assert event.time == 2.5
         assert len(queue) == 1
 
+    def test_pop_returns_the_event_schedule_reported(self):
+        # One view, no queue-local ``seq`` to disagree about: the event
+        # handed out at schedule time is the event that pops.
+        queue = EventQueue()
+        first = queue.schedule(1.0, lambda: None)
+        second = queue.schedule(1.0, lambda: None)
+        assert not hasattr(first, "seq")
+        assert queue.pop() == first
+        assert queue.pop() == second
+
     def test_pop_advances_now(self):
         queue = EventQueue()
         queue.schedule(3.0, lambda: None)
