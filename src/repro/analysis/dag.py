@@ -13,16 +13,28 @@ event to a fresh receiver event, so causality is represented faithfully
 (a processor's consecutive events are implicitly ordered by its local
 execution).  The list is the canonical linearization by delivery order,
 which in this simulator is a topological order by construction.
+
+``networkx`` is imported when the first :class:`CommunicationDag` is
+built, not with this module: ``import repro`` reaches it, and only DAG
+reconstruction needs a graph library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.sim.messages import MessageRecord, OpIndex, ProcessorId
 from repro.sim.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads on first use
+    import networkx as nx
+
+
+def _empty_graph() -> "nx.DiGraph":
+    import networkx as nx
+
+    return nx.DiGraph()
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +61,7 @@ class CommunicationDag:
 
     op_index: OpIndex
     initiator: ProcessorId
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    graph: nx.DiGraph = field(default_factory=_empty_graph)
 
     @property
     def message_count(self) -> int:
@@ -62,6 +74,8 @@ class CommunicationDag:
 
     def is_acyclic(self) -> bool:
         """Sanity: a causal graph must be acyclic."""
+        import networkx as nx
+
         return nx.is_directed_acyclic_graph(self.graph)
 
     def source(self) -> DagNode:
@@ -72,6 +86,8 @@ class CommunicationDag:
         """Longest path length — the operation's causal latency in hops."""
         if self.graph.number_of_nodes() == 0:
             return 0
+        import networkx as nx
+
         return int(nx.dag_longest_path_length(self.graph))
 
     def to_ascii(self) -> str:

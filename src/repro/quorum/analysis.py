@@ -14,14 +14,15 @@ Two computations are provided:
 * :func:`optimal_load` — the exact LP optimum via :mod:`scipy.optimize`
   (minimize ``t`` s.t. the picking probabilities sum to 1 and each
   element's incidence mass is ≤ ``t``).
+
+``numpy`` and ``scipy`` are imported inside :func:`optimal_load`, their
+only user: ``import repro`` reaches this module, and a serving process
+should not pay ~60 MB and half a second for an LP solver it never calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import linprog
 
 from repro.quorum.systems import QuorumSystem
 from repro.sim.messages import ProcessorId
@@ -63,6 +64,9 @@ def optimal_load(system: QuorumSystem) -> LoadAnalysis:
     Minimize ``t`` subject to ``Σ_Q x_Q = 1``, ``x ≥ 0`` and, for every
     element ``p``, ``Σ_{Q ∋ p} x_Q − t ≤ 0``.
     """
+    import numpy as np
+    from scipy.optimize import linprog
+
     family = list(system.quorums())
     count = len(family)
     elements = sorted(system.universe)

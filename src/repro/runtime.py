@@ -299,16 +299,22 @@ class AsyncioRuntime:
         the loop only ends when the queue is genuinely empty.
         """
         network = self._network
-        step = network.step
+        run = network.run
         scale = self._time_scale
         yield_every = self._yield_every
         sleep = asyncio.sleep
+        # A real sleep can fall due after any event, so a scaled drain
+        # pulls one event per call; flat out, it pulls everything up to
+        # the next yield point (a full burst always ends on one) in a
+        # single bounded drain.
+        burst = 1 if scale > 0.0 else yield_every
         executed = 0
         while True:
             before = network.now
-            if not step():
-                break
-            executed += 1
+            ran = run(burst)
+            executed += ran
+            if ran < burst:
+                break  # the queue emptied
             gap = network.now - before
             if scale > 0.0 and gap > 0.0:
                 await sleep(gap * scale)

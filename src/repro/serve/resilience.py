@@ -58,9 +58,12 @@ class ResilienceConfig:
             requests that do not carry their own; ``None`` means no
             server-imposed deadline.
         dedup_capacity: bound on the request-id ledger; the oldest
-            committed entries are evicted first.  Size it to cover the
-            retry horizon (in-flight + recently answered), not the
-            service lifetime.
+            committed entries are evicted first.  A retry is
+            recognised while fewer than ``dedup_capacity`` newer
+            request ids were accepted since the original (see
+            :class:`DedupTable`), so size it to the number of requests
+            the service can accept within the longest retry delay —
+            not to the service lifetime.
         line_limit: per-line byte bound on the TCP protocol reader; a
             longer line answers ``ERR LINE_TOO_LONG`` and drops the
             connection instead of growing memory without bound.
@@ -118,9 +121,21 @@ class DedupTable:
     first attempt was shed or expired before injection, in which case
     the entry is removed and a later retry starts fresh.
 
-    Eviction: committed entries are evicted oldest-first once the table
-    exceeds ``capacity``; pending entries are never evicted (they are
-    bounded by the service's own in-flight + backlog caps).
+    Eviction: a :meth:`create` that takes the table past ``capacity``
+    evicts committed entries, oldest first (insertion order), until it
+    fits again; pending entries are skipped and never evicted (they are
+    bounded by the service's own in-flight + backlog caps).  The
+    eviction costs one step per pending entry older than the oldest
+    committed one — nothing that grows with ``capacity`` or with the
+    number of request ids ever seen.
+
+    The dedup window this gives, exactly: an answered request id is
+    still recognised after ``capacity - 1`` newer ids were accepted,
+    and is forgotten — a re-send runs as a new operation — once
+    ``capacity`` newer ids were.  Newer ids that failed before
+    injection (shed, expired) hold no slot and do not count; entries
+    *older* than it that are still pending do, each shortening the
+    window by one.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -173,13 +188,16 @@ class DedupTable:
             entry.future.exception()
 
     def _evict(self) -> None:
-        if len(self._entries) <= self.capacity:
-            return
-        for rid, entry in list(self._entries.items()):
-            if entry.committed:
-                del self._entries[rid]
-                if len(self._entries) <= self.capacity:
-                    return
+        entries = self._entries
+        while len(entries) > self.capacity:
+            # Walk from the oldest entry to the first committed one; the
+            # walk is abandoned before the delete, so nothing is copied.
+            for rid, entry in entries.items():
+                if entry.committed:
+                    break
+            else:
+                return  # everything live is pending
+            del entries[rid]
 
 
 @dataclass(frozen=True, slots=True)

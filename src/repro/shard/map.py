@@ -543,6 +543,9 @@ class CounterShardMap:
             f"increasing: got {value} after {shard.last_value}"
         )
         shard.last_value = value
+        # nothing reads a settled batch's per-op trace columns (stats
+        # and load profiles use totals and per-processor loads)
+        shard.session.network.trace.release_op(batch.index)
         shard.busy = False
         shard.batches += 1
         shard.local_ops += batch.size

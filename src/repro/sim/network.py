@@ -416,39 +416,37 @@ class Network:
         condition for an ``inc`` process.  Raises
         :class:`~repro.errors.SimulationLimitError` if the event budget is
         exhausted, which indicates a protocol livelock.  The budget is
-        checked once per batch of events (sized so the check never runs
-        past the limit by more than one event) rather than per event.
+        checked once per :meth:`run` batch rather than per event.
         """
         queue = self._queue
-        limit = self._event_limit
-        drain = self._drain
+        run = self.run
         executed = 0
         while queue:
-            batch = limit - self._events_executed + 1
-            if batch > _LIMIT_CHECK_BATCH:
-                batch = _LIMIT_CHECK_BATCH
-            ran = drain(batch)
-            executed += ran
-            self._events_executed += ran
-            if self._events_executed > limit:
-                raise self._limit_error()
+            executed += run(_LIMIT_CHECK_BATCH)
         return executed
 
-    def step(self) -> bool:
-        """Execute the single earliest pending event; ``False`` if none.
+    def run(self, limit: int) -> int:
+        """Execute up to *limit* pending events; return how many ran.
 
-        The single-step entry point of the runtime seam
-        (:mod:`repro.runtime`): cooperative schedulers interleave other
-        work between events, so they pull one event at a time — the
-        same drain loop as :meth:`run_until_quiescent`, with a limit of
-        one and the event budget checked per event.
+        The bounded drain under every way of running the network:
+        :meth:`run_until_quiescent` calls it in batches, :meth:`step` is
+        the limit-1 call, and cooperative schedulers
+        (:mod:`repro.runtime`) pull one burst between yields.  Fewer
+        than *limit* ran exactly when the queue emptied.  Events count
+        against the event budget; a call never runs past the budget by
+        more than one event before raising
+        :class:`~repro.errors.SimulationLimitError`.
         """
-        if not self._drain(1):
-            return False
-        self._events_executed += 1
+        budget = self._event_limit - self._events_executed + 1
+        ran = self._drain(limit if limit < budget else budget)
+        self._events_executed += ran
         if self._events_executed > self._event_limit:
             raise self._limit_error()
-        return True
+        return ran
+
+    def step(self) -> bool:
+        """Execute the single earliest pending event; ``False`` if none."""
+        return self.run(1) == 1
 
     def next_event_time(self) -> float | None:
         """Timestamp of the earliest pending event, or ``None`` when

@@ -177,6 +177,21 @@ class Trace:
                 footprint.add(sender)
                 footprint.add(receiver)
 
+    def release_op(self, op_index: OpIndex) -> None:
+        """Forget a finished operation's message count and footprint.
+
+        For long-running owners that attribute messages to operations
+        but never ask about them afterwards (a serving shard settles
+        millions of batches): at ``LOADS`` the two per-operation
+        columns are the only state that grows with the number of
+        operations, and this bounds them.  Loads and totals are
+        untouched.  At ``FULL`` nothing is released — the record
+        stream, and so the fingerprint, keeps every operation.
+        """
+        if self._level is TraceLevel.LOADS:
+            self._op_counts.pop(op_index, None)
+            self._footprints.pop(op_index, None)
+
     def record_fault(self, record: "FaultRecord") -> None:
         """Record one injected fault as a first-class trace event.
 

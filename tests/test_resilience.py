@@ -12,8 +12,12 @@ from __future__ import annotations
 import asyncio
 import random
 import socket
+import statistics
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     ConfigurationError,
@@ -25,6 +29,7 @@ from repro.serve import (
     CircuitBreaker,
     CounterService,
     DedupTable,
+    KeyedCounterService,
     ResilienceConfig,
     RetryBudget,
     RetryPolicy,
@@ -114,6 +119,155 @@ class TestDedupTable:
     def test_capacity_validated(self):
         with pytest.raises(ConfigurationError):
             DedupTable(capacity=0)
+
+
+class _Resolved:
+    """Stands in for a rid entry's future where no loop is running."""
+
+    @staticmethod
+    def done() -> bool:
+        return True
+
+
+class _CopyingEvictTable(DedupTable):
+    """The reference: ``_evict`` as it was before it stopped copying
+    the ledger, verbatim.  The model check below holds the live table
+    to its eviction order."""
+
+    def _evict(self) -> None:
+        if len(self._entries) <= self.capacity:
+            return
+        for rid, entry in list(self._entries.items()):
+            if entry.committed:
+                del self._entries[rid]
+                if len(self._entries) <= self.capacity:
+                    return
+
+
+_LEDGER_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(("create", "commit", "fail", "get")),
+        st.integers(min_value=0, max_value=11),
+    ),
+    max_size=60,
+)
+
+
+class TestDedupEvictionModel:
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(min_value=1, max_value=8), steps=_LEDGER_STEPS)
+    def test_same_ledger_as_the_copying_eviction(self, capacity, steps):
+        table, model = DedupTable(capacity), _CopyingEvictTable(capacity)
+        pending: set[str] = set()
+        for verb, number in steps:
+            rid = f"r{number}"
+            if verb == "create":
+                if table.get(rid) is not None:
+                    continue  # the services only create unseen rids
+                for ledger in (table, model):
+                    ledger.create(rid, _Resolved)
+                pending.add(rid)
+            elif verb == "commit":
+                if rid not in pending:
+                    continue  # commits happen once, to injected rids
+                for ledger in (table, model):
+                    ledger.commit(rid, number)
+                pending.discard(rid)
+            elif verb == "fail":
+                if table.get(rid) is not None and rid not in pending:
+                    continue  # only legal before injection
+                for ledger in (table, model):
+                    ledger.fail(rid, OverloadedError("shed"))
+                pending.discard(rid)
+            else:
+                assert (table.get(rid) is None) == (model.get(rid) is None)
+            assert list(table._entries) == list(model._entries)
+            assert len(table) == len(model)
+            assert table.committed_total == model.committed_total
+            # never evicted, even when over capacity and the oldest
+            assert pending <= set(table._entries)
+
+    def test_oldest_entry_pending_is_skipped_not_evicted(self):
+        table = DedupTable(capacity=2)
+        table.create("old-pending", _Resolved)
+        for rid in ("b", "c", "d"):
+            table.create(rid, _Resolved)
+            table.commit(rid, 0)
+        assert list(table._entries) == ["old-pending", "d"]
+
+
+def _median_create_peak_bytes(capacity: int, calls: int = 1_000) -> float:
+    """Median, over *calls* evicting ``create()``+``commit()`` pairs on
+    a full ledger, of the most memory one pair held at once.  A count,
+    not a time; the median skips the occasional dict resize."""
+    table = DedupTable(capacity)
+    for index in range(capacity):
+        table.create(f"warm{index}", _Resolved)
+        table.commit(f"warm{index}", index)
+    rids = [f"r{index}" for index in range(calls)]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for index, rid in enumerate(rids):
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            table.create(rid, _Resolved)
+            table.commit(rid, index)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert len(table) == capacity
+    return statistics.median(peaks)
+
+
+class TestDedupCostIsFlat:
+    def test_evicting_create_allocates_the_same_at_any_capacity(self):
+        small = _median_create_peak_bytes(64)
+        large = _median_create_peak_bytes(4_096)
+        assert small > 0
+        assert abs(large - small) <= 0.1 * small, (small, large)
+
+
+class TestDedupWindowBoundary:
+    """The ledger's stated window, through the service: an answered
+    rid is recognised after ``capacity - 1`` newer committed rids and
+    forgotten after ``capacity``."""
+
+    CAPACITY = 4
+
+    def _run(self, newer: int):
+        async def go():
+            service = KeyedCounterService(
+                "central",
+                4,
+                shards=1,
+                trace_level="LOADS",
+                resilience=ResilienceConfig(dedup_capacity=self.CAPACITY),
+            )
+            await service.start()
+            try:
+                first = await service.inc("k", rid="original")
+                for index in range(newer):
+                    await service.inc("k", rid=f"newer{index}")
+                again = await service.inc("k", rid="original")
+                return first, again, service.stats()
+            finally:
+                await service.stop()
+
+        return asyncio.run(go())
+
+    def test_resend_inside_the_window_gets_the_original_value(self):
+        first, again, stats = self._run(newer=self.CAPACITY - 1)
+        assert first == again == 0
+        assert stats["deduped"] == 1
+        assert stats["served"] == self.CAPACITY
+
+    def test_resend_past_the_window_is_a_new_operation(self):
+        first, again, stats = self._run(newer=self.CAPACITY)
+        assert first == 0
+        assert again == self.CAPACITY + 1  # counted again: a new inc
+        assert stats["deduped"] == 0
+        assert stats["served"] == self.CAPACITY + 2
 
 
 class TestRetryPolicy:

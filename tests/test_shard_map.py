@@ -295,6 +295,27 @@ class TestIntrospection:
         assert set(fingerprints) == set(shard_map.router.shard_ids())
         assert all(fp is not None for fp in fingerprints.values())
 
+    def test_settled_batches_leave_no_per_op_trace_columns_at_loads(self):
+        keys = [f"k{i % 97}" for i in range(10_000)]
+        maps = {
+            level: CounterShardMap(
+                "central", 4, shards=2, batch_max=1, trace_level=level
+            )
+            for level in ("LOADS", "FULL")
+        }
+        for shard_map in maps.values():
+            assert shard_map.apply(keys) == [i // 97 for i in range(10_000)]
+        for lean, full in zip(maps["LOADS"].shards(), maps["FULL"].shards()):
+            assert lean.batches == full.batches > 1_000
+            lean_trace = lean.session.network.trace
+            full_trace = full.session.network.trace
+            assert lean_trace.op_indices() == []
+            # FULL keeps them: the fingerprint hashes every record
+            # (batches the hub initiates itself send nothing)
+            assert len(full_trace.op_indices()) > 1_000
+            assert lean_trace.total_messages == full_trace.total_messages
+            assert lean.load_profile() == full.load_profile()
+
     def test_loads_trace_level_disables_fingerprints(self):
         shard_map = CounterShardMap(
             "central", 4, shards=2, trace_level="LOADS"

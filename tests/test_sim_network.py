@@ -160,6 +160,29 @@ class TestExecution:
         with pytest.raises(SimulationLimitError):
             network.run_until_quiescent()
 
+    def test_run_is_bounded_and_reports_how_many_ran(self, network):
+        network.register_all([InertProcessor(1), InertProcessor(2)])
+        for _ in range(5):
+            network.send(1, 2, "x", {})
+        assert network.run(2) == 2
+        assert network.events_executed == 2
+        assert network.step() is True  # the limit-1 call
+        assert network.run(10) == 2  # fewer than asked: the queue emptied
+        assert network.is_quiescent()
+        assert network.run(10) == 0
+        assert network.step() is False
+        assert network.events_executed == 5
+
+    def test_run_counts_against_the_event_limit(self):
+        network = Network(event_limit=100)
+        network.register_all([Flooder(1), Flooder(2)])
+        network.send(1, 2, "flood", {})
+        assert network.run(60) == 60
+        with pytest.raises(SimulationLimitError):
+            network.run(60)
+        # stopped one event past the budget, not at the caller's limit
+        assert network.events_executed == 101
+
     def test_events_executed_accumulates(self, network):
         network.register_all([InertProcessor(1), InertProcessor(2)])
         network.send(1, 2, "x", {})

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.sim.messages import NO_OP, MessageRecord
-from repro.sim.trace import Trace, merge_loads
+from repro.sim.trace import Trace, TraceLevel, merge_loads
 
 
 def _record(sender, receiver, op_index=0, uid=0, kind="m"):
@@ -82,6 +82,22 @@ class TestPerOperationViews:
         trace.record(_record(1, 2, op_index=NO_OP))
         trace.record(_record(1, 2, op_index=1))
         assert trace.op_indices() == [1, 3]
+
+    def test_release_op_drops_the_columns_at_loads_only(self):
+        loads, full = Trace(TraceLevel.LOADS), Trace(TraceLevel.FULL)
+        for trace in (loads, full):
+            trace.record(_record(1, 2, op_index=0))
+            trace.record(_record(2, 3, op_index=1))
+            trace.release_op(0)
+            trace.release_op(7)  # never seen: nothing to release
+            assert trace.total_messages == 2
+            assert trace.loads() == {1: 1, 2: 2, 3: 1}
+        assert loads.op_indices() == [1]
+        assert loads.messages_for_op(0) == 0
+        assert loads.footprint(0) == frozenset()
+        # FULL keeps every operation: its records carry the fingerprint
+        assert full.op_indices() == [0, 1]
+        assert full.footprint(0) == frozenset({1, 2})
 
     def test_load_within_op(self):
         trace = Trace()
