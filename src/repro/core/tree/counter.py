@@ -57,32 +57,18 @@ class TreeCounter(DistributedCounter):
             )
         self.policy = policy or TreePolicy.paper_default(self.geometry.arity)
         self.registry = RoleRegistry(self.geometry, self.policy)
-        self._workers: dict[ProcessorId, TreeWorker] = {}
-        self._build_workers()
+        # Every id the tree may touch is registered at once; a worker is
+        # built the first time its id is addressed.  The paper rounds n
+        # up to the next k^(k+1) and preallocates whole replacement
+        # intervals, so most ids never receive a message.
+        network.register_lazy(
+            range(1, self.geometry.processor_requirement() + 1), self._make_worker
+        )
 
-    def _build_workers(self) -> None:
-        geometry = self.geometry
-        requirement = geometry.processor_requirement()
-        workers = self._workers
-        network = self.network
-        for pid in range(1, requirement + 1):
-            worker = TreeWorker(pid, self)
-            network.register(worker)
-            workers[pid] = worker
-        all_roles = self.registry.all_roles()
-        for role in all_roles:
-            workers[role.worker].adopt_role(role)
-        # Wire each leaf's belief of its parent's worker by walking the
-        # last-level roles once (the trailing arity^depth entries of the
-        # level-ordered role list); last-level node index i parents
-        # leaves i*arity+1 .. (i+1)*arity, so no address lookups needed.
-        arity = geometry.arity
-        leaf_pid = 1
-        for role in all_roles[-(arity**geometry.depth):]:
-            role_worker = role.worker
-            for _ in range(arity):
-                workers[leaf_pid].set_leaf_parent(role_worker)
-                leaf_pid += 1
+    def _make_worker(self, pid: ProcessorId) -> TreeWorker:
+        """Build processor *pid*'s program (the network calls this on
+        first contact; subclasses substitute their worker class here)."""
+        return TreeWorker(pid, self)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -93,8 +79,23 @@ class TreeCounter(DistributedCounter):
         return self.geometry.arity
 
     def worker(self, pid: ProcessorId) -> TreeWorker:
-        """The worker program of processor *pid* (test introspection)."""
-        return self._workers[pid]
+        """The worker program of processor *pid* (test introspection).
+
+        Workers live in the network's processor table only; asking for
+        one that no message has reached yet builds it, in its initial
+        state.
+        """
+        return self.network.processor(pid)
+
+    def _built_workers(self) -> list[TreeWorker]:
+        """The workers that exist — the only ones that can hold state."""
+        network = self.network
+        limit = self.geometry.processor_requirement()
+        return [
+            network.processor(pid)
+            for pid in network.materialised_ids()
+            if pid <= limit
+        ]
 
     @property
     def value(self) -> int:
@@ -110,11 +111,11 @@ class TreeCounter(DistributedCounter):
 
     def total_forwarded(self) -> int:
         """Messages re-sent due to stale addressing (handshake overhead)."""
-        return sum(worker.forwarded_messages for worker in self._workers.values())
+        return sum(worker.forwarded_messages for worker in self._built_workers())
 
     def total_deferred(self) -> int:
         """Messages that arrived before their role's hand-off did."""
-        return sum(worker.deferred_messages for worker in self._workers.values())
+        return sum(worker.deferred_messages for worker in self._built_workers())
 
     # ------------------------------------------------------------------
     # Root semantics (overridden by the generalized data structures)
@@ -141,5 +142,4 @@ class TreeCounter(DistributedCounter):
             raise ConfigurationError(
                 f"processor {pid} is not a client of this counter (1..{self.n})"
             )
-        worker = self._workers[pid]
-        self.network.inject(worker.request_inc, op_index=op_index)
+        self.network.inject(self.worker(pid).request_inc, op_index=op_index)

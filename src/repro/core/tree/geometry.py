@@ -212,6 +212,36 @@ class TreeGeometry:
             return 1
         return self.id_interval(addr)[0]
 
+    def initially_worked_node(self, pid: ProcessorId) -> NodeAddr | None:
+        """The non-root inner node whose initial worker is *pid*, if any.
+
+        The inverse of :meth:`initial_worker` on the non-root nodes
+        (interval starts are distinct, so there is at most one); the
+        root's initial worker is processor 1 in addition to whatever
+        this returns for it.  Pure arithmetic on the band layout — this
+        is what lets a processor's program be built on first contact
+        without consulting any live state.
+        """
+        below = pid - 1
+        band = self._band
+        if not 0 <= below < self.depth * band:
+            return None
+        level = below // band + 1
+        index, inside = divmod(below % band, self.arity ** (self.depth - level))
+        return None if inside else NodeAddr(level, index)
+
+    def initial_leaf_parent_worker(self, leaf_pid: ProcessorId) -> ProcessorId:
+        """Initial worker of the inner node above leaf *leaf_pid*.
+
+        What ``initial_worker(leaf_parent(leaf_pid))`` computes, without
+        the address round trip (last-level intervals have width 1).
+        """
+        if not 1 <= leaf_pid <= self.leaf_count:
+            raise ConfigurationError(
+                f"leaf id {leaf_pid} outside 1..{self.leaf_count}"
+            )
+        return (self.depth - 1) * self._band + (leaf_pid - 1) // self.arity + 1
+
     def max_interval_id(self) -> ProcessorId:
         """Largest id any non-root interval contains: depth · arity^depth."""
         return self.depth * self._band

@@ -63,8 +63,8 @@ class NodeRole:
 
     @property
     def is_root(self) -> bool:
-        """True for the root role."""
-        return self.addr.is_root
+        """True for the root role (the one node without a parent)."""
+        return self.parent_addr is None
 
     def child_keys(self) -> list[tuple]:
         """Payload-safe keys of all children (inner or leaf)."""
@@ -220,12 +220,6 @@ class RoleRegistry:
         """
         return list(self._roles.values())
 
-    def last_level_roles(self) -> list[NodeRole]:
-        """Roles of the last inner level (the leaves' parents), in index
-        order — the counter wires leaf workers from these."""
-        depth = self._geometry.depth
-        return [role for role in self._roles.values() if role.addr.level == depth]
-
     @property
     def retirements(self) -> list[RetirementEvent]:
         """All retirement events in chronological order."""
@@ -247,7 +241,7 @@ class RoleRegistry:
     # ------------------------------------------------------------------
     def next_worker_for(self, role: NodeRole) -> ProcessorId:
         """The id the paper's scheme assigns as *role*'s next worker."""
-        if role.is_root:
+        if role.parent_addr is None:  # the root walks ids 1, 2, 3, ...
             candidate = self._root_walk_next
             limit = self._geometry.processor_requirement()
             if candidate > limit:
@@ -285,7 +279,8 @@ class RoleRegistry:
         Enforces the no-aliasing invariant: the new worker must not be
         working for any other inner node right now.
         """
-        if not role.is_root:
+        is_root = role.parent_addr is None
+        if not is_root:
             current_owner = self._inner_worker_index.get(new_worker)
             if current_owner is not None and current_owner != role.addr:
                 raise ProtocolError(
@@ -307,7 +302,7 @@ class RoleRegistry:
         role.age = 0
         role.retire_count += 1
         self._worker_of_role[role.addr] = new_worker
-        if role.is_root:
+        if is_root:
             self._root_walk_next = new_worker + 1
         else:
             if self._inner_worker_index.get(old_worker) == role.addr:

@@ -1,6 +1,8 @@
 """The processor program of the communication-tree counter.
 
-One :class:`TreeWorker` is registered per processor id.  Every worker
+One :class:`TreeWorker` stands for each processor id, built the first
+time the id is addressed (see :meth:`TreeCounter._make_worker
+<repro.core.tree.counter.TreeCounter._make_worker>`).  Every worker
 always plays its *leaf* role (it can initiate ``inc`` and receive values
 and parent id-updates); in addition it may currently work for inner nodes
 — at most one non-root node plus possibly the root, per the identifier
@@ -29,7 +31,6 @@ from repro.core.tree.protocol import (
     KIND_VALUE,
     RoleKey,
     addr_of,
-    is_leaf_key,
     node_key,
 )
 from repro.core.tree.roles import NodeRole
@@ -42,34 +43,67 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
 
 
 class TreeWorker(Processor):
-    """A processor of the tree counter: leaf + whatever roles it holds."""
+    """A processor of the tree counter: leaf + whatever roles it holds.
+
+    A new worker starts in the state the paper's scheme gives processor
+    *pid* before any message moved: it believes its leaf parent lives at
+    that node's initial worker, and it holds the inner node whose
+    interval starts at *pid* (plus the root for processor 1).  Both come
+    from :class:`~repro.core.tree.geometry.TreeGeometry` arithmetic, not
+    from the registry's live ``worker`` fields — so it does not matter
+    when during a run the worker is built: nothing can have changed its
+    state before the first message reaches it, and a *successor* still
+    takes a role up only when the hand-off arrives.
+
+    Most processors are plain leaves for a whole run, so the three role
+    tables are allocated on first write (``None`` until then).
+    """
+
+    __slots__ = (
+        "_counter",
+        "_roles",
+        "_forward",
+        "_pending",
+        "_leaf_parent_worker",
+        "forwarded_messages",
+        "deferred_messages",
+    )
 
     def __init__(self, pid: ProcessorId, counter: "TreeCounter") -> None:
         super().__init__(pid)
         self._counter = counter
-        self._roles: dict[RoleKey, NodeRole] = {}
-        self._forward: dict[RoleKey, ProcessorId] = {}
-        self._pending: dict[RoleKey, list[Message]] = {}
-        self._leaf_parent_worker: ProcessorId | None = None
+        self._roles: dict[RoleKey, NodeRole] | None = None
+        self._forward: dict[RoleKey, ProcessorId] | None = None
+        self._pending: dict[RoleKey, list[Message]] | None = None
         self.forwarded_messages = 0
         self.deferred_messages = 0
+        geometry = counter.geometry
+        self._leaf_parent_worker: ProcessorId | None = (
+            geometry.initial_leaf_parent_worker(pid)
+            if pid <= geometry.leaf_count
+            else None
+        )
+        if pid == 1:
+            self.adopt_role(counter.registry.root())
+        addr = geometry.initially_worked_node(pid)
+        if addr is not None:
+            self.adopt_role(counter.registry.role(addr))
 
     # ------------------------------------------------------------------
-    # Wiring (called by the counter during construction)
+    # Wiring
     # ------------------------------------------------------------------
     def adopt_role(self, role: NodeRole) -> None:
         """Take up work for *role* (initial assignment or hand-off)."""
         key = node_key(role.addr)
+        if self._roles is None:
+            self._roles = {}
         self._roles[key] = role
-        self._forward.pop(key, None)
-
-    def set_leaf_parent(self, worker: ProcessorId) -> None:
-        """Set the initial belief of where this leaf's parent node lives."""
-        self._leaf_parent_worker = worker
+        if self._forward:
+            self._forward.pop(key, None)
 
     def active_role_keys(self) -> list[RoleKey]:
         """Role keys this worker currently plays (test introspection)."""
-        return list(self._roles)
+        return list(self._roles or ())
 
     # ------------------------------------------------------------------
     # Operation entry point (a local event, not a message)
@@ -97,29 +131,39 @@ class TreeWorker(Processor):
     # ------------------------------------------------------------------
     def on_message(self, message: Message) -> None:
         kind = message.kind
+        payload = message.payload
         if kind == KIND_VALUE:
-            self._counter.deliver_result(self.pid, message.payload["value"])
+            self._counter.deliver_result(self.pid, payload["value"])
             return
-        role_key: RoleKey = tuple(message.payload["role"])
-        if is_leaf_key(role_key):
+        role_key: RoleKey = tuple(payload["role"])
+        if role_key[0] == "leaf":
             self._handle_leaf_update(message)
             return
         if kind == KIND_HANDOFF:
             self._handle_handoff(role_key, message)
             return
-        role = self._roles.get(role_key)
+        role = self._roles.get(role_key) if self._roles else None
         if role is not None:
-            self._handle_role_message(role, message)
+            if kind == KIND_INC:
+                self._handle_inc(role, payload["origin"], payload.get("request"))
+            elif kind == KIND_ID_UPDATE:
+                self._handle_id_update(role, message)
+            else:
+                raise ProtocolError(
+                    f"node {role.addr} cannot handle message kind {kind!r}"
+                )
             return
-        successor = self._forward.get(role_key)
+        successor = self._forward.get(role_key) if self._forward else None
         if successor is not None:
             # Stale addressing: pass the message along to the new worker.
             self.forwarded_messages += 1
-            self.send(successor, message.kind, message.payload)
+            self.send(successor, kind, payload)
             return
         # Early arrival: the hand-off naming us the new worker is still in
         # flight.  Defer; replay when the role activates.
         self.deferred_messages += 1
+        if self._pending is None:
+            self._pending = {}
         self._pending.setdefault(role_key, []).append(message)
 
     # ------------------------------------------------------------------
@@ -135,28 +179,16 @@ class TreeWorker(Processor):
     # ------------------------------------------------------------------
     # Inner-node roles
     # ------------------------------------------------------------------
-    def _handle_role_message(self, role: NodeRole, message: Message) -> None:
-        if message.kind == KIND_INC:
-            self._handle_inc(
-                role, message.payload["origin"], message.payload.get("request")
-            )
-        elif message.kind == KIND_ID_UPDATE:
-            self._handle_id_update(role, message)
-        else:
-            raise ProtocolError(
-                f"node {role.addr} cannot handle message kind {message.kind!r}"
-            )
-
     def _handle_inc(
         self, role: NodeRole, origin: ProcessorId, request: object = None
     ) -> None:
         """Receive an operation climbing the tree; answer or forward it."""
         role.age += 1  # received the request
-        if role.is_root:
+        if role.parent_addr is None:  # the root
             reply = self._counter.apply_at_root(role, request)
             self.send(origin, KIND_VALUE, {"value": reply})
         else:
-            assert role.parent_addr is not None and role.parent_worker is not None
+            assert role.parent_worker is not None
             self.send(
                 role.parent_worker,
                 KIND_INC,
@@ -188,7 +220,7 @@ class TreeWorker(Processor):
     # Hand-off handling
     # ------------------------------------------------------------------
     def _handle_handoff(self, role_key: RoleKey, message: Message) -> None:
-        role = self._roles.get(role_key)
+        role = self._roles.get(role_key) if self._roles else None
         if role is None:
             registry_role = self._counter.registry.role(addr_of(role_key))
             if registry_role.worker != self.pid:
@@ -210,7 +242,7 @@ class TreeWorker(Processor):
         message's own operation, so footprints stay exact and no new
         messages are charged.
         """
-        pending = self._pending.pop(role_key, None)
+        pending = self._pending.pop(role_key, None) if self._pending else None
         if not pending:
             return
         for deferred in pending:
@@ -236,11 +268,13 @@ class TreeWorker(Processor):
             time=self.network.now,
         )
         del self._roles[key]
+        if self._forward is None:
+            self._forward = {}
         self._forward[key] = successor
         # k+2 hand-off messages (k+3 for the root, which also ships val):
         # the new job, the parent id, the k child ids — each O(log n) bits.
         handoff_total = self._counter.geometry.arity + 2
-        if role.is_root:
+        if role.parent_addr is None:  # the root also ships val
             handoff_total += 1
         for seq in range(handoff_total):
             self.send(

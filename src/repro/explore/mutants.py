@@ -52,14 +52,6 @@ from repro.sim.messages import Message, ProcessorId
 from repro.sim.network import Network
 
 
-def _swap_in(network: Network, mutant: _CentralClient) -> None:
-    """Replace the processor registered under *mutant*'s pid (both the
-    registry and the drain loops' dispatch table)."""
-    mutant.attach(network)
-    network._processors[mutant.pid] = mutant
-    network._handlers[mutant.pid] = mutant.on_message
-
-
 class _StaleReadClient(_CentralClient):
     """Server-side mutant: replies race the increment (see module doc)."""
 
@@ -95,11 +87,11 @@ class StaleReadCentralCounter(CentralCounter):
         self._replies_in_flight = 0
         super().__init__(network, n, server_id)
         # Rewire the processors to the buggy client class: registration
-        # happened in the base constructor, so swap in place.
+        # happened in the base constructor, so replace in place.
         for pid, client in list(self._clients.items()):
             mutant = _StaleReadClient(pid, self)
             self._clients[pid] = mutant
-            _swap_in(network, mutant)
+            network.replace(mutant)
 
     @property
     def replies_in_flight(self) -> int:
@@ -144,7 +136,7 @@ class CachedReadCentralCounter(CentralCounter):
         for pid in list(self._clients):
             mutant = _CachedReadClient(pid, self)
             self._clients[pid] = mutant
-            _swap_in(network, mutant)
+            network.replace(mutant)
 
 
 class TrustingByzCounter(ByzantineCounter):

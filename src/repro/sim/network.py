@@ -3,7 +3,9 @@
 This is the substrate the whole reproduction runs on.  It provides:
 
 * registration of :class:`~repro.sim.processor.Processor` programs under
-  their ids (the paper's processors ``1 .. n``);
+  their ids (the paper's processors ``1 .. n``), one at a time or as a
+  contiguous id range whose programs are built on first contact
+  (:meth:`Network.register_lazy`);
 * :meth:`Network.send` — the only way any message moves, so the trace is a
   complete ledger;
 * operation attribution — every message inherits the ``inc`` operation of
@@ -100,6 +102,10 @@ class Network:
         self._queue = EventQueue()
         self._processors: dict[ProcessorId, Processor] = {}
         self._handlers: dict[ProcessorId, Callable[[Message], None]] = {}
+        # Id ranges registered with a factory (register_lazy): a program
+        # enters the two tables above the first time its id is addressed.
+        self._lazy: list[tuple[range, Callable[[ProcessorId], Processor]]] = []
+        self._unmaterialised = 0
         self._trace = Trace(level=trace_level)
         self._trace_level = trace_level
         self._active_op: OpIndex = NO_OP
@@ -164,8 +170,8 @@ class Network:
 
     @property
     def processor_count(self) -> int:
-        """Number of registered processors."""
-        return len(self._processors)
+        """Number of registered processor ids, materialised or not."""
+        return len(self._processors) + self._unmaterialised
 
     @property
     def events_executed(self) -> int:
@@ -190,25 +196,43 @@ class Network:
         self._run_context = value
 
     def processor(self, pid: ProcessorId) -> Processor:
-        """Return the registered processor *pid* or raise."""
-        try:
-            return self._processors[pid]
-        except KeyError:
-            raise UnknownProcessorError(f"no processor with id {pid}") from None
+        """Return the registered processor *pid* or raise.
+
+        An id registered through :meth:`register_lazy` is materialised
+        by this call if nothing addressed it before.
+        """
+        processor = self._processors.get(pid)
+        if processor is None:
+            processor = self._materialise(pid)
+            if processor is None:
+                raise UnknownProcessorError(f"no processor with id {pid}")
+        return processor
 
     def has_processor(self, pid: ProcessorId) -> bool:
-        """True if a processor with id *pid* is registered."""
-        return pid in self._processors
+        """True if *pid* is registered, materialised or not."""
+        return pid in self._processors or self._lazy_factory(pid) is not None
 
     def registered_ids(self) -> list[ProcessorId]:
-        """All registered processor ids, ascending.
+        """All registered processor ids, ascending — materialised or not.
 
         Infrastructure that needs a fresh id on an already-wired network
         (e.g. the failure detector's hub processor) picks
         ``max(registered_ids()) + 1`` so it never collides with counter
         processors.
         """
-        return sorted(self._processors)
+        ids = set(self._processors)
+        for lazy_ids, _ in self._lazy:
+            ids.update(lazy_ids)
+        return sorted(ids)
+
+    def materialised_ids(self) -> list[ProcessorId]:
+        """Ids whose processor program exists, in order of first contact.
+
+        Equals :meth:`registered_ids` (up to order) on a network without
+        lazily registered ranges; with them, these are the processors a
+        run has addressed so far — the only ones that can hold state.
+        """
+        return list(self._processors)
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -219,10 +243,74 @@ class Network:
         Registering two processors under the same id is an error — ids are
         the paper's unique identities.
         """
-        if processor.pid in self._processors:
+        if self.has_processor(processor.pid):
             raise DuplicateProcessorError(
                 f"processor id {processor.pid} is already registered"
             )
+        return self._install(processor)
+
+    def register_all(self, processors: list[Processor]) -> None:
+        """Register every processor in *processors*."""
+        for processor in processors:
+            self.register(processor)
+
+    def register_lazy(
+        self, ids: range, factory: Callable[[ProcessorId], Processor]
+    ) -> None:
+        """Register every id of the contiguous range *ids* at once.
+
+        ``factory(pid)`` builds the processor program the first time
+        *pid* is addressed — as the receiver of a :meth:`send` or through
+        :meth:`processor` — and the network then attaches it exactly as
+        :meth:`register` would.  Until then the id is registered in every
+        observable sense (:meth:`has_processor`, :attr:`processor_count`,
+        :meth:`registered_ids`, duplicate detection) but owns no object:
+        a protocol that preallocates far more ids than one run touches
+        (the tree counter's replacement intervals) pays only for the
+        processors that ever receive a message.
+
+        *factory* must be deep-copyable together with the network — a
+        bound method or a :func:`functools.partial` of one, not a closure
+        (``copy.deepcopy`` shares plain functions, so a clone's factory
+        would build processors wired to the original).
+        """
+        if not isinstance(ids, range) or ids.step != 1 or not ids or ids.start < 1:
+            raise ConfigurationError(
+                f"register_lazy needs a non-empty range of positive ids "
+                f"with step 1, got {ids!r}"
+            )
+        for other, _ in self._lazy:
+            if ids.start < other.stop and other.start < ids.stop:
+                raise DuplicateProcessorError(
+                    f"processor ids {ids.start}..{ids.stop - 1} overlap the "
+                    f"registered range {other.start}..{other.stop - 1}"
+                )
+        for pid in self._processors:
+            if ids.start <= pid < ids.stop:
+                raise DuplicateProcessorError(
+                    f"processor id {pid} is already registered"
+                )
+        self._lazy.append((ids, factory))
+        self._unmaterialised += len(ids)
+
+    def replace(self, processor: Processor) -> Processor:
+        """Swap *processor* in for the one registered under its id.
+
+        The one sanctioned way to exchange a registered program (the
+        seeded-bug mutants do): attaches *processor* and points both the
+        registry and the drain loops' dispatch table at it, whether the
+        id was materialised before or only covered by a lazy range.
+        Messages already in flight are delivered to the new program.
+        """
+        pid = processor.pid
+        if pid not in self._processors:
+            if self._lazy_factory(pid) is None:
+                raise UnknownProcessorError(f"no processor with id {pid}")
+            self._unmaterialised -= 1
+        return self._install(processor)
+
+    def _install(self, processor: Processor) -> Processor:
+        """Attach *processor* and enter it in both tables."""
         processor.attach(self)
         self._processors[processor.pid] = processor
         # Dispatch table: the drain loops jump straight to the
@@ -230,10 +318,30 @@ class Network:
         self._handlers[processor.pid] = processor.on_message
         return processor
 
-    def register_all(self, processors: list[Processor]) -> None:
-        """Register every processor in *processors*."""
-        for processor in processors:
-            self.register(processor)
+    def _lazy_factory(
+        self, pid: ProcessorId
+    ) -> Callable[[ProcessorId], Processor] | None:
+        """The factory of the lazy range covering *pid*, if any."""
+        for ids, factory in self._lazy:
+            # Bounds, not ``pid in ids``: constant time for every integer
+            # type (range membership scans for anything but exact ints).
+            if ids.start <= pid < ids.stop:
+                return factory
+        return None
+
+    def _materialise(self, pid: ProcessorId) -> Processor | None:
+        """Build and install the processor of a lazily registered id;
+        ``None`` if *pid* is not registered (callers raise)."""
+        factory = self._lazy_factory(pid)
+        if factory is None:
+            return None
+        processor = factory(pid)
+        if processor.pid != pid:
+            raise ConfigurationError(
+                f"lazy factory built processor {processor.pid} for id {pid}"
+            )
+        self._unmaterialised -= 1
+        return self._install(processor)
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -290,7 +398,7 @@ class Network:
         outlive the send); the fast tiers pass the caller's mapping
         through.
         """
-        if receiver not in self._processors:
+        if receiver not in self._processors and self._materialise(receiver) is None:
             raise UnknownProcessorError(
                 f"message from {sender} addressed to unknown processor {receiver}"
             )
@@ -344,7 +452,7 @@ class Network:
         fault lands in the plan's ledger and, levels permitting, the
         trace.
         """
-        if receiver not in self._processors:
+        if receiver not in self._processors and self._materialise(receiver) is None:
             raise UnknownProcessorError(
                 f"message from {sender} addressed to unknown processor {receiver}"
             )

@@ -30,7 +30,13 @@ class Processor(ABC):
     entry points invoked via :meth:`Network.inject` (for example, an
     ``inc`` initiation, which the paper models as a local request rather
     than a message).
+
+    The base class declares ``__slots__`` so that a slotted subclass
+    (the tree counter builds one worker per processor id) carries no
+    instance ``__dict__``; subclasses that declare none keep theirs.
     """
+
+    __slots__ = ("pid", "_network")
 
     def __init__(self, pid: ProcessorId) -> None:
         if pid <= 0:
@@ -73,7 +79,10 @@ class Processor(ABC):
         the network, is delayed by the delivery policy, and adds one unit
         of load to both endpoints when delivered.
         """
-        self.network.send(self.pid, receiver, kind, payload or {})
+        network = self._network
+        if network is None:
+            network = self.network  # raises: not registered
+        network.send(self.pid, receiver, kind, payload or {})
 
     # ------------------------------------------------------------------
     # Behaviour
@@ -93,6 +102,8 @@ class InertProcessor(Processor):
     play no active role in a given protocol (and in tests that need a
     registered-but-passive endpoint).
     """
+
+    __slots__ = ()
 
     def on_message(self, message: Message) -> None:  # noqa: ARG002
         return None

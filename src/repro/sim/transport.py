@@ -45,6 +45,7 @@ would put it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Mapping
 
 from repro.errors import (
@@ -85,6 +86,8 @@ class _Endpoint(Processor):
     timer; incoming envelopes are acked, deduplicated, unwrapped and
     handed to the wrapped protocol processor.
     """
+
+    __slots__ = ("_inner", "_transport", "_next_seq", "_pending", "_seen")
 
     def __init__(self, inner: Processor, transport: "ReliableTransport") -> None:
         super().__init__(inner.pid)
@@ -291,9 +294,29 @@ class ReliableTransport:
         """Wrap *processor* in an endpoint and register it."""
         endpoint = _Endpoint(processor, self)
         self._network.register(endpoint)
-        processor.attach(self)  # the processor's sends route through us
-        self._endpoints[processor.pid] = endpoint
+        self._adopt(endpoint)
         return processor
+
+    def register_lazy(
+        self, ids: range, factory: Callable[[ProcessorId], Processor]
+    ) -> None:
+        """Register the id range *ids* lazily on the wrapped network.
+
+        Each processor *factory* builds is wrapped in its endpoint when
+        the network materialises it (see :meth:`Network.register_lazy`).
+        """
+        self._network.register_lazy(ids, partial(self._make_endpoint, factory))
+
+    def _make_endpoint(
+        self, factory: Callable[[ProcessorId], Processor], pid: ProcessorId
+    ) -> _Endpoint:
+        endpoint = _Endpoint(factory(pid), self)
+        self._adopt(endpoint)
+        return endpoint
+
+    def _adopt(self, endpoint: _Endpoint) -> None:
+        endpoint._inner.attach(self)  # the processor's sends route through us
+        self._endpoints[endpoint.pid] = endpoint
 
     def register_all(self, processors: list[Processor]) -> None:
         """Register every processor in *processors*."""
@@ -326,11 +349,13 @@ class ReliableTransport:
         self._network.inject(action, op_index=op_index, delay=delay)
 
     def processor(self, pid: ProcessorId) -> Processor:
-        """The *protocol* processor registered under *pid* (unwrapped)."""
+        """The *protocol* processor registered under *pid* (unwrapped).
+
+        Materialises a lazily registered id like the network does.
+        """
+        processor = self._network.processor(pid)
         endpoint = self._endpoints.get(pid)
-        if endpoint is not None:
-            return endpoint._inner
-        return self._network.processor(pid)
+        return processor if endpoint is None else endpoint._inner
 
     def has_processor(self, pid: ProcessorId) -> bool:
         """True if *pid* is registered (through the transport or not)."""
@@ -391,6 +416,10 @@ class ReliableTransport:
     def processor_count(self) -> int:
         """Processors registered on the wrapped network."""
         return self._network.processor_count
+
+    def materialised_ids(self) -> list[ProcessorId]:
+        """Forwarded to :meth:`Network.materialised_ids`."""
+        return self._network.materialised_ids()
 
     # ------------------------------------------------------------------
     # Transport accounting

@@ -168,6 +168,36 @@ class TestIdentifierScheme:
             assert requirement >= geometry.root_walk_budget()
 
 
+class TestInitialStateArithmetic:
+    """The pid -> initial state maps a late-built worker relies on are
+    the exact inverses of the node -> pid maps."""
+
+    SHAPES = [(2, 2), (3, 3), (4, 4), (2, 4), (3, 1), (5, 2)]
+
+    @pytest.mark.parametrize("arity,depth", SHAPES)
+    def test_initially_worked_node_inverts_initial_worker(self, arity, depth):
+        geometry = TreeGeometry(arity=arity, depth=depth)
+        expected = {
+            geometry.initial_worker(addr): addr
+            for addr in geometry.all_nodes()
+            if not addr.is_root
+        }
+        assert len(expected) == geometry.total_inner_nodes() - 1
+        for pid in range(-1, geometry.processor_requirement() + 3):
+            assert geometry.initially_worked_node(pid) == expected.get(pid)
+
+    @pytest.mark.parametrize("arity,depth", SHAPES)
+    def test_initial_leaf_parent_worker_skips_no_step(self, arity, depth):
+        geometry = TreeGeometry(arity=arity, depth=depth)
+        for leaf in range(1, geometry.leaf_count + 1):
+            assert geometry.initial_leaf_parent_worker(
+                leaf
+            ) == geometry.initial_worker(geometry.leaf_parent(leaf))
+        for outside in (0, geometry.leaf_count + 1):
+            with pytest.raises(ConfigurationError):
+                geometry.initial_leaf_parent_worker(outside)
+
+
 class TestBoundCurve:
     def test_lower_bound_k_solves_the_equation(self):
         for k in (2, 3, 4, 5, 6):

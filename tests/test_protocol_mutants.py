@@ -55,17 +55,8 @@ class _NoChildUpdatesCounter(TreeCounter):
 
     name = "mutant-no-child-updates"
 
-    def _build_workers(self):
-        requirement = self.geometry.processor_requirement()
-        for pid in range(1, requirement + 1):
-            worker = _NoChildUpdatesWorker(pid, self)
-            self.network.register(worker)
-            self._workers[pid] = worker
-        for role in self.registry.all_roles():
-            self._workers[role.worker].adopt_role(role)
-        for leaf_pid in range(1, self.geometry.leaf_count + 1):
-            parent_role = self.registry.role(self.geometry.leaf_parent(leaf_pid))
-            self._workers[leaf_pid].set_leaf_parent(parent_role.worker)
+    def _make_worker(self, pid):
+        return _NoChildUpdatesWorker(pid, self)
 
 
 class TestChildUpdateMutant:
@@ -102,8 +93,8 @@ class _NoForwardingWorker(TreeWorker):
         )
         if (
             role_key
-            and role_key in self._forward
-            and role_key not in self._roles
+            and role_key in (self._forward or ())
+            and role_key not in (self._roles or ())
         ):
             return  # drop: the handshake's forwarding is disabled
         super().on_message(message)
@@ -114,17 +105,8 @@ class _NoForwardingCounter(TreeCounter):
 
     name = "mutant-no-forwarding"
 
-    def _build_workers(self):
-        requirement = self.geometry.processor_requirement()
-        for pid in range(1, requirement + 1):
-            worker = _NoForwardingWorker(pid, self)
-            self.network.register(worker)
-            self._workers[pid] = worker
-        for role in self.registry.all_roles():
-            self._workers[role.worker].adopt_role(role)
-        for leaf_pid in range(1, self.geometry.leaf_count + 1):
-            parent_role = self.registry.role(self.geometry.leaf_parent(leaf_pid))
-            self._workers[leaf_pid].set_leaf_parent(parent_role.worker)
+    def _make_worker(self, pid):
+        return _NoForwardingWorker(pid, self)
 
 
 class TestForwardingMutant:

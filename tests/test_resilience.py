@@ -716,6 +716,17 @@ class TestLoadgenErrorAccounting:
         port = _free_port()
         breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60.0)
 
+        # One refused connect trips the breaker.  Only then are the other
+        # arrivals launched: in a single 2000/s run all eight can be in
+        # their connect before the first refusal lands (a slow
+        # interpreter, e.g. ``python -X dev``, makes that the rule), and
+        # none would meet the open breaker.
+        tripping = asyncio.run(
+            run_load("127.0.0.1", port, ops=1, rate=2000.0, breaker=breaker)
+        )
+        assert tripping.error_counts == {"connection": 1}
+        assert breaker.trips == 1 and breaker.state == "open"
+
         result = asyncio.run(
             run_load(
                 "127.0.0.1", port, ops=8, rate=2000.0, breaker=breaker
@@ -723,8 +734,8 @@ class TestLoadgenErrorAccounting:
         )
         assert result.completed == 0
         assert result.errors == 8
-        assert breaker.trips >= 1
-        assert result.error_counts.get("circuit_open", 0) >= 1
+        assert result.error_counts == {"circuit_open": 8}
+        assert breaker.trips == 1
 
     def test_retry_budget_bounds_total_retries(self):
         port = _free_port()
