@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench validate figures apidocs all clean
+.PHONY: install test bench experiments validate figures apidocs all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -11,7 +11,10 @@ test:
 	$(PYTHON) -m pytest tests/
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	python3 bench/run.py
+
+experiments:
+	$(PYTHON) -m pytest benchmarks/test_experiments.py
 
 validate:
 	$(PYTHON) -m repro validate
@@ -22,7 +25,7 @@ figures:
 apidocs:
 	$(PYTHON) scripts/gen_api_docs.py
 
-all: test bench validate figures
+all: test experiments bench validate figures
 
 clean:
 	rm -rf .pytest_cache src/repro.egg-info

@@ -10,7 +10,6 @@ Subcommands::
     python -m repro bound      print the k·kᵏ = n curve
     python -m repro quorum     quorum systems: loads + counter bottleneck
     python -m repro tree       inspect a communication tree's geometry
-    python -m repro bench      measure the simulator substrate (JSON report)
     python -m repro serve      run a counter (or keyed keyspace) over TCP
     python -m repro loadgen    open-loop load against a running service
     python -m repro chaos      fault-injecting TCP proxy
@@ -250,23 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "id", nargs="?", default=None,
         help="experiment id, e.g. E4 (omit to list all)",
-    )
-
-    bench = commands.add_parser(
-        "bench", help="measure the simulator substrate (BENCH_simulator.json)"
-    )
-    bench.add_argument(
-        "--grid", action="append", metavar="NAME",
-        help="run only the named grid(s); repeatable (default: all; "
-             "see repro.bench.GRIDS)",
-    )
-    bench.add_argument(
-        "-o", "--output", default=None, metavar="PATH",
-        help="also write the report to PATH (e.g. BENCH_simulator.json)",
-    )
-    bench.add_argument(
-        "--json", action="store_true",
-        help="print the report as JSON (default when no --output is given)",
     )
 
     figures = commands.add_parser(
@@ -969,26 +951,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the benchmark harness, printing and/or writing the report."""
-    import json as json_module
-
-    from repro.bench import GRIDS, build_report, write_report
-
-    grids = tuple(args.grid) if args.grid else GRIDS
-    try:
-        if args.output:
-            write_report(args.output, grids, echo=args.json)
-            if not args.json:
-                print(f"wrote {args.output}")
-        else:
-            print(json_module.dumps(build_report(grids), indent=2))
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    return 0
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
     """Regenerate the SVG figures (F1-F3)."""
     from repro.experiments.figures import save_all_figures
@@ -1085,6 +1047,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
     async def go() -> int:
         final_value = -1
+        expect_final = args.expect_final
         if args.keys is not None:
             if args.rates is not None:
                 print(
@@ -1109,16 +1072,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                    if not violations
                    else f"EXACTNESS VIOLATED on {violations}")
             )
-            if args.shutdown:
-                reader, writer = await asyncio.open_connection(
-                    args.host, args.port
-                )
-                writer.write(b"SHUTDOWN\n")
-                await writer.drain()
-                await reader.readline()
-                writer.close()
-            return 1 if (run.errors or violations) else 0
-        if args.rates is not None:
+            failed = bool(run.errors or violations)
+            expect_final = None  # per-key values; no single counter to check
+        elif args.rates is not None:
             rates = [float(rate) for rate in args.rates.split(",")]
             sweep = await run_rate_sweep(
                 args.host, args.port, args.ops, rates,
@@ -1155,9 +1111,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             await writer.drain()
             await reader.readline()
             writer.close()
-        if args.expect_final is not None and final_value != args.expect_final:
+        if expect_final is not None and final_value != expect_final:
             print(
-                f"error: expected final counter value {args.expect_final}, "
+                f"error: expected final counter value {expect_final}, "
                 f"observed {final_value}",
                 file=sys.stderr,
             )
@@ -1238,7 +1194,6 @@ _COMMANDS = {
     "tree": _cmd_tree,
     "validate": _cmd_validate,
     "experiment": _cmd_experiment,
-    "bench": _cmd_bench,
     "figures": _cmd_figures,
     "serve": _cmd_serve,
     "loadgen": _cmd_loadgen,

@@ -2,7 +2,7 @@
 
 Every experiment of DESIGN.md's index is a function returning a
 structured :class:`~repro.experiments.base.ExperimentResult`; the
-benchmark files, the CLI (``python -m repro experiment E4``) and any
+table regenerator (``benchmarks/test_experiments.py``), the CLI (``python -m repro experiment E4``) and any
 notebook all call the same code.  ``REGISTRY`` maps experiment ids to
 their runners (with default parameters).
 """

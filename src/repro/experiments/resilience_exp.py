@@ -1,7 +1,7 @@
 """E26: graceful degradation — goodput plateaus, exactly-once under chaos.
 
-E24 and the ``serving`` benchmark grid locate the saturation knee the
-paper guarantees; E26 drives the live TCP service *past* it — at a
+E24 (and a ``repro loadgen --rates`` sweep against a live service)
+locates the saturation knee the paper guarantees; E26 drives the live TCP service *past* it — at a
 multiple of the knee rate, through a fault-injecting proxy
 (:class:`~repro.serve.ChaosProxy`) that resets, stalls, delays and
 blackholes connections — and shows that the resilience layer turns
@@ -22,8 +22,9 @@ certain saturation into graceful degradation:
   increments, no doubled ones — even though connections were reset
   mid-request and answers were swallowed.
 
-The same trial is recorded in wall-clock numbers by the ``resilience``
-grid of ``BENCH_simulator.json``.
+:func:`run_resilience_trial` is the trial itself; its goodput and
+latency are wall-clock, so the table moves run to run while the
+assertions hold.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.serve import (
     ResilienceConfig,
     RetryPolicy,
     parse_chaos_spec,
+    run_load,
 )
 from repro.serve.server import CounterService
 
@@ -50,8 +52,9 @@ must attach to the committed original via the dedup ledger),
 connection resets and fully blackholed connections."""
 
 E26_KNEE_RATE = 600.0
-"""Measured knee-rate throughput of central n=8 at time_scale=0.005
-(the ``serving`` grid tops out near 600 committed ops/s)."""
+"""Knee-rate throughput of central n=8 at time_scale=0.005 (a
+``repro loadgen --rates`` sweep against ``repro serve central --n 8
+--time-scale 0.005`` tops out near 600 committed ops/s)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,8 +64,6 @@ class ResilienceTrial:
     Attributes:
         spec: canonical counter spec served.
         n: client processors (max in-flight operations).
-        knee_rate: offered rate of the baseline phase (ops/second).
-        overload_rate: offered rate of the chaos phase.
         chaos_plan: canonical chaos spec injected between generator and
             service during the overload phase.
         deadline: per-request deadline carried by chaos-phase requests.
@@ -79,8 +80,6 @@ class ResilienceTrial:
 
     spec: str
     n: int
-    knee_rate: float
-    overload_rate: float
     chaos_plan: str
     deadline: float
     retry: RetryPolicy
@@ -119,76 +118,6 @@ class ResilienceTrial:
         )
 
 
-async def _run_trial(
-    spec: str,
-    n: int,
-    ops: int,
-    time_scale: float,
-    knee_rate: float,
-    overload_factor: float,
-    chaos_plan: str,
-    seed: int,
-    deadline: float,
-    retry: RetryPolicy,
-    max_backlog: int,
-) -> ResilienceTrial:
-    from repro.serve import run_load
-
-    service = CounterService(
-        spec,
-        n,
-        port=0,
-        time_scale=time_scale,
-        trace_level="LOADS",
-        resilience=ResilienceConfig(max_backlog=max_backlog),
-    )
-    await service.start()
-    plan = parse_chaos_spec(chaos_plan, seed=seed)
-    proxy = ChaosProxy("127.0.0.1", service.port, plan=plan)
-    await proxy.start()
-    attempt_timeout = 1.5 * deadline + 0.1
-    try:
-        baseline = await run_load(
-            "127.0.0.1", service.port, ops, knee_rate, seed=seed
-        )
-        overload_rate = knee_rate * overload_factor
-        chaos = await run_load(
-            "127.0.0.1",
-            proxy.port,
-            ops,
-            overload_rate,
-            seed=seed + 1,
-            retry=retry,
-            deadline=deadline,
-            attempt_timeout=attempt_timeout,
-            rid_prefix=f"e26s{seed}",
-        )
-        # let answer-lost-but-committed operations finish their commits
-        # before reading the final state
-        await asyncio.sleep(5 * time_scale + 0.05)
-        stats = service.stats()
-        probe_value = await service.inc()
-    finally:
-        await proxy.stop()
-        await service.stop()
-    return ResilienceTrial(
-        spec=service.spec,
-        n=n,
-        knee_rate=knee_rate,
-        overload_rate=overload_rate,
-        chaos_plan=plan.canonical(),
-        deadline=deadline,
-        retry=retry,
-        attempt_timeout=attempt_timeout,
-        baseline=baseline,
-        chaos=chaos,
-        probe_value=probe_value,
-        rid_committed=stats["rid_committed"],
-        stats=stats,
-        proxy_stats=dict(proxy.stats),
-    )
-
-
 def run_resilience_trial(
     spec: str = "central",
     n: int = 8,
@@ -209,8 +138,6 @@ def run_resilience_trial(
     overload_factor`` through a :class:`~repro.serve.ChaosProxy`
     running *chaos_plan*, with per-request deadlines and idempotent
     retries.  A final direct increment probes the counter's value.
-    Shared by :func:`run_e26`, the ``resilience`` benchmark grid and
-    the test suite.
     """
     if retry is None:
         # deep attempts with a tight backoff cap: under sustained
@@ -218,21 +145,60 @@ def run_resilience_trial(
         # spread retries out — shed answers are cheap, idle slots are
         # not
         retry = RetryPolicy(attempts=10, base_delay=0.005, max_delay=0.05)
-    return asyncio.run(
-        _run_trial(
+    plan = parse_chaos_spec(chaos_plan, seed=seed)
+    attempt_timeout = 1.5 * deadline + 0.1
+
+    async def trial() -> ResilienceTrial:
+        service = CounterService(
             spec,
             n,
-            ops,
-            time_scale,
-            knee_rate,
-            overload_factor,
-            chaos_plan,
-            seed,
-            deadline,
-            retry,
-            max_backlog,
+            port=0,
+            time_scale=time_scale,
+            trace_level="LOADS",
+            resilience=ResilienceConfig(max_backlog=max_backlog),
         )
-    )
+        await service.start()
+        proxy = ChaosProxy("127.0.0.1", service.port, plan=plan)
+        await proxy.start()
+        try:
+            baseline = await run_load(
+                "127.0.0.1", service.port, ops, knee_rate, seed=seed
+            )
+            chaos = await run_load(
+                "127.0.0.1",
+                proxy.port,
+                ops,
+                knee_rate * overload_factor,
+                seed=seed + 1,
+                retry=retry,
+                deadline=deadline,
+                attempt_timeout=attempt_timeout,
+                rid_prefix=f"e26s{seed}",
+            )
+            # let answer-lost-but-committed operations finish their
+            # commits before reading the final state
+            await asyncio.sleep(5 * time_scale + 0.05)
+            stats = service.stats()
+            probe_value = await service.inc()
+        finally:
+            await proxy.stop()
+            await service.stop()
+        return ResilienceTrial(
+            spec=service.spec,
+            n=n,
+            chaos_plan=plan.canonical(),
+            deadline=deadline,
+            retry=retry,
+            attempt_timeout=attempt_timeout,
+            baseline=baseline,
+            chaos=chaos,
+            probe_value=probe_value,
+            rid_committed=stats["rid_committed"],
+            stats=stats,
+            proxy_stats=dict(proxy.stats),
+        )
+
+    return asyncio.run(trial())
 
 
 def run_e26(

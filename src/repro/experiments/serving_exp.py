@@ -12,8 +12,8 @@ Little's-law capacity prediction it tracks, and the hotspot message
 count per operation at the top rate — the paper's bottleneck measure,
 which separates the families even where their time capacity is similar.
 
-The same knee is measured in *wall-clock* time against the live TCP
-service by the ``serving`` grid of ``BENCH_simulator.json``.
+The same knee shows in *wall-clock* time against the live TCP service:
+``repro serve <spec> --time-scale 0.005`` plus ``repro loadgen --rates``.
 """
 
 from __future__ import annotations
@@ -105,10 +105,10 @@ def run_e24(
                     "differ structurally: the\nstatic relay root funnels "
                     ">4 messages per op, central ~1.7 at its server, "
                     "while\ncombining keeps the maximum under 1 — the "
-                    "bottleneck argument in open-loop form.\nThe serving "
-                    "grid of BENCH_simulator.json reproduces the same "
-                    "knee in wall-clock\ntime against the live TCP "
-                    "service."
+                    "bottleneck argument in open-loop form.\n`repro serve "
+                    "--time-scale 0.005` + `repro loadgen --rates` shows "
+                    "the same knee\nin wall-clock time against the live "
+                    "TCP service."
                 ),
             ),
         ),

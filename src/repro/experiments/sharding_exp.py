@@ -28,8 +28,8 @@ unique committed request ids (checked live against the shard map *and*
 offline by replaying the run's recorded fixture bundle with
 ``repro replay``).
 
-The same trial is recorded in wall-clock numbers by the ``sharding``
-grid of ``BENCH_simulator.json``.
+:func:`run_sharding_trial` is the trial itself; its goodput is
+wall-clock, so the table moves run to run while the assertions hold.
 """
 
 from __future__ import annotations
@@ -77,8 +77,6 @@ class ShardingTrial:
         retry: client retry policy of the sharded phase.
         baseline: load result of the 1-shard, ``batch_max=1`` phase.
         sharded: load result of the sharded phase through the proxy.
-        baseline_stats: the baseline service's final ``stats()``.
-        sharded_stats: the sharded service's final ``stats()``.
         snapshot: the sharded keyspace's final per-key values, read
             from the shard map after the load completed.
         proxy_stats: the chaos proxy's injection counters.
@@ -98,8 +96,6 @@ class ShardingTrial:
     retry: RetryPolicy
     baseline: KeyedLoadResult
     sharded: KeyedLoadResult
-    baseline_stats: dict
-    sharded_stats: dict
     snapshot: dict
     proxy_stats: dict
     replay_ops: int
@@ -131,70 +127,6 @@ class ShardingTrial:
         return failures
 
 
-async def _run_phase(
-    spec: str,
-    n: int,
-    *,
-    shards: int,
-    batch_max: int,
-    ops: int,
-    rate: float,
-    keys: int,
-    zipf: float,
-    time_scale: float,
-    seed: int,
-    chaos_plan: str | None,
-    retry: RetryPolicy | None,
-    attempt_timeout: float | None,
-    fixture_dir: str | None,
-) -> tuple[KeyedLoadResult, dict, dict, dict]:
-    """One phase: serve, (optionally) proxy, load, snapshot, stop."""
-    service = KeyedCounterService(
-        spec,
-        n,
-        port=0,
-        shards=shards,
-        batch_max=batch_max,
-        seed=seed,
-        time_scale=time_scale,
-        trace_level="LOADS",
-        resilience=ResilienceConfig(max_backlog=None),
-        fixture_dir=fixture_dir,
-    )
-    await service.start()
-    proxy = None
-    target_port = service.port
-    if chaos_plan is not None:
-        proxy = ChaosProxy(
-            "127.0.0.1",
-            service.port,
-            plan=parse_chaos_spec(chaos_plan, seed=seed),
-        )
-        await proxy.start()
-        target_port = proxy.port
-    try:
-        result = await run_keyed_load(
-            "127.0.0.1",
-            target_port,
-            ops,
-            rate,
-            keys=keys,
-            zipf=zipf,
-            seed=seed,
-            retry=retry,
-            attempt_timeout=attempt_timeout,
-            rid_prefix=f"e27s{seed}",
-        )
-        snapshot = service.map.snapshot()
-        stats = service.stats()
-    finally:
-        if proxy is not None:
-            await proxy.stop()
-        await service.stop()
-    proxy_stats = dict(proxy.stats) if proxy is not None else {}
-    return result, stats, snapshot, proxy_stats
-
-
 def run_sharding_trial(
     spec: str = "central",
     n: int = 4,
@@ -218,8 +150,7 @@ def run_sharding_trial(
     the regime the paper's bound pins.  Phase 2 drives the same
     workload at *shards* shards with batch combining, through a chaos
     proxy with idempotent retries, recording a fixture bundle that is
-    then replayed and verified offline.  Shared by :func:`run_e27`,
-    the ``sharding`` benchmark grid and the test suite.
+    then replayed and verified offline.
 
     Pass *keep_bundle* to write the sharded phase's fixture bundle to
     a persistent directory instead of a temp dir.
@@ -229,48 +160,66 @@ def run_sharding_trial(
     scratch = keep_bundle or tempfile.mkdtemp(prefix="e27-bundle-")
     bundle_dir = str(Path(scratch))
 
+    async def phase(
+        shard_count: int, window: int, phase_seed: int, chaos: bool
+    ) -> tuple[KeyedLoadResult, str, dict, dict]:
+        """One phase: serve, load, snapshot, stop — with *chaos*,
+        through the proxy with retries, recording the bundle."""
+        service = KeyedCounterService(
+            spec,
+            n,
+            port=0,
+            shards=shard_count,
+            batch_max=window,
+            seed=phase_seed,
+            time_scale=time_scale,
+            trace_level="LOADS",
+            resilience=ResilienceConfig(max_backlog=None),
+            fixture_dir=bundle_dir if chaos else None,
+        )
+        await service.start()
+        proxy = None
+        target_port = service.port
+        if chaos:
+            proxy = ChaosProxy(
+                "127.0.0.1",
+                service.port,
+                plan=parse_chaos_spec(chaos_plan, seed=phase_seed),
+            )
+            await proxy.start()
+            target_port = proxy.port
+        try:
+            result = await run_keyed_load(
+                "127.0.0.1",
+                target_port,
+                ops,
+                rate,
+                keys=keys,
+                zipf=zipf,
+                seed=phase_seed,
+                retry=retry if chaos else None,
+                attempt_timeout=attempt_timeout if chaos else None,
+                rid_prefix=f"e27s{phase_seed}",
+            )
+            snapshot = service.map.snapshot()
+        finally:
+            if proxy is not None:
+                await proxy.stop()
+            await service.stop()
+        proxy_stats = dict(proxy.stats) if proxy is not None else {}
+        return result, service.spec, snapshot, proxy_stats
+
     async def run_both():
-        baseline = await _run_phase(
-            spec,
-            n,
-            shards=1,
-            batch_max=1,
-            ops=ops,
-            rate=rate,
-            keys=keys,
-            zipf=zipf,
-            time_scale=time_scale,
-            seed=seed,
-            chaos_plan=None,
-            retry=None,
-            attempt_timeout=None,
-            fixture_dir=None,
-        )
-        sharded = await _run_phase(
-            spec,
-            n,
-            shards=shards,
-            batch_max=batch_max,
-            ops=ops,
-            rate=rate,
-            keys=keys,
-            zipf=zipf,
-            time_scale=time_scale,
-            seed=seed + 1,
-            chaos_plan=chaos_plan,
-            retry=retry,
-            attempt_timeout=attempt_timeout,
-            fixture_dir=bundle_dir,
-        )
+        baseline = await phase(1, 1, seed, chaos=False)
+        sharded = await phase(shards, batch_max, seed + 1, chaos=True)
         return baseline, sharded
 
     try:
-        baseline_phase, sharded_phase = asyncio.run(run_both())
-        baseline, baseline_stats, _, _ = baseline_phase
-        sharded, sharded_stats, snapshot, proxy_stats = sharded_phase
+        (baseline, _, _, _), sharded_phase = asyncio.run(run_both())
+        sharded, canonical_spec, snapshot, proxy_stats = sharded_phase
         report = replay_bundle(bundle_dir)
         return ShardingTrial(
-            spec=sharded_stats["spec"],
+            spec=canonical_spec,
             n=n,
             shards=shards,
             batch_max=batch_max,
@@ -281,8 +230,6 @@ def run_sharding_trial(
             retry=retry,
             baseline=baseline,
             sharded=sharded,
-            baseline_stats=baseline_stats,
-            sharded_stats=sharded_stats,
             snapshot=snapshot,
             proxy_stats=proxy_stats,
             replay_ops=report.ops,

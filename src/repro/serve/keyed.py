@@ -55,12 +55,10 @@ from typing import Any
 
 from repro.errors import (
     ConfigurationError,
-    DeadlineExceededError,
-    OverloadedError,
     ServiceError,
     ServiceStoppedError,
 )
-from repro.serve.resilience import DedupTable, ResilienceConfig
+from repro.serve.resilience import ResilienceConfig
 from repro.serve.server import LineProtocolService
 from repro.shard import (
     CounterShardMap,
@@ -105,6 +103,8 @@ class KeyedCounterService(LineProtocolService):
             a replayable bundle at stop.
     """
 
+    _PENDING = "queued"
+
     def __init__(
         self,
         spec: str,
@@ -122,11 +122,7 @@ class KeyedCounterService(LineProtocolService):
         rebalance: RebalancePolicy | None = None,
         fixture_dir: str | None = None,
     ) -> None:
-        super().__init__(
-            host,
-            port,
-            resilience if resilience is not None else ResilienceConfig(),
-        )
+        super().__init__(host, port, resilience)
         self.fixture_dir = fixture_dir
         recorder = FixtureRecorder() if fixture_dir is not None else None
         self.map = CounterShardMap(
@@ -146,12 +142,7 @@ class KeyedCounterService(LineProtocolService):
         self._wakeups: dict[int, asyncio.Event] = {}
         self._batchers: dict[int, asyncio.Task] = {}
         self._topology: asyncio.Lock | None = None
-        self._dedup = DedupTable(self.config.dedup_capacity)
-        self._served = 0
         self._inflight = 0
-        self._shed = 0
-        self._expired = 0
-        self._deduped = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -167,14 +158,12 @@ class KeyedCounterService(LineProtocolService):
         return self.map.n
 
     @property
-    def served(self) -> int:
-        """Committed keyed increments so far."""
-        return self._served
-
-    @property
     def backlog(self) -> int:
         """Increments queued across all shards, not yet in a batch."""
         return sum(len(queue) for queue in self._queues.values())
+
+    def _identity(self) -> str:
+        return f"{self.spec} n={self.n} shards={self.map.shard_count}"
 
     def stats(self) -> dict[str, Any]:
         """The bare ``STATS`` payload as a dict (also used by the CLI).
@@ -193,10 +182,7 @@ class KeyedCounterService(LineProtocolService):
             "served": self._served,
             "inflight": self._inflight,
             "backlog": self.backlog,
-            "shed": self._shed,
-            "expired": self._expired,
-            "deduped": self._deduped,
-            "rid_committed": self._dedup.committed_total,
+            **self._resilience_stats(),
             "keys": map_stats["keys"],
             "batches": map_stats["batches"],
             "splits": map_stats["splits"],
@@ -371,53 +357,16 @@ class KeyedCounterService(LineProtocolService):
         background (retry with the same rid for its value); a full
         backlog sheds with :class:`~repro.errors.OverloadedError`.
         """
-        if self._draining:
-            raise ServiceStoppedError("service is shutting down")
         validate_key(key)
-        loop = asyncio.get_running_loop()
-        if deadline is None:
-            deadline = self.config.default_deadline
-        expires = None if deadline is None else loop.time() + deadline
-        if rid is not None:
-            existing = self._dedup.get(rid)
-            if existing is not None:
-                self._deduped += 1
-                return await self._await_value(existing.future, expires)
-            self._dedup.create(rid, loop.create_future())
-        if (
-            self.config.max_backlog is not None
-            and self.backlog >= self.config.max_backlog
-        ):
-            self._shed += 1
-            error = OverloadedError(
-                f"admission backlog full ({self.backlog} waiting, "
-                f"cap {self.config.max_backlog})"
-            )
-            if rid is not None:
-                self._dedup.fail(rid, error)
-            raise error
-        op = _PendingOp(key=key, rid=rid, future=loop.create_future())
+        expires, original = self._begin_inc(rid, deadline)
+        if original is not None:
+            return await self._await_value(original, expires)
+        self._shed_if_full(rid)
+        op = _PendingOp(
+            key=key, rid=rid, future=asyncio.get_running_loop().create_future()
+        )
         self._route(op)
         return await self._await_value(op.future, expires)
-
-    async def _await_value(
-        self, awaitable: Any, expires: float | None
-    ) -> int:
-        """Await a batch answer (or rid future) under the deadline."""
-        if expires is None:
-            return await asyncio.shield(awaitable)
-        loop = asyncio.get_running_loop()
-        try:
-            return await asyncio.wait_for(
-                asyncio.shield(awaitable), max(0.0, expires - loop.time())
-            )
-        except asyncio.TimeoutError:
-            self._expired += 1
-            raise DeadlineExceededError(
-                "deadline expired with the operation queued; it will "
-                "commit in the background — retry with the same request "
-                "id for its value"
-            ) from None
 
     # ------------------------------------------------------------------
     # Admin operations (also exposed on the wire)
@@ -581,11 +530,9 @@ async def serve_keyed_counter(
 ) -> None:
     """Convenience runner: build a :class:`KeyedCounterService`, serve.
 
-    With *announce* the bound address is printed as
-    ``SERVING <spec> n=<n> shards=<k> <host>:<port>`` once the socket
-    is ready (machine-readable, used by ``scripts/shard_smoke.py``).
+    *announce* is :meth:`LineProtocolService.serve_forever`'s.
     """
-    service = KeyedCounterService(
+    await KeyedCounterService(
         spec,
         n,
         host,
@@ -598,12 +545,4 @@ async def serve_keyed_counter(
         resilience=resilience,
         rebalance=rebalance,
         fixture_dir=fixture_dir,
-    )
-    await service.start()
-    if announce:
-        print(
-            f"SERVING {service.spec} n={service.n} "
-            f"shards={service.map.shard_count} {service.address}",
-            flush=True,
-        )
-    await service.wait_closed()
+    ).serve_forever(announce=announce)

@@ -331,6 +331,107 @@ async def _inc_once(
     raise ProtocolError(f"INC failed: server answered {text!r}")
 
 
+async def _drive(
+    host: str,
+    port: int,
+    ops: int,
+    rate: float,
+    request_keys: list[str] | None,
+    default_rid_prefix: str,
+    *,
+    process: str,
+    seed: int,
+    max_connections: int,
+    retry: RetryPolicy | None,
+    retry_budget: RetryBudget | None,
+    deadline: float | None,
+    attempt_timeout: float | None,
+    breaker: CircuitBreaker | None,
+    rid_prefix: str | None,
+) -> tuple[dict, dict[str, list[int]]]:
+    """The paced, retrying driver behind both public load functions.
+
+    Request *index* goes to ``request_keys[index]`` (keyed wire form)
+    or, with no key list, to the single counter.  Returns the
+    :class:`LoadResult` fields and the per-key observed values.
+    """
+    arrivals = arrival_times(process, ops, rate, seed=seed)
+    pool = _ConnectionPool(host, port, max_connections, breaker)
+    loop = asyncio.get_running_loop()
+    jitter_rng = random.Random(seed ^ 0x5EED)
+    if attempt_timeout is None and deadline is not None:
+        attempt_timeout = 1.5 * deadline + 0.1
+    if retry is not None and retry_budget is None:
+        retry_budget = RetryBudget(ops * (retry.attempts - 1))
+    if rid_prefix is None and retry is not None:
+        rid_prefix = f"{default_rid_prefix}{seed}"
+    latencies: list[float] = []
+    values: list[int] = []
+    key_values: dict[str, list[int]] = {}
+    error_counts: dict[str, int] = {}
+    errors = 0
+    retries = 0
+
+    async def one(index: int, offset: float) -> None:
+        nonlocal errors, retries
+        target = start + offset
+        delay = target - loop.time()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        key = None if request_keys is None else request_keys[index]
+        rid = None if rid_prefix is None else f"{rid_prefix}-{index}"
+        attempts = retry.attempts if retry is not None else 1
+        for attempt in range(attempts):
+            try:
+                value = await _inc_once(
+                    pool, rid, deadline, timeout=attempt_timeout, key=key
+                )
+            except Exception as exc:
+                kind = _classify(exc)
+                can_retry = (
+                    retry is not None
+                    and attempt + 1 < attempts
+                    and kind in _RETRYABLE
+                    and (retry_budget is None or retry_budget.take())
+                )
+                if not can_retry:
+                    errors += 1
+                    error_counts[kind] = error_counts.get(kind, 0) + 1
+                    return
+                retries += 1
+                backoff = retry.delay(attempt, jitter_rng)
+                if backoff > 0:
+                    await asyncio.sleep(backoff)
+                continue
+            latencies.append(loop.time() - target)
+            values.append(value)
+            if key is not None:
+                key_values.setdefault(key, []).append(value)
+            return
+
+    start = loop.time()
+    try:
+        await asyncio.gather(
+            *(one(index, offset) for index, offset in enumerate(arrivals))
+        )
+    finally:
+        await pool.close()
+    fields = dict(
+        offered_rate=rate,
+        process=process,
+        sent=ops,
+        completed=len(values),
+        errors=errors,
+        duration=loop.time() - start,
+        final_value=max(values, default=-1) + 1,
+        latencies=latencies,
+        values=values,
+        error_counts=error_counts,
+        retries=retries,
+    )
+    return fields, key_values
+
+
 async def run_load(
     host: str,
     port: int,
@@ -367,76 +468,24 @@ async def run_load(
     connection cannot hang the generator.  *breaker* gates the
     connection pool.
     """
-    arrivals = arrival_times(process, ops, rate, seed=seed)
-    pool = _ConnectionPool(host, port, max_connections, breaker)
-    loop = asyncio.get_running_loop()
-    jitter_rng = random.Random(seed ^ 0x5EED)
-    if attempt_timeout is None and deadline is not None:
-        attempt_timeout = 1.5 * deadline + 0.1
-    if retry is not None and retry_budget is None:
-        retry_budget = RetryBudget(ops * (retry.attempts - 1))
-    if rid_prefix is None and retry is not None:
-        rid_prefix = f"lg{seed}"
-    latencies: list[float] = []
-    values: list[int] = []
-    error_counts: dict[str, int] = {}
-    errors = 0
-    retries = 0
-
-    async def one(index: int, offset: float) -> None:
-        nonlocal errors, retries
-        target = start + offset
-        delay = target - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        rid = None if rid_prefix is None else f"{rid_prefix}-{index}"
-        attempts = retry.attempts if retry is not None else 1
-        for attempt in range(attempts):
-            try:
-                value = await _inc_once(
-                    pool, rid, deadline, timeout=attempt_timeout
-                )
-            except Exception as exc:
-                kind = _classify(exc)
-                can_retry = (
-                    retry is not None
-                    and attempt + 1 < attempts
-                    and kind in _RETRYABLE
-                    and (retry_budget is None or retry_budget.take())
-                )
-                if not can_retry:
-                    errors += 1
-                    error_counts[kind] = error_counts.get(kind, 0) + 1
-                    return
-                retries += 1
-                backoff = retry.delay(attempt, jitter_rng)
-                if backoff > 0:
-                    await asyncio.sleep(backoff)
-                continue
-            latencies.append(loop.time() - target)
-            values.append(value)
-            return
-
-    start = loop.time()
-    try:
-        await asyncio.gather(
-            *(one(index, offset) for index, offset in enumerate(arrivals))
-        )
-    finally:
-        await pool.close()
-    return LoadResult(
-        offered_rate=rate,
+    fields, _ = await _drive(
+        host,
+        port,
+        ops,
+        rate,
+        None,
+        "lg",
         process=process,
-        sent=ops,
-        completed=len(values),
-        errors=errors,
-        duration=loop.time() - start,
-        final_value=max(values, default=-1) + 1,
-        latencies=latencies,
-        values=values,
-        error_counts=error_counts,
-        retries=retries,
+        seed=seed,
+        max_connections=max_connections,
+        retry=retry,
+        retry_budget=retry_budget,
+        deadline=deadline,
+        attempt_timeout=attempt_timeout,
+        breaker=breaker,
+        rid_prefix=rid_prefix,
     )
+    return LoadResult(**fields)
 
 
 async def run_keyed_load(
@@ -470,83 +519,25 @@ async def run_keyed_load(
     so :meth:`KeyedLoadResult.exactness_violations` can check the
     per-key exactly-once contract after the run.
     """
-    arrivals = arrival_times(process, ops, rate, seed=seed)
-    request_keys = zipf_keys(
-        keys, ops, skew=zipf, seed=seed ^ 0x6B65, prefix=key_prefix
-    )
-    pool = _ConnectionPool(host, port, max_connections, breaker)
-    loop = asyncio.get_running_loop()
-    jitter_rng = random.Random(seed ^ 0x5EED)
-    if attempt_timeout is None and deadline is not None:
-        attempt_timeout = 1.5 * deadline + 0.1
-    if retry is not None and retry_budget is None:
-        retry_budget = RetryBudget(ops * (retry.attempts - 1))
-    if rid_prefix is None and retry is not None:
-        rid_prefix = f"klg{seed}"
-    latencies: list[float] = []
-    values: list[int] = []
-    key_values: dict[str, list[int]] = {}
-    error_counts: dict[str, int] = {}
-    errors = 0
-    retries = 0
-
-    async def one(index: int, offset: float) -> None:
-        nonlocal errors, retries
-        target = start + offset
-        delay = target - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        key = request_keys[index]
-        rid = None if rid_prefix is None else f"{rid_prefix}-{index}"
-        attempts = retry.attempts if retry is not None else 1
-        for attempt in range(attempts):
-            try:
-                value = await _inc_once(
-                    pool, rid, deadline, timeout=attempt_timeout, key=key
-                )
-            except Exception as exc:
-                kind = _classify(exc)
-                can_retry = (
-                    retry is not None
-                    and attempt + 1 < attempts
-                    and kind in _RETRYABLE
-                    and (retry_budget is None or retry_budget.take())
-                )
-                if not can_retry:
-                    errors += 1
-                    error_counts[kind] = error_counts.get(kind, 0) + 1
-                    return
-                retries += 1
-                backoff = retry.delay(attempt, jitter_rng)
-                if backoff > 0:
-                    await asyncio.sleep(backoff)
-                continue
-            latencies.append(loop.time() - target)
-            values.append(value)
-            key_values.setdefault(key, []).append(value)
-            return
-
-    start = loop.time()
-    try:
-        await asyncio.gather(
-            *(one(index, offset) for index, offset in enumerate(arrivals))
-        )
-    finally:
-        await pool.close()
-    return KeyedLoadResult(
-        offered_rate=rate,
+    fields, key_values = await _drive(
+        host,
+        port,
+        ops,
+        rate,
+        zipf_keys(keys, ops, skew=zipf, seed=seed ^ 0x6B65, prefix=key_prefix),
+        "klg",
         process=process,
-        sent=ops,
-        completed=len(values),
-        errors=errors,
-        duration=loop.time() - start,
-        final_value=max(values, default=-1) + 1,
-        latencies=latencies,
-        values=values,
-        error_counts=error_counts,
-        retries=retries,
-        key_population=keys,
-        key_values=key_values,
+        seed=seed,
+        max_connections=max_connections,
+        retry=retry,
+        retry_budget=retry_budget,
+        deadline=deadline,
+        attempt_timeout=attempt_timeout,
+        breaker=breaker,
+        rid_prefix=rid_prefix,
+    )
+    return KeyedLoadResult(
+        **fields, key_population=keys, key_values=key_values
     )
 
 

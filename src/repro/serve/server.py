@@ -77,25 +77,49 @@ class LineProtocolService:
     :class:`CounterService` serves one counter;
     :class:`repro.serve.keyed.KeyedCounterService` serves a sharded
     keyspace of them.
+
+    It also owns the part of an increment's life that does not depend
+    on how the increment is executed: the draining refusal, the
+    deadline, the request-id ledger (:class:`DedupTable`), the
+    backlog-cap shed and the deadline-bounded wait for the value, with
+    the counters ``STATS`` reports for them.  *How* an admitted
+    increment runs — up to n leased processors overlapping in one
+    protocol, or one batch at a time per shard — is the subclass, as
+    is its ``backlog``.
     """
 
+    _PENDING: str
+    """How the deadline error words an accepted, unanswered operation."""
+
     def __init__(
-        self, host: str, port: int, config: ResilienceConfig
+        self, host: str, port: int, resilience: ResilienceConfig | None
     ) -> None:
         self.host = host
         self.port = port
-        self.config = config
+        self.config = (
+            resilience if resilience is not None else ResilienceConfig()
+        )
         self._server: asyncio.AbstractServer | None = None
         self._stopped = asyncio.Event()
         self._draining = False
         self._handlers: set[asyncio.Task] = set()
         self._client_writers: set[asyncio.StreamWriter] = set()
         self._overlong = 0
+        self._dedup = DedupTable(self.config.dedup_capacity)
+        self._served = 0
+        self._shed = 0
+        self._expired = 0
+        self._deduped = 0
 
     @property
     def address(self) -> str:
         """``host:port`` once started."""
         return f"{self.host}:{self.port}"
+
+    @property
+    def served(self) -> int:
+        """Committed ``INC`` operations so far."""
+        return self._served
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -140,13 +164,91 @@ class LineProtocolService:
             await asyncio.wait(list(self._handlers), timeout=2.0)
         self._stopped.set()
 
-    async def serve_forever(self) -> None:
-        """:meth:`start` then run until shut down."""
+    async def serve_forever(self, *, announce: bool = False) -> None:
+        """:meth:`start` then run until shut down.
+
+        With *announce* the bound address is printed as ``SERVING
+        <spec> n=<n> [shards=<k>] <host>:<port>`` once the socket is
+        ready — machine-readable, so scripts (the CI smoke test) can
+        bind port 0 and discover the real port.
+        """
         await self.start()
+        if announce:
+            print(f"SERVING {self._identity()} {self.address}", flush=True)
         await self.wait_closed()
+
+    def _identity(self) -> str:
+        """What the announce line says is being served."""
+        raise NotImplementedError
 
     async def _drain_work(self, drain: bool) -> None:
         """Subclass hook: settle or fail in-flight work during stop."""
+
+    # ------------------------------------------------------------------
+    # The request lifecycle both services share
+    # ------------------------------------------------------------------
+    def _begin_inc(
+        self, rid: str | None, deadline: float | None
+    ) -> tuple[float | None, asyncio.Future[int] | None]:
+        """Open one increment: refusal, deadline, request-id dedup.
+
+        Returns the absolute expiry (``None`` = no deadline) and, when
+        *rid* names an operation already accepted, that operation's
+        future — the caller awaits it instead of incrementing again.
+        A new *rid* is entered in the ledger.
+        """
+        if self._draining:
+            raise ServiceStoppedError("service is shutting down")
+        loop = asyncio.get_running_loop()
+        if deadline is None:
+            deadline = self.config.default_deadline
+        expires = None if deadline is None else loop.time() + deadline
+        if rid is not None:
+            existing = self._dedup.get(rid)
+            if existing is not None:
+                self._deduped += 1
+                return expires, existing.future
+            self._dedup.create(rid, loop.create_future())
+        return expires, None
+
+    def _shed_if_full(self, rid: str | None) -> None:
+        """Refuse an arrival past the backlog cap, releasing its *rid*."""
+        cap = self.config.max_backlog
+        if cap is None or self.backlog < cap:
+            return
+        self._shed += 1
+        error = OverloadedError(
+            f"admission backlog full ({self.backlog} waiting, cap {cap})"
+        )
+        if rid is not None:
+            self._dedup.fail(rid, error)
+        raise error
+
+    async def _await_value(self, awaitable: Any, expires: float | None) -> int:
+        """Await an operation's value (or rid future) under the deadline."""
+        if expires is None:
+            return await asyncio.shield(awaitable)
+        loop = asyncio.get_running_loop()
+        try:
+            return await asyncio.wait_for(
+                asyncio.shield(awaitable), max(0.0, expires - loop.time())
+            )
+        except asyncio.TimeoutError:
+            self._expired += 1
+            raise DeadlineExceededError(
+                f"deadline expired with the operation {self._PENDING}; it "
+                "will commit in the background — retry with the same request "
+                "id for its value"
+            ) from None
+
+    def _resilience_stats(self) -> dict[str, int]:
+        """The ``shed expired deduped rid_committed`` run of ``STATS``."""
+        return {
+            "shed": self._shed,
+            "expired": self._expired,
+            "deduped": self._deduped,
+            "rid_committed": self._dedup.committed_total,
+        }
 
     # ------------------------------------------------------------------
     # The TCP side
@@ -247,6 +349,8 @@ class CounterService(LineProtocolService):
             defaults to bounded backlog, no default deadline.
     """
 
+    _PENDING = "in flight"
+
     def __init__(
         self,
         spec: str,
@@ -278,11 +382,7 @@ class CounterService(LineProtocolService):
             runtime="asyncio",
             time_scale=time_scale,
         )
-        super().__init__(
-            host,
-            port,
-            resilience if resilience is not None else ResilienceConfig(),
-        )
+        super().__init__(host, port, resilience)
         self._pump_task: asyncio.Task | None = None
         self._work = asyncio.Event()
         self._pid_pool: asyncio.Queue[int] = asyncio.Queue()
@@ -290,13 +390,8 @@ class CounterService(LineProtocolService):
             self._pid_pool.put_nowait(pid)
         self._waiters: dict[int, asyncio.Future[int]] = {}
         self._commits: set[asyncio.Task[int]] = set()
-        self._dedup = DedupTable(self.config.dedup_capacity)
         self._op_index = 0
-        self._served = 0
         self._backlog = 0
-        self._shed = 0
-        self._expired = 0
-        self._deduped = 0
         self._install_result_hook()
 
     # ------------------------------------------------------------------
@@ -313,11 +408,6 @@ class CounterService(LineProtocolService):
         return self.session.n
 
     @property
-    def served(self) -> int:
-        """Committed ``INC`` operations so far (= the counter's value)."""
-        return self._served
-
-    @property
     def inflight(self) -> int:
         """Operations currently between injection and result delivery."""
         return len(self._waiters)
@@ -326,6 +416,9 @@ class CounterService(LineProtocolService):
     def backlog(self) -> int:
         """Admitted operations waiting for a free processor."""
         return self._backlog
+
+    def _identity(self) -> str:
+        return f"{self.spec} n={self.n}"
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -422,19 +515,11 @@ class CounterService(LineProtocolService):
             ServiceStoppedError: the service is draining or stopped.
             DeadlineExceededError: the deadline expired first.
         """
-        if self._draining:
-            raise ServiceStoppedError("service is shutting down")
-        loop = asyncio.get_running_loop()
-        if deadline is None:
-            deadline = self.config.default_deadline
-        expires = None if deadline is None else loop.time() + deadline
-        entry = None
-        if rid is not None:
-            existing = self._dedup.get(rid)
-            if existing is not None:
-                self._deduped += 1
-                return await self._await_value(existing.future, expires)
-            entry = self._dedup.create(rid, loop.create_future())
+        expires, original = self._begin_inc(rid, deadline)
+        if original is not None:
+            return await self._await_value(original, expires)
+        if self._pid_pool.empty():
+            self._shed_if_full(rid)
         try:
             pid = await self._admit(expires)
         except BaseException as exc:
@@ -443,6 +528,7 @@ class CounterService(LineProtocolService):
             if rid is not None:
                 self._dedup.fail(rid, exc)
             raise
+        loop = asyncio.get_running_loop()
         future: asyncio.Future[int] = loop.create_future()
         self._waiters[pid] = future
         op_index = self._op_index
@@ -455,17 +541,7 @@ class CounterService(LineProtocolService):
         return await self._await_value(commit, expires)
 
     async def _admit(self, expires: float | None) -> int:
-        """Lease a processor id, shedding or expiring as configured."""
-        if (
-            self.config.max_backlog is not None
-            and self._pid_pool.empty()
-            and self._backlog >= self.config.max_backlog
-        ):
-            self._shed += 1
-            raise OverloadedError(
-                f"admission backlog full ({self._backlog} waiting, "
-                f"cap {self.config.max_backlog})"
-            )
+        """Lease a processor id, expiring as configured."""
         loop = asyncio.get_running_loop()
         self._backlog += 1
         try:
@@ -482,23 +558,6 @@ class CounterService(LineProtocolService):
                 ) from None
         finally:
             self._backlog -= 1
-
-    async def _await_value(self, awaitable: Any, expires: float | None) -> int:
-        """Await a commit (task or rid future) under the deadline."""
-        if expires is None:
-            return await asyncio.shield(awaitable)
-        loop = asyncio.get_running_loop()
-        try:
-            return await asyncio.wait_for(
-                asyncio.shield(awaitable), max(0.0, expires - loop.time())
-            )
-        except asyncio.TimeoutError:
-            self._expired += 1
-            raise DeadlineExceededError(
-                "deadline expired with the operation in flight; it will "
-                "commit in the background — retry with the same request "
-                "id for its value"
-            ) from None
 
     async def _commit(
         self, pid: int, future: asyncio.Future[int], rid: str | None
@@ -539,10 +598,7 @@ class CounterService(LineProtocolService):
             "served": self._served,
             "inflight": self.inflight,
             "backlog": self._backlog,
-            "shed": self._shed,
-            "expired": self._expired,
-            "deduped": self._deduped,
-            "rid_committed": self._dedup.committed_total,
+            **self._resilience_stats(),
             "messages": trace.total_messages if trace.keeps_loads else "na",
         }
 
@@ -601,12 +657,9 @@ async def serve_counter(
 ) -> None:
     """Convenience runner: build a :class:`CounterService` and serve.
 
-    With *announce* the bound address is printed as
-    ``SERVING <spec> n=<n> <host>:<port>`` once the socket is ready —
-    machine-readable, so scripts (the CI smoke test) can bind port 0 and
-    discover the real port.
+    *announce* is :meth:`LineProtocolService.serve_forever`'s.
     """
-    service = CounterService(
+    await CounterService(
         spec,
         n,
         host,
@@ -615,11 +668,4 @@ async def serve_counter(
         seed=seed,
         time_scale=time_scale,
         resilience=resilience,
-    )
-    await service.start()
-    if announce:
-        print(
-            f"SERVING {service.spec} n={service.n} {service.address}",
-            flush=True,
-        )
-    await service.wait_closed()
+    ).serve_forever(announce=announce)

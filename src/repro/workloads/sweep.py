@@ -57,9 +57,8 @@ network (the paper's model), ``"reliable"`` wraps the counter behind
 
 DEFAULT_SERIAL_THRESHOLD = 8
 """Grids smaller than this run serially even when workers were requested:
-forking a pool costs more than it saves on a handful of points (the
-benchmark grid showed ``parallel_4_workers`` losing to ``serial`` on a
-6-point sweep).  Outcomes are identical either way, so the fallback is
+forking a pool costs more than it saves on a handful of points (four
+workers lost to the serial run on a 6-point sweep when this was set).  Outcomes are identical either way, so the fallback is
 purely a wall-time decision."""
 
 

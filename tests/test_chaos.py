@@ -10,6 +10,7 @@ arithmetic the resilience layer promises.
 from __future__ import annotations
 
 import asyncio
+import socket
 import time
 
 import pytest
@@ -250,19 +251,21 @@ class TestChaosProxyBehavior:
 
     def test_dead_upstream_aborts_the_client(self):
         async def go():
-            service = await _serve()
-            port = service.port
-            await service.stop()  # release the port: upstream is dead
-            proxy = ChaosProxy("127.0.0.1", port)
-            await proxy.start()
-            try:
+            # a bound socket that never listens: dialing it is refused,
+            # and while it stays open the OS cannot hand its port to
+            # the proxy's own port-0 listener
+            with socket.socket() as dead:
+                dead.bind(("127.0.0.1", 0))
+                proxy = ChaosProxy("127.0.0.1", dead.getsockname()[1])
+                await proxy.start()
                 try:
-                    answer = await _inc_via(proxy, timeout=1.0)
-                except (ConnectionResetError, BrokenPipeError):
-                    answer = b""
-                return answer, dict(proxy.stats)
-            finally:
-                await proxy.stop()
+                    try:
+                        answer = await _inc_via(proxy, timeout=1.0)
+                    except (ConnectionResetError, BrokenPipeError):
+                        answer = b""
+                    return answer, dict(proxy.stats)
+                finally:
+                    await proxy.stop()
 
         answer, stats = asyncio.run(go())
         assert answer == b""

@@ -1,13 +1,15 @@
 """Documentation conformance: the docs must match the code.
 
 These meta-tests keep README/DESIGN/EXPERIMENTS honest: the quickstart
-executes, the experiment index covers the registry, and every public
-module carries documentation.
+executes, the experiment index covers the registry, every public
+module carries documentation, and the two homes of a number — ``bench/``
+for clocks, ``repro experiment`` for counts — stay the only two.
 """
 
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import re
@@ -138,3 +140,67 @@ class TestGeneratedApiReference:
             assert f"## `{module_name}`" in api, (
                 f"{module_name} missing from docs/api.md"
             )
+
+
+class TestOnePlaceANumberComesFrom:
+    """The in-package bench harness is gone and nothing points at it."""
+
+    # spelled in halves so this file does not match itself
+    RETIRED = [
+        "BENCH" + "_simulator",
+        "bench" + "_to_json",
+        "repro" + " bench",
+        "repro" + ".bench",
+    ]
+    HISTORY = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
+    UNTRACKED = {".git", ".hypothesis", ".pytest_cache", "__pycache__"}
+
+    def test_nothing_mentions_the_retired_harness(self):
+        hits = []
+        for path in ROOT.rglob("*"):
+            if self.UNTRACKED & set(path.parts) or not path.is_file():
+                continue
+            if path.suffix not in (".md", ".py", ".yml") and (
+                path.name != "Makefile"
+            ):
+                continue
+            if path.parent == ROOT and path.name in self.HISTORY:
+                continue
+            text = path.read_text(errors="replace")
+            hits += [
+                f"{path.relative_to(ROOT)}: {name}"
+                for name in self.RETIRED
+                if name in text
+            ]
+        assert not hits, f"retired bench harness still referenced: {hits}"
+
+    def test_bench_is_not_a_subcommand(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_experiment_table_covers_exactly_the_committed_results(self):
+        from repro.experiments import REGISTRY
+
+        spec = importlib.util.spec_from_file_location(
+            "benchmarks_test_experiments",
+            ROOT / "benchmarks" / "test_experiments.py",
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        committed = {
+            path.name
+            for path in (ROOT / "benchmarks" / "results").glob("E*.txt")
+        }
+        rows = {
+            f"{experiment_id}_{row.slug}.txt"
+            for experiment_id, row in module.EXPERIMENTS.items()
+        }
+        assert rows == committed
+        # E24-E27 never had a committed table (E26/E27 are wall-clock
+        # trials); anything newer needs a row and a committed table
+        unlisted = set(REGISTRY) - set(module.EXPERIMENTS)
+        assert unlisted == {"E24", "E25", "E26", "E27"}

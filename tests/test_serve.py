@@ -1,8 +1,8 @@
 """Tests for the live serving layer: CounterService + the load generator.
 
 Everything runs in-process on loopback sockets with ``time_scale=0`` so
-the suite stays fast; the wall-clock saturation behavior is exercised by
-the ``serving`` benchmark grid instead.
+the suite stays fast; wall-clock saturation needs ``time_scale > 0``
+(E26, or ``repro serve --time-scale`` + ``repro loadgen --rates``).
 """
 
 from __future__ import annotations
@@ -352,6 +352,72 @@ class TestLoadGenerator:
 
         with pytest.raises(ValueError, match="ascending"):
             asyncio.run(go())
+
+
+class TestLoadgenWireText:
+    """Both public load functions drive one private coroutine; what each
+    puts on the wire is pinned here against a server that only records."""
+
+    @staticmethod
+    def _record(drive):
+        async def go():
+            lines: list[str] = []
+
+            async def answer(reader, writer):
+                while line := await reader.readline():
+                    lines.append(line.decode("ascii").rstrip("\n"))
+                    writer.write(f"OK {len(lines) - 1}\n".encode("ascii"))
+                    await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_server(answer, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                result = await drive("127.0.0.1", port)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return lines, result
+
+        return asyncio.run(go())
+
+    def test_unkeyed_requests(self):
+        from repro.serve import RetryPolicy
+
+        lines, result = self._record(
+            lambda host, port: run_load(
+                host, port, ops=12, rate=2000.0, seed=0,
+                retry=RetryPolicy(attempts=2), deadline=0.5,
+            )
+        )
+        assert sorted(lines) == sorted(f"INC lg0-{i} 500" for i in range(12))
+        assert type(result) is LoadResult
+        assert (result.completed, result.errors) == (12, 0)
+
+    def test_unkeyed_requests_without_retry_carry_no_rid(self):
+        lines, _ = self._record(
+            lambda host, port: run_load(host, port, ops=3, rate=2000.0)
+        )
+        assert lines == ["INC"] * 3
+
+    def test_keyed_requests(self):
+        from repro.serve import KeyedLoadResult, RetryPolicy, run_keyed_load
+        from repro.workloads.sequences import zipf_keys
+
+        lines, result = self._record(
+            lambda host, port: run_keyed_load(
+                host, port, ops=12, rate=2000.0, seed=0, keys=8, zipf=1.1,
+                retry=RetryPolicy(attempts=2), deadline=0.5,
+            )
+        )
+        keys = zipf_keys(8, 12, skew=1.1, seed=0 ^ 0x6B65, prefix="k")
+        assert sorted(lines) == sorted(
+            f"INC {key} klg0-{i} 500" for i, key in enumerate(keys)
+        )
+        assert type(result) is KeyedLoadResult
+        assert result.key_population == 8
+        assert sorted(result.key_values) == sorted(set(keys))
+        assert sum(map(len, result.key_values.values())) == 12
 
 
 class TestLoadResultMath:
