@@ -198,6 +198,16 @@ class DistributedCounter(ABC):
             raise ProtocolError(f"no inc result was delivered to processor {pid}")
         return results[-1]
 
+    def release_results(self, pid: ProcessorId) -> None:
+        """Forget the values (and times) delivered to *pid* so far.
+
+        For owners that consume each result as it arrives (a serving
+        shard reads it through its own hook): the two histories are the
+        only counter state that grows with the number of operations.
+        """
+        self._results.pop(pid, None)
+        self._result_times.pop(pid, None)
+
     def all_results(self) -> list[int]:
         """Every value handed out, across all processors (unordered)."""
         values: list[int] = []

@@ -89,8 +89,7 @@ class TreeGeometry:
 
         Paper shapes are interned: the geometry is immutable after
         construction, so repeated sessions at the same ``k`` share one
-        instance (this is what makes per-shape construction plans — the
-        role-wiring cache in :mod:`repro.core.tree.roles` — pay off).
+        instance.
         """
         shape = _PAPER_SHAPES.get(k)
         if shape is None:

@@ -24,11 +24,11 @@ unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.core.tree.geometry import ROOT, NodeAddr, TreeGeometry
 from repro.core.tree.policy import IntervalMode, TreePolicy
+from repro.core.tree.protocol import leaf_key, node_key
 from repro.sim.messages import OpIndex, ProcessorId
 
 
@@ -48,7 +48,6 @@ class NodeRole:
             leaves, keyed by ``("leaf", pid)`` with fixed worker = pid.
         value: the counter value (root only; None elsewhere).
         retire_count: how many times this node has retired a worker.
-        tenure_start_load: bookkeeping for per-tenure statistics.
     """
 
     addr: NodeAddr
@@ -90,102 +89,47 @@ class RetirementEvent:
     time: float
 
 
-@lru_cache(maxsize=64)
-def _role_plan(
-    arity: int, depth: int
-) -> tuple[tuple[NodeAddr, ProcessorId, int, tuple, int], ...]:
-    """The immutable construction plan of one tree shape.
-
-    One row per inner node in level order: ``(addr, initial_worker,
-    parent_row_index, node_key, leaf_base)`` — ``parent_row_index`` is
-    -1 for the root, ``leaf_base`` is the pid preceding the node's first
-    leaf child on the last inner level and -1 elsewhere.  Everything in
-    a row is immutable (``NodeAddr`` is frozen), so the plan is shared
-    across every :class:`RoleRegistry` built for the same shape —
-    session construction replays the plan instead of redoing the
-    interval arithmetic (the measured RunSession-rate bottleneck).
-    """
-    rows: list[tuple[NodeAddr, ProcessorId, int, tuple, int]] = [
-        (ROOT, 1, -1, ("node", 0, 0), -1)
-    ]
-    band = arity**depth
-    row_of_addr = {ROOT: 0}
-    for level in range(1, depth + 1):
-        # id_interval(level, index) starts at
-        # (level-1)*band + index*width + 1 with width ids per node.
-        width = arity ** (depth - level)
-        level_base = (level - 1) * band + 1
-        last_level = level == depth
-        for index in range(arity**level):
-            addr = NodeAddr(level, index)
-            worker = level_base + index * width
-            parent_row = row_of_addr[NodeAddr(level - 1, index // arity)]
-            leaf_base = index * arity if last_level else -1
-            row_of_addr[addr] = len(rows)
-            rows.append(
-                (addr, worker, parent_row, ("node", level, index), leaf_base)
-            )
-    return tuple(rows)
-
-
 class RoleRegistry:
-    """Creates, tracks and retires all node roles of one tree counter."""
+    """Tracks and retires the node roles of one tree counter.
+
+    A role exists from the first time it is asked for.  Before that its
+    state is arithmetic on :class:`TreeGeometry` — initial worker, the
+    parent's and the children's initial workers — and nothing but a
+    message to its worker can change it, so building it late yields
+    exactly the object an up-front build would hold at that moment.
+    """
 
     def __init__(self, geometry: TreeGeometry, policy: TreePolicy) -> None:
         self._geometry = geometry
         self._policy = policy
         self._roles: dict[NodeAddr, NodeRole] = {}
-        self._worker_of_role: dict[NodeAddr, ProcessorId] = {}
         self._inner_worker_index: dict[ProcessorId, NodeAddr] = {}
         self._retirements: list[RetirementEvent] = []
-        self._root_walk_next: ProcessorId = 0
-        self._build_roles()
+        self._root_walk_next: ProcessorId = geometry.initial_worker(ROOT) + 1
 
-    def _build_roles(self) -> None:
-        """Create and wire every role by replaying the shape's plan.
-
-        Parents exist before their children, so each non-root role wires
-        itself into its parent at creation — no second wiring pass over
-        the whole tree.  All shape arithmetic lives in the cached
-        :func:`_role_plan`, so building the 10^5-leaf tree is O(nodes)
-        dict and list appends — and repeat constructions of the same
-        shape skip the arithmetic entirely.  Orders match the old
-        two-pass construction exactly: ``child_addrs`` and
-        ``children_workers`` fill in child index order.
-        """
+    def _build_role(self, addr: NodeAddr) -> NodeRole:
+        """Create *addr*'s role in the state the scheme gives it initially."""
         geometry = self._geometry
-        arity = geometry.arity
-        roles = self._roles
-        worker_of_role = self._worker_of_role
-        inner_worker_index = self._inner_worker_index
-        built: list[NodeRole] = []
-        for addr, worker, parent_row, key, leaf_base in _role_plan(
-            arity, geometry.depth
-        ):
-            if parent_row < 0:
-                role = NodeRole(addr=addr, worker=worker)
-                role.value = 0
-                self._root_walk_next = worker + 1
-            else:
-                parent = built[parent_row]
-                role = NodeRole(
-                    addr=addr,
-                    worker=worker,
-                    parent_addr=parent.addr,
-                    parent_worker=parent.worker,
-                )
-                parent.child_addrs.append(addr)
-                parent.children_workers[key] = worker
-                inner_worker_index[worker] = addr
-                if leaf_base >= 0:
-                    leaf_workers = role.children_workers
-                    for c in range(arity):
-                        leaf_workers[("leaf", leaf_base + c + 1)] = (
-                            leaf_base + c + 1
-                        )
-            built.append(role)
-            roles[addr] = role
-            worker_of_role[addr] = worker
+        try:
+            child_addrs = geometry.children(addr)
+        except ConfigurationError:
+            raise ConfigurationError(f"no inner node at {addr}") from None
+        if child_addrs:
+            beliefs = {node_key(c): geometry.initial_worker(c) for c in child_addrs}
+        else:  # last inner level: the children are leaves
+            beliefs = {leaf_key(pid): pid for pid in geometry.leaf_children(addr)}
+        worker = geometry.initial_worker(addr)
+        role = NodeRole(
+            addr=addr, worker=worker, child_addrs=child_addrs, children_workers=beliefs
+        )
+        if addr.is_root:
+            role.value = 0
+        else:
+            role.parent_addr = geometry.parent(addr)
+            role.parent_worker = geometry.initial_worker(role.parent_addr)
+            self._inner_worker_index[worker] = addr
+        self._roles[addr] = role
+        return role
 
     # ------------------------------------------------------------------
     # Lookup
@@ -201,24 +145,21 @@ class RoleRegistry:
         return self._policy
 
     def role(self, addr: NodeAddr) -> NodeRole:
-        """The role object of inner node *addr*."""
-        try:
-            return self._roles[addr]
-        except KeyError:
-            raise ConfigurationError(f"no inner node at {addr}") from None
+        """The role object of inner node *addr*, built on first request."""
+        role = self._roles.get(addr)
+        return role if role is not None else self._build_role(addr)
 
     def root(self) -> NodeRole:
         """The root role (holder of the counter value)."""
-        return self._roles[ROOT]
+        return self.role(ROOT)
 
     def all_roles(self) -> list[NodeRole]:
         """Every role, root first, in level order.
 
-        ``_roles`` is populated in exactly this order (see
-        :meth:`_build_roles`), so this is a plain dict walk — no address
-        materialization.
+        Builds every node nothing has addressed yet — for analysis and
+        tests, which want the whole tree; the protocol never calls it.
         """
-        return list(self._roles.values())
+        return [self.role(addr) for addr in self._geometry.all_nodes()]
 
     @property
     def retirements(self) -> list[RetirementEvent]:
@@ -282,6 +223,12 @@ class RoleRegistry:
         is_root = role.parent_addr is None
         if not is_root:
             current_owner = self._inner_worker_index.get(new_worker)
+            if current_owner is None:
+                # A node nothing has addressed yet still has its initial
+                # worker (a built one is in the index until it retires).
+                initial = self._geometry.initially_worked_node(new_worker)
+                if initial is not None and initial not in self._roles:
+                    current_owner = initial
             if current_owner is not None and current_owner != role.addr:
                 raise ProtocolError(
                     f"processor {new_worker} would work for both "
@@ -301,7 +248,6 @@ class RoleRegistry:
         role.worker = new_worker
         role.age = 0
         role.retire_count += 1
-        self._worker_of_role[role.addr] = new_worker
         if is_root:
             self._root_walk_next = new_worker + 1
         else:

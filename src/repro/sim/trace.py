@@ -95,6 +95,7 @@ class Trace:
         self._op_counts: defaultdict[OpIndex, int] = defaultdict(int)
         self._by_op: defaultdict[OpIndex, list[MessageRecord]] = defaultdict(list)
         self._footprints: dict[OpIndex, set[ProcessorId]] = {}
+        self._sealed_footprints: dict[OpIndex, tuple[ProcessorId, ...]] = {}
         self._faults: list["FaultRecord"] = []
         self._fault_counts: dict[str, int] = {}
 
@@ -177,6 +178,21 @@ class Trace:
                 footprint.add(sender)
                 footprint.add(receiver)
 
+    def seal_op(self, op_index: OpIndex) -> None:
+        """Pack a finished operation's footprint into a tuple.
+
+        A run keeps one footprint per operation until the end, and a
+        ``set`` is the most expensive way to hold a few ids nobody will
+        add to.  The owner calls this at the operation's quiescence
+        barrier; :meth:`footprint` answers from the sealed and the live
+        part together, so a message that still arrives for a sealed
+        operation is counted, not lost.
+        """
+        live = self._footprints.pop(op_index, None)
+        if live:
+            sealed = self._sealed_footprints
+            sealed[op_index] = sealed.get(op_index, ()) + tuple(live)
+
     def release_op(self, op_index: OpIndex) -> None:
         """Forget a finished operation's message count and footprint.
 
@@ -191,6 +207,7 @@ class Trace:
         if self._level is TraceLevel.LOADS:
             self._op_counts.pop(op_index, None)
             self._footprints.pop(op_index, None)
+            self._sealed_footprints.pop(op_index, None)
 
     def record_fault(self, record: "FaultRecord") -> None:
         """Record one injected fault as a first-class trace event.
@@ -340,7 +357,9 @@ class Trace:
         empty footprint).
         """
         self._require_loads("Trace.footprint")
-        return frozenset(self._footprints.get(op_index, frozenset()))
+        return frozenset(self._sealed_footprints.get(op_index, ())).union(
+            self._footprints.get(op_index, ())
+        )
 
     def load_within_op(self, op_index: OpIndex) -> dict[ProcessorId, int]:
         """Per-processor message load restricted to one operation."""

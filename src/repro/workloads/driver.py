@@ -126,7 +126,11 @@ def _sequential_outcome(
     increase" (*last_required* is the previous such value): adversarial
     operations may or may not commit, so the absolute sequence shifts,
     but a correct counter still never hands out a duplicate.
+
+    The network is quiescent here, so the operation's footprint is
+    final: it is sealed into its compact form before anything else.
     """
+    trace.seal_op(op_index)
     after = counter.results_for(pid)
     got = len(after) - len(before)
     if pid in optional and got != 1:

@@ -74,6 +74,20 @@ class TestResultBookkeeping:
         assert times == sorted(times)
         assert len(times) == 3
 
+    def test_release_results_forgets_one_processors_history(self):
+        counter = CentralCounter(Network(), 4)
+        run_sequence(counter, [2, 3, 2])
+        counter.release_results(2)
+        counter.release_results(4)  # nothing delivered yet: nothing to do
+        assert counter.results_for(2) == [] == counter.result_times_for(2)
+        assert counter.results_for(3) == [1]
+        with pytest.raises(ProtocolError):
+            counter.last_result_for(2)
+        # the counter itself is untouched: the next value is still 3
+        counter.begin_inc(2, 3)
+        counter.network.run_until_quiescent()
+        assert counter.results_for(2) == [3]
+
 
 class TestFactoryProtocol:
     def test_class_is_a_factory(self):

@@ -6,21 +6,30 @@ tests pin the three promises behind that: a run on a network where
 every worker was built up front is indistinguishable from the lazy run;
 the lazy table survives ``copy.deepcopy`` (the lower-bound adversary
 and the explorer clone live networks); and an unmaterialised id is
-registered in every observable sense.  The last class counts
+registered in every observable sense.  The registry's node roles are
+likewise built the first time they are asked for: ``TestRolesOnDemand``
+pins the first promise for them, the deep-copy test covers both, and
+``TestNoAliasingAcrossTheBuildBoundary`` the one check that has to
+reason about roles that do not exist yet.  The last class counts
 constructions instead of timing them.
 """
 
 from __future__ import annotations
 
 import copy
+import re
 
 import pytest
 
 from repro.core import TreeCounter
+from repro.core.tree.geometry import ROOT, NodeAddr, TreeGeometry
+from repro.core.tree.policy import TreePolicy
+from repro.core.tree.roles import RoleRegistry
 from repro.core.tree.worker import TreeWorker
 from repro.errors import (
     ConfigurationError,
     DuplicateProcessorError,
+    ProtocolError,
     UnknownProcessorError,
 )
 from repro.registry import RunSession
@@ -112,6 +121,18 @@ class TestEagerLazyEquivalence:
             assert keys == expected
 
 
+def _role_state(registry: RoleRegistry) -> list[tuple]:
+    """Every field of every role, in level order (forces the build)."""
+    return [
+        (
+            role.addr, role.worker, role.age, role.parent_addr,
+            role.parent_worker, list(role.child_addrs),
+            dict(role.children_workers), role.value, role.retire_count,
+        )
+        for role in registry.all_roles()
+    ]
+
+
 class TestDeepcopyMidRun:
     @pytest.mark.parametrize("reliable", [False, True])
     def test_clone_finishes_identically_and_owns_its_workers(self, reliable):
@@ -137,6 +158,8 @@ class TestDeepcopyMidRun:
             rest = []
         before = set(session.network.materialised_ids())
         assert 0 < len(before) < _requirement(session)
+        roles_before = set(session.counter.registry._roles)
+        assert 0 < len(roles_before) < session.counter.geometry.total_inner_nodes()
 
         clone = copy.deepcopy(session)
         for each in (session, clone):
@@ -163,6 +186,121 @@ class TestDeepcopyMidRun:
             assert worker._counter is clone.counter
             assert worker.network is fabric
             assert worker is not session.counter.worker(pid)
+
+        # The same for node roles: built before the copy or by the clone
+        # afterwards, they are the clone's own and end in the same state.
+        ours, theirs = session.counter.registry, clone.counter.registry
+        assert list(theirs._roles) == list(ours._roles)
+        roles_built_later = set(theirs._roles) - roles_before
+        assert roles_built_later
+        for addr in (min(roles_before), min(roles_built_later)):
+            assert theirs.role(addr) is not ours.role(addr)
+        assert _role_state(theirs) == _role_state(ours)
+
+
+class TestRolesOnDemand:
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_building_every_role_up_front_changes_nothing(self, name):
+        args, kwargs, rounds = RUNS[name]
+        lazy = RunSession(*args, **kwargs)
+        eager = RunSession(*args, **kwargs)
+        total = eager.counter.geometry.total_inner_nodes()
+        assert len(eager.counter.registry.all_roles()) == total
+        assert len(eager.counter.registry._roles) == total
+        assert len(lazy.counter.registry._roles) == 0
+
+        assert _observed(lazy, rounds) == _observed(eager, rounds)
+        if lazy.n < lazy.counter.geometry.leaf_count:
+            assert len(lazy.counter.registry._roles) < total
+        # ... and the roles the lazy run never built are, once asked for,
+        # what the eager run is left with.
+        assert _role_state(lazy.counter.registry) == _role_state(
+            eager.counter.registry
+        )
+
+    def test_a_role_first_asked_for_after_the_run_has_its_initial_state(self):
+        session = RunSession("ww-tree", 100)
+        session.run_sequence()
+        registry, geometry = session.counter.registry, session.counter.geometry
+        unbuilt = [a for a in geometry.all_nodes() if a not in registry._roles]
+        assert unbuilt and ROOT not in unbuilt
+        for addr in unbuilt:
+            role = registry.role(addr)
+            assert role is registry.role(addr)
+            assert (role.worker, role.age, role.retire_count, role.value) == (
+                geometry.initial_worker(addr), 0, 0, None,
+            )
+            parent = geometry.parent(addr)
+            assert role.parent_addr == parent
+            assert role.parent_worker == geometry.initial_worker(parent)
+            assert role.child_addrs == geometry.children(addr)
+            if addr.level == geometry.depth:
+                expected = {("leaf", p): p for p in geometry.leaf_children(addr)}
+            else:
+                expected = {
+                    ("node", c.level, c.index): geometry.initial_worker(c)
+                    for c in geometry.children(addr)
+                }
+            assert role.children_workers == expected
+            assert list(role.children_workers) == list(expected)
+
+    def test_all_roles_is_level_order_whatever_was_built_first(self):
+        registry = RoleRegistry(
+            TreeGeometry.paper_shape(3), TreePolicy.paper_default(3)
+        )
+        registry.role(NodeAddr(3, 26))
+        registry.role(NodeAddr(1, 2))
+        assert [r.addr for r in registry.all_roles()] == registry.geometry.all_nodes()
+        assert registry.root() is registry.role(ROOT) is registry.all_roles()[0]
+        for bad in (NodeAddr(4, 0), NodeAddr(0, 1), NodeAddr(2, 9), NodeAddr(1, -1)):
+            with pytest.raises(ConfigurationError, match="no inner node"):
+                registry.role(bad)
+        assert len(registry._roles) == registry.geometry.total_inner_nodes()
+
+
+class TestNoAliasingAcrossTheBuildBoundary:
+    """``commit_retirement`` refuses a successor that works for another
+    inner node — whether or not anything has asked for that node yet."""
+
+    def _registry(self):
+        # 3^4 shape: node(1,0) owns ids 1..9, node(1,1) starts at 10,
+        # node(2,0) starts at 28.
+        return RoleRegistry(TreeGeometry.paper_shape(3), TreePolicy.paper_default(3))
+
+    def test_successor_is_the_initial_worker_of_a_never_built_role(self):
+        registry = self._registry()
+        role = registry.role(NodeAddr(1, 0))
+        for taken, owner in ((10, "node(1,1)"), (28, "node(2,0)")):
+            with pytest.raises(ProtocolError, match=re.escape(f"both {owner} and")):
+                registry.commit_retirement(role, taken, op_index=0, time=0.0)
+        assert NodeAddr(1, 1) not in registry._roles  # the check built nothing
+        assert role.retire_count == 0 and registry.retirements == []
+
+    def test_successor_is_the_worker_of_a_built_role_that_has_not_retired(self):
+        registry = self._registry()
+        role, other = registry.role(NodeAddr(1, 0)), registry.role(NodeAddr(1, 1))
+        with pytest.raises(ProtocolError, match="interval discipline"):
+            registry.commit_retirement(role, other.worker, op_index=0, time=0.0)
+
+    def test_no_error_once_that_role_has_moved_on(self):
+        registry = self._registry()
+        role, other = registry.role(NodeAddr(1, 0)), registry.role(NodeAddr(1, 1))
+        registry.commit_retirement(other, 11, op_index=0, time=0.0)
+        registry.commit_retirement(role, 10, op_index=1, time=0.0)
+        assert (role.worker, other.worker) == (10, 11)
+        # ... and the processor it moved *to* is now the protected one.
+        with pytest.raises(ProtocolError, match="interval discipline"):
+            registry.commit_retirement(role, 11, op_index=2, time=0.0)
+
+    def test_own_ids_and_unowned_ids_pass(self):
+        registry = self._registry()
+        role = registry.role(NodeAddr(1, 0))
+        registry.commit_retirement(role, 2, op_index=0, time=0.0)  # own interval
+        registry.commit_retirement(role, 1, op_index=1, time=0.0)  # wrap to own start
+        registry.commit_retirement(role, 11, op_index=2, time=0.0)  # nobody's start
+        assert role.retire_count == 3
+        # The root shares ids with inner nodes by design.
+        registry.commit_retirement(registry.root(), 10, op_index=3, time=0.0)
 
 
 class TestLazyRangeIsRegistered:
@@ -271,3 +409,38 @@ class TestConstructionCount:
         assert built <= n + inner_nodes + len(counter.retirements)
         assert built < 279_936 // 2
         assert network.processor_count == 279_936
+
+    def test_a_large_session_holds_no_role_until_one_is_addressed(self):
+        session = RunSession("ww-tree", 50_000, trace_level="LOADS")
+        assert session.counter.registry._roles == {}
+        assert session.counter.registry._inner_worker_index == {}
+        assert session.counter.value == 0  # reading the value builds the root
+        assert list(session.counter.registry._roles) == [ROOT]
+
+    def test_a_partly_filled_tree_builds_the_roles_its_processors_reach(self):
+        """n = 50 of the 3^4 shape's 81 leaves: a role exists iff a
+        processor that was built starts out working for it, and that
+        covers every node on an initiator's path to the root."""
+        n = 50
+        session = RunSession("ww-tree", n, trace_level="LOADS")
+        session.run_sequence()
+        geometry = session.counter.geometry
+        built = set(session.counter.registry._roles)
+        on_paths = {a for pid in range(1, n + 1) for a in geometry.path_to_root(pid)}
+        started_by_a_built_processor = {
+            geometry.initially_worked_node(pid)
+            for pid in session.network.materialised_ids()
+        } - {None}
+        assert built == started_by_a_built_processor | {ROOT}
+        assert on_paths <= built
+        assert len(on_paths) == 1 + 2 + 6 + 17
+        assert len(built) < geometry.total_inner_nodes() == 40
+
+    def test_a_one_shot_leaves_one_sealed_footprint_per_operation(self):
+        n = 15_625
+        session = RunSession("ww-tree", n, trace_level="LOADS")
+        session.run_sequence()
+        trace = session.network.trace
+        assert trace._footprints == {}
+        assert len(trace._sealed_footprints) == n
+        assert all(type(f) is tuple for f in trace._sealed_footprints.values())

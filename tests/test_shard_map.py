@@ -316,6 +316,27 @@ class TestIntrospection:
             assert lean_trace.total_messages == full_trace.total_messages
             assert lean.load_profile() == full.load_profile()
 
+    def test_settled_batches_leave_no_result_history(self):
+        """The shard reads each value through its own hook; the counter's
+        per-pid history is released at settle, so 10 000 batches leave
+        at most one stored result per pid instead of one per batch."""
+        shard_map = CounterShardMap(
+            "ww-tree?interval_mode=wrap", 8, shards=2, batch_max=1,
+            trace_level="LOADS",
+        )
+        keys = [f"k{i % 97}" for i in range(10_000)]
+        assert shard_map.apply(keys) == [i // 97 for i in range(10_000)]
+        for shard in shard_map.shards():
+            counter = shard.session.counter
+            assert shard.batches > 1_000
+            assert counter.value == shard.batches
+            assert shard.delivered == {}
+            for pid in counter.client_ids():
+                assert len(counter.results_for(pid)) <= 1
+                assert len(counter.result_times_for(pid)) <= 1
+            assert counter.all_results() == []
+            assert shard.session.network.trace.op_indices() == []
+
     def test_loads_trace_level_disables_fingerprints(self):
         shard_map = CounterShardMap(
             "central", 4, shards=2, trace_level="LOADS"

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.lowerbound import check_hot_spot
+from repro.registry import RunSession
 from repro.sim.messages import NO_OP, MessageRecord
 from repro.sim.trace import Trace, TraceLevel, merge_loads
 
@@ -119,6 +123,60 @@ class TestPerOperationViews:
         trace = Trace()
         trace.record(_record(1, 2, op_index=0))
         assert trace.load_snapshot(0) == {}
+
+
+class TestSealedFootprints:
+    """``seal_op`` changes how a finished footprint is held, not what
+    ``footprint()`` answers."""
+
+    @pytest.mark.parametrize("level", [TraceLevel.LOADS, TraceLevel.FULL])
+    def test_footprint_is_equal_before_and_after_sealing(self, level):
+        trace = Trace(level)
+        trace.record(_record(1, 2, op_index=0))
+        trace.record(_record(2, 3, op_index=0))
+        trace.record(_record(4, 5, op_index=1))
+        before = {op: trace.footprint(op) for op in (0, 1, 2)}
+        trace.seal_op(0)
+        trace.seal_op(2)  # no traffic: nothing to seal
+        assert {op: trace.footprint(op) for op in (0, 1, 2)} == before
+        assert isinstance(trace.footprint(0), frozenset)
+        assert trace._footprints == {1: {4, 5}}
+        assert set(trace._sealed_footprints) == {0}
+        assert trace.messages_for_op(0) == 2
+        assert trace.op_indices() == [0, 1]
+
+    @pytest.mark.parametrize("level", [TraceLevel.LOADS, TraceLevel.FULL])
+    def test_a_late_message_for_a_sealed_op_is_still_counted(self, level):
+        trace = Trace(level)
+        trace.record(_record(1, 2, op_index=0))
+        trace.seal_op(0)
+        trace.record(_record(2, 7, op_index=0))  # e.g. a retransmission
+        assert trace.footprint(0) == frozenset({1, 2, 7})
+        trace.seal_op(0)  # sealing again folds the late part in
+        assert trace.footprint(0) == frozenset({1, 2, 7})
+        assert 0 not in trace._footprints
+        assert trace.messages_for_op(0) == 2
+
+    def test_release_op_drops_the_sealed_entry_too(self):
+        trace = Trace(TraceLevel.LOADS)
+        trace.record(_record(1, 2, op_index=0))
+        trace.seal_op(0)
+        trace.record(_record(2, 3, op_index=0))
+        trace.release_op(0)
+        assert trace.footprint(0) == frozenset()
+        assert trace._footprints == {} and trace._sealed_footprints == {}
+
+    @pytest.mark.parametrize("spec", ["ww-tree", "central", "quorum[maekawa]"])
+    def test_hot_spot_verdict_over_sealed_loads_equals_full(self, spec):
+        n = 64
+        loads = RunSession(spec, n, trace_level="LOADS").run_sequence()
+        full = RunSession(spec, n, trace_level="FULL").run_sequence()
+        assert loads.trace._footprints.keys() <= {NO_OP}
+        assert check_hot_spot(loads) == check_hot_spot(full)
+        assert check_hot_spot(loads).holds
+        assert [loads.trace.footprint(op) for op in range(n)] == [
+            full.trace.footprint(op) for op in range(n)
+        ]
 
 
 class TestMergeLoads:
