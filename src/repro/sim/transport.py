@@ -35,7 +35,19 @@ Guarantees restored (and their limits):
   dying later on an opaque
   :class:`~repro.errors.SimulationLimitError`.  Callers that want
   silent best-effort semantics pass an explicit ``max_retries``, after
-  which an abandoned send merely counts as ``gave_up``.
+  which an abandoned send merely counts as ``gave_up``;
+* a silent give-up leaves a hole: the receiver's window on that channel
+  never passes the abandoned sequence number.  Later envelopes on it
+  are still delivered exactly once, but wait in the out-of-order set, so
+  that one channel's state grows with its traffic — the only case that
+  does — until a straggler copy of the abandoned envelope closes the gap.
+
+State is proportional to channels and messages in flight, never to
+messages ever sent: per (sender, receiver) pair that carried data, the
+next sequence number out and the delivery watermark in (two ``int``);
+one entry per unacknowledged envelope in one transport-wide table; a set
+of sequence numbers only while a channel has a gap open; nothing per
+delivered message.  :meth:`ReliableTransport.held` reads the sizes out.
 
 Operation attribution survives faults: retransmissions are re-injected
 under the original operation's index, so per-operation footprints
@@ -69,14 +81,69 @@ _tuple_new = tuple.__new__
 
 
 class _Pending:
-    """Sender-side state of one unacknowledged envelope."""
+    """One unacknowledged envelope, and the timer that chases it.
 
-    __slots__ = ("envelope", "op_index", "attempts")
+    The object is itself the action handed to :meth:`Network.inject`
+    after each transmission (no closure per send).  It sits in the
+    transport's in-flight table under *key* — ``(sender, receiver,
+    seq)`` — until the ack removes it; a timer firing after that finds
+    the key gone and does nothing.
+    """
 
-    def __init__(self, envelope: dict[str, Any], op_index: OpIndex) -> None:
+    __slots__ = ("endpoint", "key", "envelope", "op_index", "attempts")
+
+    def __init__(
+        self,
+        endpoint: "_Endpoint",
+        key: tuple[ProcessorId, ProcessorId, int],
+        envelope: dict[str, Any],
+        op_index: OpIndex,
+    ) -> None:
+        self.endpoint = endpoint
+        self.key = key
         self.envelope = envelope
         self.op_index = op_index
         self.attempts = 0
+
+    def __call__(self) -> None:
+        """The timer set by the last transmission fired."""
+        transport = self.endpoint._transport
+        if self.key not in transport._unacked:  # acknowledged meanwhile
+            return
+        max_retries = transport._max_retries
+        if self.attempts < (
+            transport._attempt_cap if max_retries is None else max_retries + 1
+        ):
+            self.transmit()
+            return
+        del transport._unacked[self.key]
+        transport._stats["gave_up"] += 1
+        if max_retries is None:
+            # No explicit retry budget: a peer that has ignored this many
+            # attempts is treated as dead, loudly.
+            sender, receiver, _ = self.key
+            raise DeliveryAbandonedError(
+                f"reliable delivery {sender}->{receiver} abandoned after "
+                f"{self.attempts} attempts; processor {receiver} looks "
+                "permanently dead (pass max_retries= for silent best-effort "
+                "delivery, or give the fault plan a recover= clause)",
+                receiver=receiver,
+                attempts=self.attempts,
+            )
+
+    def transmit(self) -> None:
+        """Put the envelope on the wire and set the next timer."""
+        endpoint = self.endpoint
+        transport = endpoint._transport
+        attempts = self.attempts
+        transport._stats["retransmissions" if attempts else "data_sent"] += 1
+        endpoint.send(self.key[1], DATA_KIND, self.envelope)
+        self.attempts = attempts + 1
+        endpoint.network.inject(
+            self,
+            op_index=self.op_index,
+            delay=min(transport._rto * (2.0**attempts), transport._rto_cap),
+        )
 
 
 class _Endpoint(Processor):
@@ -84,18 +151,19 @@ class _Endpoint(Processor):
 
     Outgoing protocol sends become sequenced envelopes with a retransmit
     timer; incoming envelopes are acked, deduplicated, unwrapped and
-    handed to the wrapped protocol processor.
+    handed to the wrapped protocol processor.  Per peer it keeps two
+    ints: the next sequence number out and the delivery watermark in
+    (every ``seq < _low[source]`` has been delivered).
     """
 
-    __slots__ = ("_inner", "_transport", "_next_seq", "_pending", "_seen")
+    __slots__ = ("_inner", "_transport", "_next_seq", "_low")
 
     def __init__(self, inner: Processor, transport: "ReliableTransport") -> None:
         super().__init__(inner.pid)
         self._inner = inner
         self._transport = transport
         self._next_seq: dict[ProcessorId, int] = {}
-        self._pending: dict[tuple[ProcessorId, int], _Pending] = {}
-        self._seen: dict[ProcessorId, set[int]] = {}
+        self._low: dict[ProcessorId, int] = {}
 
     # ------------------------------------------------------------------
     # Sending (called by ReliableTransport.send)
@@ -105,69 +173,11 @@ class _Endpoint(Processor):
     ) -> None:
         seq = self._next_seq.get(receiver, 0)
         self._next_seq[receiver] = seq + 1
+        key = (self.pid, receiver, seq)
         envelope = {"seq": seq, "kind": kind, "data": payload}
-        self._pending[(receiver, seq)] = _Pending(
-            envelope, self.network.active_op
-        )
-        self._transmit(receiver, seq)
-
-    def _transmit(self, receiver: ProcessorId, seq: int) -> None:
-        pending = self._pending.get((receiver, seq))
-        if pending is None:  # acknowledged since the timer was set
-            return
-        transport = self._transport
-        stats = transport._stats
-        if pending.attempts:
-            stats["retransmissions"] += 1
-        else:
-            stats["data_sent"] += 1
-        self.send(receiver, DATA_KIND, pending.envelope)
-        backoff = min(
-            transport._rto * (2.0 ** pending.attempts), transport._rto_cap
-        )
-        pending.attempts += 1
-        max_retries = transport._max_retries
-        if max_retries is not None and pending.attempts > max_retries:
-            # Out of budget: if the ack never comes, give up when the
-            # final timer fires instead of scheduling another attempt.
-            self.network.inject(
-                lambda: self._give_up(receiver, seq),
-                op_index=pending.op_index,
-                delay=backoff,
-            )
-            return
-        if max_retries is None and pending.attempts >= transport._attempt_cap:
-            # No explicit retry budget: a peer that has ignored this many
-            # attempts is treated as dead, loudly.
-            self.network.inject(
-                lambda: self._abandon(receiver, seq),
-                op_index=pending.op_index,
-                delay=backoff,
-            )
-            return
-        self.network.inject(
-            lambda: self._transmit(receiver, seq),
-            op_index=pending.op_index,
-            delay=backoff,
-        )
-
-    def _give_up(self, receiver: ProcessorId, seq: int) -> None:
-        if self._pending.pop((receiver, seq), None) is not None:
-            self._transport._stats["gave_up"] += 1
-
-    def _abandon(self, receiver: ProcessorId, seq: int) -> None:
-        pending = self._pending.pop((receiver, seq), None)
-        if pending is None:  # acknowledged since the final timer was set
-            return
-        self._transport._stats["gave_up"] += 1
-        raise DeliveryAbandonedError(
-            f"reliable delivery {self.pid}->{receiver} abandoned after "
-            f"{pending.attempts} attempts; processor {receiver} looks "
-            "permanently dead (pass max_retries= for silent best-effort "
-            "delivery, or give the fault plan a recover= clause)",
-            receiver=receiver,
-            attempts=pending.attempts,
-        )
+        pending = _Pending(self, key, envelope, self.network.active_op)
+        self._transport._unacked[key] = pending
+        pending.transmit()
 
     # ------------------------------------------------------------------
     # Receiving
@@ -177,13 +187,44 @@ class _Endpoint(Processor):
         if kind == DATA_KIND:
             self._on_data(message)
         elif kind == ACK_KIND:
-            self._pending.pop(
-                (message[0], message[3]["seq"]), None
+            self._transport._unacked.pop(
+                (self.pid, message[0], message[3]["seq"]), None
             )
         else:
             # Traffic from processors outside the transport (registered
             # directly on the real network) passes through unwrapped.
             self._inner.on_message(message)
+
+    def _first_arrival(self, source: ProcessorId, seq: int) -> bool:
+        """Record *seq* from *source*; ``False`` if it was seen before.
+
+        A sliding-window receiver: the seq *at* the watermark advances
+        it, through any run waiting in the channel's out-of-order set; a
+        seq above it joins that set, which exists only while the gap
+        below it is open.
+        """
+        low = self._low.get(source, 0)
+        if seq < low:
+            return False
+        ahead_table = self._transport._ahead
+        if seq > low:
+            ahead = ahead_table.setdefault((self.pid, source), set())
+            if seq in ahead:
+                return False
+            ahead.add(seq)
+            return True
+        low += 1
+        if ahead_table:  # some channel has a gap open; this one?
+            channel = (self.pid, source)
+            ahead = ahead_table.get(channel)
+            if ahead is not None:
+                while low in ahead:
+                    ahead.remove(low)
+                    low += 1
+                if not ahead:
+                    del ahead_table[channel]
+        self._low[source] = low
+        return True
 
     def _on_data(self, message: Message) -> None:
         envelope = message[3]
@@ -193,11 +234,9 @@ class _Endpoint(Processor):
         # Ack every copy: the original ack may itself have been lost.
         stats["acks_sent"] += 1
         self.send(source, ACK_KIND, {"seq": seq})
-        seen = self._seen.setdefault(source, set())
-        if seq in seen:
+        if not self._first_arrival(source, seq):
             stats["duplicates_suppressed"] += 1
             return
-        seen.add(seq)
         stats["delivered"] += 1
         inner_message = _tuple_new(
             Message,
@@ -278,6 +317,10 @@ class ReliableTransport:
         self._max_retries = max_retries
         self._attempt_cap = int(attempt_cap)
         self._endpoints: dict[ProcessorId, _Endpoint] = {}
+        # (sender, receiver, seq) -> envelope awaiting its ack.
+        self._unacked: dict[tuple[ProcessorId, ProcessorId, int], _Pending] = {}
+        # (receiver, source) -> seqs delivered ahead of an open gap.
+        self._ahead: dict[tuple[ProcessorId, ProcessorId], set[int]] = {}
         self._stats: dict[str, int] = {
             "data_sent": 0,
             "retransmissions": 0,
@@ -438,6 +481,21 @@ class ReliableTransport:
         ``gave_up`` (envelopes abandoned after ``max_retries``).
         """
         return dict(self._stats)
+
+    def held(self) -> dict[str, int]:
+        """What the transport holds right now (a read-out, not a knob).
+
+        ``channels``: (sender, receiver) pairs with a delivery
+        watermark, one int each; ``pending``: envelopes sent and not yet
+        acknowledged; ``out_of_order``: sequence numbers delivered ahead
+        of a still-open gap.  The last two are zero at every quiescence
+        barrier of a run with ``max_retries=None``.
+        """
+        return {
+            "channels": sum(len(e._low) for e in self._endpoints.values()),
+            "pending": len(self._unacked),
+            "out_of_order": sum(len(ahead) for ahead in self._ahead.values()),
+        }
 
     @property
     def retransmissions(self) -> int:

@@ -9,8 +9,9 @@ from repro.sim.events import EventQueue
 from repro.sim.messages import MessageRecord
 from repro.sim.network import Network
 from repro.sim.policies import RandomDelay
-from repro.sim.processor import InertProcessor
+from repro.sim.processor import InertProcessor, Processor
 from repro.sim.trace import Trace
+from repro.sim.transport import DATA_KIND, ReliableTransport
 
 edges = st.lists(
     st.tuples(st.integers(1, 20), st.integers(1, 20)),
@@ -148,3 +149,56 @@ class TestNetworkProperties:
         assert loads_with(RandomDelay(seed=seed)) == loads_with(
             RandomDelay(seed=seed + 1)
         )
+
+
+class _Log(Processor):
+    def __init__(self, pid):
+        super().__init__(pid)
+        self.delivered = []
+
+    def on_message(self, message):
+        self.delivered.append((message.sender, message.payload["seq"]))
+
+
+class TestTransportReceiveWindow:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(0, 12), source_count=st.integers(1, 4))
+    def test_watermark_receiver_equals_the_set_model(self, data, m, source_count):
+        """Any arrival order, any repeats, any interleaving of sources:
+        the first copy of each seq is delivered, in arrival order, and
+        every other copy is counted — exactly what one ``set`` per
+        channel of everything ever seen would do."""
+        sources = range(2, 2 + source_count)
+        every = [(source, seq) for source in sources for seq in range(m + 1)]
+        arrivals = data.draw(st.lists(st.sampled_from(every), max_size=60))
+        # ...and then every seq 0..m from every source at least once.
+        arrivals += data.draw(st.permutations(every))
+
+        network = Network()
+        transport = ReliableTransport(network)
+        log = _Log(1)
+        transport.register(log)
+        network.register_all([InertProcessor(pid) for pid in sources])
+        for source, seq in arrivals:
+            network.send(
+                source, 1, DATA_KIND, {"seq": seq, "kind": "m", "data": {"seq": seq}}
+            )
+            network.run_until_quiescent()
+
+        seen = {source: set() for source in sources}
+        expected, duplicates = [], 0
+        for source, seq in arrivals:
+            if seq in seen[source]:
+                duplicates += 1
+            else:
+                seen[source].add(seq)
+                expected.append((source, seq))
+        assert log.delivered == expected
+        stats = transport.stats()
+        assert stats["duplicates_suppressed"] == duplicates
+        assert stats["delivered"] == len(every)
+        assert stats["acks_sent"] == len(arrivals)
+        assert transport._ahead == {}  # no set outlives its gap
+        assert transport.held() == {
+            "channels": source_count, "pending": 0, "out_of_order": 0,
+        }

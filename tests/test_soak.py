@@ -23,8 +23,13 @@ from repro.datatypes import (
     run_ops,
 )
 from repro.lowerbound import check_hot_spot
+from repro.registry import RunSession
+from repro.sim.faults import parse_fault_spec
 from repro.sim.network import Network
 from repro.sim.policies import RandomDelay
+from repro.sim.processor import Processor
+from repro.sim.trace import TraceLevel
+from repro.sim.transport import DATA_KIND, ReliableTransport
 from repro.workloads import run_concurrent, run_sequence
 
 
@@ -126,3 +131,67 @@ class TestLongMixedRuns:
         # Server load: 3 messages per remote op is the exact ledger.
         remote_ops = sum(1 for pid in order if pid != counter.server_id)
         assert result.trace.load(counter.server_id) == 2 * remote_ops
+
+
+class _Tally(Processor):
+    """Counts how often each payload index was handed over."""
+
+    def __init__(self, pid, size=0):
+        super().__init__(pid)
+        self.times = bytearray(size)
+
+    def on_message(self, message):
+        self.times[message.payload["i"]] += 1
+
+
+@pytest.mark.faults
+class TestReliableTransportHoldsNothingPerMessage:
+    def test_one_channel_hundred_thousand_sends(self):
+        total, burst = 100_000, 100
+        network = Network(
+            policy=RandomDelay(seed=5),
+            fault_plan=parse_fault_spec("drop=0.05,dup=0.05", seed=5),
+            trace_level=TraceLevel.OFF,
+        )
+        transport = ReliableTransport(network)
+        receiver = _Tally(2, total)
+        transport.register_all([_Tally(1), receiver])
+        held_at = {}
+        for start in range(0, total, burst):
+            for index in range(start, start + burst):
+                transport.send(1, 2, "m", {"i": index})
+            transport.run_until_quiescent()
+            if start + burst in (10_000, total):
+                held_at[start + burst] = transport.held()
+        assert receiver.times == bytes([1]) * total  # each exactly once
+        stats = transport.stats()
+        assert stats["delivered"] == stats["data_sent"] == total
+        assert stats["retransmissions"] > 0 and stats["duplicates_suppressed"] > 0
+        assert stats["gave_up"] == 0
+        # Two ints for the channel and nothing else, however long it runs.
+        assert held_at[10_000] == held_at[total] == {
+            "channels": 1, "pending": 0, "out_of_order": 0,
+        }
+        assert transport._ahead == {}  # the sets are gone, not just empty
+
+    def test_ww_tree_run_ends_holding_only_watermarks(self):
+        def run(trace_level):
+            session = RunSession(
+                "ww-tree", 3125, policy="random", seed=0,
+                faults="drop=0.05", reliable=True, trace_level=trace_level,
+            )
+            session.run_sequence()
+            assert session.transport_stats()["gave_up"] == 0
+            return session
+
+        held = run("LOADS").transport.held()
+        assert held["pending"] == held["out_of_order"] == 0
+        # The same seeded run with records kept names the channels used.
+        twin = run("FULL")
+        assert twin.transport.held() == held
+        data_channels = {
+            (record.sender, record.receiver)
+            for record in twin.network.trace.records
+            if record.kind == DATA_KIND
+        }
+        assert 0 < held["channels"] <= len(data_channels)

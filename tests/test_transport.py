@@ -137,6 +137,43 @@ class TestEndpointMechanics:
         transport.run_until_quiescent()
         assert transport.stats()["gave_up"] == 1
 
+    def test_give_up_leaves_a_gap_that_later_traffic_survives(self):
+        # The limit of the silent budget: seq 0 dies inside the crash
+        # window and is given up on, so the receiver's watermark can
+        # never pass it.  Everything after is still exactly-once, held
+        # in the out-of-order set until a straggler closes the gap.
+        plan = FaultPlan(
+            [CrashRule(2, start=0.0, end=12.0), DuplicateRule(1.0, copies=1)],
+            seed=1,
+        )
+        transport, _, b = _pair(fault_plan=plan, rto=5.0, max_retries=1)
+        transport.send(1, 2, "m", {"i": 0})
+        transport.run_until_quiescent()
+        assert transport.stats()["gave_up"] == 1
+        assert b.received == []
+        assert transport.held() == {"channels": 0, "pending": 0, "out_of_order": 0}
+
+        for index in range(1, 51):
+            transport.send(1, 2, "m", {"i": index})
+        transport.run_until_quiescent()
+        assert [payload["i"] for _, _, payload in b.received] == list(range(1, 51))
+        assert transport.stats()["duplicates_suppressed"] == 50  # one copy each
+        assert transport.held() == {"channels": 0, "pending": 0, "out_of_order": 50}
+
+        # A copy of seq 0 that was still on the wire when the sender gave
+        # up: delivered once, and the window slides over all it held.
+        transport.network.send(
+            1, 2, DATA_KIND, {"seq": 0, "kind": "m", "data": {"i": 0}}
+        )
+        transport.run_until_quiescent()
+        assert [payload["i"] for _, _, payload in b.received][-1] == 0
+        assert len(b.received) == 51
+        stats = transport.stats()
+        assert stats["delivered"] == 51
+        assert stats["duplicates_suppressed"] == 51
+        assert transport.held() == {"channels": 1, "pending": 0, "out_of_order": 0}
+        assert transport._ahead == {}
+
     def test_trace_separates_goodput_from_overhead_by_kind(self):
         plan = parse_fault_spec("drop=0.3", seed=4)
         network = Network(fault_plan=plan, trace_level=TraceLevel.FULL)
