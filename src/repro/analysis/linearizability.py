@@ -15,27 +15,25 @@ value order extends the real-time precedence order:
 (The values totally order the operations; any inversion against
 real-time precedence makes a legal linearization impossible, and absent
 inversions the value order itself is one.)
+
+This module judges recorded runs and drives nothing: the
+:class:`TimedOp` records come from :mod:`repro.workloads.driver`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Sequence
 
-from repro.api import DistributedCounter
 from repro.errors import ProtocolError
-from repro.sim.messages import OpIndex, ProcessorId
 
-
-@dataclass(frozen=True, slots=True)
-class TimedOp:
-    """One completed operation with its real-time interval."""
-
-    op_index: OpIndex
-    initiator: ProcessorId
-    value: int
-    request_time: float
-    response_time: float
+# The timed drivers live with every other driver; re-exported because
+# this module is where callers have always found them.
+from repro.workloads.driver import (  # noqa: F401
+    TimedOp,
+    run_concurrent_timed,
+    run_staggered_timed,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,96 +100,3 @@ def check_linearizable_counting(ops: Sequence[TimedOp]) -> LinearizabilityReport
         precedence_pairs=precedence_pairs,
         inversions=tuple(inversions),
     )
-
-
-def run_concurrent_timed(
-    counter: DistributedCounter,
-    batch: Sequence[ProcessorId],
-) -> list[TimedOp]:
-    """Inject *batch* concurrently and collect timed operations.
-
-    All requests are injected at the same simulated instant (their
-    intervals all start at the current time), run to quiescence, and
-    responses are matched to requests per initiator in arrival order.
-    """
-    network = counter.network
-    start = network.now
-    prior: dict[ProcessorId, int] = {}
-    for op_index, pid in enumerate(batch):
-        prior.setdefault(pid, len(counter.results_for(pid)))
-        counter.begin_inc(pid, op_index)
-    network.run_until_quiescent()
-    cursor = dict(prior)
-    ops: list[TimedOp] = []
-    for op_index, pid in enumerate(batch):
-        position = cursor[pid]
-        values = counter.results_for(pid)
-        times = counter.result_times_for(pid)
-        if position >= len(values):
-            raise ProtocolError(f"processor {pid} missed a result")
-        cursor[pid] += 1
-        ops.append(
-            TimedOp(
-                op_index=op_index,
-                initiator=pid,
-                value=values[position],
-                request_time=start,
-                response_time=times[position],
-            )
-        )
-    return ops
-
-
-def run_staggered_timed(
-    counter: DistributedCounter,
-    batch: Sequence[ProcessorId],
-    gap: float = 3.0,
-    optional: Collection[ProcessorId] = (),
-) -> list[TimedOp]:
-    """Inject requests *gap* time units apart (still overlapping).
-
-    Staggered starts create real-time precedence pairs, which the fully
-    concurrent variant (all requests at one instant) cannot have — and
-    without precedence pairs linearizability is vacuous.  This driver is
-    what actually exposes counting-network inversions.
-
-    Initiators in *optional* (typically processors a fault plan crashes
-    permanently) may fail to observe a result: their unanswered ops are
-    silently omitted from the returned list instead of raising.  This is
-    the standard treatment of incomplete operations — a linearization is
-    free to place or drop them — and at-most-once counters burn any
-    value such an op reserved.
-    """
-    network = counter.network
-    request_times: dict[int, float] = {}
-    prior: dict[ProcessorId, int] = {}
-    for op_index, pid in enumerate(batch):
-        prior.setdefault(pid, len(counter.results_for(pid)))
-        request_times[op_index] = network.now + op_index * gap
-        network.inject(
-            (lambda p=pid, o=op_index: counter.begin_inc(p, o)),
-            op_index=op_index,
-            delay=op_index * gap,
-        )
-    network.run_until_quiescent()
-    cursor = dict(prior)
-    ops: list[TimedOp] = []
-    for op_index, pid in enumerate(batch):
-        position = cursor[pid]
-        values = counter.results_for(pid)
-        times = counter.result_times_for(pid)
-        if position >= len(values):
-            if pid in optional:
-                continue
-            raise ProtocolError(f"processor {pid} missed a result")
-        cursor[pid] += 1
-        ops.append(
-            TimedOp(
-                op_index=op_index,
-                initiator=pid,
-                value=values[position],
-                request_time=request_times[op_index],
-                response_time=times[position],
-            )
-        )
-    return ops

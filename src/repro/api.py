@@ -127,6 +127,11 @@ class DistributedCounter(ABC):
     driver reads them via :meth:`results_for` after quiescence.
 
     Attributes:
+        on_result: the one observer slot — ``None``, or a callable
+            ``(pid, value)`` invoked from :meth:`deliver_result` the
+            moment a value is recorded.  Whoever drives the counter (a
+            serving shard, the open-loop driver) sets it to learn of
+            results as they arrive instead of wrapping the method.
         name: short human-readable implementation name; for registered
             implementations this equals the canonical registry key, so
             report tables, sweep cache keys and BENCH JSON agree.
@@ -144,6 +149,7 @@ class DistributedCounter(ABC):
         self._n = n
         self._results: dict[ProcessorId, list[int]] = {}
         self._result_times: dict[ProcessorId, list[float]] = {}
+        self.on_result: Callable[[ProcessorId, int], None] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -182,6 +188,8 @@ class DistributedCounter(ABC):
         """
         self._results.setdefault(pid, []).append(value)
         self._result_times.setdefault(pid, []).append(self._network.now)
+        if self.on_result is not None:
+            self.on_result(pid, value)
 
     def results_for(self, pid: ProcessorId) -> list[int]:
         """All values returned to *pid* so far, in arrival order."""
@@ -202,7 +210,7 @@ class DistributedCounter(ABC):
         """Forget the values (and times) delivered to *pid* so far.
 
         For owners that consume each result as it arrives (a serving
-        shard reads it through its own hook): the two histories are the
+        shard reads it through :attr:`on_result`): the two histories are the
         only counter state that grows with the number of operations.
         """
         self._results.pop(pid, None)

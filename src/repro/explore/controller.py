@@ -60,7 +60,7 @@ class ScheduleController(DeliveryPolicy, SchedulerHook):
         self._menu = delay_menu
         self._decisions: list[int] = []
         self._kinds: list[str] = []
-        self._loads: Callable[[], dict[int, int]] | None = None
+        self._load: Callable[[int], int] | None = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -75,13 +75,13 @@ class ScheduleController(DeliveryPolicy, SchedulerHook):
         network.install_scheduler_hook(self)
         trace = network.trace
         if trace.keeps_loads:
-            self._loads = trace.loads
+            self._load = trace.load
 
-    def loads(self) -> dict[int, int]:
-        """Per-processor message loads so far (empty before attach)."""
-        if self._loads is None:
-            return {}
-        return self._loads()
+    def load(self, pid: int) -> int:
+        """Message load of *pid* so far (0 before attach)."""
+        if self._load is None:
+            return 0
+        return self._load(pid)
 
     @property
     def delay_menu(self) -> tuple[float, ...]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
-from repro.analysis.linearizability import TimedOp, run_staggered_timed
 from repro.analysis.oracles import (
     Oracle,
     OracleContext,
@@ -41,7 +40,12 @@ from repro.explore.strategies import ReplayStrategy, Strategy, parse_plan
 from repro.sim.faults import FaultPlan, parse_fault_spec
 from repro.sim.messages import ProcessorId
 from repro.sim.network import Network
-from repro.workloads.driver import RunResult, run_sequence
+from repro.workloads.driver import (
+    RunResult,
+    TimedOp,
+    run_sequence,
+    run_staggered_timed,
+)
 from repro.workloads.sequences import one_shot, round_robin
 
 DEFAULT_EPISODE_EVENT_LIMIT = 500_000
@@ -304,19 +308,13 @@ class Explorer:
             reliable=config.transport == "reliable",
         )
         controller.attach(session.network)
-        plan = session.fault_plan
-        optional = (
-            plan.permanent_crash_pids | plan.byzantine_pids
-            if plan is not None
-            else frozenset()
-        )
         # Under an active fault plan values may be burned (orphaned
         # combines, re-assigned reservations), so the value set need not
         # be dense — only duplicate-free.
         return (
             session.counter,
             session.network,
-            optional,
+            plan.unanswerable_pids if plan is not None else frozenset(),
             plan is not None,
             byz,
             burning,

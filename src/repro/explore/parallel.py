@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pathlib
 from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -32,6 +31,7 @@ from repro.explore.engine import (
 )
 from repro.explore.mutants import is_mutant_spec
 from repro.explore.schedule import DEFAULT_DELAY_MENU, ReproFile
+from repro.workloads.sweep import CachedRunner, fan_out
 
 _CACHE_SCHEMA = "explore-v1"
 """Version tag mixed into every task hash; bump when episode semantics
@@ -215,80 +215,22 @@ def merge_outcomes(
     return report
 
 
-class ExploreRunner:
+class ExploreRunner(CachedRunner):
     """Executes exploration tasks, optionally in parallel and/or cached.
 
-    Mirrors :class:`~repro.workloads.sweep.SweepRunner`: ``workers=1``
-    runs serially, ``None`` uses every core; ``cache_dir`` enables the
-    on-disk JSON cache keyed by :meth:`ExploreTask.config_hash` (atomic
-    tmp-then-replace writes, corrupt entries recomputed).
+    The :class:`~repro.workloads.sweep.CachedRunner` loop over
+    :class:`ExploreTask` windows: ``workers=1`` runs serially, ``None``
+    uses every core; ``cache_dir`` enables the on-disk JSON cache keyed
+    by :meth:`ExploreTask.config_hash`.
     """
 
-    def __init__(
-        self,
-        workers: int | None = 1,
-        cache_dir: str | pathlib.Path | None = None,
-    ) -> None:
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self._workers = workers
-        self._cache_dir = pathlib.Path(cache_dir) if cache_dir else None
+    outcome_type = ExploreTaskOutcome
 
-    @property
-    def workers(self) -> int | None:
-        """Configured worker-process count (``None`` = all cores)."""
-        return self._workers
-
-    def run(self, tasks: Sequence[ExploreTask]) -> list[ExploreTaskOutcome]:
-        """Execute every task (cache-aware); outcomes in input order."""
-        from repro.workloads.sweep import fan_out
-
-        outcomes: list[ExploreTaskOutcome | None] = [None] * len(tasks)
-        missing: list[int] = []
-        for index, task in enumerate(tasks):
-            cached = self._cache_load(task)
-            if cached is not None:
-                outcomes[index] = cached
-            else:
-                missing.append(index)
-        if missing:
-            fresh = fan_out(
-                execute_task, [tasks[i] for i in missing], self._workers
-            )
-            for index, outcome in zip(missing, fresh):
-                self._cache_store(outcome)
-                outcomes[index] = outcome
-        return outcomes  # type: ignore[return-value]
+    def _execute(self, tasks: list[ExploreTask]) -> list[ExploreTaskOutcome]:
+        return fan_out(execute_task, tasks, self._workers)
 
     def explore(
         self, task: ExploreTask, window: int = _DEFAULT_WINDOW
     ) -> ExplorationReport:
         """Partition *task*, fan the windows out, merge the report."""
         return merge_outcomes(task, self.run(partition(task, window)))
-
-    # ------------------------------------------------------------------
-    # Cache
-    # ------------------------------------------------------------------
-    def _cache_path(self, task: ExploreTask) -> pathlib.Path | None:
-        if self._cache_dir is None:
-            return None
-        return self._cache_dir / f"{task.config_hash()}.json"
-
-    def _cache_load(self, task: ExploreTask) -> ExploreTaskOutcome | None:
-        path = self._cache_path(task)
-        if path is None or not path.exists():
-            return None
-        try:
-            payload = json.loads(path.read_text())
-            return ExploreTaskOutcome.from_json(payload)
-        except (OSError, KeyError, ValueError):  # corrupt entry: recompute
-            return None
-
-    def _cache_store(self, outcome: ExploreTaskOutcome) -> None:
-        path = self._cache_path(outcome.task)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(outcome.to_json(), sort_keys=True))
-        tmp.replace(path)

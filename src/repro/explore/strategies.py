@@ -279,8 +279,10 @@ class GuidedStrategy(Strategy):
         # The proof's per-list weight, applied to the message's
         # receiver-then-sender "list": messages into the hot spot carry
         # the most weight, exactly the contention the adversary farms.
-        loads = controller.loads()
-        return weight_of((message[1], message[0]), loads, self._base)
+        receiver, sender = message[1], message[0]
+        load = controller.load
+        loads = {receiver: load(receiver), sender: load(sender)}
+        return weight_of((receiver, sender), loads, self._base)
 
     def choose_delay(
         self, message: Message, menu_size: int, controller: "ScheduleController"

@@ -580,6 +580,11 @@ class RunSession:
         """The installed fault plan, or ``None`` for failure-free runs."""
         return self.network.fault_plan
 
+    def _unanswerable(self) -> frozenset[ProcessorId]:
+        """Initiators whose ops the installed plan may leave unanswered."""
+        plan = self.fault_plan
+        return plan.unanswerable_pids if plan is not None else frozenset()
+
     @property
     def failure_detector(self):
         """The recovery manager's failure detector, or ``None``."""
@@ -604,24 +609,21 @@ class RunSession:
         """Drive *initiators* (default: the one-shot order) sequentially
         under the session's runtime.
 
-        Operations initiated by Byzantine processors count as optional:
-        a liar's corrupted request may never form a quorum, so its
-        missing result is omitted rather than an error (and value
+        Operations initiated by permanently crashed or Byzantine
+        processors count as optional
+        (:attr:`~repro.sim.faults.FaultPlan.unanswerable_pids`): their
+        missing result is omitted rather than an error, and value
         checking degrades to strict monotonicity — see
-        :func:`~repro.workloads.driver.run_sequence`).
+        :func:`~repro.workloads.driver.run_sequence`.
         """
         from repro.workloads.driver import run_sequence
         from repro.workloads.sequences import one_shot
 
         if initiators is None:
             initiators = one_shot(self.n)
-        plan = self.fault_plan
-        optional = (
-            plan.byzantine_pids if plan is not None else frozenset()
-        )
         return run_sequence(
             self.counter, initiators, check_values=check_values,
-            runtime=self.runtime, optional=optional,
+            runtime=self.runtime, optional=self._unanswerable(),
         )
 
     def run_concurrent(
@@ -680,26 +682,21 @@ class RunSession:
         The staggered driver is what crash-recovery runs use: requests
         overlap (so failovers happen under load) yet have real-time
         precedence pairs, making the returned
-        :class:`~repro.analysis.linearizability.TimedOp` list meaningful
+        :class:`~repro.workloads.driver.TimedOp` list meaningful
         input for
         :func:`~repro.analysis.linearizability.check_linearizable_counting`.
 
         Operations initiated by permanently crashed or Byzantine
-        processors count as optional: a dead client cannot observe its
-        response, and a liar's corrupted request may never form a
-        quorum, so their unanswered ops are omitted rather than errors.
+        processors count as optional
+        (:attr:`~repro.sim.faults.FaultPlan.unanswerable_pids`): their
+        unanswered ops are omitted rather than errors.
         """
-        from repro.analysis.linearizability import run_staggered_timed
+        from repro.workloads.driver import run_staggered_timed
         from repro.workloads.sequences import one_shot
 
-        plan = self.fault_plan
-        optional = (
-            plan.permanent_crash_pids | plan.byzantine_pids
-            if plan is not None
-            else frozenset()
-        )
         return run_staggered_timed(
-            self.counter, one_shot(self.n), gap, optional=optional
+            self.counter, one_shot(self.n), gap,
+            optional=self._unanswerable(),
         )
 
     def run_workload(self, workload: str = "one-shot"):

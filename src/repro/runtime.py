@@ -36,8 +36,6 @@ Select a runtime by name through :class:`~repro.registry.RunSession`::
 from __future__ import annotations
 
 import asyncio
-from typing import Protocol, runtime_checkable
-
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.network import Network
 from repro.sim.trace import Trace
@@ -55,9 +53,9 @@ RUNTIME_NAMES = ("sim", "sync", "asyncio")
 """Runtimes resolvable by :func:`make_runtime` (and ``RunSession``)."""
 
 
-@runtime_checkable
-class Runtime(Protocol):
-    """What a scheduler must provide to run a wired counter.
+class Runtime:
+    """What a scheduler provides to run a wired counter — and the base
+    the three runtimes extend.
 
     A runtime owns no protocol state — it only decides *when and under
     whose control* the network's pending events execute.  The contract:
@@ -72,37 +70,13 @@ class Runtime(Protocol):
     * :meth:`until_quiescent` — blocking drain to quiescence;
     * :meth:`drain` — awaitable drain to quiescence (the only method a
       cooperative scheduler implements differently).
+
+    The defaults here are the discrete-event scheduler's: drain the
+    queue straight through
+    :meth:`~repro.sim.network.Network.run_until_quiescent`.
     """
 
     name: str
-    is_async: bool
-
-    @property
-    def network(self) -> Network: ...
-
-    @property
-    def trace(self) -> Trace: ...
-
-    @property
-    def now(self) -> float: ...
-
-    def step(self) -> bool: ...
-
-    def until_quiescent(self) -> int: ...
-
-    async def drain(self) -> int: ...
-
-
-class SimulatedRuntime:
-    """The discrete-event scheduler: drain the queue, advance sim time.
-
-    A thin, allocation-free veneer over
-    :meth:`~repro.sim.network.Network.run_until_quiescent` — the sync
-    drivers call straight through, so traces are byte-identical to
-    pre-seam behavior.
-    """
-
-    name = "sim"
     is_async = False
 
     def __init__(self, network: Network) -> None:
@@ -133,13 +107,24 @@ class SimulatedRuntime:
 
     async def drain(self) -> int:
         """Awaitable form of :meth:`until_quiescent` (never suspends)."""
-        return self._network.run_until_quiescent()
+        return self.until_quiescent()
+
+
+class SimulatedRuntime(Runtime):
+    """The discrete-event scheduler: drain the queue, advance sim time.
+
+    Exactly the base's defaults — a thin, allocation-free veneer over
+    :meth:`~repro.sim.network.Network.run_until_quiescent`, so traces
+    are byte-identical to driving the network directly.
+    """
+
+    name = "sim"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SimulatedRuntime()"
 
 
-class SynchronousRuntime:
+class SynchronousRuntime(Runtime):
     """Lockstep rounds: the synchronous model of Byzantine counting.
 
     Lenzen–Rybicki-style protocols assume computation proceeds in
@@ -158,39 +143,20 @@ class SynchronousRuntime:
     Determinism is inherited wholesale: the queue's ``(time, seq)``
     order within a round is the same order ``"sim"`` uses, so a full
     drain is trace-identical to the event-driven runtimes — rounds are
-    a *view* (with a counter), not a reordering.
+    a *view* (with a counter), not a reordering.  :attr:`now` is the
+    timestamp of the last round.
     """
 
     name = "sync"
-    is_async = False
 
     def __init__(self, network: Network) -> None:
-        self._network = network
+        super().__init__(network)
         self._rounds = 0
-
-    @property
-    def network(self) -> Network:
-        """The substrate this runtime drains."""
-        return self._network
-
-    @property
-    def trace(self) -> Trace:
-        """The network's execution trace (same object, any runtime)."""
-        return self._network.trace
-
-    @property
-    def now(self) -> float:
-        """Current simulated time (= the timestamp of the last round)."""
-        return self._network.now
 
     @property
     def rounds(self) -> int:
         """Completed lockstep rounds since construction."""
         return self._rounds
-
-    def step(self) -> bool:
-        """Execute the earliest pending event; ``False`` when quiescent."""
-        return self._network.step()
 
     def round(self) -> int:
         """Run one lockstep round; return how many events it executed.
@@ -221,20 +187,16 @@ class SynchronousRuntime:
                 return total
             total += executed
 
-    async def drain(self) -> int:
-        """Awaitable form of :meth:`until_quiescent` (never suspends)."""
-        return self.until_quiescent()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SynchronousRuntime(rounds={self._rounds})"
 
 
-class AsyncioRuntime:
+class AsyncioRuntime(Runtime):
     """Drive the same protocol objects cooperatively under asyncio.
 
     Between events the runtime yields to the loop, so other tasks — a
     TCP server, a load generator, your application — interleave with
-    the simulation.
+    the simulation.  Wall-clock time is ``now * time_scale``.
 
     Args:
         network: the network whose events to run.
@@ -258,24 +220,9 @@ class AsyncioRuntime:
             raise ValueError(f"time_scale must be >= 0, got {time_scale}")
         if yield_every < 1:
             raise ValueError(f"yield_every must be >= 1, got {yield_every}")
-        self._network = network
+        super().__init__(network)
         self._time_scale = time_scale
         self._yield_every = yield_every
-
-    @property
-    def network(self) -> Network:
-        """The substrate this runtime drains."""
-        return self._network
-
-    @property
-    def trace(self) -> Trace:
-        """The network's execution trace (same object, any runtime)."""
-        return self._network.trace
-
-    @property
-    def now(self) -> float:
-        """Current simulated time (wall-clock is ``now * time_scale``)."""
-        return self._network.now
 
     @property
     def time_scale(self) -> float:
@@ -286,10 +233,6 @@ class AsyncioRuntime:
     def yield_every(self) -> int:
         """Events executed back-to-back before an unforced loop yield."""
         return self._yield_every
-
-    def step(self) -> bool:
-        """Execute the earliest pending event; ``False`` when quiescent."""
-        return self._network.step()
 
     async def drain(self) -> int:
         """Run events until quiescence, cooperatively; return how many ran.

@@ -392,7 +392,7 @@ class CounterService(LineProtocolService):
         self._commits: set[asyncio.Task[int]] = set()
         self._op_index = 0
         self._backlog = 0
-        self._install_result_hook()
+        self.session.counter.on_result = self._on_result
 
     # ------------------------------------------------------------------
     # Introspection
@@ -446,17 +446,11 @@ class CounterService(LineProtocolService):
     # ------------------------------------------------------------------
     # The counter side
     # ------------------------------------------------------------------
-    def _install_result_hook(self) -> None:
-        counter = self.session.counter
-        original = counter.deliver_result
-
-        def deliver(pid: int, value: int) -> None:
-            original(pid, value)
-            future = self._waiters.pop(pid, None)
-            if future is not None and not future.done():
-                future.set_result(value)
-
-        counter.deliver_result = deliver  # type: ignore[method-assign]
+    def _on_result(self, pid: int, value: int) -> None:
+        """The counter's observer: resolve the waiter leasing *pid*."""
+        future = self._waiters.pop(pid, None)
+        if future is not None and not future.done():
+            future.set_result(value)
 
     def _poison_waiters(self, error: BaseException) -> None:
         """Fail every in-flight waiter so no client hangs forever."""

@@ -160,18 +160,7 @@ class Shard:
         self.busy = False
         #: pid -> value delivered by the counter, consumed at settle
         self.delivered: dict[int, int] = {}
-        self._install_result_hook()
-
-    def _install_result_hook(self) -> None:
-        counter = self.session.counter
-        original = counter.deliver_result
-        delivered = self.delivered
-
-        def deliver(pid: int, value: int) -> None:
-            original(pid, value)
-            delivered[pid] = value
-
-        counter.deliver_result = deliver  # type: ignore[method-assign]
+        session.counter.on_result = self.delivered.__setitem__
 
     @property
     def keys(self) -> int:

@@ -781,6 +781,13 @@ class FaultPlan:
         return frozenset(pids)
 
     @property
+    def unanswerable_pids(self) -> frozenset[ProcessorId]:
+        """Initiators whose own operations may go unanswered: the
+        permanently crashed (a dead client cannot observe its response)
+        and the Byzantine.  The one rule every driver reads."""
+        return self.permanent_crash_pids | self.byzantine_pids
+
+    @property
     def non_byzantine_lossy(self) -> bool:
         """True if a *non-Byzantine* rule can lose a message.
 

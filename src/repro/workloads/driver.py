@@ -19,11 +19,15 @@ Three driving regimes, one protocol object:
   operation at a time; arrivals finding every client busy queue FIFO,
   and their queueing delay counts toward latency.
 
-Every driver takes an optional :class:`~repro.runtime.Runtime`: the
-default is the discrete-event scheduler (byte-identical to the
-pre-seam behavior), and an :class:`~repro.runtime.AsyncioRuntime`
-routes the same workload through a real asyncio loop (``await`` the
-``*_async`` variants from async code).
+Each closed-loop regime is written once, as a generator that yields at
+every quiescence barrier (:func:`_sequence_steps`, :func:`_batch_steps`);
+:func:`_drive` pumps it from synchronous code and :func:`_drive_async`
+from inside a running loop, so ``run_sequence`` / ``run_sequence_async``
+(and the concurrent pair, and the timed drivers the linearizability
+checker consumes) are entry points over one body.  Every driver takes an
+optional :class:`~repro.runtime.Runtime`: the default is the
+discrete-event scheduler, and an :class:`~repro.runtime.AsyncioRuntime`
+routes the same steps through a real asyncio loop.
 """
 
 from __future__ import annotations
@@ -31,17 +35,17 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Callable, Collection, Generator, Iterable, Sequence, TypeVar
 
 from repro.api import CounterFactory, DistributedCounter
 from repro.errors import CapabilityError, ProtocolError
+from repro.runtime import AsyncioRuntime, Runtime, SimulatedRuntime
 from repro.sim.messages import NO_OP, OpIndex, ProcessorId
 from repro.sim.network import Network
 from repro.sim.policies import DeliveryPolicy
 from repro.sim.trace import Trace, TraceLevel
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.runtime import Runtime
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,78 +105,139 @@ class RunResult:
         return self.total_messages / len(self.outcomes)
 
 
-def _sequential_outcome(
-    counter: DistributedCounter,
-    trace: Trace,
-    counts_kept: bool,
-    op_index: OpIndex,
-    pid: ProcessorId,
-    before: list[int],
-    check_values: bool,
-    optional: frozenset[ProcessorId] = frozenset(),
-    last_required: int = -1,
-) -> OpOutcome | None:
-    """Verify one just-quiesced sequential op and build its outcome.
+@dataclass(frozen=True, slots=True)
+class TimedOp:
+    """One completed operation with its real-time interval."""
 
-    Shared by the sync and async sequential drivers so their checks (and
-    error messages) cannot drift apart.
+    op_index: OpIndex
+    initiator: ProcessorId
+    value: int
+    request_time: float
+    response_time: float
+
+
+def _costed(
+    trace: Trace, op_index: OpIndex, pid: ProcessorId, value: int
+) -> OpOutcome:
+    """The outcome of one op with the messages *trace* attributes to it."""
+    messages = trace.messages_for_op(op_index) if trace.keeps_loads else -1
+    return OpOutcome(op_index, pid, value, messages)
+
+
+# ----------------------------------------------------------------------
+# Pumps: a regime is a generator that yields at every quiescence
+# barrier; these run it, from sync or from async code
+# ----------------------------------------------------------------------
+
+def _drive(steps: Generator[None, None, _T], barrier: Callable[[], int]) -> _T:
+    """Pump *steps*, blocking on *barrier* wherever it yields."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as finished:
+            return finished.value
+        barrier()
+
+
+async def _drive_async(steps: Generator[None, None, _T], runtime: Runtime) -> _T:
+    """Pump *steps*, awaiting *runtime*'s drain wherever it yields — other
+    asyncio tasks interleave with the simulation at every barrier."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as finished:
+            return finished.value
+        await runtime.drain()
+
+
+def _run(
+    steps: Generator[None, None, _T],
+    counter: DistributedCounter,
+    runtime: Runtime | None,
+) -> _T:
+    """Run *steps* to completion from synchronous code: under the
+    discrete-event scheduler by default, and an async runtime routes the
+    whole workload through one ``asyncio.run``."""
+    if runtime is None:
+        runtime = SimulatedRuntime(counter.network)
+    if runtime.is_async:
+        return asyncio.run(_drive_async(steps, runtime))
+    return _drive(steps, runtime.until_quiescent)
+
+
+# ----------------------------------------------------------------------
+# Closed-loop sequential
+# ----------------------------------------------------------------------
+
+def _sequence_steps(
+    counter: DistributedCounter,
+    initiators: Sequence[ProcessorId],
+    check_values: bool,
+    optional: Collection[ProcessorId],
+) -> Generator[None, None, RunResult]:
+    """The sequential regime: one op, one barrier, one verified outcome.
 
     Initiators in *optional* (Byzantine or permanently crashed
-    processors) may legitimately see their operation vanish: the outcome
-    is ``None`` instead of an error, and any value they *do* receive is
+    processors) may legitimately see their operation vanish: the op is
+    omitted instead of an error, and any value they *do* receive is
     recorded unchecked — a liar's view of its own result proves nothing.
     With a non-empty *optional* set the exact ``value == op_index``
     check degrades to "values handed to required initiators strictly
-    increase" (*last_required* is the previous such value): adversarial
-    operations may or may not commit, so the absolute sequence shifts,
-    but a correct counter still never hands out a duplicate.
-
-    The network is quiescent here, so the operation's footprint is
-    final: it is sealed into its compact form before anything else.
+    increase": adversarial operations may or may not commit, so the
+    absolute sequence shifts, but a correct counter still never hands
+    out a duplicate.
     """
-    trace.seal_op(op_index)
-    after = counter.results_for(pid)
-    got = len(after) - len(before)
-    if pid in optional and got != 1:
-        # A Byzantine initiator may get no result (its corrupted
-        # request never formed a quorum) or several (its corrupted
-        # request spawned parallel bogus instances); neither is
-        # evidence of anything.  Record the last value if any.
-        if got == 0:
-            return None
-    elif got != 1:
-        raise ProtocolError(
-            f"operation {op_index}: processor {pid} received "
-            f"{got} results instead of 1"
-        )
-    value = after[-1]
-    if check_values:
-        if not optional:
-            if value != op_index:
+    trace = counter.network.trace
+    result = RunResult(counter_name=counter.name, n=counter.n, trace=trace)
+    last_required = -1
+    for op_index, pid in enumerate(initiators):
+        before = len(counter.results_for(pid))
+        counter.begin_inc(pid, op_index)
+        yield
+        # Quiescent: the operation's footprint is final, so it is
+        # sealed into its compact form before anything else.
+        trace.seal_op(op_index)
+        after = counter.results_for(pid)
+        got = len(after) - before
+        required = pid not in optional
+        if got != 1:
+            if required:
+                raise ProtocolError(
+                    f"operation {op_index}: processor {pid} received "
+                    f"{got} results instead of 1"
+                )
+            # A Byzantine initiator may get no result (its corrupted
+            # request never formed a quorum) or several (it spawned
+            # parallel bogus instances); neither is evidence of
+            # anything.  Record the last value if any.
+            if got == 0:
+                continue
+        value = after[-1]
+        if check_values:
+            if not optional:
+                if value != op_index:
+                    raise ProtocolError(
+                        f"operation {op_index}: processor {pid} received value "
+                        f"{value}, expected {op_index} (sequential semantics)"
+                    )
+            elif required and value <= last_required:
                 raise ProtocolError(
                     f"operation {op_index}: processor {pid} received value "
-                    f"{value}, expected {op_index} (sequential semantics)"
+                    f"{value}, but an earlier operation already received "
+                    f"{last_required} (sequential values must strictly "
+                    "increase)"
                 )
-        elif pid not in optional and value <= last_required:
-            raise ProtocolError(
-                f"operation {op_index}: processor {pid} received value "
-                f"{value}, but an earlier operation already received "
-                f"{last_required} (sequential values must strictly "
-                "increase)"
-            )
-    return OpOutcome(
-        op_index=op_index,
-        initiator=pid,
-        value=value,
-        messages=trace.messages_for_op(op_index) if counts_kept else -1,
-    )
+        if required:
+            last_required = value
+        result.outcomes.append(_costed(trace, op_index, pid, value))
+    return result
 
 
 def run_sequence(
     counter: DistributedCounter,
     initiators: Sequence[ProcessorId],
     check_values: bool = True,
-    runtime: "Runtime | None" = None,
+    runtime: Runtime | None = None,
     optional: frozenset[ProcessorId] = frozenset(),
 ) -> RunResult:
     """Run *initiators* sequentially, quiescing between operations.
@@ -188,40 +253,11 @@ def run_sequence(
 
     *optional* names initiators whose operations may vanish without
     error — Byzantine processors (a corrupted request may never form a
-    quorum) and permanently crashed ones.  See
-    :func:`_sequential_outcome` for how it relaxes the value check.
+    quorum) and permanently crashed ones.  See :func:`_sequence_steps`
+    for how it relaxes the value check.
     """
-    if runtime is not None and runtime.is_async:
-        return asyncio.run(
-            run_sequence_async(
-                counter, initiators, check_values=check_values,
-                runtime=runtime, optional=optional,
-            )
-        )
-    network = counter.network
-    barrier = (
-        network.run_until_quiescent
-        if runtime is None
-        else runtime.until_quiescent
-    )
-    trace = network.trace
-    counts_kept = trace.keeps_loads
-    result = RunResult(counter_name=counter.name, n=counter.n, trace=trace)
-    last_required = -1
-    for op_index, pid in enumerate(initiators):
-        before = counter.results_for(pid)
-        counter.begin_inc(pid, op_index)
-        barrier()
-        outcome = _sequential_outcome(
-            counter, trace, counts_kept, op_index, pid, before,
-            check_values, optional, last_required,
-        )
-        if outcome is None:
-            continue
-        if pid not in optional:
-            last_required = outcome.value
-        result.outcomes.append(outcome)
-    return result
+    steps = _sequence_steps(counter, initiators, check_values, optional)
+    return _run(steps, counter, runtime)
 
 
 async def run_sequence_async(
@@ -229,39 +265,25 @@ async def run_sequence_async(
     initiators: Sequence[ProcessorId],
     time_scale: float = 0.0,
     check_values: bool = True,
-    runtime: "Runtime | None" = None,
+    runtime: Runtime | None = None,
     optional: frozenset[ProcessorId] = frozenset(),
 ) -> RunResult:
-    """Async counterpart of :func:`run_sequence`.
+    """:func:`run_sequence` from inside a running loop.
 
-    Identical semantics — sequential operations with quiescence barriers
-    — but the barriers are awaited, so other asyncio tasks interleave
-    with the simulation.  *time_scale* builds a default
-    :class:`~repro.runtime.AsyncioRuntime` when *runtime* is omitted.
+    Identical semantics — the same steps — but the barriers are awaited,
+    so other asyncio tasks interleave with the simulation.  *time_scale*
+    builds a default :class:`~repro.runtime.AsyncioRuntime` when
+    *runtime* is omitted.
     """
-    from repro.runtime import AsyncioRuntime
-
     if runtime is None:
         runtime = AsyncioRuntime(counter.network, time_scale=time_scale)
-    trace = counter.network.trace
-    counts_kept = trace.keeps_loads
-    result = RunResult(counter_name=counter.name, n=counter.n, trace=trace)
-    last_required = -1
-    for op_index, pid in enumerate(initiators):
-        before = counter.results_for(pid)
-        counter.begin_inc(pid, op_index)
-        await runtime.drain()
-        outcome = _sequential_outcome(
-            counter, trace, counts_kept, op_index, pid, before,
-            check_values, optional, last_required,
-        )
-        if outcome is None:
-            continue
-        if pid not in optional:
-            last_required = outcome.value
-        result.outcomes.append(outcome)
-    return result
+    steps = _sequence_steps(counter, initiators, check_values, optional)
+    return await _drive_async(steps, runtime)
 
+
+# ----------------------------------------------------------------------
+# Closed-loop overlapping: concurrent batches, staggered starts
+# ----------------------------------------------------------------------
 
 def _require_concurrent(counter: DistributedCounter, regime: str) -> None:
     """Reject sequential-only counters before an overlapping-op run."""
@@ -274,11 +296,131 @@ def _require_concurrent(counter: DistributedCounter, regime: str) -> None:
         )
 
 
+def _start_batch(
+    counter: DistributedCounter,
+    batch: Sequence[ProcessorId],
+    first_op: OpIndex,
+    gap: float | None,
+) -> tuple[list[tuple[OpIndex, ProcessorId, float]], dict[ProcessorId, int]]:
+    """Start every op of *batch*; return them and each initiator's prior
+    result count.
+
+    Without *gap* all requests begin at this instant, before any event
+    runs; with it request ``k`` is injected ``k * gap`` time units from
+    now (the first included, so every start is an event of its op).  The
+    started list holds ``(op_index, pid, request_time)`` in start order.
+    """
+    network = counter.network
+    started: list[tuple[OpIndex, ProcessorId, float]] = []
+    prior: dict[ProcessorId, int] = {}
+    for offset, pid in enumerate(batch):
+        op_index = first_op + offset
+        if pid not in prior:
+            prior[pid] = len(counter.results_for(pid))
+        if gap is None:
+            started.append((op_index, pid, network.now))
+            counter.begin_inc(pid, op_index)
+            continue
+        delay = offset * gap
+        started.append((op_index, pid, network.now + delay))
+        network.inject(
+            (lambda p=pid, o=op_index: counter.begin_inc(p, o)),
+            op_index=op_index,
+            delay=delay,
+        )
+    return started, prior
+
+
+def _match_results(
+    counter: DistributedCounter,
+    started: list[tuple[OpIndex, ProcessorId, float]],
+    cursor: dict[ProcessorId, int],
+    optional: Collection[ProcessorId],
+) -> list[TimedOp]:
+    """Pair the k-th op started at ``p`` with the k-th result ``p`` received.
+
+    *cursor* enters as each initiator's result count before the batch
+    and is advanced per matched op, so an initiator repeated inside the
+    batch reads consecutive results.  An op left without a result is a
+    :class:`~repro.errors.ProtocolError` unless its initiator is in
+    *optional*, whose unanswered ops are omitted — the standard
+    treatment of incomplete operations: a linearization is free to place
+    or drop them, and at-most-once counters burn any value such an op
+    reserved.
+    """
+    ops: list[TimedOp] = []
+    for op_index, pid, request_time in started:
+        position = cursor[pid]
+        values = counter.results_for(pid)
+        if position >= len(values):
+            if pid in optional:
+                continue
+            raise ProtocolError(
+                f"operation {op_index}: processor {pid} never got a result"
+            )
+        cursor[pid] = position + 1
+        ops.append(
+            TimedOp(
+                op_index=op_index,
+                initiator=pid,
+                value=values[position],
+                request_time=request_time,
+                response_time=counter.result_times_for(pid)[position],
+            )
+        )
+    return ops
+
+
+def _batch_steps(
+    counter: DistributedCounter,
+    batches: Iterable[Sequence[ProcessorId]],
+    gap: float | None = None,
+    optional: Collection[ProcessorId] = frozenset(),
+) -> Generator[None, None, list[TimedOp]]:
+    """The overlapping regime: start a batch, one barrier, match results.
+
+    Operation indices run on across batches; the network quiesces
+    between them.
+    """
+    ops: list[TimedOp] = []
+    next_op = 0
+    for batch in batches:
+        started, prior = _start_batch(counter, batch, next_op, gap)
+        next_op += len(started)
+        yield
+        ops += _match_results(counter, started, prior, optional)
+    return ops
+
+
+def _check_counts(regime: str, values: list[int]) -> None:
+    """With overlap the values are unordered, but a correct counter still
+    hands out each of ``0..ops-1`` exactly once."""
+    values = sorted(values)
+    if values != list(range(len(values))):
+        raise ProtocolError(
+            f"{regime} run returned values {values[:10]}... "
+            f"instead of a permutation of 0..{len(values) - 1}"
+        )
+
+
+def _batch_result(
+    counter: DistributedCounter, ops: list[TimedOp], check_values: bool
+) -> RunResult:
+    """Cost the matched *ops*; *check_values* checks that they count."""
+    if check_values:
+        _check_counts("concurrent", [op.value for op in ops])
+    trace = counter.network.trace
+    outcomes = [
+        _costed(trace, op.op_index, op.initiator, op.value) for op in ops
+    ]
+    return RunResult(counter.name, counter.n, trace, outcomes)
+
+
 def run_concurrent(
     counter: DistributedCounter,
     batches: Iterable[Sequence[ProcessorId]],
     check_values: bool = True,
-    runtime: "Runtime | None" = None,
+    runtime: Runtime | None = None,
 ) -> RunResult:
     """Run operations in concurrent batches.
 
@@ -294,140 +436,61 @@ def run_concurrent(
     :class:`~repro.errors.CapabilityError` naming the restriction,
     instead of misbehaving mid-run.
     """
-    if runtime is not None and runtime.is_async:
-        collected: list[Sequence[ProcessorId]] = list(batches)
-        return asyncio.run(
-            _run_concurrent_batches_async(
-                counter, collected, check_values=check_values,
-                runtime=runtime,
-            )
-        )
     _require_concurrent(counter, "concurrent")
-    network = counter.network
-    barrier = (
-        network.run_until_quiescent
-        if runtime is None
-        else runtime.until_quiescent
-    )
-    trace = network.trace
-    counts_kept = trace.keeps_loads
-    result = RunResult(counter_name=counter.name, n=counter.n, trace=trace)
-    op_index = 0
-    for batch in batches:
-        injected: list[tuple[OpIndex, ProcessorId, int]] = []
-        for pid in batch:
-            prior = len(counter.results_for(pid))
-            counter.begin_inc(pid, op_index)
-            injected.append((op_index, pid, prior))
-            op_index += 1
-        barrier()
-        _collect_batch(counter, trace, counts_kept, injected, result)
-    if check_values:
-        _check_value_multiset(result)
-    return result
-
-
-def _collect_batch(
-    counter: DistributedCounter,
-    trace: Trace,
-    counts_kept: bool,
-    injected: list[tuple[OpIndex, ProcessorId, int]],
-    result: RunResult,
-) -> None:
-    """Harvest one quiesced concurrent batch into *result*."""
-    for this_op, pid, prior in injected:
-        results = counter.results_for(pid)
-        if len(results) <= prior:
-            raise ProtocolError(
-                f"operation {this_op}: processor {pid} never got a result"
-            )
-        result.outcomes.append(
-            OpOutcome(
-                op_index=this_op,
-                initiator=pid,
-                value=results[prior],
-                messages=trace.messages_for_op(this_op) if counts_kept else -1,
-            )
-        )
-
-
-def _check_value_multiset(result: RunResult) -> None:
-    """Enforce that returned values are a permutation of ``0..ops-1``."""
-    values = sorted(outcome.value for outcome in result.outcomes)
-    expected = list(range(len(result.outcomes)))
-    if values != expected:
-        raise ProtocolError(
-            f"concurrent run returned values {values[:10]}... "
-            f"instead of a permutation of 0..{len(expected) - 1}"
-        )
-
-
-async def _run_concurrent_batches_async(
-    counter: DistributedCounter,
-    batches: Iterable[Sequence[ProcessorId]],
-    check_values: bool,
-    runtime: "Runtime",
-) -> RunResult:
-    """Batch-loop shared by :func:`run_concurrent`'s async route."""
-    _require_concurrent(counter, "concurrent")
-    trace = counter.network.trace
-    counts_kept = trace.keeps_loads
-    result = RunResult(counter_name=counter.name, n=counter.n, trace=trace)
-    op_index = 0
-    for batch in batches:
-        injected: list[tuple[OpIndex, ProcessorId, int]] = []
-        for pid in batch:
-            prior = len(counter.results_for(pid))
-            counter.begin_inc(pid, op_index)
-            injected.append((op_index, pid, prior))
-            op_index += 1
-        await runtime.drain()
-        _collect_batch(counter, trace, counts_kept, injected, result)
-    if check_values:
-        _check_value_multiset(result)
-    return result
+    ops = _run(_batch_steps(counter, batches), counter, runtime)
+    return _batch_result(counter, ops, check_values)
 
 
 async def run_concurrent_async(
     counter: DistributedCounter,
     batch: Sequence[ProcessorId],
     time_scale: float = 0.0,
-    runtime: "Runtime | None" = None,
+    runtime: Runtime | None = None,
 ) -> RunResult:
-    """Inject *batch* concurrently, await quiescence, collect results.
+    """A single-batch :func:`run_concurrent` from inside a running loop.
 
-    Async counterpart of a single-batch :func:`run_concurrent`; the
-    value multiset is not checked here — callers assert on the outcomes.
+    The value multiset is not checked here — callers assert on the
+    outcomes.
     """
-    from repro.runtime import AsyncioRuntime
-
+    _require_concurrent(counter, "concurrent")
     if runtime is None:
         runtime = AsyncioRuntime(counter.network, time_scale=time_scale)
-    _require_concurrent(counter, "concurrent")
-    network = counter.network
-    trace = network.trace
-    counts_kept = trace.keeps_loads
-    result = RunResult(counter_name=counter.name, n=counter.n, trace=trace)
-    prior = {pid: len(counter.results_for(pid)) for pid in set(batch)}
-    seen: dict[ProcessorId, int] = dict(prior)
-    for op_index, pid in enumerate(batch):
-        counter.begin_inc(pid, op_index)
-    await runtime.drain()
-    for op_index, pid in enumerate(batch):
-        replies = counter.results_for(pid)
-        position = seen[pid]
-        if position >= len(replies):
-            raise ProtocolError(f"processor {pid} missed a result")
-        seen[pid] += 1
-        result.outcomes.append(
-            OpOutcome(
-                op_index=op_index,
-                initiator=pid,
-                value=replies[position],
-                messages=trace.messages_for_op(op_index) if counts_kept else -1,
-            )
-        )
-    return result
+    ops = await _drive_async(_batch_steps(counter, [batch]), runtime)
+    return _batch_result(counter, ops, check_values=False)
+
+
+def run_concurrent_timed(
+    counter: DistributedCounter,
+    batch: Sequence[ProcessorId],
+) -> list[TimedOp]:
+    """Inject *batch* concurrently and collect timed operations.
+
+    All requests start at the same simulated instant (their intervals
+    all begin at the current time) and run to quiescence.
+    """
+    steps = _batch_steps(counter, [batch])
+    return _drive(steps, counter.network.run_until_quiescent)
+
+
+def run_staggered_timed(
+    counter: DistributedCounter,
+    batch: Sequence[ProcessorId],
+    gap: float = 3.0,
+    optional: Collection[ProcessorId] = (),
+) -> list[TimedOp]:
+    """Inject requests *gap* time units apart (still overlapping).
+
+    Staggered starts create real-time precedence pairs, which the fully
+    concurrent variant (all requests at one instant) cannot have — and
+    without precedence pairs linearizability is vacuous.  This driver is
+    what actually exposes counting-network inversions.
+
+    Initiators in *optional* (typically processors a fault plan crashes
+    permanently) may fail to observe a result: their unanswered ops are
+    silently omitted from the returned list instead of raising.
+    """
+    steps = _batch_steps(counter, [batch], gap, optional)
+    return _drive(steps, counter.network.run_until_quiescent)
 
 
 # ----------------------------------------------------------------------
@@ -530,7 +593,7 @@ def run_open_loop(
     counter: DistributedCounter,
     arrivals: Sequence[float],
     check_values: bool = True,
-    runtime: "Runtime | None" = None,
+    runtime: Runtime | None = None,
     turnaround: float = 1.0,
 ) -> OpenLoopResult:
     """Drive *counter* with open-loop traffic arriving at *arrivals*.
@@ -563,14 +626,6 @@ def run_open_loop(
     if list(arrivals) != sorted(arrivals):
         raise ValueError("arrival times must be ascending")
     network = counter.network
-    # An async runtime's until_quiescent() spins up a private loop (and
-    # refuses inside a running one with a pointer to drain()), so every
-    # runtime kind presents the same blocking barrier here.
-    barrier = (
-        network.run_until_quiescent
-        if runtime is None
-        else runtime.until_quiescent
-    )
     trace = network.trace
     duration = arrivals[-1] if len(arrivals) else 0.0
     result = OpenLoopResult(
@@ -598,8 +653,6 @@ def run_open_loop(
         else:
             backlog.append((op_index, arrival))
 
-    original_deliver = counter.deliver_result
-
     def rearm(pid: ProcessorId) -> None:
         nonlocal backlog_head
         if backlog_head < len(backlog):
@@ -609,8 +662,7 @@ def run_open_loop(
         else:
             free.append(pid)
 
-    def deliver(pid: ProcessorId, value: int) -> None:
-        original_deliver(pid, value)
+    def completed(pid: ProcessorId, value: int) -> None:
         pending = in_flight.pop(pid, None)
         if pending is None:
             # A result for an operation this driver did not start
@@ -634,7 +686,8 @@ def run_open_loop(
         else:
             rearm(pid)
 
-    counter.deliver_result = deliver  # type: ignore[method-assign]
+    previous_observer = counter.on_result
+    counter.on_result = completed
     origin = network.now
     try:
         for op_index, offset in enumerate(arrivals):
@@ -644,21 +697,18 @@ def run_open_loop(
                 op_index=NO_OP,
                 delay=offset,
             )
-        barrier()
+        # One barrier for the whole run; an async runtime's
+        # until_quiescent() spins up a private loop for it.
+        (runtime or SimulatedRuntime(network)).until_quiescent()
     finally:
-        del counter.__dict__["deliver_result"]
+        counter.on_result = previous_observer
     if len(result.outcomes) != len(arrivals):
         raise ProtocolError(
             f"open-loop run completed {len(result.outcomes)} of "
             f"{len(arrivals)} operations"
         )
     if check_values:
-        values = sorted(o.value for o in result.outcomes)
-        if values != list(range(len(arrivals))):
-            raise ProtocolError(
-                f"open-loop run returned values {values[:10]}... instead "
-                f"of a permutation of 0..{len(arrivals) - 1}"
-            )
+        _check_counts("open-loop", result.values())
     return result
 
 

@@ -261,7 +261,84 @@ def execute_point(point: SweepPoint) -> SweepOutcome:
     )
 
 
-class SweepRunner:
+class CachedRunner:
+    """Cache-aware fan-out: the loop behind every by-value grid runner.
+
+    An *item* names one unit of work entirely by value and answers
+    ``config_hash()``; its outcome answers ``to_json()`` and is rebuilt
+    by :attr:`outcome_type` ``.from_json``.  :meth:`run` loads what the
+    on-disk cache already holds, hands the rest to :meth:`_execute`
+    (subclasses decide how — both fan out through :func:`fan_out`), and
+    stores every fresh outcome with an atomic tmp-then-replace write.
+    A cache entry that does not parse back into an outcome is treated
+    as absent and recomputed.
+
+    Args:
+        workers: worker processes; ``1`` (default) runs serially in
+            process, ``None`` uses every available core.
+        cache_dir: directory for on-disk result caching keyed by the
+            item's ``config_hash()``; ``None`` disables caching.
+    """
+
+    outcome_type: Any
+
+    def __init__(
+        self,
+        workers: int | None = 1,
+        cache_dir: str | pathlib.Path | None = None,
+    ) -> None:
+        if workers is not None and workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        self._workers = workers
+        self._cache_dir = pathlib.Path(cache_dir) if cache_dir else None
+
+    @property
+    def workers(self) -> int | None:
+        """Configured worker-process count (``None`` = all cores)."""
+        return self._workers
+
+    def run(self, items: Sequence[Any]) -> list[Any]:
+        """Execute every item (cache-aware); outcomes in input order."""
+        outcomes: list[Any] = [self._cache_load(item) for item in items]
+        missing = [i for i, cached in enumerate(outcomes) if cached is None]
+        if missing:
+            fresh = self._execute([items[i] for i in missing])
+            for index, outcome in zip(missing, fresh):
+                self._cache_store(items[index], outcome)
+                outcomes[index] = outcome
+        return outcomes
+
+    def _execute(self, items: list[Any]) -> list[Any]:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Cache
+    # ------------------------------------------------------------------
+    def _cache_path(self, item: Any) -> pathlib.Path | None:
+        if self._cache_dir is None:
+            return None
+        return self._cache_dir / f"{item.config_hash()}.json"
+
+    def _cache_load(self, item: Any) -> Any | None:
+        path = self._cache_path(item)
+        if path is None or not path.exists():
+            return None
+        try:
+            return self.outcome_type.from_json(json.loads(path.read_text()))
+        except (OSError, KeyError, TypeError, ValueError):
+            return None  # corrupt or foreign entry: recompute
+
+    def _cache_store(self, item: Any, outcome: Any) -> None:
+        path = self._cache_path(item)
+        if path is None:
+            return
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(".tmp")
+        tmp.write_text(json.dumps(outcome.to_json(), sort_keys=True))
+        tmp.replace(path)
+
+
+class SweepRunner(CachedRunner):
     """Executes sweep grids, optionally in parallel and/or cached.
 
     Args:
@@ -280,85 +357,33 @@ class SweepRunner:
     its configuration alone).
     """
 
+    outcome_type = SweepOutcome
+
     def __init__(
         self,
         workers: int | None = 1,
         cache_dir: str | pathlib.Path | None = None,
         serial_threshold: int = DEFAULT_SERIAL_THRESHOLD,
     ) -> None:
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        super().__init__(workers, cache_dir)
         if serial_threshold < 0:
             raise ConfigurationError(
                 f"serial_threshold must be >= 0, got {serial_threshold}"
             )
-        self._workers = workers
-        self._cache_dir = pathlib.Path(cache_dir) if cache_dir else None
         self._serial_threshold = serial_threshold
-
-    @property
-    def workers(self) -> int | None:
-        """Configured worker-process count (``None`` = all cores)."""
-        return self._workers
 
     @property
     def serial_threshold(self) -> int:
         """Uncached-point count below which the runner stays serial."""
         return self._serial_threshold
 
-    def run(self, points: Sequence[SweepPoint]) -> list[SweepOutcome]:
-        """Execute every point (cache-aware); outcomes in input order."""
-        outcomes: list[SweepOutcome | None] = [None] * len(points)
-        missing: list[int] = []
-        for index, point in enumerate(points):
-            cached = self._cache_load(point)
-            if cached is not None:
-                outcomes[index] = cached
-            else:
-                missing.append(index)
-        if missing:
-            fresh = self._execute([points[i] for i in missing])
-            for index, outcome in zip(missing, fresh):
-                self._cache_store(outcome)
-                outcomes[index] = outcome
-        return outcomes  # type: ignore[return-value]
-
     def bottlenecks(self, points: Sequence[SweepPoint]) -> list[int]:
         """Shorthand: the bottleneck load of each point, in input order."""
         return [outcome.bottleneck_load for outcome in self.run(points)]
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def _execute(self, points: list[SweepPoint]) -> list[SweepOutcome]:
         workers = self._workers
         if len(points) < self._serial_threshold:
             workers = 1
+        # resolved at call time: tracing patches the module attribute
         return fan_out(execute_point, points, workers)
-
-    # ------------------------------------------------------------------
-    # Cache
-    # ------------------------------------------------------------------
-    def _cache_path(self, point: SweepPoint) -> pathlib.Path | None:
-        if self._cache_dir is None:
-            return None
-        return self._cache_dir / f"{point.config_hash()}.json"
-
-    def _cache_load(self, point: SweepPoint) -> SweepOutcome | None:
-        path = self._cache_path(point)
-        if path is None or not path.exists():
-            return None
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):  # corrupt entry: recompute
-            return None
-        return SweepOutcome.from_json(payload)
-
-    def _cache_store(self, outcome: SweepOutcome) -> None:
-        path = self._cache_path(outcome.point)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(outcome.to_json(), sort_keys=True))
-        tmp.replace(path)

@@ -88,6 +88,23 @@ class TestResultBookkeeping:
         counter.network.run_until_quiescent()
         assert counter.results_for(2) == [3]
 
+    def test_on_result_observes_each_value_as_it_is_recorded(self):
+        counter = CentralCounter(Network(), 4)
+        assert counter.on_result is None
+        seen = []
+
+        def observer(pid, value):
+            # already recorded when the observer runs
+            assert counter.last_result_for(pid) == value
+            seen.append((pid, value))
+
+        counter.on_result = observer
+        run_sequence(counter, [2, 3, 2])
+        assert seen == [(2, 0), (3, 1), (2, 2)]
+        counter.on_result = None
+        run_sequence(counter, [4], check_values=False)
+        assert len(seen) == 3 and counter.results_for(4) == [3]
+
 
 class TestFactoryProtocol:
     def test_class_is_a_factory(self):

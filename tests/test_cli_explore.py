@@ -102,6 +102,39 @@ class TestExploreCommand:
         assert strip(serial[1]) == strip(parallel[1])
 
 
+@pytest.mark.byzantine
+class TestByzantineRegimeEndToEnd:
+    """Two pinned explorations through the CLI: the adversary breaks a
+    counter that trusts its server and cannot break one built for it."""
+
+    def test_bare_central_yields_an_agreement_witness(self, capsys):
+        code, out, _ = _run(
+            capsys,
+            "--counter", "central", "--n", "4", "--seed", "0",
+            "--strategy", "guided:6,random:6", "--budget", "6",
+            "--faults", "byz=1@equivocate", "--workload", "sequential",
+            "--json",
+        )
+        report = json.loads(out)
+        assert code == 1
+        oracles = {f["failure"]["oracle"] for f in report["failures"]}
+        assert "agreement" in oracles
+
+    def test_byz_counter_explores_clean_within_its_budget(self, capsys):
+        # f = 1 < n/3 at n = 7
+        code, out, _ = _run(
+            capsys,
+            "--counter", "byz-counter?f=1", "--n", "7", "--seed", "3",
+            "--strategy", "guided:4,random:4", "--budget", "4",
+            "--faults", "byz=1@mixed", "--workload", "sequential",
+            "--json",
+        )
+        report = json.loads(out)
+        assert code == 0
+        assert report["failures"] == []
+        assert report["episodes"] == 8
+
+
 class TestReplayMode:
     def test_replaying_the_corpus_reproduces(self, capsys):
         path = sorted(CORPUS_DIR.glob("*.json"))[0]

@@ -8,6 +8,7 @@ for clocks, ``repro experiment`` for counts — stay the only two.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -204,3 +205,97 @@ class TestOnePlaceANumberComesFrom:
         # trials); anything newer needs a row and a committed table
         unlisted = set(REGISTRY) - set(module.EXPERIMENTS)
         assert unlisted == {"E24", "E25", "E26", "E27"}
+
+
+class TestOneWayToRunACounter:
+    """Each driving regime has one body, results have one observer slot,
+    the runtimes have one base — and analysis code drives nothing."""
+
+    SRC = ROOT / "src" / "repro"
+
+    @staticmethod
+    def _tree(path: pathlib.Path) -> ast.AST:
+        return ast.parse(path.read_text(), filename=str(path))
+
+    @staticmethod
+    def _called_name(call: ast.Call) -> str | None:
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            return func.attr
+        return func.id if isinstance(func, ast.Name) else None
+
+    def test_nothing_assigns_to_deliver_result(self):
+        hits = []
+        for path in self.SRC.rglob("*.py"):
+            for node in ast.walk(self._tree(path)):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                elif isinstance(node, ast.Delete):
+                    targets = node.targets
+                else:
+                    continue
+                hits += [
+                    f"{path.relative_to(ROOT)}:{node.lineno}"
+                    for target in targets
+                    if isinstance(target, ast.Attribute)
+                    and target.attr == "deliver_result"
+                ]
+        assert not hits, f"observe results through on_result instead: {hits}"
+
+    def test_analysis_drives_nothing(self):
+        hits = []
+        for path in (self.SRC / "analysis").rglob("*.py"):
+            hits += [
+                f"{path.relative_to(ROOT)}:{node.lineno}"
+                for node in ast.walk(self._tree(path))
+                if isinstance(node, ast.Call)
+                and self._called_name(node)
+                in ("begin_inc", "run_until_quiescent")
+            ]
+        assert not hits, f"drivers belong in workloads/driver.py: {hits}"
+
+    def test_each_regime_has_one_body(self):
+        tree = self._tree(self.SRC / "workloads" / "driver.py")
+        sequential_loops = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.For, ast.AsyncFor))
+            and isinstance(node.iter, ast.Call)
+            and self._called_name(node.iter) == "enumerate"
+            and isinstance(node.iter.args[0], ast.Name)
+            and node.iter.args[0].id == "initiators"
+        ]
+        assert len(sequential_loops) == 1
+
+        class DropAwait(ast.NodeTransformer):
+            def visit_Await(self, node: ast.Await) -> ast.AST:
+                return self.visit(node.value)
+
+        bodies: dict[str, str] = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            statements = node.body
+            if ast.get_docstring(node) is not None:
+                statements = statements[1:]
+            body = "\n".join(
+                ast.dump(DropAwait().visit(statement))
+                for statement in statements
+            )
+            twin = bodies.setdefault(body, node.name)
+            assert twin == node.name, (
+                f"{node.name} and {twin} differ only by await: "
+                "write the body once as steps and pump it"
+            )
+
+    def test_runtime_accessors_are_defined_once(self):
+        tree = self._tree(self.SRC / "runtime.py")
+        defined = [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for name in ("network", "trace", "now", "step"):
+            assert defined.count(name) == 1, name

@@ -135,8 +135,14 @@ class TestOpenLoopDriver:
     def test_result_hook_restored_after_run(self):
         network = Network()
         counter = CentralCounter(network, 4)
+        seen = []
+        observer = lambda pid, value: seen.append(value)
+        counter.on_result = observer
         run_open_loop(counter, poisson_arrivals(8, 2.0, seed=2))
         assert "deliver_result" not in counter.__dict__
+        # the driver borrowed the one observer slot and gave it back
+        assert counter.on_result is observer
+        assert seen == []
 
     def test_percentiles_and_throughput(self):
         network = Network()

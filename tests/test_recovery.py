@@ -258,3 +258,34 @@ class TestSessionIntegration:
     def test_recover_clause_requires_a_matching_crash(self):
         with pytest.raises(ConfigurationError):
             RunSession("central[standby]", 8, faults="recover=1@t50")
+
+    @pytest.mark.parametrize(
+        "spec", ("central[standby]", "combining-tree[bypass]")
+    )
+    def test_dead_initiator_may_go_unanswered_in_every_regime(self, spec):
+        # one rule, read by the sequential and the staggered driver alike
+        plan = parse_fault_spec("crash=3@t5")
+        assert plan.unanswerable_pids == frozenset({3})
+        sequential = RunSession(spec, 8, faults="crash=3@t5").run_sequence()
+        assert [o.initiator for o in sequential.outcomes] == [
+            1, 2, 4, 5, 6, 7, 8,
+        ]
+        values = sequential.values()
+        assert all(a < b for a, b in zip(values, values[1:]))
+        staggered = RunSession(spec, 8, faults="crash=3@t5").run_staggered()
+        assert 3 not in {op.initiator for op in staggered}
+
+    def test_unanswerable_rule_does_not_replace_the_capability_gate(self):
+        with pytest.raises(CapabilityError, match="tolerate crashes"):
+            RunSession("central", 8, faults="crash=3@t5")
+        with pytest.raises(CapabilityError, match="tolerate crashes"):
+            RunSession("combining-tree", 8, faults="crash=3@t5")
+
+    def test_unanswerable_pids_unions_crashed_and_byzantine(self):
+        plan = parse_fault_spec("crash=3@t5,crash=4@t5-t9,byz=1@silence")
+        plan.bind_clients(8)
+        assert plan.unanswerable_pids == (
+            plan.permanent_crash_pids | plan.byzantine_pids
+        )
+        assert plan.permanent_crash_pids == frozenset({3})
+        assert len(plan.byzantine_pids) == 1

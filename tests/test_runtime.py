@@ -23,6 +23,13 @@ from repro.runtime import (
 )
 from repro.sim.network import Network
 from repro.sim.processor import InertProcessor
+from repro.workloads import (
+    run_concurrent,
+    run_concurrent_async,
+    run_sequence,
+    run_sequence_async,
+    shuffled,
+)
 
 ALL_SPECS = registered_names()
 
@@ -226,6 +233,36 @@ class TestEverySpecTraceIdenticalAcrossRuntimes:
             == aio.network.trace.fingerprint()
         )
         assert sorted(sim_result.values()) == sorted(aio_result.values())
+
+    @pytest.mark.parametrize(
+        "spec", ("central", "combining-tree", "counting-network", "ww-tree")
+    )
+    def test_async_entry_points_inside_a_running_loop(self, spec):
+        # one body, two pumps: awaiting the *_async entry points from a
+        # live loop runs the same steps the blocking ones do
+        sequential = spec == "ww-tree"
+        order = shuffled(8, seed=3) if sequential else [1, 2, 1, 2, 3, 8]
+
+        def blocking():
+            session = RunSession(spec, 8, trace_level="FULL")
+            if sequential:
+                return session, run_sequence(session.counter, order)
+            return session, run_concurrent(session.counter, [order])
+
+        async def awaited():
+            session = RunSession(spec, 8, trace_level="FULL")
+            if sequential:
+                return session, await run_sequence_async(session.counter, order)
+            return session, await run_concurrent_async(session.counter, order)
+
+        sim, sim_result = blocking()
+        aio, aio_result = asyncio.run(awaited())
+        assert (
+            sim.network.trace.fingerprint()
+            == aio.network.trace.fingerprint()
+        )
+        assert sim_result.values() == aio_result.values()
+        assert sim_result.outcomes == aio_result.outcomes
 
     def test_random_policy_sync_vs_asyncio(self):
         sim = RunSession("ww-tree", 27, policy="random", seed=11)

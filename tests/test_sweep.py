@@ -182,6 +182,18 @@ class TestCache:
         outcome = runner.run([point])[0]
         assert outcome.bottleneck_load == 14
 
+    @pytest.mark.parametrize(
+        "entry", ["{}", '{"point": {"counter": "central"}}', "[1, 2]"]
+    )
+    def test_parseable_but_wrong_cache_entry_recomputed(self, tmp_path, entry):
+        runner = SweepRunner(cache_dir=tmp_path)
+        point = SweepPoint(counter="central", n=8)
+        path = tmp_path / f"{point.config_hash()}.json"
+        path.write_text(entry)
+        outcome = runner.run([point])[0]
+        assert outcome.bottleneck_load == 14
+        assert SweepOutcome.from_json(json.loads(path.read_text())) == outcome
+
     def test_cache_respects_trace_level_in_key(self, tmp_path):
         runner = SweepRunner(cache_dir=tmp_path)
         runner.run([SweepPoint(counter="central", n=8)])

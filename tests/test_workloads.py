@@ -6,6 +6,7 @@ import pytest
 
 from repro.counters import CentralCounter
 from repro.errors import ConfigurationError, ProtocolError
+from repro.registry import RunSession
 from repro.sim.network import Network
 from repro.workloads import (
     one_shot,
@@ -142,6 +143,22 @@ class TestConcurrentDriver:
         counter = CentralCounter(network, 3)
         result = run_concurrent(counter, [[1, 2], [1, 3]])
         assert sorted(result.values()) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("runtime", ("sim", "asyncio"))
+    @pytest.mark.parametrize(
+        "spec", ("central", "combining-tree", "counting-network")
+    )
+    def test_initiator_repeated_inside_one_batch(self, spec, runtime):
+        # the k-th op started at p reads the k-th result p received: a
+        # matcher that reads one result twice reports a duplicate value
+        # on a correct counter
+        session = RunSession(spec, 4, runtime=runtime)
+        result = session.run_concurrent([[1, 2, 1, 2, 3]])
+        assert sorted(result.values()) == list(range(5))
+        assert [o.initiator for o in result.outcomes] == [1, 2, 1, 2, 3]
+        for pid in (1, 2):
+            own = [o.value for o in result.outcomes if o.initiator == pid]
+            assert own == session.counter.results_for(pid)
 
     def test_duplicate_check_catches_broken_counter(self, network):
         class StuckCounter(CentralCounter):
