@@ -4,9 +4,9 @@ The paper's model (§2) guarantees messages are "never lost, duplicated
 or corrupted".  This module is the deliberate, *opt-in* departure from
 that guarantee: a seeded, deterministic :class:`FaultPlan` the network
 consults on its send path.  With no plan installed the simulator is
-byte-identical to the failure-free substrate (the faulty send path is
-swapped in only by :meth:`~repro.sim.network.Network.install_fault_plan`,
-so the clean path carries zero extra work); with a plan installed, every
+byte-identical to the failure-free substrate (:meth:`Network.send
+<repro.sim.network.Network.send>` skips the plan after one ``None``
+test); with a plan installed, every
 injected fault becomes a first-class :class:`FaultRecord` in both the
 plan's ledger and the execution trace.
 

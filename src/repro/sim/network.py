@@ -19,17 +19,19 @@ Determinism: given the same processors, policy and injection sequence, two
 runs produce identical traces.  All randomness lives inside the seeded
 delivery policy.
 
-Performance: message delivery is the hot path of every experiment, so the
-network specializes it per :class:`~repro.sim.trace.TraceLevel` at
-construction time — the policy's ``delay`` method and the constant-delay
-shortcut are pre-bound once, a send appends the bare message to its
-timestamp's bucket in the :class:`~repro.sim.events.EventQueue` (no
-per-event tuple, no closure), per-processor ``on_message`` handlers are
-resolved once into a dispatch table, and one fused drain loop per trace
-level walks whole buckets with the trace updates inlined.  ``FULL``
-tracing keeps every record; ``LOADS`` skips record materialization and
-payload copies; ``OFF`` skips tracing entirely.  Scheduler hooks and
-fault plans run on the same queue and the same loops.
+Performance: message delivery is the hot path of every experiment.  The
+policy's ``delay`` method and the constant-delay shortcut are pre-bound
+once, a send appends the bare message to its timestamp's bucket in the
+:class:`~repro.sim.events.EventQueue` (no per-event tuple, no closure),
+per-processor ``on_message`` handlers are resolved once into a dispatch
+table, and one fused drain loop walks whole buckets with the trace
+updates of :meth:`~repro.sim.trace.Trace.record` inlined behind two
+flags read once per call.  ``FULL`` tracing keeps every record;
+``LOADS`` skips record materialization and payload copies; ``OFF``
+skips tracing entirely.  Scheduler hooks and fault plans run on the
+same queue, the same :meth:`Network.send` and the same loop: a fault
+plan is consulted per send once installed and is otherwise one
+``None`` test.
 """
 
 from __future__ import annotations
@@ -60,6 +62,12 @@ _tuple_new = tuple.__new__
 """Direct tuple allocation for Message/MessageRecord on the hot path —
 skips the NamedTuple's Python-level ``__new__`` wrapper."""
 
+# The drain loop's per-call level tests compare against these: reading a
+# member off an Enum class is a descriptor call (~0.2 us on CPython 3.11),
+# as much as the rest of a short drain call's set-up.
+_OFF = TraceLevel.OFF
+_FULL = TraceLevel.FULL
+
 
 class Network:
     """A simulated asynchronous point-to-point network.
@@ -78,8 +86,8 @@ class Network:
             ``LOADS`` (columnar counters only) or ``OFF`` (no tracing).
             Accepts a :class:`~repro.sim.trace.TraceLevel` or its name.
         fault_plan: optional seeded :class:`~repro.sim.faults.FaultPlan`
-            consulted per send (``None`` keeps the failure-free model and
-            the clean :meth:`send`).
+            consulted by every :meth:`send` (``None`` keeps the
+            failure-free model).
         core: accepted and ignored — kept for the frozen ``bench/``
             probes; goes when a benchmark PR drops them.
     """
@@ -123,20 +131,6 @@ class Network:
             self._policy, "constant_delay", None
         )
         self._copy_payloads = trace_level is TraceLevel.FULL
-        # Aliases of the trace's counter dicts for the drain loops — the
-        # dicts are shared objects, so the trace sees every update (and
-        # deepcopy keeps them shared via its memo).
-        self._sent_counts = self._trace._sent
-        self._received_counts = self._trace._received
-        self._op_counts = self._trace._op_counts
-        self._footprints = self._trace._footprints
-        # One fused bucket-walking drain per trace level.
-        if trace_level is TraceLevel.FULL:
-            self._drain: Callable[[int], int] = self._drain_full
-        elif trace_level is TraceLevel.LOADS:
-            self._drain = self._drain_loads
-        else:
-            self._drain = self._drain_off
         if fault_plan is not None:
             self.install_fault_plan(fault_plan)
 
@@ -347,16 +341,16 @@ class Network:
     # Fault injection
     # ------------------------------------------------------------------
     def install_fault_plan(self, plan: FaultPlan) -> None:
-        """Install *plan* and swap the send path to the faulty variant.
+        """Install *plan*; every later :meth:`send` consults it.
 
-        The clean :meth:`send` stays untouched at class level — networks
-        without a plan pay nothing and produce byte-identical traces.
-        Installing rebinds ``send`` on this instance only; events
-        already pending keep their order.  The plan's ledger is
-        per-network-run.
+        Only the plan is stored: networks without one take the same
+        :meth:`send` and produce byte-identical traces, events already
+        pending keep their order, and anything that wrapped ``send``
+        before (e.g. :meth:`BitLoadAnalyzer.attach
+        <repro.analysis.bits.BitLoadAnalyzer.attach>`) keeps observing.
+        The plan's ledger is per-network-run.
         """
         self._fault_plan = plan
-        self.send = self._send_faulty  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Schedule exploration
@@ -397,6 +391,15 @@ class Network:
         Under ``FULL`` tracing the payload is defensively copied (records
         outlive the send); the fast tiers pass the caller's mapping
         through.
+
+        With a fault plan installed, the plan is consulted once per
+        message and may drop it (nothing queued, no in-flight increment
+        — a lost message cannot block quiescence), duplicate it (one
+        bucket entry per copy, all sharing the uid), boost its delay, or
+        rewrite its payload (Byzantine rules: the corrupted message is
+        what gets delivered).  Every injected fault lands in the plan's
+        ledger and, levels permitting, the trace.  A message no rule
+        touches is scheduled exactly as without a plan.
         """
         if receiver not in self._processors and self._materialise(receiver) is None:
             raise UnknownProcessorError(
@@ -411,7 +414,6 @@ class Network:
         message = _tuple_new(
             Message, (sender, receiver, kind, payload, self._active_op, uid, now)
         )
-        self._in_flight += 1
         delay = self._constant_delay
         if delay is None:
             delay = self._policy_delay(message)
@@ -419,10 +421,25 @@ class Network:
                 raise ValueError(
                     f"policy {self._policy!r} returned negative delay {delay}"
                 )
+        time = now + delay
+        if self._fault_plan is not None:
+            outcome = self._fault_plan.consult(message, now, time)
+            if outcome is not None:
+                trace = self._trace
+                for record in outcome.records:
+                    trace.record_fault(record)
+                # A Byzantine rewrite replaces what goes on the wire (same
+                # uid, same endpoints); the caller still gets the message
+                # it sent.
+                delivered = outcome.message or message
+                for time in outcome.delivery_times:
+                    self._in_flight += 1
+                    queue.push_at(time, delivered)
+                return message
+        self._in_flight += 1
         # Inlined EventQueue.push_at: the message rides bare in its time
         # bucket — no per-event tuple, no heap traffic unless the
         # timestamp is new.
-        time = now + delay
         buckets = queue._buckets
         bucket = buckets.get(time)
         if bucket is None:
@@ -432,60 +449,6 @@ class Network:
             heappush(queue._times, time)
         bucket.append(message)
         queue._len += 1
-        return message
-
-    def _send_faulty(
-        self,
-        sender: ProcessorId,
-        receiver: ProcessorId,
-        kind: str,
-        payload: Mapping[str, Any],
-    ) -> Message:
-        """The send path with a fault plan installed.
-
-        Mirrors :meth:`send` (keep in sync) up to scheduling: the plan
-        is consulted once per message and may drop it (nothing queued,
-        no in-flight increment — a lost message cannot block quiescence),
-        duplicate it (one bucket entry per copy, all sharing the uid),
-        boost its delay, or rewrite its payload (Byzantine rules: the
-        corrupted message is what gets delivered).  Every injected
-        fault lands in the plan's ledger and, levels permitting, the
-        trace.
-        """
-        if receiver not in self._processors and self._materialise(receiver) is None:
-            raise UnknownProcessorError(
-                f"message from {sender} addressed to unknown processor {receiver}"
-            )
-        queue = self._queue
-        uid = self._next_uid
-        self._next_uid = uid + 1
-        if self._copy_payloads:
-            payload = dict(payload)
-        now = queue._now
-        message = _tuple_new(
-            Message, (sender, receiver, kind, payload, self._active_op, uid, now)
-        )
-        delay = self._constant_delay
-        if delay is None:
-            delay = self._policy_delay(message)
-            if delay < 0:
-                raise ValueError(
-                    f"policy {self._policy!r} returned negative delay {delay}"
-                )
-        outcome = self._fault_plan.consult(message, now, now + delay)
-        if outcome is None:
-            self._in_flight += 1
-            queue.push_at(now + delay, message)
-            return message
-        trace = self._trace
-        for record in outcome.records:
-            trace.record_fault(record)
-        # A Byzantine rewrite replaces what goes on the wire (same uid,
-        # same endpoints); the caller still gets the message it sent.
-        delivered = outcome.message if outcome.message is not None else message
-        for time in outcome.delivery_times:
-            self._in_flight += 1
-            queue.push_at(time, delivered)
         return message
 
     # ------------------------------------------------------------------
@@ -580,8 +543,8 @@ class Network:
             context=context,
         )
 
-    def _drain_off(self, limit: int) -> int:
-        """Fused bucket drain, ``OFF`` tracing: dispatch and nothing else.
+    def _drain(self, limit: int) -> int:
+        """Fused bucket drain: walk, pick, trace, dispatch.
 
         :meth:`EventQueue._next_item` inlined: walks the queue's buckets
         in time order with the cursor held in locals; messages jump
@@ -589,68 +552,15 @@ class Network:
         Queue length, the in-flight count and the active operation are
         reconciled once in the ``finally`` — ``send`` updates
         ``_len``/``_in_flight`` through the instance during the loop, so
-        only this loop's own deltas are applied there.  Keep the three
-        ``_drain_*`` variants in sync; they differ only in the inlined
-        trace updates.
-        """
-        queue = self._queue
-        buckets = queue._buckets
-        times = queue._times
-        free = queue._free
-        hook = queue._hook
-        handlers = self._handlers
-        bucket = queue._active
-        pos = queue._active_pos
-        ran = 0
-        delivered = 0
-        previous_op = self._active_op
-        try:
-            while ran < limit:
-                if bucket is None or pos >= len(bucket):
-                    if bucket is not None:
-                        del buckets[queue._now]
-                        bucket.clear()
-                        free.append(bucket)
-                        bucket = queue._active = None
-                    if not times:
-                        break
-                    time = heappop(times)
-                    bucket = buckets[time]
-                    queue._now = time
-                    queue._active = bucket
-                    pos = 0
-                    continue
-                if hook is not None and len(bucket) - pos > 1:
-                    if pos:
-                        del bucket[:pos]
-                        pos = 0
-                    item = bucket.pop(hook.choose(bucket))
-                else:
-                    item = bucket[pos]
-                    bucket[pos] = None
-                    pos += 1
-                ran += 1
-                if type(item) is not Message:
-                    item()
-                else:
-                    delivered += 1
-                    op_index = item[4]
-                    if op_index != self._active_op:
-                        self._active_op = op_index
-                    handlers[item[1]](item)
-        finally:
-            queue._active_pos = pos if bucket is not None else 0
-            queue._len -= ran
-            self._in_flight -= delivered
-            self._active_op = previous_op
-        return ran
+        only this loop's own deltas are applied there.
 
-    def _drain_loads(self, limit: int) -> int:
-        """Fused bucket drain, ``LOADS`` tracing.
-
-        :meth:`_drain_off` plus the columnar counter updates of
-        :meth:`~repro.sim.trace.Trace.count` inlined onto the pre-bound
-        dicts (keep in sync with it).
+        Each delivered message updates the trace exactly as
+        :meth:`~repro.sim.trace.Trace.record` would — that method is the
+        reference this loop inlines.  Two flags read once per call pick
+        the level's share: ``OFF`` skips tracing, ``LOADS`` updates the
+        columnar counters (``NO_OP`` traffic counts toward loads and
+        totals only), ``FULL`` also materializes the record and indexes
+        ``NO_OP`` traffic in the per-operation views.
         """
         queue = self._queue
         buckets = queue._buckets
@@ -659,10 +569,15 @@ class Network:
         hook = queue._hook
         handlers = self._handlers
         trace = self._trace
-        sent_counts = self._sent_counts
-        received_counts = self._received_counts
-        op_counts = self._op_counts
-        footprints = self._footprints
+        level = self._trace_level
+        loads = level is not _OFF
+        full = level is _FULL
+        records = trace._records
+        by_op = trace._by_op
+        sent_counts = trace._sent
+        received_counts = trace._received
+        op_counts = trace._op_counts
+        footprints = trace._footprints
         bucket = queue._active
         pos = queue._active_pos
         ran = 0
@@ -696,15 +611,31 @@ class Network:
                 ran += 1
                 if type(item) is not Message:
                     item()
-                else:
-                    delivered += 1
+                    continue
+                delivered += 1
+                pid = item[1]
+                op_index = item[4]
+                if loads:
                     sender = item[0]
-                    pid = item[1]
-                    op_index = item[4]
                     trace._total += 1
                     sent_counts[sender] += 1
                     received_counts[pid] += 1
-                    if op_index != NO_OP:
+                    if op_index != NO_OP or full:
+                        if full:
+                            record = _tuple_new(
+                                MessageRecord,
+                                (
+                                    sender,
+                                    pid,
+                                    item[2],
+                                    op_index,
+                                    item[5],
+                                    item[6],
+                                    queue._now,
+                                ),
+                            )
+                            records.append(record)
+                            by_op[op_index].append(record)
                         op_counts[op_index] += 1
                         footprint = footprints.get(op_index)
                         if footprint is None:
@@ -712,102 +643,9 @@ class Network:
                         else:
                             footprint.add(sender)
                             footprint.add(pid)
-                    if op_index != self._active_op:
-                        self._active_op = op_index
-                    handlers[pid](item)
-        finally:
-            queue._active_pos = pos if bucket is not None else 0
-            queue._len -= ran
-            self._in_flight -= delivered
-            self._active_op = previous_op
-        return ran
-
-    def _drain_full(self, limit: int) -> int:
-        """Fused bucket drain, ``FULL`` tracing.
-
-        :meth:`_drain_off` plus record materialization and
-        :meth:`~repro.sim.trace.Trace.record` inlined (keep in sync with
-        it) — unlike ``LOADS``, FULL indexes ``NO_OP`` traffic in the
-        per-operation views too.
-        """
-        queue = self._queue
-        buckets = queue._buckets
-        times = queue._times
-        free = queue._free
-        hook = queue._hook
-        handlers = self._handlers
-        trace = self._trace
-        records = trace._records
-        by_op = trace._by_op
-        sent_counts = self._sent_counts
-        received_counts = self._received_counts
-        op_counts = self._op_counts
-        footprints = self._footprints
-        bucket = queue._active
-        pos = queue._active_pos
-        ran = 0
-        delivered = 0
-        previous_op = self._active_op
-        try:
-            while ran < limit:
-                if bucket is None or pos >= len(bucket):
-                    if bucket is not None:
-                        del buckets[queue._now]
-                        bucket.clear()
-                        free.append(bucket)
-                        bucket = queue._active = None
-                    if not times:
-                        break
-                    time = heappop(times)
-                    bucket = buckets[time]
-                    queue._now = time
-                    queue._active = bucket
-                    pos = 0
-                    continue
-                if hook is not None and len(bucket) - pos > 1:
-                    if pos:
-                        del bucket[:pos]
-                        pos = 0
-                    item = bucket.pop(hook.choose(bucket))
-                else:
-                    item = bucket[pos]
-                    bucket[pos] = None
-                    pos += 1
-                ran += 1
-                if type(item) is not Message:
-                    item()
-                else:
-                    delivered += 1
-                    sender = item[0]
-                    pid = item[1]
-                    op_index = item[4]
-                    record = _tuple_new(
-                        MessageRecord,
-                        (
-                            sender,
-                            pid,
-                            item[2],
-                            op_index,
-                            item[5],
-                            item[6],
-                            queue._now,
-                        ),
-                    )
-                    trace._total += 1
-                    sent_counts[sender] += 1
-                    received_counts[pid] += 1
-                    records.append(record)
-                    by_op[op_index].append(record)
-                    op_counts[op_index] += 1
-                    footprint = footprints.get(op_index)
-                    if footprint is None:
-                        footprints[op_index] = {sender, pid}
-                    else:
-                        footprint.add(sender)
-                        footprint.add(pid)
-                    if op_index != self._active_op:
-                        self._active_op = op_index
-                    handlers[pid](item)
+                if op_index != self._active_op:
+                    self._active_op = op_index
+                handlers[pid](item)
         finally:
             queue._active_pos = pos if bucket is not None else 0
             queue._len -= ran
@@ -838,10 +676,6 @@ class Network:
         self._policy_delay = self._policy.delay
         self._constant_delay = getattr(self._policy, "constant_delay", None)
         self._trace = Trace(level=self._trace_level)
-        self._sent_counts = self._trace._sent
-        self._received_counts = self._trace._received
-        self._op_counts = self._trace._op_counts
-        self._footprints = self._trace._footprints
         if self._fault_plan is not None:
             self._fault_plan.reset()
 

@@ -137,39 +137,30 @@ class Trace:
     # Recording
     # ------------------------------------------------------------------
     def record(self, record: MessageRecord) -> None:
-        """Append one delivered message, updating the level's indexes."""
-        level = self._level
-        if level is not TraceLevel.FULL:
-            if level is TraceLevel.LOADS:
-                self.count(record.sender, record.receiver, record.op_index)
-            return
-        self._total += 1
-        self._sent[record.sender] += 1
-        self._received[record.receiver] += 1
-        op_index = record.op_index
-        self._records.append(record)
-        self._by_op[op_index].append(record)
-        self._op_counts[op_index] += 1
-        footprint = self._footprints.get(op_index)
-        if footprint is None:
-            self._footprints[op_index] = {record.sender, record.receiver}
-        else:
-            footprint.add(record.sender)
-            footprint.add(record.receiver)
+        """Enter one delivered message, updating the level's indexes.
 
-    def count(
-        self, sender: ProcessorId, receiver: ProcessorId, op_index: OpIndex
-    ) -> None:
-        """Count one delivered message without materializing a record.
-
-        This is the ``LOADS`` fast path used by the network's delivery
-        loop: columnar counter updates only.  ``NO_OP`` traffic counts
-        toward loads and totals but not the per-operation views.
+        The one definition of what a delivery does to a trace:
+        ``LOADS`` updates the columnar counters — ``NO_OP`` traffic
+        counts toward loads and totals but not the per-operation views;
+        ``FULL`` also keeps the record and indexes every message, ``NO_OP``
+        included, per operation; ``OFF`` keeps nothing.  The network's
+        delivery loop (:meth:`Network._drain
+        <repro.sim.network.Network._drain>`) inlines exactly this.
         """
+        level = self._level
+        if level is TraceLevel.OFF:
+            return
+        full = level is TraceLevel.FULL
+        sender = record.sender
+        receiver = record.receiver
+        op_index = record.op_index
         self._total += 1
         self._sent[sender] += 1
         self._received[receiver] += 1
-        if op_index != NO_OP:
+        if op_index != NO_OP or full:
+            if full:
+                self._records.append(record)
+                self._by_op[op_index].append(record)
             self._op_counts[op_index] += 1
             footprint = self._footprints.get(op_index)
             if footprint is None:

@@ -9,6 +9,7 @@ import pytest
 from repro.analysis.bits import BitLoadAnalyzer, value_bits
 from repro.core import TreeCounter
 from repro.counters import CentralCounter
+from repro.sim.faults import parse_fault_spec
 from repro.sim.network import Network
 from repro.workloads import one_shot, run_sequence
 
@@ -55,6 +56,15 @@ class TestBitLoadAnalyzer:
 
     def test_observes_every_message(self):
         analyzer, result = self._analyze(CentralCounter, 16)
+        assert analyzer.message_count == result.total_messages
+
+    def test_installing_a_fault_plan_keeps_the_analyzer_attached(self):
+        network = Network()
+        analyzer = BitLoadAnalyzer(8)
+        analyzer.attach(network)
+        network.install_fault_plan(parse_fault_spec("dup=0.0"))
+        result = run_sequence(CentralCounter(network, 8), one_shot(8))
+        assert result.total_messages > 0
         assert analyzer.message_count == result.total_messages
 
     def test_bit_bottleneck_matches_message_bottleneck_for_central(self):

@@ -299,3 +299,50 @@ class TestOneWayToRunACounter:
         ]
         for name in ("network", "trace", "now", "step"):
             assert defined.count(name) == 1, name
+
+
+class TestOneDeliveryPath:
+    """One drain loop serves every trace level and one ``send`` serves
+    clean and faulty networks — no per-level or per-plan copies."""
+
+    SIM = ROOT / "src" / "repro" / "sim"
+    NETWORK = SIM / "network.py"
+
+    def _network_methods(self) -> list[str]:
+        tree = ast.parse(self.NETWORK.read_text())
+        (network,) = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "Network"
+        ]
+        return [
+            node.name for node in network.body if isinstance(node, ast.FunctionDef)
+        ]
+
+    def test_one_drain_loop(self):
+        drains = [name for name in self._network_methods() if name.startswith("_drain")]
+        assert drains == ["_drain"]
+
+    def test_one_send(self):
+        sends = [name for name in self._network_methods() if name.startswith("_send_")]
+        assert not sends, sends
+
+    def test_nothing_in_sim_assigns_to_send(self):
+        hits = []
+        for path in self.SIM.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                hits += [
+                    f"{path.relative_to(ROOT)}:{node.lineno}"
+                    for target in targets
+                    if isinstance(target, ast.Attribute) and target.attr == "send"
+                ]
+        assert not hits, f"consult the fault plan inside Network.send: {hits}"
+
+    def test_no_copies_to_keep_in_sync(self):
+        assert "keep in sync" not in self.NETWORK.read_text()

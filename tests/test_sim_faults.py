@@ -263,12 +263,6 @@ class TestNetworkIntegration:
         assert "send" not in network.__dict__
         assert type(network).send is Network.send
 
-    def test_installing_a_plan_rebinds_send_on_the_instance_only(self):
-        clean = Network()
-        faulty = Network(fault_plan=parse_fault_spec("drop=0.5"))
-        assert "send" in faulty.__dict__
-        assert "send" not in clean.__dict__
-
     def test_clean_runs_are_identical_with_the_fault_layer_present(self):
         def run(**kwargs):
             network = Network(**kwargs)

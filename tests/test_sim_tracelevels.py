@@ -15,7 +15,8 @@ import pytest
 from repro.counters import CentralCounter
 from repro.core import TreeCounter
 from repro.errors import TraceCapabilityError
-from repro.sim.messages import Message
+from repro.registry import RunSession
+from repro.sim.messages import NO_OP, Message
 from repro.sim.network import Network
 from repro.sim.policies import RandomDelay
 from repro.sim.processor import Processor
@@ -34,6 +35,39 @@ def _run_tree(level: TraceLevel, seed: int = 7, n: int = 81) -> Network:
     counter = TreeCounter(network, n)
     run_sequence(counter, one_shot(n))
     return network
+
+
+class _LastReady:
+    """Scheduler hook that runs the most recently scheduled ready item."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def choose(self, ready: list) -> int:
+        self.calls += 1
+        return len(ready) - 1
+
+
+def _hooked_tree(level: TraceLevel) -> RunSession:
+    session = RunSession("ww-tree", 27, trace_level=level)
+    session.network.install_scheduler_hook(_LastReady())
+    return session
+
+
+# Traffic on which the levels' shares of the one delivery loop differ
+# or the send path branches: untracked (NO_OP) heartbeats, fault-plan
+# copies and drops behind the retransmitting transport, and hook-chosen
+# delivery order.
+_SETUPS = {
+    "standby-crash": lambda level: RunSession(
+        "central[standby]", 8, faults="crash=3@t5", trace_level=level
+    ),
+    "lossy-reliable": lambda level: RunSession(
+        "ww-tree", 81, policy="random", seed=5, faults="drop=0.1,dup=0.1",
+        reliable=True, trace_level=level,
+    ),
+    "hooked": _hooked_tree,
+}
 
 
 class TestTraceLevelCoercion:
@@ -76,6 +110,37 @@ class TestDeterminismAcrossLevels:
         assert off.now == full.now
         assert off.events_executed == full.events_executed
         assert off.trace.level is TraceLevel.OFF
+
+    @pytest.mark.parametrize("setup", sorted(_SETUPS))
+    def test_levels_agree_on_untracked_faulty_and_hooked_traffic(self, setup):
+        networks = {}
+        for level in TraceLevel:
+            session = _SETUPS[setup](level)
+            session.run_sequence()
+            networks[level] = session.network
+        full = networks[TraceLevel.FULL].trace
+        loads = networks[TraceLevel.LOADS].trace
+        # The FULL records, entered through the reference update, must
+        # rebuild exactly the counters the LOADS run kept.
+        replay = Trace(level=TraceLevel.LOADS)
+        for record in full.records:
+            replay.record(record)
+        assert replay.loads() == loads.loads()
+        assert replay.total_messages == loads.total_messages
+        assert replay.op_indices() == loads.op_indices()
+        for op in loads.op_indices():
+            assert replay.messages_for_op(op) == loads.messages_for_op(op)
+            assert replay.footprint(op) == loads.footprint(op)
+        assert full.fault_counts() == loads.fault_counts()
+        off = networks[TraceLevel.OFF]
+        assert off.events_executed == networks[TraceLevel.FULL].events_executed
+        assert off.now == networks[TraceLevel.FULL].now
+        if setup == "standby-crash":
+            # failure-detector heartbeats: FULL indexes them, LOADS not
+            assert full.messages_for_op(NO_OP) > 0
+            assert loads.messages_for_op(NO_OP) == 0
+        if setup == "hooked":
+            assert all(net.scheduler_hook.calls > 0 for net in networks.values())
 
 
 class TestCapabilityErrors:
