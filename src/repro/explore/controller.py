@@ -60,7 +60,10 @@ class ScheduleController(DeliveryPolicy, SchedulerHook):
         self._menu = delay_menu
         self._decisions: list[int] = []
         self._kinds: list[str] = []
-        self._load: Callable[[int], int] | None = None
+        # Readers over the trace's load columns; until attach binds them
+        # (and at TraceLevel.OFF) they read an empty map, so loads are 0.
+        self._sent: Callable[[int, int], int] = {}.get
+        self._received = self._sent
 
     # ------------------------------------------------------------------
     # Wiring
@@ -75,13 +78,14 @@ class ScheduleController(DeliveryPolicy, SchedulerHook):
         network.install_scheduler_hook(self)
         trace = network.trace
         if trace.keeps_loads:
-            self._load = trace.load
+            # The columns Trace.load sums, read directly: its capability
+            # check is made here once instead of on every read.
+            self._sent = trace._sent.get
+            self._received = trace._received.get
 
     def load(self, pid: int) -> int:
         """Message load of *pid* so far (0 before attach)."""
-        if self._load is None:
-            return 0
-        return self._load(pid)
+        return self._sent(pid, 0) + self._received(pid, 0)
 
     @property
     def delay_menu(self) -> tuple[float, ...]:

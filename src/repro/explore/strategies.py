@@ -17,13 +17,14 @@ Three searching strategies ship, matching the tentpole:
   cyclically over the message stream, so consecutive messages get
   systematically *different* delays — the cheapest way to invert
   delivery orders — while tie-breaks stay at baseline.
-* :class:`GuidedStrategy` — reuses the lower-bound proof's weight
-  function (:func:`repro.lowerbound.weights.weight_of`) to steer toward
-  high-contention schedules: candidates touching the currently loaded
-  processors score geometrically higher, and the strategy picks
-  proportionally to score.  The intuition is the adversary argument
-  itself — schedules that keep hammering the hot spot are where
-  stale-value and ordering bugs live.
+* :class:`GuidedStrategy` — scores with the lower-bound proof's weight
+  function (:func:`repro.lowerbound.weights.weight_of`, computed inline
+  over a message's two labels) to steer toward high-contention
+  schedules: candidates touching the currently loaded processors score
+  geometrically higher, and the strategy picks proportionally to score
+  with one uniform draw per decision.  The intuition is the adversary
+  argument itself — schedules that keep hammering the hot spot are
+  where stale-value and ordering bugs live.
 
 Plus two auxiliary ones: :class:`BaselineStrategy` (all defaults; the
 uncontrolled execution) and :class:`ReplayStrategy` (answers from a
@@ -39,10 +40,11 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Sequence
+from bisect import bisect_right
+from itertools import accumulate
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.lowerbound.weights import weight_of
 from repro.sim.messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -60,6 +62,21 @@ seed 0 identical to episode 0 of seed 1."""
 def episode_rng(seed: int, episode: int) -> random.Random:
     """A deterministic, process-independent generator for one episode."""
     return random.Random(seed * _SEED_STRIDE + episode)
+
+
+def _weighted_index(random: Callable[[], float], weights: Sequence[float]) -> int:
+    """An index into *weights* drawn in proportion to them, with one draw.
+
+    The arithmetic ``Random.choices`` performs for ``weights=`` and one
+    pick on CPython 3.11 and 3.12, minus its argument checks and result
+    list: running-sum cumulative weights, their float total, and the
+    first index below the last whose cumulative weight exceeds
+    ``random() * total``.  Picks and the generator stream therefore
+    match it exactly; a single weight still consumes its draw.
+    """
+    cumulative = list(accumulate(weights))
+    last = len(cumulative) - 1
+    return bisect_right(cumulative, random() * (cumulative[last] + 0.0), 0, last)
 
 
 class Strategy(ABC):
@@ -270,19 +287,24 @@ class GuidedStrategy(Strategy):
             raise ConfigurationError(f"guided base must exceed 1, got {base}")
         self._seed = seed
         self._base = base
-        self._rng = episode_rng(seed, 0)
+        # weight_of's denominators for list positions 1 and 2, computed
+        # the way it computes them, once.
+        self._b1 = base**1
+        self._b2 = base**2
+        self.begin_episode(0)
 
     def begin_episode(self, episode: int) -> None:
         self._rng = episode_rng(self._seed, episode)
+        self._random = self._rng.random
 
-    def _score(self, message: Message, controller: "ScheduleController") -> float:
+    def _score(self, message: Message, load: Callable[[int], int]) -> float:
         # The proof's per-list weight, applied to the message's
         # receiver-then-sender "list": messages into the hot spot carry
         # the most weight, exactly the contention the adversary farms.
+        # The float operations of weight_of((receiver, sender), loads,
+        # base), in its order, so the score is bit-identical to it.
         receiver, sender = message[1], message[0]
-        load = controller.load
-        loads = {receiver: load(receiver), sender: load(sender)}
-        return weight_of((receiver, sender), loads, self._base)
+        return (load(receiver) + 1) / self._b1 + (load(sender) + 1) / self._b2
 
     def choose_delay(
         self, message: Message, menu_size: int, controller: "ScheduleController"
@@ -290,9 +312,10 @@ class GuidedStrategy(Strategy):
         # Hot-target messages get spread across the menu (piling distinct
         # delays onto the hot spot's in-box maximizes overlap there);
         # cold traffic mostly keeps the unit delay.
-        score = self._score(message, controller)
-        weights = [1.0 + score * index for index in range(menu_size)]
-        return self._rng.choices(range(menu_size), weights=weights)[0]
+        score = self._score(message, controller.load)
+        return _weighted_index(
+            self._random, [1.0 + score * index for index in range(menu_size)]
+        )
 
     def choose_tiebreak(
         self,
@@ -301,14 +324,13 @@ class GuidedStrategy(Strategy):
     ) -> int:
         # Prefer running the heaviest-weighted delivery first, keeping
         # the hot spot saturated; non-message events score the floor.
+        load = controller.load
+        random = self._random
         best_index = 0
         best_score = -1.0
         for index, entry in enumerate(ready):
-            if isinstance(entry, Message):
-                score = self._score(entry, controller)
-            else:
-                score = 0.0
-            score += self._rng.random() * 1e-9  # deterministic tie noise
+            score = self._score(entry, load) if type(entry) is Message else 0.0
+            score += random() * 1e-9  # deterministic tie noise
             if score > best_score:
                 best_score = score
                 best_index = index
@@ -324,7 +346,7 @@ class GuidedStrategy(Strategy):
         # while keeping every choice reachable.
         if kind == "byz-pid":
             weights = [self._base ** (count - 1 - i) for i in range(count)]
-            return self._rng.choices(range(count), weights=weights)[0]
+            return _weighted_index(self._random, weights)
         return self._rng.randrange(count)
 
     def __repr__(self) -> str:

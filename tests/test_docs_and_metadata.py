@@ -346,3 +346,34 @@ class TestOneDeliveryPath:
 
     def test_no_copies_to_keep_in_sync(self):
         assert "keep in sync" not in self.NETWORK.read_text()
+
+
+class TestOneDrawPerDecision:
+    """The guided strategy scores inline and draws one ``random()`` per
+    decision: no ``random.choices`` (a list, an ``accumulate`` and a
+    ``bisect`` per call) and no per-message ``weight_of`` (a dict and a
+    loop per call) in the strategies module."""
+
+    STRATEGIES = ROOT / "src" / "repro" / "explore" / "strategies.py"
+
+    def _nodes(self) -> list[ast.AST]:
+        return list(ast.walk(ast.parse(self.STRATEGIES.read_text())))
+
+    def test_no_choices_call(self):
+        calls = [
+            node.lineno
+            for node in self._nodes()
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "choices"
+        ]
+        assert not calls, f"draw through _weighted_index instead: lines {calls}"
+
+    def test_weight_of_not_imported(self):
+        imported = [
+            alias.name
+            for node in self._nodes()
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        assert "weight_of" not in imported
