@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Any, Callable, ClassVar
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.sim.messages import OpIndex, ProcessorId
@@ -147,8 +147,8 @@ class DistributedCounter(ABC):
             raise ConfigurationError(f"need at least one processor, got n={n}")
         self._network = network
         self._n = n
-        self._results: dict[ProcessorId, list[int]] = {}
-        self._result_times: dict[ProcessorId, list[float]] = {}
+        # One history per initiator: value and response time alternate.
+        self._results: dict[ProcessorId, list[Any]] = {}
         self.on_result: Callable[[ProcessorId, int], None] | None = None
 
     # ------------------------------------------------------------------
@@ -186,41 +186,43 @@ class DistributedCounter(ABC):
         receives its answer.  The simulated response time is recorded
         alongside, which is what the linearizability checker consumes.
         """
-        self._results.setdefault(pid, []).append(value)
-        self._result_times.setdefault(pid, []).append(self._network.now)
+        history = self._results.get(pid)
+        if history is None:
+            self._results[pid] = [value, self._network.now]
+        else:
+            history += (value, self._network.now)
         if self.on_result is not None:
             self.on_result(pid, value)
 
     def results_for(self, pid: ProcessorId) -> list[int]:
         """All values returned to *pid* so far, in arrival order."""
-        return list(self._results.get(pid, []))
+        return self._results.get(pid, [])[0::2]
 
     def result_times_for(self, pid: ProcessorId) -> list[float]:
         """Simulated times at which *pid* received its values."""
-        return list(self._result_times.get(pid, []))
+        return self._results.get(pid, [])[1::2]
 
     def last_result_for(self, pid: ProcessorId) -> int:
         """The most recent value returned to *pid*; raises if none."""
         results = self._results.get(pid)
         if not results:
             raise ProtocolError(f"no inc result was delivered to processor {pid}")
-        return results[-1]
+        return results[-2]
 
     def release_results(self, pid: ProcessorId) -> None:
         """Forget the values (and times) delivered to *pid* so far.
 
         For owners that consume each result as it arrives (a serving
-        shard reads it through :attr:`on_result`): the two histories are the
-        only counter state that grows with the number of operations.
+        shard reads it through :attr:`on_result`): the history is the only
+        counter state that grows with the number of operations.
         """
         self._results.pop(pid, None)
-        self._result_times.pop(pid, None)
 
     def all_results(self) -> list[int]:
         """Every value handed out, across all processors (unordered)."""
         values: list[int] = []
-        for result_list in self._results.values():
-            values.extend(result_list)
+        for history in self._results.values():
+            values += history[0::2]
         return values
 
 

@@ -48,6 +48,8 @@ class NodeRole:
             leaves, keyed by ``("leaf", pid)`` with fixed worker = pid.
         value: the counter value (root only; None elsewhere).
         retire_count: how many times this node has retired a worker.
+        key, parent_key: role keys of the node and its parent (None for
+            the root), built once and shared by every message naming them.
     """
 
     addr: NodeAddr
@@ -59,6 +61,8 @@ class NodeRole:
     children_workers: dict[tuple, ProcessorId] = field(default_factory=dict)
     value: int | None = None
     retire_count: int = 0
+    key: tuple = ()
+    parent_key: tuple | None = None
 
     @property
     def is_root(self) -> bool:
@@ -120,12 +124,17 @@ class RoleRegistry:
             beliefs = {leaf_key(pid): pid for pid in geometry.leaf_children(addr)}
         worker = geometry.initial_worker(addr)
         role = NodeRole(
-            addr=addr, worker=worker, child_addrs=child_addrs, children_workers=beliefs
+            addr=addr,
+            worker=worker,
+            child_addrs=child_addrs,
+            children_workers=beliefs,
+            key=node_key(addr),
         )
         if addr.is_root:
             role.value = 0
         else:
             role.parent_addr = geometry.parent(addr)
+            role.parent_key = node_key(role.parent_addr)
             role.parent_worker = geometry.initial_worker(role.parent_addr)
             self._inner_worker_index[worker] = addr
         self._roles[addr] = role

@@ -22,6 +22,7 @@ explicit, and fills the two gaps the paper waves off:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.tree.protocol import (
@@ -56,7 +57,8 @@ class TreeWorker(Processor):
     takes a role up only when the hand-off arrives.
 
     Most processors are plain leaves for a whole run, so the three role
-    tables are allocated on first write (``None`` until then).
+    tables are allocated on first write (``None`` until then), and the
+    role table goes back to ``None`` when the last role retires.
     """
 
     __slots__ = (
@@ -94,12 +96,11 @@ class TreeWorker(Processor):
     # ------------------------------------------------------------------
     def adopt_role(self, role: NodeRole) -> None:
         """Take up work for *role* (initial assignment or hand-off)."""
-        key = node_key(role.addr)
         if self._roles is None:
             self._roles = {}
-        self._roles[key] = role
+        self._roles[role.key] = role
         if self._forward:
-            self._forward.pop(key, None)
+            self._forward.pop(role.key, None)
 
     def active_role_keys(self) -> list[RoleKey]:
         """Role keys this worker currently plays (test introspection)."""
@@ -192,11 +193,7 @@ class TreeWorker(Processor):
             self.send(
                 role.parent_worker,
                 KIND_INC,
-                {
-                    "origin": origin,
-                    "role": node_key(role.parent_addr),
-                    "request": request,
-                },
+                {"origin": origin, "role": role.parent_key, "request": request},
             )
         role.age += 1  # sent the answer/forward
         self._maybe_retire(role)
@@ -205,7 +202,7 @@ class TreeWorker(Processor):
         """A neighbour node moved: update the local belief of its worker."""
         changed: RoleKey = tuple(message.payload["node"])
         new_worker: ProcessorId = message.payload["new_worker"]
-        if role.parent_addr is not None and changed == node_key(role.parent_addr):
+        if changed == role.parent_key:
             role.parent_worker = new_worker
         elif changed in role.children_workers:
             role.children_workers[changed] = new_worker
@@ -247,8 +244,7 @@ class TreeWorker(Processor):
             return
         for deferred in pending:
             self.network.inject(
-                (lambda msg=deferred: self.on_message(msg)),
-                op_index=deferred.op_index,
+                partial(self.on_message, deferred), op_index=deferred.op_index
             )
 
     # ------------------------------------------------------------------
@@ -260,7 +256,7 @@ class TreeWorker(Processor):
             return
         registry = self._counter.registry
         successor = registry.next_worker_for(role)
-        key = node_key(role.addr)
+        key = role.key
         registry.commit_retirement(
             role,
             successor,
@@ -268,6 +264,8 @@ class TreeWorker(Processor):
             time=self.network.now,
         )
         del self._roles[key]
+        if not self._roles:
+            self._roles = None
         if self._forward is None:
             self._forward = {}
         self._forward[key] = successor
@@ -287,11 +285,7 @@ class TreeWorker(Processor):
             self.send(
                 role.parent_worker,
                 KIND_ID_UPDATE,
-                {
-                    "role": node_key(role.parent_addr),
-                    "node": key,
-                    "new_worker": successor,
-                },
+                {"role": role.parent_key, "node": key, "new_worker": successor},
             )
         # ... and one to each child (leaves included).
         for child_key, believed_worker in role.children_workers.items():

@@ -17,7 +17,7 @@ this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.api import Capabilities, DistributedCounter
 from repro.errors import ConfigurationError, ProtocolError
@@ -60,7 +60,6 @@ class _PendingInc:
     awaiting: int
     best_version: int = -1
     best_value: int = 0
-    replies: list[tuple[int, int]] = field(default_factory=list)
 
 
 class _QuorumMember(Processor):
@@ -93,7 +92,6 @@ class _QuorumMember(Processor):
     def _absorb_reply(self, version: int, value: int) -> None:
         assert self._pending is not None
         pending = self._pending
-        pending.replies.append((version, value))
         if version > pending.best_version:
             pending.best_version = version
             pending.best_value = value

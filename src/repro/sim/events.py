@@ -73,8 +73,8 @@ class EventQueue:
     Items scheduled through :meth:`schedule` are zero-argument actions,
     and :meth:`pop` / :meth:`run_next` / :meth:`run_many` execute items
     as such.  An owner that appends other payloads through
-    :meth:`push_at` (the network's messages ride bare, with no
-    per-event wrapper) must also be the one that drains them.
+    :meth:`push_at` must also be the one that drains them (the network's
+    messages and ``(action, op_index)`` local events ride bare).
     """
 
     __slots__ = (

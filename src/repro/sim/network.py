@@ -23,15 +23,15 @@ Performance: message delivery is the hot path of every experiment.  The
 policy's ``delay`` method and the constant-delay shortcut are pre-bound
 once, a send appends the bare message to its timestamp's bucket in the
 :class:`~repro.sim.events.EventQueue` (no per-event tuple, no closure),
-per-processor ``on_message`` handlers are resolved once into a dispatch
-table, and one fused drain loop walks whole buckets with the trace
-updates of :meth:`~repro.sim.trace.Trace.record` inlined behind two
-flags read once per call.  ``FULL`` tracing keeps every record;
-``LOADS`` skips record materialization and payload copies; ``OFF``
-skips tracing entirely.  Scheduler hooks and fault plans run on the
-same queue, the same :meth:`Network.send` and the same loop: a fault
-plan is consulted per send once installed and is otherwise one
-``None`` test.
+a local event as the bare pair ``(action, op_index)``, delivery calls
+the receiver's ``on_message`` straight off the processor table, and one
+fused drain loop walks whole buckets with the trace updates of
+:meth:`~repro.sim.trace.Trace.record` inlined behind two flags read once
+per call.  ``FULL`` tracing keeps every record; ``LOADS`` skips record
+materialization and payload copies; ``OFF`` skips tracing entirely.
+Scheduler hooks and fault plans run on the same queue, the same
+:meth:`Network.send` and the same loop: a fault plan is consulted per
+send once installed and is otherwise one ``None`` test.
 """
 
 from __future__ import annotations
@@ -109,9 +109,8 @@ class Network:
         self._policy = policy or UnitDelay()
         self._queue = EventQueue()
         self._processors: dict[ProcessorId, Processor] = {}
-        self._handlers: dict[ProcessorId, Callable[[Message], None]] = {}
         # Id ranges registered with a factory (register_lazy): a program
-        # enters the two tables above the first time its id is addressed.
+        # enters the table above the first time its id is addressed.
         self._lazy: list[tuple[range, Callable[[ProcessorId], Processor]]] = []
         self._unmaterialised = 0
         self._trace = Trace(level=trace_level)
@@ -265,8 +264,8 @@ class Network:
 
         *factory* must be deep-copyable together with the network — a
         bound method or a :func:`functools.partial` of one, not a closure
-        (``copy.deepcopy`` shares plain functions, so a clone's factory
-        would build processors wired to the original).
+        (``copy.deepcopy`` shares plain functions, closures included, so
+        a clone's factory would build processors wired to the original).
         """
         if not isinstance(ids, range) or ids.step != 1 or not ids or ids.start < 1:
             raise ConfigurationError(
@@ -291,9 +290,9 @@ class Network:
         """Swap *processor* in for the one registered under its id.
 
         The one sanctioned way to exchange a registered program (the
-        seeded-bug mutants do): attaches *processor* and points both the
-        registry and the drain loops' dispatch table at it, whether the
-        id was materialised before or only covered by a lazy range.
+        seeded-bug mutants do): attaches *processor* and enters it in the
+        processor table the drain loop delivers through, whether the id
+        was materialised before or only covered by a lazy range.
         Messages already in flight are delivered to the new program.
         """
         pid = processor.pid
@@ -304,12 +303,9 @@ class Network:
         return self._install(processor)
 
     def _install(self, processor: Processor) -> Processor:
-        """Attach *processor* and enter it in both tables."""
+        """Attach *processor* and enter it in the processor table."""
         processor.attach(self)
         self._processors[processor.pid] = processor
-        # Dispatch table: the drain loops jump straight to the
-        # handler, skipping the per-message dict + attribute lookups.
-        self._handlers[processor.pid] = processor.on_message
         return processor
 
     def _lazy_factory(
@@ -465,17 +461,15 @@ class Network:
         This models the paper's operation requests: an ``inc`` "initiates a
         process" at its requesting processor without itself being a
         message.  Messages sent from within *action* belong to *op_index*.
+
+        The bare pair ``(action, op_index)`` rides in the time bucket (a
+        hook sees an opaque non-:class:`Message`); the drain loop makes
+        *op_index* active and calls *action*.  A deep copy's bound-method
+        actions fire on the copy; a closure still follows the original.
         """
-
-        def run() -> None:
-            previous_op = self._active_op
-            self._active_op = op_index
-            try:
-                action()
-            finally:
-                self._active_op = previous_op
-
-        self._queue.schedule(delay, run)
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        self._queue.push_at(self._queue._now + delay, (action, op_index))
 
     # ------------------------------------------------------------------
     # Execution
@@ -547,8 +541,9 @@ class Network:
         """Fused bucket drain: walk, pick, trace, dispatch.
 
         :meth:`EventQueue._next_item` inlined: walks the queue's buckets
-        in time order with the cursor held in locals; messages jump
-        straight to the dispatch table, anything else is a local action.
+        in time order with the cursor held in locals; a message goes to
+        its receiver's ``on_message`` through the processor table, an
+        ``(action, op_index)`` pair runs *action* under *op_index*.
         Queue length, the in-flight count and the active operation are
         reconciled once in the ``finally`` — ``send`` updates
         ``_len``/``_in_flight`` through the instance during the loop, so
@@ -567,7 +562,7 @@ class Network:
         times = queue._times
         free = queue._free
         hook = queue._hook
-        handlers = self._handlers
+        processors = self._processors
         trace = self._trace
         level = self._trace_level
         loads = level is not _OFF
@@ -610,7 +605,8 @@ class Network:
                     pos += 1
                 ran += 1
                 if type(item) is not Message:
-                    item()
+                    self._active_op = item[1]
+                    item[0]()
                     continue
                 delivered += 1
                 pid = item[1]
@@ -645,7 +641,7 @@ class Network:
                             footprint.add(pid)
                 if op_index != self._active_op:
                     self._active_op = op_index
-                handlers[pid](item)
+                processors[pid].on_message(item)
         finally:
             queue._active_pos = pos if bucket is not None else 0
             queue._len -= ran

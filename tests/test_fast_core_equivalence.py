@@ -28,6 +28,7 @@ from repro.explore import STRATEGY_NAMES, ExploreConfig, Explorer
 from repro.explore.strategies import make_strategy
 from repro.registry import RunSession, parse_spec, registered_names
 from repro.sim.faults import parse_fault_spec
+from repro.sim.messages import NO_OP
 from repro.sim.network import Network
 from repro.sim.processor import InertProcessor
 
@@ -288,17 +289,50 @@ class TestInstallWithEventsPending:
         assert network.in_flight == 0
 
 
+class _Recorder(InertProcessor):
+    """Keeps every message it receives and every local tick it runs,
+    the tick with the operation active at that moment."""
+
+    __slots__ = ("seen",)
+
+    def __init__(self, pid):
+        super().__init__(pid)
+        self.seen = []
+
+    def on_message(self, message):
+        self.seen.append(message)
+
+    def tick(self):
+        self.seen.append(("tick", self.network.active_op))
+
+
 class TestFastCoreBehavior:
     def test_deepcopy_preserves_dispatch_wiring(self):
         network = Network(trace_level="FULL")
-        network.register_all([InertProcessor(pid) for pid in range(1, 3)])
-        network.send(1, 2, "m", {})
+        network.register_all([_Recorder(pid) for pid in range(1, 3)])
+        sent = network.send(1, 2, "m", {})
         clone = copy.deepcopy(network)
         clone.run_until_quiescent()
         network.run_until_quiescent()
         assert clone.trace.records == network.trace.records
-        # The clone's handlers dispatch to the clone's processors.
-        assert clone._handlers[2].__self__ is clone.processor(2)
+        # Each network delivered to its own processor 2, exactly once.
+        for each in (network, clone):
+            assert each.processor(2).seen == [sent]
+            assert each.processor(1).seen == []
+
+    def test_deepcopy_owns_its_pending_local_events(self):
+        network = Network()
+        network.register(_Recorder(1))
+        network.inject(network.processor(1).tick, op_index=7, delay=1.0)
+        clone = copy.deepcopy(network)
+        clone.run_until_quiescent()
+        # The pending tick fired on the clone's processor, under op 7.
+        assert clone.processor(1).seen == [("tick", 7)]
+        assert network.processor(1).seen == []
+        assert clone.active_op == network.active_op == NO_OP
+        network.run_until_quiescent()
+        assert network.processor(1).seen == [("tick", 7)]
+        assert clone.processor(1).seen == [("tick", 7)]
 
     def test_reset_reuses_the_fast_queue(self):
         network = Network()
