@@ -34,6 +34,13 @@ paper's Θ(k) traversal cost is paid once per window.  Shards drain
 concurrently (independent pools), which is where goodput scales with
 the shard count (experiment E27).
 
+A wire ``INC`` is admitted inside the connection's ``data_received``
+(ledger, shed check, routing) and queued with a reply sink in place of
+a future: the batcher's answer is written straight onto the
+connection, which then starts its next line — no task per request and
+no await between the batcher and the socket.  In-process callers use
+:meth:`KeyedCounterService.inc`, which awaits a future as before.
+
 Resilience semantics mirror :class:`~repro.serve.CounterService`:
 bounded total backlog with ``ERR OVERLOADED`` shedding, per-request
 deadlines whose expiry answers early while the queued operation still
@@ -59,11 +66,17 @@ from repro.errors import (
     ServiceStoppedError,
 )
 from repro.serve.resilience import ResilienceConfig
-from repro.serve.server import LineProtocolService
+from repro.serve.server import (
+    LineConnection,
+    LineProtocolService,
+    error_line,
+    wire_deadline,
+)
 from repro.shard import (
     CounterShardMap,
     FixtureRecorder,
     RebalancePolicy,
+    hash_key,
     validate_key,
     write_bundle,
 )
@@ -72,13 +85,61 @@ from repro.sim.trace import TraceLevel
 __all__ = ["KeyedCounterService", "serve_keyed_counter"]
 
 
+class _WireReply:
+    """Where a wire ``INC``'s outcome goes: straight onto its connection.
+
+    It has the three methods of a future the batcher, the shard poison
+    and the stop drain call (``done``, ``set_result``,
+    ``set_exception``).  The first outcome answers the connection's
+    current line; any later one — the value of an operation whose
+    deadline already answered — is dropped.
+    """
+
+    __slots__ = ("connection", "timer", "_done")
+
+    def __init__(self, connection: LineConnection) -> None:
+        self.connection = connection
+        self.timer: asyncio.TimerHandle | None = None
+        self._done = False
+
+    def done(self) -> bool:
+        return self._done
+
+    def set_result(self, value: int) -> None:
+        self._answer(b"OK %d\n" % value)
+
+    def set_exception(self, error: BaseException) -> None:
+        self._answer(error_line(error))
+
+    def follow(self, future: asyncio.Future[int]) -> None:
+        """Answer with *future*'s outcome (a request id's ledger entry)."""
+        error = future.exception()
+        if error is None:
+            self.set_result(future.result())
+        else:
+            self.set_exception(error)
+
+    def _answer(self, line: bytes) -> None:
+        if self._done:
+            return
+        self._done = True
+        if self.timer is not None:
+            self.timer.cancel()
+        self.connection.answer(line)
+
+
 @dataclass(slots=True)
 class _PendingOp:
-    """One queued keyed increment awaiting its batch."""
+    """One queued keyed increment awaiting its batch.
+
+    *point* is the key's placement hash, computed once on admission;
+    *reply* is an in-process caller's future or a :class:`_WireReply`.
+    """
 
     key: str
     rid: str | None
-    future: asyncio.Future[int] = field(repr=False)
+    point: int
+    reply: asyncio.Future[int] | _WireReply = field(repr=False)
 
 
 class KeyedCounterService(LineProtocolService):
@@ -224,8 +285,8 @@ class KeyedCounterService(LineProtocolService):
         for queue in self._queues.values():
             while queue:
                 op = queue.popleft()
-                if not op.future.done():
-                    op.future.set_exception(stopped)
+                if not op.reply.done():
+                    op.reply.set_exception(stopped)
                 if op.rid is not None:
                     self._dedup.fail(op.rid, stopped)
         if self.fixture_dir is not None and self.map.recorder is not None:
@@ -266,9 +327,18 @@ class KeyedCounterService(LineProtocolService):
 
     def _route(self, op: _PendingOp) -> None:
         """Queue *op* on its key's owning shard and wake the batcher."""
-        shard_id = self.map.router.locate(op.key)
+        shard_id = self.map.router.locate_point(op.point)
         self._queues[shard_id].append(op)
         self._wakeups[shard_id].set()
+
+    def _submit(
+        self,
+        key: str,
+        rid: str | None,
+        reply: asyncio.Future[int] | _WireReply,
+    ) -> None:
+        """Admit one increment of *key*: hash it once, then route it."""
+        self._route(_PendingOp(key, rid, hash_key(key), reply))
 
     async def _batch_loop(self, shard_id: int) -> None:
         """One shard's combiner: window -> one traversal -> answers."""
@@ -291,7 +361,7 @@ class KeyedCounterService(LineProtocolService):
                         return
                     while queue and len(window) < self.map.batch_max:
                         op = queue.popleft()
-                        if self.map.router.locate(op.key) != shard_id:
+                        if self.map.router.locate_point(op.point) != shard_id:
                             self._route(op)  # key moved by a split
                             continue
                         window.append(op)
@@ -314,8 +384,8 @@ class KeyedCounterService(LineProtocolService):
                         self._served += 1
                         if op.rid is not None:
                             self._dedup.commit(op.rid, batch_op.value)
-                        if not op.future.done():
-                            op.future.set_result(batch_op.value)
+                        if not op.reply.done():
+                            op.reply.set_result(batch_op.value)
                     if self.map.maybe_rebalance():
                         self._reconcile_topology()
         except asyncio.CancelledError:
@@ -324,8 +394,8 @@ class KeyedCounterService(LineProtocolService):
             # a protocol failure on this shard must not strand clients:
             # fail the in-flight window and everything queued behind it
             for op in window:
-                if not op.future.done():
-                    op.future.set_exception(exc)
+                if not op.reply.done():
+                    op.reply.set_exception(exc)
                 if op.rid is not None:
                     self._dedup.fail(op.rid, exc)
             self._poison_shard(shard_id, exc)
@@ -337,8 +407,8 @@ class KeyedCounterService(LineProtocolService):
             return
         while queue:
             op = queue.popleft()
-            if not op.future.done():
-                op.future.set_exception(error)
+            if not op.reply.done():
+                op.reply.set_exception(error)
             if op.rid is not None:
                 self._dedup.fail(op.rid, error)
 
@@ -362,11 +432,9 @@ class KeyedCounterService(LineProtocolService):
         if original is not None:
             return await self._await_value(original, expires)
         self._shed_if_full(rid)
-        op = _PendingOp(
-            key=key, rid=rid, future=asyncio.get_running_loop().create_future()
-        )
-        self._route(op)
-        return await self._await_value(op.future, expires)
+        future = asyncio.get_running_loop().create_future()
+        self._submit(key, rid, future)
+        return await self._await_value(future, expires)
 
     # ------------------------------------------------------------------
     # Admin operations (also exposed on the wire)
@@ -401,115 +469,103 @@ class KeyedCounterService(LineProtocolService):
     # ------------------------------------------------------------------
     # The TCP side
     # ------------------------------------------------------------------
-    async def _dispatch(
-        self, command: str, args: list[str], writer: asyncio.StreamWriter
+    def _dispatch(
+        self, command: str, args: list[str], connection: LineConnection
     ) -> bool:
         if command == "INC":
-            await self._handle_inc(writer, args)
-            return True
-        if command == "STATS" and args:
-            self._handle_keyed_stats(writer, args)
-            return True
-        if command == "SPLIT":
-            await self._handle_split(writer, args)
-            return True
-        if command == "MERGE":
-            await self._handle_merge(writer, args)
-            return True
-        return False
+            self._wire_inc(connection, args)
+        elif command == "STATS" and args:
+            connection.answer(self._keyed_stats(args))
+        elif command == "SPLIT":
+            if len(args) != 1 or not args[0].lstrip("-").isdigit():
+                connection.answer(b"ERR BAD_REQUEST usage: SPLIT <shard_id>\n")
+            else:
+                connection.answer_later(self._wire_split(args[0]))
+        elif command == "MERGE":
+            if len(args) != 2 or not all(
+                a.lstrip("-").isdigit() for a in args
+            ):
+                connection.answer(
+                    b"ERR BAD_REQUEST usage: MERGE <survivor> <absorbed>\n"
+                )
+            else:
+                connection.answer_later(self._wire_merge(*args))
+        else:
+            return False
+        return True
 
-    async def _handle_inc(
-        self, writer: asyncio.StreamWriter, args: list[str]
-    ) -> None:
+    def _wire_inc(self, connection: LineConnection, args: list[str]) -> None:
+        """Admit a wire ``INC`` synchronously; its reply sink answers."""
+        usage = b"ERR BAD_REQUEST usage: INC <key> [rid] [deadline_ms>0]\n"
         if not args or len(args) > 3:
-            writer.write(
-                b"ERR BAD_REQUEST usage: INC <key> [rid] [deadline_ms>0]\n"
-            )
+            connection.answer(usage)
             return
         key = args[0]
         try:
             validate_key(key)
         except ConfigurationError as exc:
-            writer.write(f"ERR BAD_KEY {exc}\n".encode("ascii", "replace"))
+            connection.answer(
+                f"ERR BAD_KEY {exc}\n".encode("ascii", "replace")
+            )
             return
         rid = args[1] if len(args) > 1 else None
         deadline: float | None = None
         if len(args) > 2:
-            try:
-                deadline = float(args[2]) / 1000.0
-            except ValueError:
-                deadline = -1.0
-            if deadline <= 0:
-                writer.write(
-                    b"ERR BAD_REQUEST usage: INC <key> [rid] "
-                    b"[deadline_ms>0]\n"
-                )
+            deadline = wire_deadline(args[2])
+            if deadline is None:
+                connection.answer(usage)
                 return
         try:
-            value = await self.inc(key, rid=rid, deadline=deadline)
+            expires, original = self._begin_inc(rid, deadline)
+            if original is None:
+                self._shed_if_full(rid)
         except ServiceError as exc:
-            writer.write(
-                f"ERR {exc.code} {exc}\n".encode("ascii", "replace")
-            )
-        except Exception as exc:
-            writer.write(
-                f"ERR {type(exc).__name__}: {exc}\n"
-                .encode("ascii", "replace")
-            )
-        else:
-            writer.write(f"OK {value}\n".encode("ascii"))
-
-    def _handle_keyed_stats(
-        self, writer: asyncio.StreamWriter, args: list[str]
-    ) -> None:
-        if len(args) != 1:
-            writer.write(b"ERR BAD_REQUEST usage: STATS [key]\n")
+            connection.answer(error_line(exc))
             return
+        reply = _WireReply(connection)
+        if original is not None and original.done():
+            reply.follow(original)  # committed: answered from the ledger
+            return
+        if expires is not None:
+            reply.timer = asyncio.get_running_loop().call_at(
+                expires, self._expire, reply
+            )
+        if original is not None:
+            original.add_done_callback(reply.follow)  # still in flight
+        else:
+            self._submit(key, rid, reply)
+
+    def _expire(self, reply: _WireReply) -> None:
+        """A wire deadline fell due: answer it; the op still commits."""
+        if not reply.done():
+            reply.set_exception(self._deadline_expired())
+
+    def _keyed_stats(self, args: list[str]) -> bytes:
+        if len(args) != 1:
+            return b"ERR BAD_REQUEST usage: STATS [key]\n"
         key = args[0]
         try:
             shard_id = self.map.locate(key)
         except ConfigurationError as exc:
-            writer.write(f"ERR BAD_KEY {exc}\n".encode("ascii", "replace"))
-            return
+            return f"ERR BAD_KEY {exc}\n".encode("ascii", "replace")
         value = self.map.shard(shard_id).key_counts.get(key, 0)
-        writer.write(
-            f"STATS key={key} value={value} shard={shard_id}\n"
-            .encode("ascii")
+        return f"STATS key={key} value={value} shard={shard_id}\n".encode(
+            "ascii"
         )
 
-    async def _handle_split(
-        self, writer: asyncio.StreamWriter, args: list[str]
-    ) -> None:
-        if len(args) != 1 or not args[0].lstrip("-").isdigit():
-            writer.write(b"ERR BAD_REQUEST usage: SPLIT <shard_id>\n")
-            return
+    async def _wire_split(self, shard_id: str) -> bytes:
         try:
-            new_id = await self.split(int(args[0]))
+            new_id = await self.split(int(shard_id))
         except ConfigurationError as exc:
-            writer.write(
-                f"ERR BAD_REQUEST {exc}\n".encode("ascii", "replace")
-            )
-        else:
-            writer.write(f"OK {args[0]} {new_id}\n".encode("ascii"))
+            return f"ERR BAD_REQUEST {exc}\n".encode("ascii", "replace")
+        return f"OK {shard_id} {new_id}\n".encode("ascii")
 
-    async def _handle_merge(
-        self, writer: asyncio.StreamWriter, args: list[str]
-    ) -> None:
-        if len(args) != 2 or not all(
-            a.lstrip("-").isdigit() for a in args
-        ):
-            writer.write(
-                b"ERR BAD_REQUEST usage: MERGE <survivor> <absorbed>\n"
-            )
-            return
+    async def _wire_merge(self, survivor: str, absorbed: str) -> bytes:
         try:
-            await self.merge(int(args[0]), int(args[1]))
+            await self.merge(int(survivor), int(absorbed))
         except ConfigurationError as exc:
-            writer.write(
-                f"ERR BAD_REQUEST {exc}\n".encode("ascii", "replace")
-            )
-        else:
-            writer.write(f"OK {args[0]}\n".encode("ascii"))
+            return f"ERR BAD_REQUEST {exc}\n".encode("ascii", "replace")
+        return f"OK {survivor}\n".encode("ascii")
 
 
 async def serve_keyed_counter(

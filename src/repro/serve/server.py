@@ -27,6 +27,17 @@ id and takes it back on completion, so at most ``n`` operations overlap
 and each processor runs at most one at a time — exactly the discipline
 the protocols assume.
 
+Connections: every connection is one :class:`asyncio.Protocol`, not a
+reader task.  ``data_received`` splits complete lines out of a buffer
+bounded by ``line_limit`` and handles them in order, one at a time: a
+line starts only after the previous one was answered, and its answer is
+written straight onto the transport.  A command that can answer at
+once (``PING``, ``STATS``, a refusal) does so inside the callback; one
+that must wait — here ``INC`` with its processor lease — runs as a task
+whose result is the connection's next answer.  While a line waits,
+input keeps buffering until ``line_limit`` and then reading pauses;
+while the transport's write buffer is full, no new line starts.
+
 Resilience (see :mod:`repro.serve.resilience`): requests beyond ``n``
 wait for a processor only up to a bounded backlog — past it the service
 *sheds* with ``ERR OVERLOADED`` instead of queueing without bound.  A
@@ -36,20 +47,22 @@ to completion in the background: its processor id returns to the pool
 then, and its request id is recorded as committed, so a client retry
 with the same id receives the committed value instead of
 double-counting.  ``SHUTDOWN`` drains: new operations are refused with
-``ERR SHUTTING_DOWN`` while in-flight ones finish.
+``ERR SHUTTING_DOWN`` while in-flight ones finish.  A wire deadline
+must be finite and positive; anything else is ``ERR BAD_REQUEST``.
 
 Execution: protocol events run in a single pump task that drains the
 :class:`~repro.runtime.AsyncioRuntime` whenever new work is injected —
-client handlers never touch the network concurrently, so no locking is
-needed anywhere.  If the pump dies *or is cancelled*, every in-flight
-waiter is failed with the cause, so no client ever hangs on a stranded
-future.
+connection callbacks and request tasks never touch the network
+concurrently, so no locking is needed anywhere.  If the pump dies *or
+is cancelled*, every in-flight waiter is failed with the cause, so no
+client ever hangs on a stranded future.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any
+import math
+from typing import Any, Coroutine
 
 from repro.errors import (
     CapabilityError,
@@ -65,16 +78,177 @@ from repro.sim.trace import TraceLevel
 __all__ = ["CounterService", "LineProtocolService", "serve_counter"]
 
 
+def wire_deadline(text: str) -> float | None:
+    """A wire deadline of *text* milliseconds, in seconds.
+
+    ``None`` unless it is a finite number above zero: ``nan``, ``inf``
+    and non-positive values are refused, never read as "no deadline"
+    or as "already expired".
+    """
+    try:
+        deadline = float(text) / 1000.0
+    except ValueError:
+        return None
+    return deadline if math.isfinite(deadline) and deadline > 0 else None
+
+
+def error_line(exc: BaseException) -> bytes:
+    """The ``ERR ...`` answer line for a failed request."""
+    if isinstance(exc, ServiceError):
+        text = f"ERR {exc.code} {exc}\n"
+    else:
+        text = f"ERR {type(exc).__name__}: {exc}\n"
+    return text.encode("ascii", "replace")
+
+
+class LineConnection(asyncio.Protocol):
+    """One client connection of a :class:`LineProtocolService`.
+
+    Lines are handled strictly in order, one at a time: the next line
+    starts only once the current one was answered through
+    :meth:`answer` — at once, from a task (:meth:`answer_later`) or
+    from whatever the service handed the connection to (the keyed
+    batcher).  Buffered input is bounded by ``line_limit``: a line
+    longer than that answers ``ERR LINE_TOO_LONG`` and the connection
+    closes (framing is lost past it), and while a line waits, reading
+    pauses once the buffer holds more than the bound.  A final line
+    without a newline is answered at EOF, like any other.
+    """
+
+    transport: asyncio.Transport  # set by connection_made, before any use
+
+    def __init__(self, service: LineProtocolService) -> None:
+        self.service = service
+        self.limit = service.config.line_limit
+        self._buffer = bytearray()
+        self._waiting = False  # a line was taken and is not answered yet
+        self._advancing = False
+        self._eof = False
+        self._closed = False
+        self._write_paused = False
+
+    # asyncio.Protocol ---------------------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.service._connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._closed = True
+        self.service._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._advance()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._advance()
+        return True  # half-open: answers still owed go out before close
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._advance()
+
+    # the service's side -------------------------------------------------
+    def answer(self, line: bytes) -> None:
+        """Answer the current line and start the next buffered one."""
+        self._waiting = False
+        if self._closed:
+            return  # the client left: the answer has nowhere to go
+        self.transport.write(line)
+        self._advance()
+
+    def answer_later(self, reply: Coroutine[Any, Any, bytes]) -> None:
+        """Answer the current line with what the task running *reply*
+        returns (an escaping exception answers as its ``ERR`` line)."""
+        task = asyncio.get_running_loop().create_task(reply)
+        self.service._requests.add(task)
+        task.add_done_callback(self._reply_done)
+
+    def _reply_done(self, task: asyncio.Task[bytes]) -> None:
+        self.service._requests.discard(task)
+        if task.cancelled():
+            self.close()
+            return
+        exc = task.exception()
+        self.answer(task.result() if exc is None else error_line(exc))
+
+    def close(self) -> None:
+        """Stop handling lines; close once queued writes are flushed."""
+        self._closed = True
+        self.transport.close()
+
+    def abort(self) -> None:
+        """Drop the connection at once (what :meth:`stop` does)."""
+        self._closed = True
+        self.transport.abort()
+
+    # the line loop ------------------------------------------------------
+    def _advance(self) -> None:
+        """Handle buffered lines until one has to wait for its answer."""
+        if self._advancing:
+            return  # re-entered from a synchronous answer: the loop goes on
+        self._advancing = True
+        try:
+            while not (self._waiting or self._closed or self._write_paused):
+                line = self._next_line()
+                if line is None:
+                    break
+                parts = line.decode("ascii", "replace").split()
+                if parts:
+                    self._waiting = True
+                    self.service._handle_line(
+                        self, parts[0].upper(), parts[1:]
+                    )
+        finally:
+            self._advancing = False
+        if not (self._closed or self._eof):  # both calls are idempotent
+            if len(self._buffer) > self.limit:
+                self.transport.pause_reading()
+            else:
+                self.transport.resume_reading()
+
+    def _next_line(self) -> bytearray | None:
+        """Take the next complete line, or ``None`` if there is none yet.
+
+        Closes the connection on an overlong line and, once the client
+        has sent EOF, after the last line."""
+        buffer = self._buffer
+        end = buffer.find(b"\n")
+        if end > self.limit or (end < 0 and len(buffer) > self.limit):
+            self.service._overlong += 1
+            self.transport.write(
+                f"ERR LINE_TOO_LONG protocol lines are capped at "
+                f"{self.limit} bytes\n".encode("ascii")
+            )
+            self.close()
+            return None
+        if end < 0:
+            if not self._eof:
+                return None
+            if not buffer:
+                self.close()
+                return None
+            end = len(buffer) - 1  # the final, unterminated line
+        line = buffer[: end + 1]
+        del buffer[: end + 1]
+        return line
+
+
 class LineProtocolService:
     """Shared machinery of the newline-delimited TCP services.
 
     Owns the socket lifecycle (bind, graceful drain, abort-and-join on
-    stop), the bounded per-line reader, and the protocol loop with the
-    commands every service speaks — ``PING``, bare ``STATS`` and
-    ``SHUTDOWN``.  Subclasses add their own grammar by overriding
-    :meth:`_dispatch` (return ``True`` when the command was handled)
-    and hook the drain phase of :meth:`stop` via :meth:`_drain_work`.
-    :class:`CounterService` serves one counter;
+    stop), the per-connection line handling (:class:`LineConnection`)
+    and the commands every service speaks — ``PING``, bare ``STATS``
+    and ``SHUTDOWN``.  Subclasses add their own grammar by overriding
+    :meth:`_dispatch` (return ``True`` when the command was handled;
+    the command must then be answered through the connection, at once
+    or later) and hook the drain phase of :meth:`stop` via
+    :meth:`_drain_work`.  :class:`CounterService` serves one counter;
     :class:`repro.serve.keyed.KeyedCounterService` serves a sharded
     keyspace of them.
 
@@ -102,8 +276,9 @@ class LineProtocolService:
         self._server: asyncio.AbstractServer | None = None
         self._stopped = asyncio.Event()
         self._draining = False
-        self._handlers: set[asyncio.Task] = set()
-        self._client_writers: set[asyncio.StreamWriter] = set()
+        self._connections: set[LineConnection] = set()
+        self._requests: set[asyncio.Task] = set()
+        self._shutdown: asyncio.Task | None = None
         self._overlong = 0
         self._dedup = DedupTable(self.config.dedup_capacity)
         self._served = 0
@@ -126,11 +301,8 @@ class LineProtocolService:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind the TCP server."""
-        self._server = await asyncio.start_server(
-            self._handle_client,
-            self.host,
-            self.port,
-            limit=self.config.line_limit,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: LineConnection(self), self.host, self.port
         )
         sockets = self._server.sockets or ()
         if sockets:
@@ -153,15 +325,13 @@ class LineProtocolService:
             self._server.close()
             await self._server.wait_closed()
         await self._drain_work(drain)
-        # abort lingering client connections so their handler tasks
-        # finish *before* the event loop tears down (no stray
-        # CancelledError noise from half-closed streams)
-        for writer in list(self._client_writers):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-        if self._handlers:
-            await asyncio.wait(list(self._handlers), timeout=2.0)
+        # abort lingering client connections and let their request
+        # tasks finish *before* the event loop tears down (no stray
+        # CancelledError noise from half-answered requests)
+        for connection in list(self._connections):
+            connection.abort()
+        if self._requests:
+            await asyncio.wait(list(self._requests), timeout=2.0)
         self._stopped.set()
 
     async def serve_forever(self, *, announce: bool = False) -> None:
@@ -234,12 +404,16 @@ class LineProtocolService:
                 asyncio.shield(awaitable), max(0.0, expires - loop.time())
             )
         except asyncio.TimeoutError:
-            self._expired += 1
-            raise DeadlineExceededError(
-                f"deadline expired with the operation {self._PENDING}; it "
-                "will commit in the background — retry with the same request "
-                "id for its value"
-            ) from None
+            raise self._deadline_expired() from None
+
+    def _deadline_expired(self) -> DeadlineExceededError:
+        """Count one expired request and word its error."""
+        self._expired += 1
+        return DeadlineExceededError(
+            f"deadline expired with the operation {self._PENDING}; it "
+            "will commit in the background — retry with the same request "
+            "id for its value"
+        )
 
     def _resilience_stats(self) -> dict[str, int]:
         """The ``shed expired deduped rid_committed`` run of ``STATS``."""
@@ -257,74 +431,36 @@ class LineProtocolService:
         """The bare ``STATS`` payload as a dict."""
         raise NotImplementedError
 
-    async def _dispatch(
-        self, command: str, args: list[str], writer: asyncio.StreamWriter
+    def _dispatch(
+        self, command: str, args: list[str], connection: LineConnection
     ) -> bool:
         """Handle a service-specific command; ``False`` if unknown."""
         return False
 
-    async def _handle_client(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+    def _handle_line(
+        self, connection: LineConnection, command: str, args: list[str]
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-        self._client_writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # StreamReader's translation of LimitOverrunError:
-                    # the line never ended within the configured bound
-                    self._overlong += 1
-                    writer.write(
-                        f"ERR LINE_TOO_LONG protocol lines are capped at "
-                        f"{self.config.line_limit} bytes\n".encode("ascii")
-                    )
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                parts = line.decode("ascii", "replace").split()
-                if not parts:
-                    continue
-                command = parts[0].upper()
-                if await self._dispatch(command, parts[1:], writer):
-                    pass
-                elif command == "PING":
-                    writer.write(b"PONG\n")
-                elif command == "STATS":
-                    stats = self.stats()
-                    rendered = " ".join(
-                        f"{key}={stats[key]}" for key in stats
-                    )
-                    writer.write(f"STATS {rendered}\n".encode("ascii"))
-                elif command == "SHUTDOWN":
-                    self._draining = True  # refuse new work immediately
-                    writer.write(b"BYE\n")
-                    await writer.drain()
-                    asyncio.create_task(self.stop())
-                    break
-                else:
-                    writer.write(
-                        f"ERR unknown command {command!r}\n"
-                        .encode("ascii", "replace")
-                    )
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._client_writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            if task is not None:
-                self._handlers.discard(task)
+        """Handle one request line; it is answered through *connection*."""
+        if self._dispatch(command, args, connection):
+            return
+        if command == "PING":
+            connection.answer(b"PONG\n")
+        elif command == "STATS":
+            stats = self.stats()
+            rendered = " ".join(f"{key}={stats[key]}" for key in stats)
+            connection.answer(f"STATS {rendered}\n".encode("ascii"))
+        elif command == "SHUTDOWN":
+            self._draining = True  # refuse new work immediately
+            connection.answer(b"BYE\n")
+            connection.close()
+            if self._shutdown is None:
+                self._shutdown = asyncio.get_running_loop().create_task(
+                    self.stop()
+                )
+        else:
+            connection.answer(
+                f"ERR unknown command {command!r}\n".encode("ascii", "replace")
+            )
 
 
 class CounterService(LineProtocolService):
@@ -460,12 +596,12 @@ class CounterService(LineProtocolService):
         self._waiters.clear()
 
     async def _pump(self) -> None:
-        """Drain the runtime whenever a handler injects new work.
+        """Drain the runtime whenever an ``inc()`` injects new work.
 
         Neither a protocol failure (e.g. an exhausted event budget) nor
         a cancellation mid-drain may strand in-flight clients on
         never-resolving futures: both paths fail every waiter before
-        the pump dies, so their handlers answer ``ERR`` instead of
+        the pump dies, so their requests answer ``ERR`` instead of
         hanging.
         """
         runtime = self.session.runtime
@@ -599,42 +735,27 @@ class CounterService(LineProtocolService):
     # ------------------------------------------------------------------
     # The TCP side
     # ------------------------------------------------------------------
-    async def _handle_inc(
-        self, writer: asyncio.StreamWriter, args: list[str]
-    ) -> None:
+    def _dispatch(
+        self, command: str, args: list[str], connection: LineConnection
+    ) -> bool:
+        if command != "INC":
+            return False
         rid = args[0] if args else None
         deadline: float | None = None
         if len(args) > 1:
-            try:
-                deadline = float(args[1]) / 1000.0
-            except ValueError:
-                deadline = -1.0
-            if deadline <= 0 or len(args) > 2:
-                writer.write(
+            deadline = wire_deadline(args[1])
+            if deadline is None or len(args) > 2:
+                connection.answer(
                     b"ERR BAD_REQUEST usage: INC [rid] [deadline_ms>0]\n"
                 )
-                return
-        try:
-            value = await self.inc(rid=rid, deadline=deadline)
-        except ServiceError as exc:
-            writer.write(
-                f"ERR {exc.code} {exc}\n".encode("ascii", "replace")
-            )
-        except Exception as exc:
-            writer.write(
-                f"ERR {type(exc).__name__}: {exc}\n"
-                .encode("ascii", "replace")
-            )
-        else:
-            writer.write(f"OK {value}\n".encode("ascii"))
+                return True
+        connection.answer_later(self._wire_inc(rid, deadline))
+        return True
 
-    async def _dispatch(
-        self, command: str, args: list[str], writer: asyncio.StreamWriter
-    ) -> bool:
-        if command == "INC":
-            await self._handle_inc(writer, args)
-            return True
-        return False
+    async def _wire_inc(
+        self, rid: str | None, deadline: float | None
+    ) -> bytes:
+        return b"OK %d\n" % await self.inc(rid=rid, deadline=deadline)
 
 
 async def serve_counter(

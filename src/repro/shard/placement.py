@@ -89,7 +89,12 @@ class ShardRouter:
             stop = start + step + (1 if shard_id < remainder else 0)
             self._ranges.append(ShardRange(shard_id, start, stop))
             start = stop
+        self._reindex()
         self._next_id = shards
+
+    def _reindex(self) -> None:
+        """Rebuild the range starts :meth:`locate_point` bisects."""
+        self._starts: list[int] = [r.start for r in self._ranges]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -126,8 +131,7 @@ class ShardRouter:
             raise ConfigurationError(
                 f"hash point {point} outside [0, 2^64)"
             )
-        starts = [r.start for r in self._ranges]
-        return self._ranges[bisect_right(starts, point) - 1].shard_id
+        return self._ranges[bisect_right(self._starts, point) - 1].shard_id
 
     def spread(self, keys: Iterable[str]) -> dict[int, int]:
         """Key count per shard id (includes empty shards at 0)."""
@@ -176,6 +180,7 @@ class ShardRouter:
                 shard_id, shard_range.start, mid
             )
             self._ranges.insert(index + 1, new_range)
+            self._reindex()
             return new_range
         raise ConfigurationError(
             f"unknown shard {shard_id}; live shards: {self.shard_ids()}"
@@ -215,6 +220,7 @@ class ShardRouter:
         )
         del self._ranges[second]
         self._ranges[first] = merged
+        self._reindex()
         return merged
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -132,6 +132,175 @@ class TestKeyGrammar:
         assert second == "OK 0"
 
 
+    @pytest.mark.parametrize("deadline", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_deadline_is_bad_request(self, deadline):
+        inc, stats = _serve_and_ask(f"INC k1 r1 {deadline}", "STATS")
+        assert inc == (
+            "ERR BAD_REQUEST usage: INC <key> [rid] [deadline_ms>0]"
+        )
+        fields = dict(pair.split("=", 1) for pair in stats.split()[1:])
+        assert fields["served"] == "0"
+        assert fields["expired"] == "0"
+
+
+async def _exchange(
+    service: KeyedCounterService, payload: bytes, answers: int
+) -> list[str]:
+    """Send *payload* on one connection and read *answers* lines."""
+    reader, writer = await asyncio.open_connection(
+        service.host, service.port
+    )
+    try:
+        writer.write(payload)
+        await writer.drain()
+        return [
+            (await asyncio.wait_for(reader.readline(), timeout=5))
+            .decode("ascii")
+            .strip()
+            for _ in range(answers)
+        ]
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
+
+def _with_keyed_service(drive, spec="central", **service_kwargs):
+    async def go():
+        service = KeyedCounterService(
+            spec, 4, port=0, shards=2, **service_kwargs
+        )
+        await service.start()
+        try:
+            return await drive(service)
+        finally:
+            await service.stop()
+
+    return asyncio.run(go())
+
+
+class TestWireFraming:
+    def test_pipelined_lines_answer_in_order(self):
+        answers = _with_keyed_service(
+            lambda service: _exchange(
+                service, b"INC a\nINC a\nPING\nINC b\nSTATS a\n", 5
+            )
+        )
+        assert answers[:4] == ["OK 0", "OK 1", "PONG", "OK 0"]
+        assert answers[4].startswith("STATS key=a value=2 ")
+
+    def test_final_line_without_newline_is_answered_at_eof(self):
+        async def drive(service):
+            reader, writer = await asyncio.open_connection(
+                service.host, service.port
+            )
+            writer.write(b"INC a\nINC a")  # no newline after the second
+            writer.write_eof()
+            answers = await asyncio.wait_for(reader.read(), timeout=5)
+            writer.close()
+            await writer.wait_closed()
+            return answers
+
+        assert _with_keyed_service(drive) == b"OK 0\nOK 1\n"
+
+    def test_inc_split_across_two_writes_gets_one_answer(self):
+        async def drive(service):
+            reader, writer = await asyncio.open_connection(
+                service.host, service.port
+            )
+            writer.write(b"INC sp")
+            await writer.drain()
+            await asyncio.sleep(0.02)  # the halves arrive apart
+            writer.write(b"lit r1\nPING\n")
+            await writer.drain()
+            answers = [
+                (await reader.readline()).decode("ascii").strip()
+                for _ in range(2)
+            ]
+            writer.close()
+            await writer.wait_closed()
+            return answers, service.served
+
+        answers, served = _with_keyed_service(drive)
+        assert answers == ["OK 0", "PONG"]
+        assert served == 1
+
+    def test_input_beyond_the_line_limit_waits_behind_a_slow_answer(self):
+        # One slow INC holds the connection while 40 pipelined lines
+        # (far more than the 64-byte buffer bound) queue behind it:
+        # reading pauses and resumes, and every line is answered in
+        # order.
+        payload = b"INC slow\n" + b"PING\n" * 40
+        answers = _with_keyed_service(
+            lambda service: _exchange(service, payload, 41),
+            "static-tree",
+            time_scale=0.02,
+            resilience=ResilienceConfig(line_limit=64),
+        )
+        assert answers == ["OK 0"] + ["PONG"] * 40
+
+
+class TestWireRequestLifecycle:
+    def test_disconnect_mid_inc_still_commits_for_a_retry(self):
+        async def drive(service):
+            _, writer = await asyncio.open_connection(
+                service.host, service.port
+            )
+            writer.write(b"INC acct r1\n")
+            await writer.drain()
+            writer.close()  # walk away with the op in flight
+            await writer.wait_closed()
+            await asyncio.sleep(0.01)
+            retry = await _request(service, "INC acct r1")
+            value = await _request(service, "STATS acct")
+            return retry, value, service.stats()
+
+        retry, value, stats = _with_keyed_service(
+            drive, "static-tree", time_scale=0.02
+        )
+        assert retry == "OK 0"
+        assert "value=1" in value
+        assert stats["served"] == 1
+        assert stats["deduped"] == 1
+
+    def test_wire_deadline_answers_early_and_drops_the_late_value(self):
+        # The deadline answers first; the op commits anyway, and its
+        # late value must not answer the next line on the connection.
+        async def drive(service):
+            lines = await _exchange(
+                service, b"INC k r1 5\nPING\nINC k r1\n", 3
+            )
+            return lines, service.stats()
+
+        lines, stats = _with_keyed_service(
+            drive, "static-tree", time_scale=0.05
+        )
+        assert lines[0].startswith("ERR DEADLINE_EXCEEDED ")
+        assert lines[1:] == ["PONG", "OK 0"]
+        assert stats["expired"] == 1
+        assert stats["served"] == 1
+        assert stats["deduped"] == 1
+
+    def test_shutdown_answers_bye_and_ignores_later_lines(self):
+        async def drive(service):
+            reader, writer = await asyncio.open_connection(
+                service.host, service.port
+            )
+            writer.write(b"INC a\nSHUTDOWN\nINC a\n")
+            await writer.drain()
+            answers = await asyncio.wait_for(reader.read(), timeout=5)
+            writer.close()
+            await writer.wait_closed()
+            await asyncio.wait_for(service.wait_closed(), timeout=5)
+            return answers, service.served
+
+        answers, served = _with_keyed_service(drive)
+        assert answers == b"OK 0\nBYE\n"
+        assert served == 1
+
+
 class TestStatsGrammar:
     def test_unknown_key_is_a_zero_counter(self):
         # Placement is total: every legal key exists, value 0.

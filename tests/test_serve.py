@@ -238,6 +238,102 @@ class TestProtocolEdgeCases:
         assert served == 2
         assert inflight == 0
 
+    def test_final_line_without_newline_is_answered_at_eof(self):
+        async def go():
+            service = CounterService("central", 4, port=0)
+            await service.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    service.host, service.port
+                )
+                writer.write(b"INC\nPING")  # no newline after PING
+                writer.write_eof()
+                answers = await asyncio.wait_for(reader.read(), timeout=5)
+                writer.close()
+                await writer.wait_closed()
+                return answers
+            finally:
+                await service.stop()
+
+        # both lines answered, in order, then the server closes
+        assert asyncio.run(go()) == b"OK 0\nPONG\n"
+
+    def test_inc_split_across_two_writes_gets_one_answer(self):
+        async def go():
+            service = CounterService("central", 4, port=0)
+            await service.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    service.host, service.port
+                )
+                writer.write(b"IN")
+                await writer.drain()
+                await asyncio.sleep(0.02)  # the halves arrive apart
+                writer.write(b"C\nPING\n")
+                await writer.drain()
+                answers = [
+                    (await reader.readline()).decode("ascii").strip()
+                    for _ in range(2)
+                ]
+                writer.close()
+                await writer.wait_closed()
+                return answers, service.served
+            finally:
+                await service.stop()
+
+        answers, served = asyncio.run(go())
+        assert answers == ["OK 0", "PONG"]
+        assert served == 1
+
+    def test_no_line_starts_while_the_transport_pauses_writing(self):
+        # Write backpressure: between the transport's pause_writing and
+        # resume_writing a connection answers nothing new; on resume it
+        # answers what arrived meanwhile, in order.
+        async def go():
+            service = CounterService("central", 4, port=0)
+            await service.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    service.host, service.port
+                )
+                writer.write(b"PING\n")
+                first = await reader.readline()
+                (connection,) = service._connections
+                connection.pause_writing()
+                writer.write(b"INC\nPING\n")
+                await writer.drain()
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(reader.readline(), timeout=0.05)
+                served_while_paused = service.served
+                connection.resume_writing()
+                rest = [await reader.readline() for _ in range(2)]
+                writer.close()
+                await writer.wait_closed()
+                return first, served_while_paused, rest
+            finally:
+                await service.stop()
+
+        first, served_while_paused, rest = asyncio.run(go())
+        assert first == b"PONG\n"
+        assert served_while_paused == 0
+        assert rest == [b"OK 0\n", b"PONG\n"]
+
+    @pytest.mark.parametrize("deadline", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_deadline_is_bad_request(self, deadline):
+        async def go():
+            service = CounterService("central", 4, port=0)
+            await service.start()
+            try:
+                answer = await _request(service, f"INC r1 {deadline}")
+                return answer, service.stats()
+            finally:
+                await service.stop()
+
+        answer, stats = asyncio.run(go())
+        assert answer == "ERR BAD_REQUEST usage: INC [rid] [deadline_ms>0]"
+        assert stats["served"] == 0
+        assert stats["expired"] == 0
+
     def test_stats_field_order_is_the_wire_contract(self):
         async def go():
             service = CounterService("central", 4, port=0)
