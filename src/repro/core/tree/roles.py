@@ -23,12 +23,12 @@ unaffected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.core.tree.geometry import ROOT, NodeAddr, TreeGeometry
 from repro.core.tree.policy import IntervalMode, TreePolicy
-from repro.core.tree.protocol import leaf_key, node_key
+from repro.core.tree.protocol import addr_of, is_leaf_key, leaf_key, node_key
 from repro.sim.messages import OpIndex, ProcessorId
 
 
@@ -36,16 +36,22 @@ from repro.sim.messages import OpIndex, ProcessorId
 class NodeRole:
     """The migrating state of one inner node.
 
+    A role stores only what a message can change.  The workers of inner
+    children move, so a node above inner nodes keeps its belief of each
+    one.  A last-level node's children are leaves, and a leaf's worker
+    is its own pid for good, so such a node keeps just the range of its
+    leaf ids; the views below derive the ``("leaf", pid) → pid`` pairs
+    from it on demand.
+
     Attributes:
         addr: which node this is.
         worker: processor currently working for the node.
         age: messages the node sent/received under the current worker.
         parent_addr: address of the parent node (None for the root).
         parent_worker: this node's local belief of the parent's worker.
-        child_addrs: inner-node children (empty on the last inner level).
-        children_workers: local belief of each child's worker, keyed by the
-            child's address key; for last-level nodes the "children" are
-            leaves, keyed by ``("leaf", pid)`` with fixed worker = pid.
+        children: this node's belief of each inner child's worker, keyed
+            by the child's role key, in child order; or, on the last
+            inner level, the ``range`` of its leaf children's ids.
         value: the counter value (root only; None elsewhere).
         retire_count: how many times this node has retired a worker.
         key, parent_key: role keys of the node and its parent (None for
@@ -57,8 +63,7 @@ class NodeRole:
     age: int = 0
     parent_addr: NodeAddr | None = None
     parent_worker: ProcessorId | None = None
-    child_addrs: list[NodeAddr] = field(default_factory=list)
-    children_workers: dict[tuple, ProcessorId] = field(default_factory=dict)
+    children: dict[tuple, ProcessorId] | range = range(0)
     value: int | None = None
     retire_count: int = 0
     key: tuple = ()
@@ -69,16 +74,59 @@ class NodeRole:
         """True for the root role (the one node without a parent)."""
         return self.parent_addr is None
 
+    @property
+    def child_addrs(self) -> list[NodeAddr]:
+        """Inner-node children (empty on the last inner level)."""
+        children = self.children
+        if type(children) is range:
+            return []
+        return [addr_of(key) for key in children]
+
+    def child_beliefs(self) -> list[tuple[tuple, ProcessorId]]:
+        """``(child key, believed worker)`` for every child, in child order;
+        leaf children are ``(("leaf", pid), pid)``."""
+        children = self.children
+        if type(children) is range:
+            return [(leaf_key(pid), pid) for pid in children]
+        return list(children.items())
+
+    @property
+    def children_workers(self) -> dict[tuple, ProcessorId]:
+        """Believed worker of every child (inner or leaf), keyed by the
+        child's role key, in child order (a fresh dict)."""
+        return dict(self.child_beliefs())
+
     def child_keys(self) -> list[tuple]:
         """Payload-safe keys of all children (inner or leaf)."""
-        return list(self.children_workers.keys())
+        return [key for key, _ in self.child_beliefs()]
+
+    def move_child(self, key: tuple, worker: ProcessorId) -> None:
+        """Record an id-update: inner child *key* is now worked by *worker*.
+
+        Raises :class:`ProtocolError` for a leaf — a leaf is worked by
+        its own processor and never moves — and for a non-neighbour.
+        """
+        children = self.children
+        if is_leaf_key(key):
+            raise ProtocolError(
+                f"node {self.addr} got an id-update for leaf {key!r}; "
+                "a leaf is worked by its own processor and never moves"
+            )
+        if type(children) is range or key not in children:
+            raise ProtocolError(
+                f"node {self.addr} got an id-update for non-neighbour {key!r}"
+            )
+        children[key] = worker
 
     def believed_child_worker(self, key: tuple) -> ProcessorId:
         """The worker this node believes currently serves child *key*."""
-        try:
-            return self.children_workers[key]
-        except KeyError:
-            raise ProtocolError(f"{self.addr} has no child {key!r}") from None
+        children = self.children
+        if type(children) is range:
+            if is_leaf_key(key) and len(key) == 2 and key[1] in children:
+                return key[1]
+        elif key in children:
+            return children[key]
+        raise ProtocolError(f"{self.addr} has no child {key!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,15 +167,15 @@ class RoleRegistry:
         except ConfigurationError:
             raise ConfigurationError(f"no inner node at {addr}") from None
         if child_addrs:
-            beliefs = {node_key(c): geometry.initial_worker(c) for c in child_addrs}
-        else:  # last inner level: the children are leaves
-            beliefs = {leaf_key(pid): pid for pid in geometry.leaf_children(addr)}
+            children = {node_key(c): geometry.initial_worker(c) for c in child_addrs}
+        else:  # last inner level: the children are leaves, ids base+1..
+            base = addr.index * geometry.arity
+            children = range(base + 1, base + geometry.arity + 1)
         worker = geometry.initial_worker(addr)
         role = NodeRole(
             addr=addr,
             worker=worker,
-            child_addrs=child_addrs,
-            children_workers=beliefs,
+            children=children,
             key=node_key(addr),
         )
         if addr.is_root:

@@ -56,9 +56,13 @@ class TreeWorker(Processor):
     state before the first message reaches it, and a *successor* still
     takes a role up only when the hand-off arrives.
 
-    Most processors are plain leaves for a whole run, so the three role
-    tables are allocated on first write (``None`` until then), and the
-    role table goes back to ``None`` when the last role retires.
+    A worker stores only what can change.  Most processors are plain
+    leaves for a whole run, so the role table and the deferral table
+    are allocated on first write (``None`` until then), and the role
+    table goes back to ``None`` when the last role retires.  Forwarding
+    pointers — one per role retired from, read only on the rare
+    stale-address path — are one flat ``(key, successor, …)`` tuple,
+    ``()`` when there are none.
     """
 
     __slots__ = (
@@ -75,7 +79,7 @@ class TreeWorker(Processor):
         super().__init__(pid)
         self._counter = counter
         self._roles: dict[RoleKey, NodeRole] | None = None
-        self._forward: dict[RoleKey, ProcessorId] | None = None
+        self._forward: tuple = ()
         self._pending: dict[RoleKey, list[Message]] | None = None
         self.forwarded_messages = 0
         self.deferred_messages = 0
@@ -98,13 +102,22 @@ class TreeWorker(Processor):
         """Take up work for *role* (initial assignment or hand-off)."""
         if self._roles is None:
             self._roles = {}
-        self._roles[role.key] = role
-        if self._forward:
-            self._forward.pop(role.key, None)
+        key = role.key
+        self._roles[key] = role
+        forward = self._forward
+        if key in forward:
+            at = forward.index(key)
+            self._forward = forward[:at] + forward[at + 2 :]
 
     def active_role_keys(self) -> list[RoleKey]:
         """Role keys this worker currently plays (test introspection)."""
         return list(self._roles or ())
+
+    def forward_target(self, key: RoleKey) -> ProcessorId | None:
+        """The successor this worker forwards messages for role *key* to
+        (set when it retired from the role), or None."""
+        forward = self._forward
+        return forward[forward.index(key) + 1] if key in forward else None
 
     # ------------------------------------------------------------------
     # Operation entry point (a local event, not a message)
@@ -154,7 +167,7 @@ class TreeWorker(Processor):
                     f"node {role.addr} cannot handle message kind {kind!r}"
                 )
             return
-        successor = self._forward.get(role_key) if self._forward else None
+        successor = self.forward_target(role_key)
         if successor is not None:
             # Stale addressing: pass the message along to the new worker.
             self.forwarded_messages += 1
@@ -204,12 +217,8 @@ class TreeWorker(Processor):
         new_worker: ProcessorId = message.payload["new_worker"]
         if changed == role.parent_key:
             role.parent_worker = new_worker
-        elif changed in role.children_workers:
-            role.children_workers[changed] = new_worker
         else:
-            raise ProtocolError(
-                f"node {role.addr} got an id-update for non-neighbour {changed!r}"
-            )
+            role.move_child(changed, new_worker)
         role.age += 1
         self._maybe_retire(role)
 
@@ -266,9 +275,7 @@ class TreeWorker(Processor):
         del self._roles[key]
         if not self._roles:
             self._roles = None
-        if self._forward is None:
-            self._forward = {}
-        self._forward[key] = successor
+        self._forward += (key, successor)
         # k+2 hand-off messages (k+3 for the root, which also ships val):
         # the new job, the parent id, the k child ids — each O(log n) bits.
         handoff_total = self._counter.geometry.arity + 2
@@ -288,7 +295,7 @@ class TreeWorker(Processor):
                 {"role": role.parent_key, "node": key, "new_worker": successor},
             )
         # ... and one to each child (leaves included).
-        for child_key, believed_worker in role.children_workers.items():
+        for child_key, believed_worker in role.child_beliefs():
             self.send(
                 believed_worker,
                 KIND_ID_UPDATE,

@@ -95,7 +95,7 @@ class Trace:
         self._op_counts: defaultdict[OpIndex, int] = defaultdict(int)
         self._by_op: defaultdict[OpIndex, list[MessageRecord]] = defaultdict(list)
         self._footprints: dict[OpIndex, set[ProcessorId]] = {}
-        self._sealed_footprints: dict[OpIndex, tuple[ProcessorId, ...]] = {}
+        self._sealed_footprints: dict[OpIndex, tuple[int, ...]] = {}
         self._faults: list["FaultRecord"] = []
         self._fault_counts: dict[str, int] = {}
 
@@ -170,19 +170,27 @@ class Trace:
                 footprint.add(receiver)
 
     def seal_op(self, op_index: OpIndex) -> None:
-        """Pack a finished operation's footprint into a tuple.
+        """Pack a finished operation's count and footprint into one tuple.
 
-        A run keeps one footprint per operation until the end, and a
-        ``set`` is the most expensive way to hold a few ids nobody will
+        A run keeps one footprint and one message count per operation
+        until the end, and a ``set`` plus a second table entry is the
+        most expensive way to hold a few ids and a number nobody will
         add to.  The owner calls this at the operation's quiescence
-        barrier; :meth:`footprint` answers from the sealed and the live
-        part together, so a message that still arrives for a sealed
-        operation is counted, not lost.
+        barrier; the sealed entry is ``(count, *ids)``.  The
+        per-operation views answer from the sealed and the live part
+        together, so a message that still arrives for a sealed
+        operation is counted, not lost; sealing again folds it in,
+        each id once.
         """
         live = self._footprints.pop(op_index, None)
         if live:
+            count = self._op_counts.pop(op_index)
             sealed = self._sealed_footprints
-            sealed[op_index] = sealed.get(op_index, ()) + tuple(live)
+            earlier = sealed.get(op_index)
+            if earlier is not None:
+                count += earlier[0]
+                live.update(earlier[1:])
+            sealed[op_index] = (count, *live)
 
     def release_op(self, op_index: OpIndex) -> None:
         """Forget a finished operation's message count and footprint.
@@ -327,7 +335,8 @@ class Trace:
     def op_indices(self) -> list[OpIndex]:
         """Sorted list of operation indices that produced traffic."""
         self._require_loads("Trace.op_indices")
-        return sorted(i for i in self._op_counts if i != NO_OP)
+        ops = self._op_counts.keys() | self._sealed_footprints.keys()
+        return sorted(i for i in ops if i != NO_OP)
 
     def records_for_op(self, op_index: OpIndex) -> list[MessageRecord]:
         """Records attributed to operation *op_index*, in delivery order."""
@@ -337,7 +346,8 @@ class Trace:
     def messages_for_op(self, op_index: OpIndex) -> int:
         """Number of messages attributed to operation *op_index*."""
         self._require_loads("Trace.messages_for_op")
-        return self._op_counts.get(op_index, 0)
+        sealed = self._sealed_footprints.get(op_index, (0,))
+        return sealed[0] + self._op_counts.get(op_index, 0)
 
     def footprint(self, op_index: OpIndex) -> frozenset[ProcessorId]:
         """The paper's ``I_p``: processors touched by operation *op_index*.
@@ -348,9 +358,8 @@ class Trace:
         empty footprint).
         """
         self._require_loads("Trace.footprint")
-        return frozenset(self._sealed_footprints.get(op_index, ())).union(
-            self._footprints.get(op_index, ())
-        )
+        sealed = self._sealed_footprints.get(op_index, (0,))
+        return frozenset(sealed[1:]).union(self._footprints.get(op_index, ()))
 
     def load_within_op(self, op_index: OpIndex) -> dict[ProcessorId, int]:
         """Per-processor message load restricted to one operation."""

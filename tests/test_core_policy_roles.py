@@ -12,7 +12,9 @@ from repro.core import (
     TreeGeometry,
     TreePolicy,
 )
+from repro.core.tree.protocol import leaf_key, node_key
 from repro.errors import ConfigurationError, ProtocolError
+from repro.registry import RunSession
 
 
 class TestTreePolicy:
@@ -176,3 +178,41 @@ class TestNodeRoleHelpers:
     def test_child_keys(self):
         registry = _registry(2)
         assert set(registry.root().child_keys()) == {("node", 1, 0), ("node", 1, 1)}
+
+
+class TestBeliefsAfterQuiescence:
+    """Once a run is quiescent every id-update has landed: each role
+    believes each inner child is served by that child's current worker,
+    and each leaf child by its own processor.  ``all_roles`` also builds
+    the roles the run never addressed (n = 256 rounds up to the 4^5
+    shape), which must hold their initial beliefs."""
+
+    @pytest.mark.parametrize(
+        ("spec", "n", "policy", "seed", "checked"),
+        [
+            ("ww-tree", 81, "unit", 0, 120),
+            ("ww-tree", 1024, "unit", 0, 1364),
+            ("ww-tree?interval_mode=wrap", 256, "unit", 0, 1364),
+            ("ww-tree", 1024, "random", 3, 1364),
+        ],
+    )
+    def test_every_child_belief_is_current(self, spec, n, policy, seed, checked):
+        session = RunSession(spec, n, policy=policy, seed=seed, trace_level="LOADS")
+        session.run_sequence()
+        registry = session.counter.registry
+        assert registry.retirements, "the run retired no worker"
+        beliefs = 0
+        for role in registry.all_roles():
+            if role.child_addrs:
+                actual = {
+                    node_key(addr): registry.role(addr).worker
+                    for addr in role.child_addrs
+                }
+            else:
+                leaves = registry.geometry.leaf_children(role.addr)
+                actual = {leaf_key(pid): pid for pid in leaves}
+            assert role.children_workers == actual, role.addr
+            for key, worker in actual.items():
+                assert role.believed_child_worker(key) == worker
+            beliefs += len(actual)
+        assert beliefs == checked

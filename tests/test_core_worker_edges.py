@@ -65,6 +65,22 @@ class TestDispatchErrors:
         with pytest.raises(ProtocolError, match="non-neighbour"):
             worker.on_message(bogus)
 
+    def test_id_update_naming_a_leaf_child_raises(self):
+        # A leaf is worked by its own processor for good: an id-update
+        # moving one is a protocol error, not a belief to record (the
+        # next retirement would send that leaf's update to processor 42
+        # and overwrite 42's own leaf-parent belief).
+        network, counter = _fresh()
+        bottom = NodeAddr(counter.geometry.depth, 0)
+        worker = counter.worker(counter.registry.role(bottom).worker)
+        bogus = Message(
+            sender=2, receiver=worker.pid, kind=KIND_ID_UPDATE,
+            payload={"role": node_key(bottom), "node": leaf_key(1), "new_worker": 42},
+        )
+        with pytest.raises(ProtocolError, match="leaf"):
+            worker.on_message(bogus)
+        assert counter.registry.role(bottom).believed_child_worker(leaf_key(1)) == 1
+
     def test_request_inc_requires_leaf_parent(self):
         network, counter = _fresh()
         worker = counter.worker(2)
@@ -83,7 +99,7 @@ class TestForwarding:
             key = node_key(event.addr)
             if key in old.active_role_keys():
                 continue  # role wrapped back (not in strict mode)
-            assert old._forward.get(key) is not None
+            assert old.forward_target(key) is not None
 
     def test_stale_message_is_forwarded_to_successor(self):
         network, counter = _fresh(81)

@@ -93,7 +93,7 @@ class _NoForwardingWorker(TreeWorker):
         )
         if (
             role_key
-            and role_key in (self._forward or ())
+            and self.forward_target(role_key) is not None
             and role_key not in (self._roles or ())
         ):
             return  # drop: the handshake's forwarding is disabled
