@@ -21,22 +21,23 @@ Request         Response                              Meaning
 (other)         ``ERR ...``                           protocol error
 =============== ===================================== =======================
 
-Concurrency model: the counter has ``n`` client processors; a pool
-(:class:`asyncio.Queue`) hands each in-flight request a free processor
-id and takes it back on completion, so at most ``n`` operations overlap
-and each processor runs at most one at a time — exactly the discipline
-the protocols assume.
+Concurrency model: the counter has ``n`` client processors.  An
+admitted request takes a free processor id at once or queues, oldest
+first, for the next one a settled result frees — so at most ``n``
+operations overlap and each processor runs at most one at a time,
+exactly the discipline the protocols assume.
 
 Connections: every connection is one :class:`asyncio.Protocol`, not a
 reader task.  ``data_received`` splits complete lines out of a buffer
 bounded by ``line_limit`` and handles them in order, one at a time: a
 line starts only after the previous one was answered, and its answer is
 written straight onto the transport.  A command that can answer at
-once (``PING``, ``STATS``, a refusal) does so inside the callback; one
-that must wait — here ``INC`` with its processor lease — runs as a task
-whose result is the connection's next answer.  While a line waits,
-input keeps buffering until ``line_limit`` and then reading pauses;
-while the transport's write buffer is full, no new line starts.
+once (``PING``, ``STATS``, a refusal) does so inside the callback; an
+``INC`` is admitted there too and handed a reply sink that the settle
+step, the deadline timer or a failure answers later — no task per
+request.  While a line waits, input keeps buffering until
+``line_limit`` and then reading pauses; while the transport's write
+buffer is full, no new line starts.
 
 Resilience (see :mod:`repro.serve.resilience`): requests beyond ``n``
 wait for a processor only up to a bounded backlog — past it the service
@@ -52,16 +53,18 @@ must be finite and positive; anything else is ``ERR BAD_REQUEST``.
 
 Execution: protocol events run in a single pump task that drains the
 :class:`~repro.runtime.AsyncioRuntime` whenever new work is injected —
-connection callbacks and request tasks never touch the network
-concurrently, so no locking is needed anywhere.  If the pump dies *or
-is cancelled*, every in-flight waiter is failed with the cause, so no
-client ever hangs on a stranded future.
+connection callbacks and callers never touch the network concurrently,
+so no locking is needed anywhere.  If the pump dies *or is cancelled*,
+every injected and every queued operation is failed with the cause, so
+no client ever hangs on a stranded request.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
+from collections import deque
+from functools import partial
 from typing import Any, Coroutine
 
 from repro.errors import (
@@ -101,14 +104,62 @@ def error_line(exc: BaseException) -> bytes:
     return text.encode("ascii", "replace")
 
 
+class _WireReply:
+    """Where a wire ``INC``'s outcome goes: straight onto its connection.
+
+    It has the three future methods a reply is given (``done``,
+    ``set_result``, ``set_exception``).  The first outcome answers and
+    cancels the deadline *timer*; a later one (a value that arrives
+    after the deadline answered) is dropped.
+    """
+
+    __slots__ = ("connection", "timer", "_done")
+
+    def __init__(self, connection: LineConnection) -> None:
+        self.connection = connection
+        self.timer: asyncio.TimerHandle | None = None
+        self._done = False
+
+    def done(self) -> bool:
+        return self._done
+
+    def set_result(self, value: int) -> None:
+        self._answer(b"OK %d\n" % value)
+
+    def set_exception(self, error: BaseException) -> None:
+        self._answer(error_line(error))
+
+    def _answer(self, line: bytes) -> None:
+        if self._done:
+            return
+        self._done = True
+        if self.timer is not None:
+            self.timer.cancel()
+        self.connection.answer(line)
+
+
+Reply = asyncio.Future[int] | _WireReply
+
+
+def _follow(reply: Reply, original: asyncio.Future[int]) -> None:
+    """Answer *reply* with a request id's resolved ledger entry."""
+    if reply.done():
+        return  # its deadline answered first
+    error = original.exception()
+    if error is None:
+        reply.set_result(original.result())
+    else:
+        reply.set_exception(error)
+
+
 class LineConnection(asyncio.Protocol):
     """One client connection of a :class:`LineProtocolService`.
 
     Lines are handled strictly in order, one at a time: the next line
     starts only once the current one was answered through
-    :meth:`answer` — at once, from a task (:meth:`answer_later`) or
-    from whatever the service handed the connection to (the keyed
-    batcher).  Buffered input is bounded by ``line_limit``: a line
+    :meth:`answer` — at once, by an ``INC``'s :class:`_WireReply`, or
+    from a task (:meth:`answer_later`: the keyed ``SPLIT`` and
+    ``MERGE``).  Buffered input is bounded by ``line_limit``: a line
     longer than that answers ``ERR LINE_TOO_LONG`` and the connection
     closes (framing is lost past it), and while a line waits, reading
     pauses once the buffer holds more than the bound.  A final line
@@ -253,13 +304,12 @@ class LineProtocolService:
     keyspace of them.
 
     It also owns the part of an increment's life that does not depend
-    on how the increment is executed: the draining refusal, the
-    deadline, the request-id ledger (:class:`DedupTable`), the
-    backlog-cap shed and the deadline-bounded wait for the value, with
-    the counters ``STATS`` reports for them.  *How* an admitted
-    increment runs — up to n leased processors overlapping in one
-    protocol, or one batch at a time per shard — is the subclass, as
-    is its ``backlog``.
+    on how the increment is executed (:meth:`_accept`): the draining
+    refusal, the request-id ledger (:class:`DedupTable`), the deadline
+    timer and the backlog-cap shed, with the counters ``STATS`` reports
+    for them.  *How* an admitted increment runs — up to n leased
+    processors overlapping in one protocol, or one batch at a time per
+    shard — is the subclass's :meth:`_admit`, as is its ``backlog``.
     """
 
     _PENDING: str
@@ -381,30 +431,62 @@ class LineProtocolService:
             self._dedup.create(rid, loop.create_future())
         return expires, None
 
-    def _shed_if_full(self, rid: str | None) -> None:
-        """Refuse an arrival past the backlog cap, releasing its *rid*."""
+    def _accept(
+        self,
+        rid: str | None,
+        deadline: float | None,
+        reply: Reply,
+        key: str | None = None,
+    ) -> asyncio.TimerHandle | None:
+        """Take one increment whose outcome goes to *reply*: refuse it
+        while draining, follow a known *rid*'s ledger entry, or
+        :meth:`_admit` it.  Returns the deadline timer to cancel once
+        answered (``None``: no deadline, or answered at once)."""
+        try:
+            expires, original = self._begin_inc(rid, deadline)
+        except ServiceStoppedError as exc:
+            reply.set_exception(exc)
+            return None
+        if original is None:
+            self._admit(rid, reply, key)
+        elif original.done():
+            _follow(reply, original)
+        else:
+            original.add_done_callback(partial(_follow, reply))
+        if expires is None or reply.done():
+            return None
+        return asyncio.get_running_loop().call_at(
+            expires, self._expire, rid, reply
+        )
+
+    def _admit(self, rid: str | None, reply: Reply, key: str | None) -> None:
+        """Subclass hook: shed a new increment, or queue or inject it."""
+        raise NotImplementedError
+
+    def _shed_if_full(self, rid: str | None, reply: Reply) -> bool:
+        """Refuse an arrival past the backlog cap; ``True`` if it was."""
         cap = self.config.max_backlog
         if cap is None or self.backlog < cap:
-            return
+            return False
         self._shed += 1
-        error = OverloadedError(
-            f"admission backlog full ({self.backlog} waiting, cap {cap})"
-        )
+        error = f"admission backlog full ({self.backlog} waiting, cap {cap})"
+        self._release(rid, reply, OverloadedError(error))
+        return True
+
+    def _release(
+        self, rid: str | None, reply: Reply, error: BaseException
+    ) -> None:
+        """Fail an operation that will not commit: forget its *rid*, so
+        a retry starts fresh, then answer *reply* with *error*."""
         if rid is not None:
             self._dedup.fail(rid, error)
-        raise error
+        if not reply.done():
+            reply.set_exception(error)
 
-    async def _await_value(self, awaitable: Any, expires: float | None) -> int:
-        """Await an operation's value (or rid future) under the deadline."""
-        if expires is None:
-            return await asyncio.shield(awaitable)
-        loop = asyncio.get_running_loop()
-        try:
-            return await asyncio.wait_for(
-                asyncio.shield(awaitable), max(0.0, expires - loop.time())
-            )
-        except asyncio.TimeoutError:
-            raise self._deadline_expired() from None
+    def _expire(self, rid: str | None, reply: Reply) -> None:
+        """A deadline fell due: answer it; the operation still commits."""
+        if not reply.done():
+            reply.set_exception(self._deadline_expired())
 
     def _deadline_expired(self) -> DeadlineExceededError:
         """Count one expired request and word its error."""
@@ -521,13 +603,12 @@ class CounterService(LineProtocolService):
         super().__init__(host, port, resilience)
         self._pump_task: asyncio.Task | None = None
         self._work = asyncio.Event()
-        self._pid_pool: asyncio.Queue[int] = asyncio.Queue()
-        for pid in self.session.counter.client_ids():
-            self._pid_pool.put_nowait(pid)
-        self._waiters: dict[int, asyncio.Future[int]] = {}
-        self._commits: set[asyncio.Task[int]] = set()
+        self._free = deque(self.session.counter.client_ids())
+        # admitted operations as (rid, reply): oldest first while they
+        # wait for a processor, by processor once injected
+        self._queued: deque[tuple[str | None, Reply]] = deque()
+        self._waiters: dict[int, tuple[str | None, Reply]] = {}
         self._op_index = 0
-        self._backlog = 0
         self.session.counter.on_result = self._on_result
 
     # ------------------------------------------------------------------
@@ -551,7 +632,7 @@ class CounterService(LineProtocolService):
     @property
     def backlog(self) -> int:
         """Admitted operations waiting for a free processor."""
-        return self._backlog
+        return len(self._queued)
 
     def _identity(self) -> str:
         return f"{self.spec} n={self.n}"
@@ -565,12 +646,12 @@ class CounterService(LineProtocolService):
         self._pump_task = asyncio.create_task(self._pump())
 
     async def _drain_work(self, drain: bool) -> None:
-        """Drain in-flight commits (optionally), then stop the pump."""
-        if drain and self._commits:
-            self._work.set()
-            await asyncio.wait(
-                list(self._commits), timeout=self.config.drain_timeout
-            )
+        """Let admitted operations commit (optionally), then stop the pump."""
+        if drain:
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + self.config.drain_timeout
+            while (self._waiters or self._queued) and loop.time() < deadline:
+                await asyncio.sleep(0.005)
         if self._pump_task is not None:
             self._work.set()  # unblock the pump so it can observe the stop
             self._pump_task.cancel()
@@ -582,27 +663,76 @@ class CounterService(LineProtocolService):
     # ------------------------------------------------------------------
     # The counter side
     # ------------------------------------------------------------------
-    def _on_result(self, pid: int, value: int) -> None:
-        """The counter's observer: resolve the waiter leasing *pid*."""
-        future = self._waiters.pop(pid, None)
-        if future is not None and not future.done():
-            future.set_result(value)
+    def _admit(self, rid: str | None, reply: Reply, key: str | None) -> None:
+        """Inject on a free processor, else shed past the cap or queue."""
+        if self._free:
+            self._inject(self._free.popleft(), rid, reply)
+        elif not self._shed_if_full(rid, reply):
+            self._queued.append((rid, reply))
 
-    def _poison_waiters(self, error: BaseException) -> None:
-        """Fail every in-flight waiter so no client hangs forever."""
-        for future in self._waiters.values():
-            if not future.done():
-                future.set_exception(error)
+    def _inject(self, pid: int, rid: str | None, reply: Reply) -> None:
+        self._waiters[pid] = (rid, reply)
+        self.session.counter.begin_inc(pid, self._op_index)
+        self._op_index += 1
+        self._work.set()
+
+    def _on_result(self, pid: int, value: int) -> None:
+        """The counter's observer: settle outside the protocol handler."""
+        op = self._waiters.pop(pid, None)
+        if op is not None:
+            asyncio.get_running_loop().call_soon(self._settle, pid, value, *op)
+
+    def _settle(
+        self, pid: int, value: int, rid: str | None, reply: Reply
+    ) -> None:
+        """Commit a value and hand *pid* on before answering with it."""
+        self._served += 1
+        if rid is not None:
+            self._dedup.commit(rid, value)
+        while self._queued:
+            next_rid, next_reply = self._queued.popleft()
+            if not next_reply.done():
+                self._inject(pid, next_rid, next_reply)
+                break
+            # its in-process caller was cancelled while it queued
+            self._release(next_rid, next_reply, asyncio.CancelledError())
+        else:
+            self._free.append(pid)
+        if not reply.done():
+            reply.set_result(value)
+
+    def _withdraw(self, rid: str | None, reply: Reply) -> bool:
+        """Take a still-queued operation out of line, if it is."""
+        try:
+            self._queued.remove((rid, reply))
+        except ValueError:
+            return False
+        return True
+
+    def _expire(self, rid: str | None, reply: Reply) -> None:
+        """A queued operation's deadline releases its rid at once."""
+        if not self._withdraw(rid, reply):
+            return super()._expire(rid, reply)  # injected: it commits
+        self._expired += 1
+        error = "deadline expired waiting for a free processor"
+        self._release(rid, reply, DeadlineExceededError(error))
+
+    def _poison(self, error: BaseException) -> None:
+        """Fail every injected and queued operation so no client hangs."""
+        ops = [*self._waiters.values(), *self._queued]
+        self._free.extend(self._waiters)
         self._waiters.clear()
+        self._queued.clear()
+        for rid, reply in ops:
+            self._release(rid, reply, error)
 
     async def _pump(self) -> None:
-        """Drain the runtime whenever an ``inc()`` injects new work.
+        """Drain the runtime whenever an operation is injected.
 
         Neither a protocol failure (e.g. an exhausted event budget) nor
-        a cancellation mid-drain may strand in-flight clients on
-        never-resolving futures: both paths fail every waiter before
-        the pump dies, so their requests answer ``ERR`` instead of
-        hanging.
+        a cancellation mid-drain may strand clients: both paths fail
+        every injected and queued operation before the pump dies, so
+        their requests answer ``ERR`` instead of hanging.
         """
         runtime = self.session.runtime
         try:
@@ -611,14 +741,11 @@ class CounterService(LineProtocolService):
                 self._work.clear()
                 await runtime.drain()
         except asyncio.CancelledError:
-            self._poison_waiters(
-                ServiceStoppedError(
-                    "service stopped with the operation in flight"
-                )
-            )
+            stopped = "service stopped with the operation in flight"
+            self._poison(ServiceStoppedError(stopped))
             raise
         except Exception as exc:
-            self._poison_waiters(exc)
+            self._poison(exc)
             raise
 
     async def inc(
@@ -633,6 +760,8 @@ class CounterService(LineProtocolService):
             rid: client-supplied request id.  A repeated ``rid``
                 attaches to the original operation (in flight) or
                 returns its committed value — never a second increment.
+                Cancelling a call still waiting for a processor
+                releases it, so a retry runs as a fresh operation.
             deadline: seconds this call may take (admission wait
                 included); ``None`` falls back to the config's
                 ``default_deadline``.  Expiry raises
@@ -645,73 +774,17 @@ class CounterService(LineProtocolService):
             ServiceStoppedError: the service is draining or stopped.
             DeadlineExceededError: the deadline expired first.
         """
-        expires, original = self._begin_inc(rid, deadline)
-        if original is not None:
-            return await self._await_value(original, expires)
-        if self._pid_pool.empty():
-            self._shed_if_full(rid)
+        reply: asyncio.Future[int] = asyncio.get_running_loop().create_future()
+        timer = self._accept(rid, deadline, reply)
         try:
-            pid = await self._admit(expires)
-        except BaseException as exc:
-            # nothing was injected: forget the rid so a retry may try
-            # again (and wake any co-waiter with the same failure)
-            if rid is not None:
-                self._dedup.fail(rid, exc)
+            return await reply
+        except asyncio.CancelledError as exc:
+            if self._withdraw(rid, reply):  # never injected: free the rid
+                self._release(rid, reply, exc)
             raise
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future[int] = loop.create_future()
-        self._waiters[pid] = future
-        op_index = self._op_index
-        self._op_index += 1
-        self.session.counter.begin_inc(pid, op_index)
-        commit = loop.create_task(self._commit(pid, future, rid))
-        self._commits.add(commit)
-        commit.add_done_callback(self._reap_commit)
-        self._work.set()
-        return await self._await_value(commit, expires)
-
-    async def _admit(self, expires: float | None) -> int:
-        """Lease a processor id, expiring as configured."""
-        loop = asyncio.get_running_loop()
-        self._backlog += 1
-        try:
-            if expires is None:
-                return await self._pid_pool.get()
-            try:
-                return await asyncio.wait_for(
-                    self._pid_pool.get(), max(0.0, expires - loop.time())
-                )
-            except asyncio.TimeoutError:
-                self._expired += 1
-                raise DeadlineExceededError(
-                    "deadline expired waiting for a free processor"
-                ) from None
         finally:
-            self._backlog -= 1
-
-    async def _commit(
-        self, pid: int, future: asyncio.Future[int], rid: str | None
-    ) -> int:
-        """Finish one injected operation: value, lease return, dedup."""
-        try:
-            value = await future
-        except BaseException as exc:
-            # the pump died with the op in flight: return the lease and
-            # release any rid retries with the same failure
-            self._pid_pool.put_nowait(pid)
-            if rid is not None:
-                self._dedup.fail(rid, exc)
-            raise
-        self._pid_pool.put_nowait(pid)
-        self._served += 1
-        if rid is not None:
-            self._dedup.commit(rid, value)
-        return value
-
-    def _reap_commit(self, task: asyncio.Task[int]) -> None:
-        self._commits.discard(task)
-        if not task.cancelled():
-            task.exception()  # deadline-abandoned commits must not warn
+            if timer is not None:
+                timer.cancel()
 
     def stats(self) -> dict[str, Any]:
         """The ``STATS`` payload as a dict (also used by the CLI).
@@ -727,7 +800,7 @@ class CounterService(LineProtocolService):
             "n": self.n,
             "served": self._served,
             "inflight": self.inflight,
-            "backlog": self._backlog,
+            "backlog": self.backlog,
             **self._resilience_stats(),
             "messages": trace.total_messages if trace.keeps_loads else "na",
         }
@@ -749,13 +822,9 @@ class CounterService(LineProtocolService):
                     b"ERR BAD_REQUEST usage: INC [rid] [deadline_ms>0]\n"
                 )
                 return True
-        connection.answer_later(self._wire_inc(rid, deadline))
+        reply = _WireReply(connection)
+        reply.timer = self._accept(rid, deadline, reply)
         return True
-
-    async def _wire_inc(
-        self, rid: str | None, deadline: float | None
-    ) -> bytes:
-        return b"OK %d\n" % await self.inc(rid=rid, deadline=deadline)
 
 
 async def serve_counter(

@@ -1070,27 +1070,23 @@ def _rule_from_field(key: str, value: str) -> FaultRule:
         return PartitionRule(
             _parse_group(key, a_text), _parse_group(key, b_text), start, end
         )
-    if key == "byz":
-        budget_text, separator, strategy = value.partition("@")
-        try:
-            budget = int(budget_text)
-        except ValueError:
-            raise ConfigurationError(
-                f"fault spec field 'byz': bad budget {budget_text!r}; "
-                "expected an integer count of compromised processors"
-            ) from None
-        if not separator or not strategy:
-            raise ConfigurationError(
-                "fault spec field 'byz' needs a strategy, e.g. "
-                "byz=1@corrupt (one of "
-                + ", ".join(BYZANTINE_STRATEGIES)
-                + ")"
-            )
-        return make_byzantine_rule(budget, strategy)
-    raise ConfigurationError(
-        f"unknown fault spec field {key!r}; expected one of "
-        "drop, dup, reorder, crash, partition, byz, recover"
-    )
+    # "byz": parse_fault_spec admits only the keys of _FIELD_ORDER
+    budget_text, separator, strategy = value.partition("@")
+    try:
+        budget = int(budget_text)
+    except ValueError:
+        raise ConfigurationError(
+            f"fault spec field 'byz': bad budget {budget_text!r}; "
+            "expected an integer count of compromised processors"
+        ) from None
+    if not separator or not strategy:
+        raise ConfigurationError(
+            "fault spec field 'byz' needs a strategy, e.g. "
+            "byz=1@corrupt (one of "
+            + ", ".join(BYZANTINE_STRATEGIES)
+            + ")"
+        )
+    return make_byzantine_rule(budget, strategy)
 
 
 def _recovery_from_field(value: str) -> RecoveryPoint:
@@ -1159,7 +1155,7 @@ def parse_fault_spec(text: str, seed: int = 0) -> FaultPlan:
         if key not in _FIELD_ORDER:
             raise ConfigurationError(
                 f"unknown fault spec field {key!r}; expected one of "
-                "drop, dup, reorder, crash, partition, recover"
+                + ", ".join(_FIELD_ORDER)
             )
         if key in ("drop", "dup", "reorder") and any(
             existing == key for _, _, existing, _ in fields

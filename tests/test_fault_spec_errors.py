@@ -42,6 +42,14 @@ class TestMalformedSpecs:
     def test_unknown_field_lists_the_vocabulary(self):
         _rejects("lose=0.1", "unknown fault spec field 'lose'")
 
+    def test_unknown_field_names_every_accepted_field(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_fault_spec("lose=0.1")
+        listed = str(excinfo.value).partition("expected one of ")[2]
+        assert listed.split(", ") == [
+            "drop", "dup", "reorder", "partition", "crash", "byz", "recover"
+        ]
+
     def test_duplicate_probability_fields(self):
         _rejects("drop=0.1,drop=0.2", "duplicate fault spec field 'drop'")
 

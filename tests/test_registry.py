@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import CapabilityError, ConfigurationError
+from repro.quorum.counter import SYSTEM_SLUGS
 from repro.registry import (
     POLICY_NAMES,
     RunSession,
@@ -21,6 +22,14 @@ from repro.registry import (
 )
 from repro.sim.network import Network
 from repro.workloads import one_shot, run_concurrent
+
+TESTS_DIR = pathlib.Path(__file__).parent
+
+
+def _marked_test_sources(marker: str) -> list[str]:
+    """The source of every test file that carries the *marker* marker."""
+    sources = (path.read_text() for path in TESTS_DIR.glob("test_*.py"))
+    return [source for source in sources if f"pytest.mark.{marker}" in source]
 
 
 class TestSpecRoundTrips:
@@ -85,8 +94,8 @@ class TestRegistryCompleteness:
             )
 
     def test_every_counter_module_is_registered(self):
-        # Mirror of scripts/check_registry.py, kept in-suite so a fresh
-        # implementation without a spec fails the tests too.
+        # The one module -> spec map: a fresh implementation without a
+        # spec fails here.
         root = pathlib.Path(__file__).parent.parent / "src" / "repro"
         modules = {
             path.stem
@@ -118,6 +127,52 @@ class TestRegistryCompleteness:
         assert not missing, f"counter modules without a spec: {missing}"
         assert "ww-tree" in base_names
         assert "quorum" in base_names
+
+    def test_every_quorum_system_has_a_spec(self):
+        # The projective plane is parameterized by plane order, not by n,
+        # so it cannot be a (network, n) registry factory.
+        registered = {
+            name.partition("[")[2].rstrip("]")
+            for name in registered_names()
+            if name.startswith("quorum[")
+        }
+        expected = set(SYSTEM_SLUGS.values()) - {"projective-plane"}
+        missing = sorted(expected - registered)
+        assert not missing, f"quorum systems without specs: {missing}"
+
+    @pytest.mark.parametrize(
+        "claim, marker",
+        [("tolerates_crash", "recovery"), ("tolerates_byzantine", "byzantine")],
+    )
+    def test_every_tolerance_claim_is_tested(self, claim, marker):
+        # A tolerance claim without a test under the matching marker is
+        # vacuous: the spec's exact name must appear in such a file.
+        sources = _marked_test_sources(marker)
+        untested = [
+            spec.name
+            for spec in registered_specs()
+            if getattr(spec.capabilities, claim)
+            and not any(spec.name in source for source in sources)
+        ]
+        assert not untested, (
+            f"{untested}: declare {claim} but no test file with the "
+            f"{marker!r} marker mentions them"
+        )
+
+    def test_every_spec_is_named_in_a_shard_test(self):
+        # CounterShardMap serializes batches per shard, so every spec
+        # must be able to back a shard; a shard-marked test proves it.
+        sources = _marked_test_sources("shard")
+        untested = [
+            name
+            for name in registered_names()
+            if not any(name in source for source in sources)
+        ]
+        assert not untested, (
+            f"{untested}: registered but no test file with the 'shard' "
+            "marker mentions them — the sharded keyspace claims every "
+            "spec can back a shard"
+        )
 
     def test_capability_flags_consistent_with_class(self):
         for spec in registered_specs():

@@ -425,6 +425,28 @@ class TestServiceDeadlines:
         assert stats["rid_committed"] == 1
         assert stats["deduped"] == 1
 
+    def test_queued_deadline_releases_the_rid_at_once(self):
+        async def go():
+            service = _service("static-tree", n=1, time_scale=0.05)
+            await service.start()
+            try:
+                slow = asyncio.create_task(service.inc())
+                await asyncio.sleep(0.01)  # the lease is now taken
+                with pytest.raises(DeadlineExceededError, match="free proc"):
+                    await service.inc(rid="q", deadline=0.01)
+                # never injected: the same rid is a fresh operation
+                retry = await service.inc(rid="q")
+                await slow
+                return retry, service.stats()
+            finally:
+                await service.stop()
+
+        retry, stats = asyncio.run(go())
+        assert retry == 1
+        assert stats["served"] == 2
+        assert stats["deduped"] == 0
+        assert stats["expired"] == 1
+
     def test_default_deadline_from_config(self):
         async def go():
             service = _service(
@@ -500,6 +522,24 @@ class TestServiceShedding:
         assert stats["deduped"] == 0  # the retry was a fresh injection
 
 
+    def test_zero_backlog_admits_an_arrival_with_a_free_processor(self):
+        async def go():
+            service = _service(
+                "static-tree",
+                n=1,
+                resilience=ResilienceConfig(max_backlog=0),
+            )
+            await service.start()
+            try:
+                return await service.inc(), service.stats()
+            finally:
+                await service.stop()
+
+        value, stats = asyncio.run(go())
+        assert value == 0
+        assert stats["shed"] == 0
+
+
 class TestServiceDedup:
     def test_repeated_rid_returns_the_committed_value(self):
         async def go():
@@ -534,6 +574,31 @@ class TestServiceDedup:
         assert set(values) == {0}
         assert stats["served"] == 1
         assert stats["deduped"] == 4
+
+    def test_cancelled_queued_call_is_never_injected(self):
+        async def go():
+            service = _service("static-tree", n=1, time_scale=0.05)
+            await service.start()
+            try:
+                slow = asyncio.create_task(service.inc())
+                await asyncio.sleep(0.01)  # the lease is now taken
+                queued = asyncio.create_task(service.inc(rid="c"))
+                await asyncio.sleep(0.01)
+                assert service.backlog == 1
+                queued.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await queued
+                # the rid was released: the retry is a fresh operation
+                retry = await service.inc(rid="c")
+                await slow
+                return retry, service.stats()
+            finally:
+                await service.stop()
+
+        retry, stats = asyncio.run(go())
+        assert retry == 1
+        assert stats["served"] == 2
+        assert stats["deduped"] == 0
 
     def test_distinct_rids_count_separately(self):
         async def go():
@@ -591,6 +656,28 @@ class TestServiceLifecycle:
                 await asyncio.wait_for(op, timeout=1.0)
 
         asyncio.run(go())
+
+
+    def test_stop_without_drain_fails_queued_requests(self):
+        # regression: a queued request must fail with the in-flight one,
+        # not take the freed processor and inject into the stopped pump
+        async def go():
+            service = _service("static-tree", n=1, time_scale=0.5)
+            await service.start()
+            inflight = asyncio.create_task(service.inc())
+            await asyncio.sleep(0.01)  # injected, far from committing
+            queued = asyncio.create_task(service.inc())
+            await asyncio.sleep(0.01)
+            assert service.backlog == 1
+            await service.stop(drain=False)
+            for op in (inflight, queued):
+                with pytest.raises(ServiceStoppedError):
+                    await asyncio.wait_for(op, timeout=1.0)
+            return service.stats()
+
+        stats = asyncio.run(go())
+        assert stats["inflight"] == 0
+        assert stats["backlog"] == 0
 
 
 class TestProtocolResilience:
@@ -692,6 +779,32 @@ class TestProtocolResilience:
 
         (line,) = asyncio.run(go())
         assert line.startswith("ERR OVERLOADED")
+
+
+    def test_pipelined_wire_incs_run_no_task_per_request(self):
+        async def go():
+            service = _service(n=2)
+            await service.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    service.host, service.port
+                )
+                idle = len(asyncio.all_tasks())
+                writer.write(b"INC\n" * 50)
+                await writer.drain()
+                answers, busiest = [], idle
+                for _ in range(50):
+                    answers.append(await reader.readline())
+                    busiest = max(busiest, len(asyncio.all_tasks()))
+                writer.close()
+                await writer.wait_closed()
+                return idle, busiest, answers
+            finally:
+                await service.stop()
+
+        idle, busiest, answers = asyncio.run(go())
+        assert sorted(int(a.split()[1]) for a in answers) == list(range(50))
+        assert busiest == idle  # no task per request or per commit
 
 
 def _free_port() -> int:

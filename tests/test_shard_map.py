@@ -25,9 +25,10 @@ from repro.shard import (
 
 pytestmark = pytest.mark.shard
 
-# Literal, not computed: scripts/check_registry.py greps this file for
-# every registered spec name, so a new spec cannot register without
-# being added here (the guard test below catches the drift).
+# Literal, not computed: tests/test_registry.py greps the shard-marked
+# test files for every registered spec name, so a new spec cannot
+# register without being added here (the guard test below catches the
+# drift).
 EVERY_SPEC = (
     "arrow",
     "byz-counter",
