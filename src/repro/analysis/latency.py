@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from repro.sim.messages import OpIndex
 from repro.sim.trace import Trace
 from repro.workloads.driver import RunResult
+from repro.workloads.sequences import percentile
 
 
 def op_latency(trace: Trace, op_index: OpIndex) -> float:
@@ -66,14 +67,8 @@ class LatencyProfile:
         return sum(self.latencies) / len(self.latencies)
 
     def percentile(self, q: float) -> float:
-        """Latency at quantile *q* in [0, 1]."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[index]
+        """Latency at quantile *q* in [0, 1] (nearest-rank)."""
+        return percentile(self.latencies, q)
 
 
 def detect_knee(

@@ -607,8 +607,6 @@ def _cmd_counters(args: argparse.Namespace) -> int:
                 bounds = []
                 if tunable.minimum is not None:
                     bounds.append(f">= {tunable.minimum}")
-                if tunable.maximum is not None:
-                    bounds.append(f"<= {tunable.maximum}")
                 if tunable.choices:
                     bounds.append("one of " + "|".join(tunable.choices))
                 if tunable.power_of_two:
@@ -678,6 +676,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     import time
 
     from repro.explore import (
+        ExploreConfig,
         ExploreRunner,
         ExploreTask,
         ReproFile,
@@ -694,8 +693,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         failure = outcome.failure
         reproduced = failure is not None and failure.oracle == repro.oracle
         print(f"repro:      {args.replay}")
-        print(f"counter:    {repro.counter}  (n={repro.n}, seed={repro.seed}, "
-              f"workload={repro.workload})")
+        episode = repro.config
+        print(f"counter:    {episode.counter}  (n={episode.n}, "
+              f"seed={episode.seed}, workload={episode.workload})")
         print(f"schedule:   {len(repro.decisions)} decisions "
               f"({sum(1 for d in repro.decisions if d)} non-default)")
         print(f"expected:   {repro.oracle} failure")
@@ -707,7 +707,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                   f"[{status}]")
         return 0 if reproduced else 1
 
-    task = ExploreTask(
+    config = ExploreConfig(
         counter=args.counter,
         n=args.n,
         seed=args.seed,
@@ -723,7 +723,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     runner = ExploreRunner(workers=args.workers)
     started = time.perf_counter()
     try:
-        report = runner.explore(task)
+        report = runner.explore(ExploreTask(config))
     except ConfigurationError as error:  # includes CapabilityError
         print(str(error), file=sys.stderr)
         return 2
@@ -735,10 +735,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         payload["schedules_per_second"] = round(rate, 1)
         print(json_module.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"counter:    {task.counter}  (n={task.n}, seed={task.seed}, "
-              f"workload={task.workload}"
-              + (f", faults={task.faults}" if task.faults else "") + ")")
-        print(f"plan:       {task.strategy}  (default budget {task.budget})")
+        print(f"counter:    {config.counter}  (n={config.n}, "
+              f"seed={config.seed}, workload={config.workload}"
+              + (f", faults={config.faults}" if config.faults else "") + ")")
+        print(f"plan:       {config.strategy}  "
+              f"(default budget {config.budget})")
         print(f"explored:   {report.episodes} schedules, "
               f"{report.decisions} decisions "
               f"({rate:.0f} schedules/s)")
@@ -761,10 +762,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         directory = pathlib.Path(args.save_repros)
         for index, repro in enumerate(report.failures):
             safe = "".join(
-                ch if ch.isalnum() else "-" for ch in repro.counter
+                ch if ch.isalnum() else "-" for ch in repro.config.counter
             ).strip("-")
             path = directory / (
-                f"{safe}-seed{repro.seed}-ep{repro.episode}-"
+                f"{safe}-seed{repro.config.seed}-ep{repro.episode}-"
                 f"{repro.oracle}.json"
             )
             saved_paths.append(repro.save(path))

@@ -83,16 +83,6 @@ class _ArrowHost(Processor):
         else:
             raise ProtocolError(f"arrow counter: unknown kind {message.kind!r}")
 
-    def _forward_request(
-        self, node: int, origin: ProcessorId, came_from: int | None
-    ) -> None:
-        """Send the climbing request to the host of *node*."""
-        self.send(
-            self._counter.host_of(node),
-            KIND_REQUEST,
-            {"node": node, "origin": origin, "came_from": came_from},
-        )
-
 
 class ArrowCounter(DistributedCounter):
     """Token-mobile counter on a binary spanning tree with path reversal.

@@ -107,16 +107,17 @@ class BitonicCountingNetwork(DistributedCounter):
     Args:
         network: simulator to wire into.
         n: number of clients (ids 1..n).
-        width: network width ``w`` (power of two, defaults to the largest
-            power of two ≤ √n — a balanced default for the sweep).
+        width: network width ``w`` (power of two); 0, the default,
+            picks the largest power of two ≤ √n — a balanced default
+            for the sweep.
     """
 
     name = "counting-network"
     capabilities = Capabilities()
 
-    def __init__(self, network: Network, n: int, width: int | None = None) -> None:
+    def __init__(self, network: Network, n: int, width: int = 0) -> None:
         super().__init__(network, n)
-        if width is None:
+        if width == 0:
             width = 1
             while width * width * 4 <= n:
                 width *= 2

@@ -110,8 +110,8 @@ class DiffractingTreeCounter(DistributedCounter):
     Args:
         network: simulator to wire into.
         n: number of clients (ids 1..n).
-        depth: tree depth (default: ``log2(n)/2`` rounded, ≥ 1 — a
-            balanced prism/width default).
+        depth: tree depth; 0, the default, picks ``log2(n)/2``
+            rounded, ≥ 1 — a balanced prism/width default.
         prism_size: rendezvous slots per node (default 4).
         seed: seed for the clients' random slot choices.
     """
@@ -123,13 +123,13 @@ class DiffractingTreeCounter(DistributedCounter):
         self,
         network: Network,
         n: int,
-        depth: int | None = None,
+        depth: int = 0,
         prism_size: int = 4,
         seed: int = 0,
         prism_wait: float = DEFAULT_PRISM_WAIT,
     ) -> None:
         super().__init__(network, n)
-        if depth is None:
+        if depth == 0:
             depth = max(1, n.bit_length() // 2 - 1)
         if depth < 1:
             raise ConfigurationError(f"depth must be >= 1, got {depth}")

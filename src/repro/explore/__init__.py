@@ -29,7 +29,6 @@ from repro.explore.engine import (
     EXPLORE_WORKLOADS,
     EpisodeOutcome,
     ExplorationReport,
-    ExploreConfig,
     Explorer,
     explorer_for_repro,
     replay_repro,
@@ -51,6 +50,7 @@ from repro.explore.parallel import (
 from repro.explore.schedule import (
     DEFAULT_DELAY_MENU,
     REPRO_SCHEMA,
+    ExploreConfig,
     ReproFile,
     Schedule,
 )

@@ -34,7 +34,7 @@ from repro.api import DistributedCounter
 from repro.errors import CapabilityError, ConfigurationError, ReproError
 from repro.explore.controller import ScheduleController
 from repro.explore.mutants import build_mutant, is_mutant_spec
-from repro.explore.schedule import DEFAULT_DELAY_MENU, ReproFile, Schedule
+from repro.explore.schedule import ExploreConfig, ReproFile, Schedule
 from repro.explore.shrink import shrink_schedule
 from repro.explore.strategies import ReplayStrategy, Strategy, parse_plan
 from repro.sim.faults import FaultPlan, parse_fault_spec
@@ -57,45 +57,6 @@ EXPLORE_WORKLOADS = ("staggered", "sequential")
 """Workload shapes an episode may drive: ``"staggered"`` overlaps
 operations (timed ops; linearizability territory), ``"sequential"``
 quiesces between them (footprints; Hot-Spot territory)."""
-
-
-@dataclass(frozen=True, slots=True)
-class ExploreConfig:
-    """Everything that names one exploration (the cache-key surface).
-
-    Attributes:
-        counter: registry spec string or ``mutant[...]`` name.
-        n: processor count.
-        seed: master seed — strategies and fault plans derive from it.
-        strategy: budget/strategy plan text
-            (:func:`~repro.explore.strategies.parse_plan` grammar).
-        budget: default episodes for plan legs without an explicit one.
-        faults: fault-spec string (``""`` = failure-free).
-        transport: ``"bare"`` or ``"reliable"``.
-        workload: ``"staggered"`` (overlapping, timed — the default) or
-            ``"sequential"`` (quiescing, footprint-checked).
-        gap: stagger gap between request injections.
-        rounds: incs per client (``round_robin`` when > 1).
-        delay_menu: delays a schedule may choose per message.
-        event_limit: per-episode event budget.
-        shrink: delta-shrink failing schedules (disable for raw speed).
-        max_failures: stop exploring after this many distinct failures.
-    """
-
-    counter: str
-    n: int = 8
-    seed: int = 0
-    strategy: str = "random"
-    budget: int = 100
-    faults: str = ""
-    transport: str = "bare"
-    workload: str = "staggered"
-    gap: float = 3.0
-    rounds: int = 1
-    delay_menu: tuple[float, ...] = DEFAULT_DELAY_MENU
-    event_limit: int = DEFAULT_EPISODE_EVENT_LIMIT
-    shrink: bool = True
-    max_failures: int = 5
 
 
 @dataclass(slots=True)
@@ -274,10 +235,11 @@ class Explorer:
             plan.rules
         )
         if self._is_mutant:
-            kwargs: dict = {"event_limit": config.event_limit}
-            if plan is not None:
-                kwargs["fault_plan"] = plan
-            network = Network(policy=controller, **kwargs)
+            network = Network(
+                policy=controller,
+                event_limit=DEFAULT_EPISODE_EVENT_LIMIT,
+                fault_plan=plan,
+            )
             network.run_context = self._canonical
             counter = build_mutant(config.counter, network, config.n)
             controller.attach(network)
@@ -291,7 +253,7 @@ class Explorer:
             # gate is protecting users from, so assemble directly.
             network = Network(
                 policy=controller,
-                event_limit=config.event_limit,
+                event_limit=DEFAULT_EPISODE_EVENT_LIMIT,
                 fault_plan=plan,
             )
             network.run_context = self._canonical
@@ -303,7 +265,7 @@ class Explorer:
             config.n,
             policy=controller,
             seed=config.seed,
-            event_limit=config.event_limit,
+            event_limit=DEFAULT_EPISODE_EVENT_LIMIT,
             faults=plan,
             reliable=config.transport == "reliable",
         )
@@ -439,15 +401,7 @@ class Explorer:
                     failure = replayed
             report.failures.append(
                 ReproFile(
-                    counter=self._config.counter,
-                    n=self._config.n,
-                    seed=self._config.seed,
-                    faults=self._config.faults,
-                    transport=self._config.transport,
-                    workload=self._config.workload,
-                    gap=self._config.gap,
-                    rounds=self._config.rounds,
-                    delay_menu=self._config.delay_menu,
+                    config=self._config,
                     decisions=schedule.decisions,
                     oracle=failure.oracle,
                     message=failure.message,
@@ -465,20 +419,7 @@ class Explorer:
 # ----------------------------------------------------------------------
 def explorer_for_repro(repro: ReproFile) -> Explorer:
     """An :class:`Explorer` configured exactly as the repro's episode."""
-    config = ExploreConfig(
-        counter=repro.counter,
-        n=repro.n,
-        seed=repro.seed,
-        strategy="baseline:1",  # replay never consults the plan
-        budget=1,
-        faults=repro.faults,
-        transport=repro.transport,
-        workload=repro.workload,
-        gap=repro.gap,
-        rounds=repro.rounds,
-        delay_menu=repro.delay_menu,
-    )
-    return Explorer(config)
+    return Explorer(repro.config)
 
 
 def replay_repro(repro: ReproFile) -> EpisodeOutcome:

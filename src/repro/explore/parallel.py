@@ -19,18 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.explore.engine import (
-    DEFAULT_EPISODE_EVENT_LIMIT,
-    ExploreConfig,
-    ExplorationReport,
-    Explorer,
-)
+from repro.explore.engine import ExplorationReport, Explorer
 from repro.explore.mutants import is_mutant_spec
-from repro.explore.schedule import DEFAULT_DELAY_MENU, ReproFile
+from repro.explore.schedule import ExploreConfig, ReproFile
 from repro.workloads.sweep import CachedRunner, fan_out
 
 _CACHE_SCHEMA = "explore-v1"
@@ -46,61 +41,43 @@ import/fork overhead stays amortized."""
 
 @dataclass(frozen=True, slots=True)
 class ExploreTask:
-    """One exploration window, named entirely by value.
+    """One exploration window, named entirely by value: a configuration
+    and the window of its episodes to run.
 
     ``episode_start``/``episode_count`` select the window;
-    ``episode_count=None`` means "to the end of the plan".  All other
-    fields mirror :class:`~repro.explore.engine.ExploreConfig`.
+    ``episode_count=None`` means "to the end of the plan".
     """
 
-    counter: str
-    n: int = 8
-    seed: int = 0
-    strategy: str = "random"
-    budget: int = 100
-    faults: str = ""
-    transport: str = "bare"
-    workload: str = "staggered"
-    gap: float = 3.0
-    rounds: int = 1
-    delay_menu: tuple[float, ...] = DEFAULT_DELAY_MENU
-    event_limit: int = DEFAULT_EPISODE_EVENT_LIMIT
-    shrink: bool = True
-    max_failures: int = 5
+    config: ExploreConfig
     episode_start: int = 0
     episode_count: int | None = None
 
-    def to_config(self) -> ExploreConfig:
-        """The engine configuration this task re-creates in a worker."""
-        payload = asdict(self)
-        payload.pop("episode_start")
-        payload.pop("episode_count")
-        payload["delay_menu"] = tuple(self.delay_menu)
-        return ExploreConfig(**payload)
-
     def canonical_counter(self) -> str:
         """Canonical spec (mutant names are already canonical)."""
-        if is_mutant_spec(self.counter):
-            return self.counter.strip()
+        counter = self.config.counter
+        if is_mutant_spec(counter):
+            return counter.strip()
         from repro.registry import canonical_spec
 
-        return canonical_spec(self.counter)
+        return canonical_spec(counter)
 
     def canonical_faults(self) -> str:
         """The fault spec in canonical form (``""`` when fault-free)."""
-        if not self.faults.strip():
+        faults = self.config.faults
+        if not faults.strip():
             return ""
         from repro.sim.faults import canonical_fault_spec
 
-        return canonical_fault_spec(self.faults)
+        return canonical_fault_spec(faults)
 
     def config_hash(self) -> str:
         """Stable hex digest naming this task (the cache key)."""
         payload = {
-            **asdict(self),
+            **asdict(self.config),
+            "episode_start": self.episode_start,
+            "episode_count": self.episode_count,
             "counter": self.canonical_counter(),
             "faults": self.canonical_faults(),
-            "delay_menu": list(self.delay_menu),
         }
         blob = json.dumps({"schema": _CACHE_SCHEMA, **payload}, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
@@ -130,10 +107,11 @@ class ExploreTaskOutcome:
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "ExploreTaskOutcome":
-        task_payload = dict(payload["task"])
-        task_payload["delay_menu"] = tuple(task_payload["delay_menu"])
+        task = dict(payload["task"])
+        config = dict(task.pop("config"))
+        config["delay_menu"] = tuple(config["delay_menu"])
         return cls(
-            task=ExploreTask(**task_payload),
+            task=ExploreTask(ExploreConfig(**config), **task),
             episodes=int(payload["episodes"]),
             decisions=int(payload["decisions"]),
             failures=tuple(
@@ -148,7 +126,7 @@ class ExploreTaskOutcome:
 
 def execute_task(task: ExploreTask) -> ExploreTaskOutcome:
     """Run one window from scratch (module-level, hence picklable)."""
-    explorer = Explorer(task.to_config())
+    explorer = Explorer(task.config)
     report = explorer.run(start=task.episode_start, count=task.episode_count)
     return ExploreTaskOutcome(
         task=task,
@@ -168,7 +146,7 @@ def partition(task: ExploreTask, window: int = _DEFAULT_WINDOW) -> list[ExploreT
     """
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window}")
-    total = Explorer(task.to_config()).total_episodes
+    total = Explorer(task.config).total_episodes
     start = task.episode_start
     end = total if task.episode_count is None else min(
         total, start + task.episode_count
@@ -176,16 +154,7 @@ def partition(task: ExploreTask, window: int = _DEFAULT_WINDOW) -> list[ExploreT
     tasks: list[ExploreTask] = []
     while start < end:
         count = min(window, end - start)
-        tasks.append(
-            ExploreTask(
-                **{
-                    **asdict(task),
-                    "episode_start": start,
-                    "episode_count": count,
-                    "delay_menu": tuple(task.delay_menu),
-                }
-            )
-        )
+        tasks.append(replace(task, episode_start=start, episode_count=count))
         start += count
     return tasks
 
@@ -199,7 +168,7 @@ def merge_outcomes(
     across the merged stream so the result matches the serial run's
     early-stop behavior when failures cluster early.
     """
-    report = ExplorationReport(config=task.to_config())
+    report = ExplorationReport(config=task.config)
     for outcome in sorted(outcomes, key=lambda o: o.task.episode_start):
         report.episodes += outcome.episodes
         report.decisions += outcome.decisions
@@ -210,7 +179,7 @@ def merge_outcomes(
             for key, value in counts.items():
                 merged[key] += value
         for repro in outcome.failures:
-            if len(report.failures) < task.max_failures:
+            if len(report.failures) < task.config.max_failures:
                 report.failures.append(repro)
     return report
 

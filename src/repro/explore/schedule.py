@@ -18,17 +18,18 @@ means "what the default scheduler would have done" (the first menu entry
 / FIFO order), so the all-zero schedule reproduces the baseline
 execution and shrinking moves failures *toward* the baseline.
 
-A :class:`ReproFile` bundles a failing schedule with everything needed
-to re-run it — counter spec, ``n``, seed, fault spec, workload shape,
-delay menu — plus the oracle that failed, as a small JSON document
-suitable for checking into a regression corpus.
+An :class:`ExploreConfig` names one exploration.  A :class:`ReproFile`
+bundles a failing schedule with the configuration needed to re-run it —
+counter spec, ``n``, seed, fault spec, workload shape, delay menu — plus
+the oracle that failed, as a small JSON document suitable for checking
+into a regression corpus.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
@@ -85,22 +86,69 @@ class Schedule:
 
 
 @dataclass(frozen=True, slots=True)
+class ExploreConfig:
+    """Everything that names one exploration (the cache-key surface).
+
+    Attributes:
+        counter: registry spec string or ``mutant[...]`` name.
+        n: processor count.
+        seed: master seed — strategies and fault plans derive from it.
+        strategy: budget/strategy plan text
+            (:func:`~repro.explore.strategies.parse_plan` grammar).
+        budget: default episodes for plan legs without an explicit one.
+        faults: fault-spec string (``""`` = failure-free).
+        transport: ``"bare"`` or ``"reliable"``.
+        workload: ``"staggered"`` (overlapping, timed — the default) or
+            ``"sequential"`` (quiescing, footprint-checked).
+        gap: stagger gap between request injections.
+        rounds: incs per client (``round_robin`` when > 1).
+        delay_menu: delays a schedule may choose per message.
+        shrink: delta-shrink failing schedules (disable for raw speed).
+        max_failures: stop exploring after this many distinct failures.
+    """
+
+    counter: str
+    n: int = 8
+    seed: int = 0
+    strategy: str = "random"
+    budget: int = 100
+    faults: str = ""
+    transport: str = "bare"
+    workload: str = "staggered"
+    gap: float = 3.0
+    rounds: int = 1
+    delay_menu: tuple[float, ...] = DEFAULT_DELAY_MENU
+    shrink: bool = True
+    max_failures: int = 5
+
+
+_OPTIONAL_FIELDS = {
+    "faults": str,
+    "transport": str,
+    "workload": str,
+    "gap": float,
+    "rounds": int,
+    "delay_menu": lambda menu: tuple(float(delay) for delay in menu),
+}
+"""The episode fields a repro file may omit, with how each is read;
+``counter``, ``n`` and ``seed`` are required."""
+
+
+@dataclass(frozen=True, slots=True)
 class ReproFile:
     """A replayable witness of one oracle failure.
 
     Attributes:
-        counter: counter spec the episode ran (a registry spec string or
-            a ``mutant[...]`` name from :mod:`repro.explore.mutants`).
-        n: processor count.
-        seed: exploration seed (fault plans are seeded from it).
-        faults: fault-spec string (``""`` = failure-free).
-        transport: ``"bare"`` or ``"reliable"``.
-        workload: ``"staggered"`` or ``"sequential"``.
-        gap: stagger gap (staggered workloads).
-        rounds: incs per client.
-        delay_menu: the per-message delay choices the schedule indexes.
-        decisions: the (shrunk) schedule.
+        config: the configuration the failing episode ran under.  The
+            file records its episode fields — counter spec (a registry
+            spec string or a ``mutant[...]`` name from
+            :mod:`repro.explore.mutants`), ``n``, seed, fault spec,
+            transport, workload, gap, rounds and delay menu; the plan
+            fields (strategy, budget, shrink, max_failures) are not
+            saved, since replay never consults them, and load at their
+            defaults.
         oracle: name of the failing oracle.
+        decisions: the (shrunk) schedule.
         message: the failure message at record time (informational; the
             replay match is on the oracle name — messages may embed
             floats formatted differently across platforms).
@@ -108,35 +156,23 @@ class ReproFile:
         episode: episode index within the exploration (provenance).
     """
 
-    counter: str
-    n: int
-    seed: int
+    config: ExploreConfig
     oracle: str
     decisions: tuple[int, ...]
-    faults: str = ""
-    transport: str = "bare"
-    workload: str = "staggered"
-    gap: float = 3.0
-    rounds: int = 1
-    delay_menu: tuple[float, ...] = DEFAULT_DELAY_MENU
     message: str = ""
     strategy: str = ""
     episode: int = -1
-    kinds: tuple[str, ...] = field(default=())
 
     def to_json(self) -> dict[str, Any]:
         """Plain-JSON form (stable key order comes from the dumper)."""
+        config = self.config
         return {
             "schema": REPRO_SCHEMA,
-            "counter": self.counter,
-            "n": self.n,
-            "seed": self.seed,
-            "faults": self.faults,
-            "transport": self.transport,
-            "workload": self.workload,
-            "gap": self.gap,
-            "rounds": self.rounds,
-            "delay_menu": list(self.delay_menu),
+            "counter": config.counter,
+            "n": config.n,
+            "seed": config.seed,
+            **{name: getattr(config, name) for name in _OPTIONAL_FIELDS},
+            "delay_menu": list(config.delay_menu),
             "decisions": list(self.decisions),
             "failure": {"oracle": self.oracle, "message": self.message},
             "provenance": {"strategy": self.strategy, "episode": self.episode},
@@ -153,18 +189,18 @@ class ReproFile:
             )
         failure = payload.get("failure", {})
         provenance = payload.get("provenance", {})
-        return cls(
+        config = ExploreConfig(
             counter=payload["counter"],
             n=int(payload["n"]),
             seed=int(payload["seed"]),
-            faults=str(payload.get("faults", "")),
-            transport=str(payload.get("transport", "bare")),
-            workload=str(payload.get("workload", "staggered")),
-            gap=float(payload.get("gap", 3.0)),
-            rounds=int(payload.get("rounds", 1)),
-            delay_menu=tuple(
-                float(d) for d in payload.get("delay_menu", DEFAULT_DELAY_MENU)
-            ),
+            **{
+                name: read(payload[name])
+                for name, read in _OPTIONAL_FIELDS.items()
+                if name in payload
+            },
+        )
+        return cls(
+            config=config,
             decisions=tuple(int(d) for d in payload["decisions"]),
             oracle=str(failure.get("oracle", "")),
             message=str(failure.get("message", "")),

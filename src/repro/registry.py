@@ -1,12 +1,15 @@
-"""Counter registry: every implementation as a declarative, named spec.
+"""Counter registry: every implementation as a named spec.
 
-The paper's claims quantify over *every* counter algorithm, and the
-reproduction hosts eight protocol wirings.  This module makes them
-first-class artifacts instead of scattered factory lambdas:
+The paper's claims quantify over *every* counter algorithm; this module
+makes each counter the reproduction hosts a first-class artifact:
 
-* :class:`CounterSpec` — one registered implementation: canonical name,
-  factory, typed :class:`Tunable` parameters with defaults and bounds,
-  and the implementation's :class:`~repro.api.Capabilities` record;
+* :class:`CounterSpec` — one registered implementation.  A counter is
+  declared once, by its class (or, where the class alone cannot take
+  the spec's parameters, one build function): the spec's name and
+  :class:`~repro.api.Capabilities` default to the class's own, and each
+  :class:`Tunable` names a constructor keyword whose type and default
+  are read from the signature at registration.  A tunable adds only
+  what a signature cannot say — bounds or choices, and a description;
 * spec strings — ``"combining-tree?window=3.0"`` names a concrete
   configuration; :func:`parse_spec` resolves it to a :class:`CounterRef`
   whose :attr:`~CounterRef.canonical` form is stable (sorted keys,
@@ -20,7 +23,11 @@ Every consumer (CLI, experiments, sweeps, the lower-bound adversaries)
 resolves counters through this registry, so adding a protocol is one
 :func:`register` call::
 
-    from repro.registry import RunSession, parse_spec, registered_names
+    register(CounterSpec(MyCounter, tunables=(
+        Tunable("arity", minimum=2, doc="tree fan-in"),
+    )))
+
+and running any of them is one session::
 
     session = RunSession("combining-tree?window=3.0", n=64)
     result = session.run_sequence()
@@ -29,10 +36,11 @@ resolves counters through this registry, so adding a protocol is one
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.api import Capabilities, DistributedCounter
 from repro.errors import CapabilityError, ConfigurationError
@@ -101,49 +109,55 @@ def make_policy(name: str, seed: int = 0) -> DeliveryPolicy:
 
 
 # ----------------------------------------------------------------------
-# Tunables
+# Tunables and specs
 # ----------------------------------------------------------------------
-
-_BOOL_TRUE = frozenset({"true", "1", "yes", "on"})
-_BOOL_FALSE = frozenset({"false", "0", "no", "off"})
-
 
 @dataclass(frozen=True, slots=True)
 class Tunable:
-    """One typed constructor parameter of a registered counter.
+    """One keyword of a counter's constructor that spec strings may set.
+
+    A tunable declares only what the constructor's signature cannot
+    say.  Its :attr:`kind` and :attr:`default` are the type and value of
+    the keyword's default, read from the signature when the
+    :class:`CounterSpec` is created.
 
     Attributes:
-        name: parameter name as it appears in spec strings and in the
-            factory's keyword arguments.
-        kind: value type — ``int``, ``float``, ``bool`` or ``str``.
-        default: value used when a spec string omits the parameter; the
-            canonical spec form elides parameters at their default.
+        name: the keyword, as it appears in spec strings.
         minimum: smallest allowed value (inclusive), for numeric kinds.
-        maximum: largest allowed value (inclusive), for numeric kinds.
         choices: allowed values, for string-valued enumerations.
         power_of_two: positive values must be powers of two.
         doc: one-line description shown by ``repro counters``.
+        kind: ``int``, ``float`` or ``str`` (read from the signature).
+        default: value used when a spec string omits the parameter; the
+            canonical spec form elides parameters at their default
+            (read from the signature).
     """
 
     name: str
-    kind: type
-    default: Any
     minimum: float | None = None
-    maximum: float | None = None
     choices: tuple[str, ...] | None = None
     power_of_two: bool = False
     doc: str = ""
+    kind: type = field(default=object, init=False)
+    default: Any = field(default=None, init=False)
+
+    def _bound_to(self, factory: Callable[..., Any]) -> "Tunable":
+        """A copy typed and defaulted by *factory*'s keyword."""
+        parameter = inspect.signature(factory).parameters.get(self.name)
+        default = parameter.default if parameter is not None else None
+        if type(default) not in (int, float, str):
+            raise ConfigurationError(
+                f"tunable {self.name!r} must be a keyword of "
+                f"{factory.__qualname__} with an int, float or str default"
+            )
+        bound = replace(self)
+        object.__setattr__(bound, "kind", type(default))
+        object.__setattr__(bound, "default", default)
+        return bound
 
     def parse(self, text: str) -> Any:
         """Parse a spec-string value into this tunable's type."""
         try:
-            if self.kind is bool:
-                lowered = text.strip().lower()
-                if lowered in _BOOL_TRUE:
-                    return self.validate(True)
-                if lowered in _BOOL_FALSE:
-                    return self.validate(False)
-                raise ValueError(text)
             return self.validate(self.kind(text))
         except ValueError:
             raise ConfigurationError(
@@ -155,9 +169,7 @@ class Tunable:
         """Type- and bounds-check *value*; return it on success."""
         if self.kind is float and isinstance(value, int):
             value = float(value)
-        if not isinstance(value, self.kind) or (
-            self.kind is not bool and isinstance(value, bool)
-        ):
+        if not isinstance(value, self.kind) or isinstance(value, bool):
             raise ConfigurationError(
                 f"tunable {self.name!r} expects a {self.kind.__name__}, "
                 f"got {value!r}"
@@ -165,10 +177,6 @@ class Tunable:
         if self.minimum is not None and value < self.minimum:
             raise ConfigurationError(
                 f"tunable {self.name!r} must be >= {self.minimum}, got {value}"
-            )
-        if self.maximum is not None and value > self.maximum:
-            raise ConfigurationError(
-                f"tunable {self.name!r} must be <= {self.maximum}, got {value}"
             )
         if self.choices is not None and value not in self.choices:
             raise ConfigurationError(
@@ -183,44 +191,49 @@ class Tunable:
 
     def format(self, value: Any) -> str:
         """Canonical spec-string form of *value* (inverse of :meth:`parse`)."""
-        if self.kind is bool:
-            return "true" if value else "false"
         if self.kind is float:
             return repr(float(value))
         return str(value)
 
 
-# ----------------------------------------------------------------------
-# Specs and references
-# ----------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class CounterSpec:
-    """One registered counter implementation, described declaratively.
+    """One registered counter implementation.
+
+    The factory is the one declaration of how the counter is built:
+    usually the counter class itself, else a single build function.
+    Everything else defaults to what the factory already says.
 
     Attributes:
-        name: canonical registry key; equals the ``name`` attribute of
-            the counters the factory builds, so reports, sweep cache
-            keys and BENCH JSON agree.
         factory: ``factory(network, n, **tunables)`` building a fresh
             counter wiring.
-        implementation: the :class:`~repro.api.DistributedCounter`
-            subclass the factory instantiates (used by the registry
-            completeness check and the CLI listing).
-        capabilities: the implementation's declared
-            :class:`~repro.api.Capabilities`; may tighten the class
-            record (e.g. ``quorum[maekawa]`` adds the square-``n``
-            requirement its grid construction implies).
-        tunables: the typed parameters spec strings may set.
+        tunables: the keywords spec strings may set; each one's type
+            and default are read from *factory*'s signature, once, here.
         summary: one-line description shown by ``repro counters``.
+        name: canonical registry key; defaults to ``factory.name`` and
+            equals the ``name`` of the counters the factory builds, so
+            reports, sweep cache keys and BENCH JSON agree.
+        capabilities: the declared :class:`~repro.api.Capabilities`;
+            defaults to ``factory.capabilities`` and may tighten it
+            (``quorum[maekawa]`` adds the square-``n`` requirement its
+            grid construction implies).
     """
 
-    name: str
     factory: Callable[..., DistributedCounter]
-    implementation: type[DistributedCounter]
-    capabilities: Capabilities
     tunables: tuple[Tunable, ...] = ()
     summary: str = ""
+    name: str = ""
+    capabilities: Capabilities | None = None
+
+    def __post_init__(self) -> None:
+        bound = tuple(t._bound_to(self.factory) for t in self.tunables)
+        object.__setattr__(self, "tunables", bound)
+        if not self.name:
+            object.__setattr__(self, "name", self.factory.name)
+        if self.capabilities is None:
+            object.__setattr__(
+                self, "capabilities", self.factory.capabilities
+            )
 
     def tunable(self, name: str) -> Tunable:
         """The tunable called *name*; raises on unknown names."""
@@ -732,18 +745,6 @@ def resolve_factory(
 # Built-in registrations
 # ----------------------------------------------------------------------
 
-def _build_central(network: Network, n: int, server_id: int = 1):
-    from repro.counters import CentralCounter
-
-    return CentralCounter(network, n, server_id=server_id)
-
-
-def _build_static_tree(network: Network, n: int):
-    from repro.counters import StaticTreeCounter
-
-    return StaticTreeCounter(network, n)
-
-
 def _build_ww_tree(
     network: Network,
     n: int,
@@ -765,82 +766,6 @@ def _build_ww_tree(
     return TreeCounter(network, n, geometry=geometry, policy=policy)
 
 
-def _build_combining_tree(
-    network: Network, n: int, arity: int = 2, window: float = 0.75
-):
-    from repro.counters import CombiningTreeCounter
-
-    return CombiningTreeCounter(network, n, arity=arity, window=window)
-
-
-def _build_counting_network(network: Network, n: int, width: int = 0):
-    from repro.counters import BitonicCountingNetwork
-
-    return BitonicCountingNetwork(
-        network, n, width=width if width > 0 else None
-    )
-
-
-def _build_diffracting_tree(
-    network: Network,
-    n: int,
-    depth: int = 0,
-    prism_size: int = 4,
-    seed: int = 0,
-    prism_wait: float = 0.75,
-):
-    from repro.counters import DiffractingTreeCounter
-
-    return DiffractingTreeCounter(
-        network,
-        n,
-        depth=depth if depth > 0 else None,
-        prism_size=prism_size,
-        seed=seed,
-        prism_wait=prism_wait,
-    )
-
-
-def _build_standby_central(
-    network: Network,
-    n: int,
-    primary_id: int = 1,
-    standby_id: int = 2,
-    retry: float = 20.0,
-):
-    from repro.counters.recoverable import StandbyCentralCounter
-
-    return StandbyCentralCounter(
-        network, n, primary_id=primary_id, standby_id=standby_id, retry=retry
-    )
-
-
-def _build_bypass_combining_tree(
-    network: Network,
-    n: int,
-    arity: int = 2,
-    window: float = 0.75,
-    retry: float = 90.0,
-):
-    from repro.counters.recoverable import BypassCombiningTreeCounter
-
-    return BypassCombiningTreeCounter(
-        network, n, arity=arity, window=window, retry=retry
-    )
-
-
-def _build_arrow(network: Network, n: int, initial_owner: int = 1):
-    from repro.counters import ArrowCounter
-
-    return ArrowCounter(network, n, initial_owner=initial_owner)
-
-
-def _build_byz_counter(network: Network, n: int, f: int = 0):
-    from repro.counters import ByzantineCounter
-
-    return ByzantineCounter(network, n, f=f)
-
-
 def _quorum_builder(system_factory):
     def build(network: Network, n: int):
         from repro.quorum import QuorumCounter
@@ -851,7 +776,7 @@ def _quorum_builder(system_factory):
 
 
 def _populate() -> None:
-    """Register the repo's ten wirings (idempotent per process)."""
+    """Register the repo's wirings (idempotent per process)."""
     from repro.core import TreeCounter
     from repro.counters import (
         ArrowCounter,
@@ -876,62 +801,46 @@ def _populate() -> None:
         WheelQuorum,
     )
 
+    arity = Tunable("arity", minimum=2, doc="tree fan-in")
+    window = Tunable("window", doc="combining-window length in simulated time")
     register(CounterSpec(
-        name="central",
-        factory=_build_central,
-        implementation=CentralCounter,
-        capabilities=CentralCounter.capabilities,
+        CentralCounter,
         tunables=(
-            Tunable("server_id", int, 1, minimum=1,
+            Tunable("server_id", minimum=1,
                     doc="processor that holds the value"),
         ),
         summary="the §1 strawman: value at one server, Θ(n) bottleneck",
     ))
     register(CounterSpec(
-        name="static-tree",
-        factory=_build_static_tree,
-        implementation=StaticTreeCounter,
-        capabilities=StaticTreeCounter.capabilities,
+        StaticTreeCounter,
         summary="fixed k-ary relay tree without retirement",
     ))
     register(CounterSpec(
-        name="ww-tree",
-        factory=_build_ww_tree,
-        implementation=TreeCounter,
+        _build_ww_tree,
+        name=TreeCounter.name,
         capabilities=TreeCounter.capabilities,
         tunables=(
-            Tunable("retire_threshold", int, 0, minimum=0,
+            Tunable("retire_threshold", minimum=0,
                     doc="node age that triggers retirement (0 = paper "
                         "default 4·arity)"),
-            Tunable("interval_mode", str, "strict",
-                    choices=("strict", "wrap"),
+            Tunable("interval_mode", choices=("strict", "wrap"),
                     doc="what to do on id-interval exhaustion"),
         ),
         summary="the paper's communication-tree counter with retirement",
     ))
     register(CounterSpec(
-        name="combining-tree",
-        factory=_build_combining_tree,
-        implementation=CombiningTreeCounter,
-        capabilities=CombiningTreeCounter.capabilities,
-        tunables=(
-            Tunable("arity", int, 2, minimum=2, doc="tree fan-in"),
-            Tunable("window", float, 0.75,
-                    doc="combining-window length in simulated time"),
-        ),
+        CombiningTreeCounter,
+        tunables=(arity, window),
         summary="software combining tree (Yew et al. 87)",
     ))
     register(CounterSpec(
-        name="central[standby]",
-        factory=_build_standby_central,
-        implementation=StandbyCentralCounter,
-        capabilities=StandbyCentralCounter.capabilities,
+        StandbyCentralCounter,
         tunables=(
-            Tunable("primary_id", int, 1, minimum=1,
+            Tunable("primary_id", minimum=1,
                     doc="processor seated as the initial primary"),
-            Tunable("standby_id", int, 2, minimum=1,
+            Tunable("standby_id", minimum=1,
                     doc="processor seated as the initial hot standby"),
-            Tunable("retry", float, 20.0,
+            Tunable("retry",
                     doc="client end-to-end retry timeout in simulated "
                         "time"),
         ),
@@ -939,15 +848,11 @@ def _populate() -> None:
                 "under crashes",
     ))
     register(CounterSpec(
-        name="combining-tree[bypass]",
-        factory=_build_bypass_combining_tree,
-        implementation=BypassCombiningTreeCounter,
-        capabilities=BypassCombiningTreeCounter.capabilities,
+        BypassCombiningTreeCounter,
         tunables=(
-            Tunable("arity", int, 2, minimum=2, doc="tree fan-in"),
-            Tunable("window", float, 0.75,
-                    doc="combining-window length in simulated time"),
-            Tunable("retry", float, 90.0,
+            arity,
+            window,
+            Tunable("retry",
                     doc="client end-to-end retry timeout in simulated "
                         "time (a full tree traversal is ~40)"),
         ),
@@ -955,51 +860,38 @@ def _populate() -> None:
                 "(at-most-once)",
     ))
     register(CounterSpec(
-        name="counting-network",
-        factory=_build_counting_network,
-        implementation=BitonicCountingNetwork,
-        capabilities=BitonicCountingNetwork.capabilities,
+        BitonicCountingNetwork,
         tunables=(
-            Tunable("width", int, 0, minimum=0, power_of_two=True,
+            Tunable("width", minimum=0, power_of_two=True,
                     doc="network width (0 = auto: largest power of two "
                         "<= sqrt(n))"),
         ),
         summary="bitonic counting network (Aspnes/Herlihy/Shavit 91)",
     ))
     register(CounterSpec(
-        name="diffracting-tree",
-        factory=_build_diffracting_tree,
-        implementation=DiffractingTreeCounter,
-        capabilities=DiffractingTreeCounter.capabilities,
+        DiffractingTreeCounter,
         tunables=(
-            Tunable("depth", int, 0, minimum=0,
-                    doc="tree depth (0 = auto from n)"),
-            Tunable("prism_size", int, 4, minimum=1,
+            Tunable("depth", minimum=0, doc="tree depth (0 = auto from n)"),
+            Tunable("prism_size", minimum=1,
                     doc="rendezvous slots per node"),
-            Tunable("seed", int, 0, doc="seed for random slot choices"),
-            Tunable("prism_wait", float, 0.75,
+            Tunable("seed", doc="seed for random slot choices"),
+            Tunable("prism_wait",
                     doc="prism rendezvous window in simulated time"),
         ),
         summary="diffracting tree (Shavit/Zemach 94)",
     ))
     register(CounterSpec(
-        name="arrow",
-        factory=_build_arrow,
-        implementation=ArrowCounter,
-        capabilities=ArrowCounter.capabilities,
+        ArrowCounter,
         tunables=(
-            Tunable("initial_owner", int, 1, minimum=1,
+            Tunable("initial_owner", minimum=1,
                     doc="leaf that starts with the token"),
         ),
         summary="arrow/path-reversal token counter (order sensitive)",
     ))
     register(CounterSpec(
-        name="byz-counter",
-        factory=_build_byz_counter,
-        implementation=ByzantineCounter,
-        capabilities=ByzantineCounter.capabilities,
+        ByzantineCounter,
         tunables=(
-            Tunable("f", int, 0, minimum=0,
+            Tunable("f", minimum=0,
                     doc="Byzantine processors tolerated (0 = auto "
                         "⌊(n−1)/3⌋; explicit f needs n > 3f)"),
         ),
@@ -1016,14 +908,12 @@ def _populate() -> None:
         ("crumbling-wall", CrumblingWall, False, "row-based wall quorums"),
     )
     for slug, system_cls, needs_square, blurb in quorum_systems:
-        capabilities = QuorumCounter.capabilities
-        if needs_square:
-            capabilities = replace(capabilities, needs_square_n=True)
         register(CounterSpec(
+            _quorum_builder(system_cls),
             name=f"quorum[{slug}]",
-            factory=_quorum_builder(system_cls),
-            implementation=QuorumCounter,
-            capabilities=capabilities,
+            capabilities=replace(
+                QuorumCounter.capabilities, needs_square_n=needs_square
+            ),
             summary=f"versioned quorum counter: {blurb}",
         ))
 

@@ -221,7 +221,8 @@ class KeyedCounterService(LineProtocolService):
         loop = asyncio.get_running_loop()
         if drain:
             deadline = loop.time() + self.config.drain_timeout
-            while loop.time() < deadline and (
+            # a dead batcher's shard stays busy: nothing left to wait for
+            while loop.time() < deadline and self._failure is None and (
                 self.backlog > 0
                 or self._inflight > 0
                 or any(s.busy for s in self.map.shards())
@@ -340,7 +341,9 @@ class KeyedCounterService(LineProtocolService):
             raise
         except Exception as exc:
             # a protocol failure on this shard must not strand clients:
-            # fail the in-flight window and everything queued behind it
+            # refuse new work, fail the in-flight window and everything
+            # queued behind it
+            self._failure = exc
             for op in window:
                 self._release(op.rid, op.reply, exc)
             queue = self._queues.get(shard_id, deque())

@@ -39,7 +39,7 @@ from repro.errors import (
     ServiceStoppedError,
 )
 from repro.serve.resilience import CircuitBreaker, RetryBudget, RetryPolicy
-from repro.workloads.sequences import arrival_times, zipf_keys
+from repro.workloads.sequences import arrival_times, percentile, zipf_keys
 
 __all__ = [
     "KeyedLoadResult",
@@ -83,13 +83,7 @@ class LoadResult:
 
     def percentile(self, q: float) -> float:
         """Latency at quantile *q* in [0, 1] (nearest-rank), seconds."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        ordered = sorted(self.latencies)
-        if not ordered:
-            return 0.0
-        index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[index]
+        return percentile(self.latencies, q)
 
     @property
     def p50(self) -> float:

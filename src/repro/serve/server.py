@@ -326,6 +326,7 @@ class LineProtocolService:
         self._server: asyncio.AbstractServer | None = None
         self._stopped = asyncio.Event()
         self._draining = False
+        self._failure: BaseException | None = None
         self._connections: set[LineConnection] = set()
         self._requests: set[asyncio.Task] = set()
         self._shutdown: asyncio.Task | None = None
@@ -417,6 +418,10 @@ class LineProtocolService:
         future — the caller awaits it instead of incrementing again.
         A new *rid* is entered in the ledger.
         """
+        if self._failure is not None:
+            raise ServiceStoppedError(
+                f"service stopped after a protocol failure: {self._failure!r}"
+            )
         if self._draining:
             raise ServiceStoppedError("service is shutting down")
         loop = asyncio.get_running_loop()
@@ -655,10 +660,9 @@ class CounterService(LineProtocolService):
         if self._pump_task is not None:
             self._work.set()  # unblock the pump so it can observe the stop
             self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except asyncio.CancelledError:
-                pass
+            # a pump that already died has failed its waiters; stopping
+            # must not re-raise its error
+            await asyncio.gather(self._pump_task, return_exceptions=True)
 
     # ------------------------------------------------------------------
     # The counter side
@@ -732,7 +736,8 @@ class CounterService(LineProtocolService):
         Neither a protocol failure (e.g. an exhausted event budget) nor
         a cancellation mid-drain may strand clients: both paths fail
         every injected and queued operation before the pump dies, so
-        their requests answer ``ERR`` instead of hanging.
+        their requests answer ``ERR`` instead of hanging.  After a
+        failure, :meth:`_begin_inc` refuses every new increment.
         """
         runtime = self.session.runtime
         try:
@@ -745,6 +750,7 @@ class CounterService(LineProtocolService):
             self._poison(ServiceStoppedError(stopped))
             raise
         except Exception as exc:
+            self._failure = exc
             self._poison(exc)
             raise
 

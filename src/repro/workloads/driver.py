@@ -44,6 +44,7 @@ from repro.sim.messages import NO_OP, OpIndex, ProcessorId
 from repro.sim.network import Network
 from repro.sim.policies import DeliveryPolicy
 from repro.sim.trace import Trace, TraceLevel
+from repro.workloads.sequences import percentile
 
 _T = TypeVar("_T")
 
@@ -580,13 +581,7 @@ class OpenLoopResult:
 
     def latency_percentile(self, q: float) -> float:
         """Latency at quantile *q* in [0, 1] (nearest-rank)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        ordered = sorted(self.latencies())
-        if not ordered:
-            return 0.0
-        index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[index]
+        return percentile(self.latencies(), q)
 
 
 def run_open_loop(

@@ -3,12 +3,16 @@
 The paper's lower bound is stated for the workload in which *each
 processor initiates exactly one inc operation* (§3) — a permutation of
 ``1 .. n``.  This module generates that workload in several flavours, plus
-the skewed and repeated workloads used by the extension benchmarks.
+the skewed and repeated workloads used by the extension benchmarks,
+and :func:`percentile`, the one nearest-rank quantile every latency
+summary uses (a leaf module, so the serving layer imports it without
+the analysis package).
 """
 
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 from repro.errors import ConfigurationError
 from repro.sim.messages import ProcessorId
@@ -195,6 +199,17 @@ def arrival_times(
         f"unknown arrival process {process!r}; "
         f"expected one of {ARRIVAL_PROCESSES}"
     )
+
+
+def percentile(values: Iterable[float], q: float) -> float:
+    """Nearest-rank value of *values* at quantile *q* in [0, 1]; 0.0
+    when there are none."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    return ordered[round(q * (len(ordered) - 1))]
 
 
 def _require_positive(n: int) -> None:

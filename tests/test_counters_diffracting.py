@@ -47,7 +47,7 @@ class TestCorrectness:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
-            DiffractingTreeCounter(Network(), 8, depth=0)
+            DiffractingTreeCounter(Network(), 8, depth=-1)
         with pytest.raises(ConfigurationError):
             DiffractingTreeCounter(Network(), 8, prism_size=0)
 

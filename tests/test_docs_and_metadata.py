@@ -142,6 +142,16 @@ class TestGeneratedApiReference:
                 f"{module_name} missing from docs/api.md"
             )
 
+    def test_api_doc_is_the_generator_output(self):
+        spec = importlib.util.spec_from_file_location(
+            "gen_api_docs", ROOT / "scripts" / "gen_api_docs.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.render() == (ROOT / "docs" / "api.md").read_text(), (
+            "docs/api.md is stale: run python scripts/gen_api_docs.py"
+        )
+
 
 class TestOnePlaceANumberComesFrom:
     """The in-package bench harness is gone and nothing points at it."""

@@ -270,7 +270,9 @@ class TestParallelFaithfulness:
     # A clean counter: no failures, so no max_failures early stop and
     # windowed explorations must match the serial one *exactly*.
     TASK = ExploreTask(
-        counter="central", n=6, seed=3, strategy="random:12,guided:8"
+        ExploreConfig(
+            counter="central", n=6, seed=3, strategy="random:12,guided:8"
+        )
     )
 
     def test_partition_is_worker_count_independent(self):
@@ -280,7 +282,7 @@ class TestParallelFaithfulness:
         ]
 
     def test_windowed_runs_concatenate_to_the_serial_run(self):
-        serial = Explorer(self.TASK.to_config()).run()
+        serial = Explorer(self.TASK.config).run()
         windowed = merge_outcomes(
             self.TASK, [execute_task(t) for t in partition(self.TASK, 6)]
         )
@@ -291,9 +293,11 @@ class TestParallelFaithfulness:
         # max_failures, so windowed runs explore *more* episodes — but
         # the reported failures must be exactly the serial ones.
         task = ExploreTask(
-            counter=MUTANT, n=6, seed=3, strategy="random", budget=20
+            ExploreConfig(
+                counter=MUTANT, n=6, seed=3, strategy="random", budget=20
+            )
         )
-        serial = Explorer(task.to_config()).run()
+        serial = Explorer(task.config).run()
         windowed = merge_outcomes(
             task, [execute_task(t) for t in partition(task, 6)]
         )
@@ -319,10 +323,13 @@ class TestParallelFaithfulness:
         assert _fingerprint(healed) == _fingerprint(first)
 
     def test_config_hash_canonicalizes_spellings(self):
-        verbose = ExploreTask(counter="combining-tree[bypass]?arity=2", n=6)
-        plain = ExploreTask(counter="combining-tree[bypass]", n=6)
+        def task(counter):
+            return ExploreTask(ExploreConfig(counter=counter, n=6))
+
+        verbose = task("combining-tree[bypass]?arity=2")
+        plain = task("combining-tree[bypass]")
         assert verbose.config_hash() == plain.config_hash()
-        assert plain.config_hash() != ExploreTask(counter="central", n=6).config_hash()
+        assert plain.config_hash() != task("central").config_hash()
 
     def test_invalid_worker_and_window_counts(self):
         with pytest.raises(ConfigurationError, match="workers"):

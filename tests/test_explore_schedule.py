@@ -16,6 +16,7 @@ from repro.errors import ConfigurationError
 from repro.explore import (
     DEFAULT_DELAY_MENU,
     REPRO_SCHEMA,
+    ExploreConfig,
     ReproFile,
     Schedule,
     shrink_schedule,
@@ -48,9 +49,7 @@ class TestSchedule:
 
 class TestReproFile:
     REPRO = ReproFile(
-        counter="mutant[stale-central]",
-        n=6,
-        seed=3,
+        config=ExploreConfig(counter="mutant[stale-central]", n=6, seed=3),
         oracle="linearizability",
         decisions=(0, 0, 3),
         message="values not unique",
@@ -93,9 +92,9 @@ class TestReproFile:
             "failure": {"oracle": "runtime"},
         }
         repro = ReproFile.from_json(payload)
-        assert repro.transport == "bare"
-        assert repro.workload == "staggered"
-        assert repro.delay_menu == DEFAULT_DELAY_MENU
+        assert repro.config.transport == "bare"
+        assert repro.config.workload == "staggered"
+        assert repro.config.delay_menu == DEFAULT_DELAY_MENU
 
 
 class TestShrinkSchedule:

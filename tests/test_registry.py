@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 import pytest
@@ -9,9 +10,12 @@ import pytest
 from repro.cli import main
 from repro.errors import CapabilityError, ConfigurationError
 from repro.quorum.counter import SYSTEM_SLUGS
+from repro.counters import CentralCounter
 from repro.registry import (
     POLICY_NAMES,
+    CounterSpec,
     RunSession,
+    Tunable,
     canonical_spec,
     get_spec,
     make_policy,
@@ -21,9 +25,10 @@ from repro.registry import (
     resolve_factory,
 )
 from repro.sim.network import Network
-from repro.workloads import one_shot, run_concurrent
+from repro.workloads import SweepPoint, one_shot, run_concurrent
 
 TESTS_DIR = pathlib.Path(__file__).parent
+GOLDEN = json.loads((TESTS_DIR / "data" / "canonical_specs.json").read_text())
 
 
 def _marked_test_sources(marker: str) -> list[str]:
@@ -80,6 +85,65 @@ class TestSpecRoundTrips:
             parse_spec("combining-tree?arity=1")
         with pytest.raises(ConfigurationError):
             parse_spec("ww-tree?interval_mode=sideways")
+
+
+def _set_params(text: str) -> set[str]:
+    """The parameter names a spec string sets."""
+    query = text.partition("?")[2]
+    return {pair.partition("=")[0] for pair in query.split("&") if pair}
+
+
+class TestGoldenCanonicalForms:
+    """Canonical strings and sweep cache keys are pinned per spec.
+
+    ``tests/data/canonical_specs.json`` holds, for every registered spec,
+    its bare name and each tunable spelled once at a non-default value
+    and once at its default (floats written as integers, so a tunable
+    typed ``int`` instead of ``float`` formats differently).  A type or
+    default read wrongly from a constructor changes a canonical string
+    or a ``SweepPoint`` hash here.  A new spec adds its own entries.
+    """
+
+    @pytest.mark.parametrize(
+        "entry", GOLDEN["entries"], ids=lambda entry: entry["spec"]
+    )
+    def test_canonical_form_and_config_hash_are_unchanged(self, entry):
+        assert canonical_spec(entry["spec"]) == entry["canonical"]
+        point = SweepPoint(counter=entry["spec"], n=GOLDEN["n"])
+        assert point.config_hash() == entry["config_hash"]
+
+    def test_every_spec_and_tunable_is_pinned(self):
+        for spec in registered_specs():
+            mine = [
+                entry for entry in GOLDEN["entries"]
+                if entry["spec"].partition("?")[0] == spec.name
+            ]
+            assert any(entry["spec"] == spec.name for entry in mine)
+            for tunable in spec.tunables:
+                setting = [
+                    entry for entry in mine
+                    if tunable.name in _set_params(entry["spec"])
+                ]
+                kept = [
+                    tunable.name in _set_params(entry["canonical"])
+                    for entry in setting
+                ]
+                assert True in kept and False in kept, (
+                    f"{spec.name}: pin {tunable.name} at a non-default "
+                    "value and at its default"
+                )
+
+
+class TestDeclaredOnce:
+    def test_name_and_capabilities_default_to_the_class(self):
+        spec = CounterSpec(CentralCounter)
+        assert spec.name == CentralCounter.name
+        assert spec.capabilities is CentralCounter.capabilities
+
+    @pytest.mark.parametrize("name", ["frequency", "network"])
+    def test_tunable_without_a_defaulted_keyword_is_rejected(self, name):
+        with pytest.raises(ConfigurationError, match=name):
+            CounterSpec(CentralCounter, tunables=(Tunable(name),))
 
 
 class TestRegistryCompleteness:

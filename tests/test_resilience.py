@@ -679,6 +679,48 @@ class TestServiceLifecycle:
         assert stats["inflight"] == 0
         assert stats["backlog"] == 0
 
+    def test_dead_pump_refuses_new_work_and_stop_completes(self):
+        # regression: once the pump died, a new inc() was injected into
+        # nothing and hung, and stop() re-raised the pump's error
+        # without ever setting the stopped event
+        async def go():
+            service = _service()
+            await service.start()
+            service.session.runtime.drain = _failing_drain
+            with pytest.raises(RuntimeError, match="drain failed"):
+                await asyncio.wait_for(service.inc(), timeout=1.0)
+            with pytest.raises(ServiceStoppedError, match="drain failed"):
+                await asyncio.wait_for(service.inc(), timeout=1.0)
+            await asyncio.wait_for(service.stop(drain=False), timeout=1.0)
+            await asyncio.wait_for(service.wait_closed(), timeout=1.0)
+            return service.stats()
+
+        stats = asyncio.run(go())
+        assert stats["inflight"] == 0
+        assert stats["served"] == 0
+
+    def test_dead_batcher_refuses_new_work_and_stop_completes(self):
+        # regression: a dead batcher left its shard queue in place, so
+        # the next increment queued onto it and waited forever
+        async def go():
+            service = KeyedCounterService("central", 4, port=0, shards=1)
+            for shard in service.map.shards():
+                shard.session.runtime.drain = _failing_drain
+            await service.start()
+            with pytest.raises(RuntimeError, match="drain failed"):
+                await asyncio.wait_for(service.inc("k"), timeout=1.0)
+            with pytest.raises(ServiceStoppedError, match="drain failed"):
+                await asyncio.wait_for(service.inc("k"), timeout=1.0)
+            await asyncio.wait_for(service.stop(), timeout=1.0)
+            await asyncio.wait_for(service.wait_closed(), timeout=1.0)
+            return service.backlog
+
+        assert asyncio.run(go()) == 0
+
+
+async def _failing_drain() -> int:
+    raise RuntimeError("drain failed")
+
 
 class TestProtocolResilience:
     async def _request_lines(self, service, payload, answers=1):
