@@ -15,10 +15,12 @@ message loads are measured, never self-reported.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar
+from typing import Callable, ClassVar
 
 from repro.errors import ConfigurationError, ProtocolError
+from repro.sim.columns import append_value, reach
 from repro.sim.messages import OpIndex, ProcessorId
 from repro.sim.network import Network
 
@@ -147,8 +149,14 @@ class DistributedCounter(ABC):
             raise ConfigurationError(f"need at least one processor, got n={n}")
         self._network = network
         self._n = n
-        # One history per initiator: value and response time alternate.
-        self._results: dict[ProcessorId, list[Any]] = {}
+        # Result history as columns, one entry per delivered result:
+        # value, response time, and 1 + the index of the same initiator's
+        # previous result (0: none); _result_latest[pid] is 1 + the index
+        # of pid's newest, so each pid's history is a chain.
+        self._result_values: array | list = array("q")
+        self._result_times = array("d")
+        self._result_prior = array("i")
+        self._result_latest = array("i")
         self.on_result: Callable[[ProcessorId, int], None] | None = None
 
     # ------------------------------------------------------------------
@@ -186,44 +194,65 @@ class DistributedCounter(ABC):
         receives its answer.  The simulated response time is recorded
         alongside, which is what the linearizability checker consumes.
         """
-        history = self._results.get(pid)
-        if history is None:
-            self._results[pid] = [value, self._network.now]
-        else:
-            history += (value, self._network.now)
+        latest = self._result_latest
+        if pid >= len(latest):
+            reach(latest, pid)
+        self._result_prior.append(latest[pid])
+        latest[pid] = len(self._result_times) + 1
+        self._result_values = append_value(self._result_values, value)
+        self._result_times.append(self._network.now)
         if self.on_result is not None:
             self.on_result(pid, value)
 
+    def _history(self, pid: ProcessorId) -> list[int]:
+        """Column indices of *pid*'s results, oldest first."""
+        latest = self._result_latest
+        at = latest[pid] if 0 <= pid < len(latest) else 0
+        prior = self._result_prior
+        chain = []
+        while at:
+            chain.append(at - 1)
+            at = prior[at - 1]
+        return chain[::-1]
+
     def results_for(self, pid: ProcessorId) -> list[int]:
         """All values returned to *pid* so far, in arrival order."""
-        return self._results.get(pid, [])[0::2]
+        values = self._result_values
+        return [values[at] for at in self._history(pid)]
 
     def result_times_for(self, pid: ProcessorId) -> list[float]:
         """Simulated times at which *pid* received its values."""
-        return self._results.get(pid, [])[1::2]
+        times = self._result_times
+        return [times[at] for at in self._history(pid)]
 
     def last_result_for(self, pid: ProcessorId) -> int:
         """The most recent value returned to *pid*; raises if none."""
-        results = self._results.get(pid)
-        if not results:
+        history = self._history(pid)
+        if not history:
             raise ProtocolError(f"no inc result was delivered to processor {pid}")
-        return results[-2]
+        return self._result_values[history[-1]]
 
     def release_results(self, pid: ProcessorId) -> None:
         """Forget the values (and times) delivered to *pid* so far.
 
         For owners that consume each result as it arrives (a serving
         shard reads it through :attr:`on_result`): the history is the only
-        counter state that grows with the number of operations.
+        counter state that grows with the number of operations.  Once no
+        pid holds a result, the columns are emptied for reuse.
         """
-        self._results.pop(pid, None)
+        latest = self._result_latest
+        if 0 <= pid < len(latest):
+            latest[pid] = 0
+        if not any(latest):
+            for column in (
+                self._result_values, self._result_times, self._result_prior
+            ):
+                del column[:]
 
     def all_results(self) -> list[int]:
         """Every value handed out, across all processors (unordered)."""
-        values: list[int] = []
-        for history in self._results.values():
-            values += history[0::2]
-        return values
+        pids = range(len(self._result_latest))
+        return [value for pid in pids for value in self.results_for(pid)]
 
 
 CounterFactory = Callable[[Network, int], DistributedCounter]

@@ -12,11 +12,13 @@ lower bound of §3.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.api import Capabilities, DistributedCounter
 from repro.core.tree.geometry import TreeGeometry
 from repro.core.tree.policy import TreePolicy
 from repro.core.tree.roles import RetirementEvent, RoleRegistry
-from repro.core.tree.worker import TreeWorker
+from repro.core.tree.worker import LeafProgram, TreeWorker
 from repro.errors import ConfigurationError
 from repro.sim.messages import OpIndex, ProcessorId
 from repro.sim.network import Network
@@ -57,18 +59,33 @@ class TreeCounter(DistributedCounter):
             )
         self.policy = policy or TreePolicy.paper_default(self.geometry.arity)
         self.registry = RoleRegistry(self.geometry, self.policy)
-        # Every id the tree may touch is registered at once; a worker is
-        # built the first time its id is addressed.  The paper rounds n
-        # up to the next k^(k+1) and preallocates whole replacement
+        self.leaves = LeafProgram(self)
+        """The one program of every processor that holds no role."""
+        # Every id the tree may touch is registered at once; its program
+        # is chosen the first time the id is addressed.  The paper rounds
+        # n up to the next k^(k+1) and preallocates whole replacement
         # intervals, so most ids never receive a message.
         network.register_lazy(
-            range(1, self.geometry.processor_requirement() + 1), self._make_worker
+            range(1, self.geometry.processor_requirement() + 1), self._program
         )
 
+    def _program(self, pid: ProcessorId) -> TreeWorker | LeafProgram:
+        """Processor *pid*'s program on first contact: a worker if the
+        scheme starts it on an inner node, else the shared leaf program
+        (which promotes the id when an inner role reaches it)."""
+        if pid == 1 or self.geometry.initially_worked_node(pid) is not None:
+            return self._make_worker(pid)
+        return self.leaves
+
     def _make_worker(self, pid: ProcessorId) -> TreeWorker:
-        """Build processor *pid*'s program (the network calls this on
-        first contact; subclasses substitute their worker class here)."""
+        """Build processor *pid*'s worker (subclasses substitute their
+        worker class here)."""
         return TreeWorker(pid, self)
+
+    def _promote(self, pid: ProcessorId) -> TreeWorker:
+        """Give leaf *pid* a worker of its own, entered in the network's
+        processor table in place of the leaf program."""
+        return self.network.replace(self._make_worker(pid))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -83,19 +100,22 @@ class TreeCounter(DistributedCounter):
 
         Workers live in the network's processor table only; asking for
         one that no message has reached yet builds it, in its initial
-        state.
+        state, and so does asking for a pure leaf's (its leaf state is
+        the counter's, so the worker behaves as the leaf did).
         """
-        return self.network.processor(pid)
+        program = self.network.processor(pid)
+        return self._promote(pid) if program is self.leaves else program
 
     def _built_workers(self) -> list[TreeWorker]:
         """The workers that exist — the only ones that can hold state."""
         network = self.network
         limit = self.geometry.processor_requirement()
-        return [
+        programs = (
             network.processor(pid)
             for pid in network.materialised_ids()
             if pid <= limit
-        ]
+        )
+        return [program for program in programs if program is not self.leaves]
 
     @property
     def value(self) -> int:
@@ -137,9 +157,16 @@ class TreeCounter(DistributedCounter):
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def begin_inc(self, pid: ProcessorId, op_index: OpIndex) -> None:
+    def begin_inc(
+        self, pid: ProcessorId, op_index: OpIndex, request: object = None
+    ) -> None:
+        """Inject an operation at leaf *pid*: the counter's ``inc``, or a
+        :mod:`repro.datatypes` *request* (materialising *pid* first: a
+        transport needs its endpoint)."""
         if not 1 <= pid <= self.n:
             raise ConfigurationError(
                 f"processor {pid} is not a client of this counter (1..{self.n})"
             )
-        self.network.inject(self.worker(pid).request_inc, op_index=op_index)
+        network = self._network
+        network.processor(pid)
+        network.inject(partial(self.leaves.request_inc, pid, request), op_index)

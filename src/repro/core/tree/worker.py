@@ -1,12 +1,11 @@
-"""The processor program of the communication-tree counter.
+"""The processor programs of the communication-tree counter.
 
-One :class:`TreeWorker` stands for each processor id, built the first
-time the id is addressed (see :meth:`TreeCounter._make_worker
-<repro.core.tree.counter.TreeCounter._make_worker>`).  Every worker
-always plays its *leaf* role (it can initiate ``inc`` and receive values
-and parent id-updates); in addition it may currently work for inner nodes
-— at most one non-root node plus possibly the root, per the identifier
-scheme.
+Every processor plays its *leaf* role (it can initiate ``inc`` and
+receive values and parent id-updates); in addition it may work for inner
+nodes — at most one non-root node plus possibly the root, per the
+identifier scheme.  Most processors are pure leaves all run, so one
+:class:`LeafProgram` serves them all, and a :class:`TreeWorker` is built
+only for an id that holds, or has held, an inner role.
 
 The program implements §4 of the paper verbatim where the paper is
 explicit, and fills the two gaps the paper waves off:
@@ -22,6 +21,7 @@ explicit, and fills the two gaps the paper waves off:
 
 from __future__ import annotations
 
+from array import array
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -36,6 +36,7 @@ from repro.core.tree.protocol import (
 )
 from repro.core.tree.roles import NodeRole
 from repro.errors import ProtocolError
+from repro.sim.columns import reach
 from repro.sim.messages import Message, ProcessorId
 from repro.sim.processor import Processor
 
@@ -43,23 +44,88 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from repro.core.tree.counter import TreeCounter
 
 
+class LeafProgram(Processor):
+    """The leaf role of every processor, as one object in the processor
+    table under every pure leaf's id (it reads the id off each message).
+
+    A leaf's one datum, the worker it believes its parent node lives at,
+    is ``parents[pid]`` (0, or past the end: the scheme's initial one).
+    A message for an inner role gives the id a :class:`TreeWorker`.
+    """
+
+    __slots__ = ("_counter", "parents")
+
+    def __init__(self, counter: "TreeCounter") -> None:
+        # No Processor.__init__: a shared program has no id of its own.
+        self.pid = None
+        self._network = None
+        self._counter = counter
+        self.parents = array("i")
+
+    def parent_worker(self, pid: ProcessorId) -> ProcessorId | None:
+        """Where leaf *pid* believes its parent node works (``None``: no
+        leaf)."""
+        parents = self.parents
+        if pid < len(parents) and parents[pid]:
+            return parents[pid]
+        geometry = self._counter.geometry
+        if not 1 <= pid <= geometry.leaf_count:
+            return None
+        return geometry.initial_leaf_parent_worker(pid)
+
+    def request_inc(self, pid: ProcessorId, request: object = None) -> None:
+        """Initiate one operation at leaf *pid*: send the request to its
+        parent node.
+
+        *request* is an opaque operation descriptor interpreted at the
+        root (``None`` = the counter's plain ``inc``; the generalized
+        data structures of :mod:`repro.datatypes` pass their own ops —
+        the paper's §2 remark that the bound covers "a bit that can be
+        accessed and flipped and a priority queue" made concrete).
+        """
+        parent_worker = self.parent_worker(pid)
+        if parent_worker is None:
+            raise ProtocolError(f"processor {pid} has no leaf parent set")
+        parent_key = node_key(self._counter.geometry.leaf_parent(pid))
+        self._counter._network.send(
+            pid,
+            parent_worker,
+            KIND_INC,
+            {"origin": pid, "role": parent_key, "request": request},
+        )
+
+    def on_message(self, message: Message) -> None:
+        pid = message.receiver
+        kind = message.kind
+        payload = message.payload
+        if kind == KIND_VALUE:
+            self._counter.deliver_result(pid, payload["value"])
+        elif payload["role"][0] != "leaf":
+            self._counter._promote(pid).on_message(message)
+        elif kind != KIND_ID_UPDATE:
+            raise ProtocolError(f"leaf {pid} cannot handle message kind {kind!r}")
+        else:
+            reach(self.parents, pid)
+            self.parents[pid] = payload["new_worker"]
+
+
 class TreeWorker(Processor):
-    """A processor of the tree counter: leaf + whatever roles it holds.
+    """A processor of the tree counter that holds, or has held, a role.
 
     A new worker starts in the state the paper's scheme gives processor
-    *pid* before any message moved: it believes its leaf parent lives at
-    that node's initial worker, and it holds the inner node whose
-    interval starts at *pid* (plus the root for processor 1).  Both come
+    *pid* before any message moved: it holds the inner node whose
+    interval starts at *pid* (plus the root for processor 1).  That comes
     from :class:`~repro.core.tree.geometry.TreeGeometry` arithmetic, not
     from the registry's live ``worker`` fields — so it does not matter
     when during a run the worker is built: nothing can have changed its
     state before the first message reaches it, and a *successor* still
-    takes a role up only when the hand-off arrives.
+    takes a role up only when the hand-off arrives.  Its leaf role is
+    the shared :class:`LeafProgram`'s.
 
-    A worker stores only what can change.  Most processors are plain
-    leaves for a whole run, so the role table and the deferral table
-    are allocated on first write (``None`` until then), and the role
-    table goes back to ``None`` when the last role retires.  Forwarding
+    A worker stores only what can change.  The role table and the
+    deferral table are allocated on first write (``None`` until then),
+    and the role table goes back to ``None`` when the last role
+    retires.  Forwarding
     pointers — one per role retired from, read only on the rare
     stale-address path — are one flat ``(key, successor, …)`` tuple,
     ``()`` when there are none.
@@ -70,7 +136,6 @@ class TreeWorker(Processor):
         "_roles",
         "_forward",
         "_pending",
-        "_leaf_parent_worker",
         "forwarded_messages",
         "deferred_messages",
     )
@@ -83,15 +148,9 @@ class TreeWorker(Processor):
         self._pending: dict[RoleKey, list[Message]] | None = None
         self.forwarded_messages = 0
         self.deferred_messages = 0
-        geometry = counter.geometry
-        self._leaf_parent_worker: ProcessorId | None = (
-            geometry.initial_leaf_parent_worker(pid)
-            if pid <= geometry.leaf_count
-            else None
-        )
         if pid == 1:
             self.adopt_role(counter.registry.root())
-        addr = geometry.initially_worked_node(pid)
+        addr = counter.geometry.initially_worked_node(pid)
         if addr is not None:
             self.adopt_role(counter.registry.role(addr))
 
@@ -122,37 +181,16 @@ class TreeWorker(Processor):
     # ------------------------------------------------------------------
     # Operation entry point (a local event, not a message)
     # ------------------------------------------------------------------
-    def request_inc(self, request: object = None) -> None:
-        """Initiate one operation: send the request to the parent node.
-
-        *request* is an opaque operation descriptor interpreted at the
-        root (``None`` = the counter's plain ``inc``; the generalized
-        data structures of :mod:`repro.datatypes` pass their own ops —
-        the paper's §2 remark that the bound covers "a bit that can be
-        accessed and flipped and a priority queue" made concrete).
-        """
-        if self._leaf_parent_worker is None:
-            raise ProtocolError(f"processor {self.pid} has no leaf parent set")
-        parent_addr = self._counter.geometry.leaf_parent(self.pid)
-        self.send(
-            self._leaf_parent_worker,
-            KIND_INC,
-            {"origin": self.pid, "role": node_key(parent_addr), "request": request},
-        )
-
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
     def on_message(self, message: Message) -> None:
         kind = message.kind
         payload = message.payload
-        if kind == KIND_VALUE:
-            self._counter.deliver_result(self.pid, payload["value"])
+        if kind == KIND_VALUE or payload["role"][0] == "leaf":
+            self._counter.leaves.on_message(message)  # addressed to self.pid
             return
         role_key: RoleKey = tuple(payload["role"])
-        if role_key[0] == "leaf":
-            self._handle_leaf_update(message)
-            return
         if kind == KIND_HANDOFF:
             self._handle_handoff(role_key, message)
             return
@@ -179,16 +217,6 @@ class TreeWorker(Processor):
         if self._pending is None:
             self._pending = {}
         self._pending.setdefault(role_key, []).append(message)
-
-    # ------------------------------------------------------------------
-    # Leaf role
-    # ------------------------------------------------------------------
-    def _handle_leaf_update(self, message: Message) -> None:
-        if message.kind != KIND_ID_UPDATE:
-            raise ProtocolError(
-                f"leaf {self.pid} cannot handle message kind {message.kind!r}"
-            )
-        self._leaf_parent_worker = message.payload["new_worker"]
 
     # ------------------------------------------------------------------
     # Inner-node roles

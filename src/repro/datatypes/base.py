@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.core.tree.counter import TreeCounter
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ProtocolError
 from repro.sim.messages import OpIndex, ProcessorId
 from repro.sim.trace import Trace
 
@@ -52,18 +52,7 @@ class TreeDataStructure(TreeCounter):
 
     def begin_op(self, pid: ProcessorId, op_index: OpIndex, request: Any) -> None:
         """Inject operation *request* at processor *pid*."""
-        if not 1 <= pid <= self.n:
-            raise ConfigurationError(
-                f"processor {pid} is not a client of this structure (1..{self.n})"
-            )
-        worker = self.worker(pid)
-        self.network.inject(
-            (lambda: worker.request_inc(request)), op_index=op_index
-        )
-
-    def begin_inc(self, pid: ProcessorId, op_index: OpIndex) -> None:
-        """Counter-compatible entry point: the default (None) request."""
-        self.begin_op(pid, op_index, None)
+        self.begin_inc(pid, op_index, request)
 
 
 @dataclass(frozen=True, slots=True)

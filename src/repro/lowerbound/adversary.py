@@ -38,7 +38,7 @@ from repro.lowerbound.weights import LedgerStep
 from repro.sim.messages import ProcessorId
 from repro.sim.network import Network
 from repro.sim.policies import DeliveryPolicy
-from repro.workloads.driver import OpOutcome, RunResult
+from repro.workloads.driver import RunResult
 
 
 @dataclass(slots=True)
@@ -139,13 +139,11 @@ class GreedyAdversary:
             order.append(best_pid)
             chosen_lengths.append(best_length)
             remaining.remove(best_pid)
-            result.outcomes.append(
-                OpOutcome(
-                    op_index=op_index,
-                    initiator=best_pid,
-                    value=after[-1],
-                    messages=network.trace.messages_for_op(op_index),
-                )
+            result.outcomes.add(
+                op_index,
+                best_pid,
+                after[-1],
+                network.trace.messages_for_op(op_index),
             )
 
         q = order[-1]

@@ -240,7 +240,7 @@ class Network:
             raise DuplicateProcessorError(
                 f"processor id {processor.pid} is already registered"
             )
-        return self._install(processor)
+        return self._install(processor, processor.pid)
 
     def register_all(self, processors: list[Processor]) -> None:
         """Register every processor in *processors*."""
@@ -260,7 +260,10 @@ class Network:
         :meth:`registered_ids`, duplicate detection) but owns no object:
         a protocol that preallocates far more ids than one run touches
         (the tree counter's replacement intervals) pays only for the
-        processors that ever receive a message.
+        processors that ever receive a message.  *factory* may also
+        return a *shared* program — ``pid`` ``None``, one object entered
+        under many ids, which reads its id off each message's receiver
+        — so ids in the same state need not own an object each.
 
         *factory* must be deep-copyable together with the network — a
         bound method or a :func:`functools.partial` of one, not a closure
@@ -290,7 +293,8 @@ class Network:
         """Swap *processor* in for the one registered under its id.
 
         The one sanctioned way to exchange a registered program (the
-        seeded-bug mutants do): attaches *processor* and enters it in the
+        seeded-bug mutants do, and the tree counter gives a shared leaf
+        program's id its own worker): attaches *processor* and enters it in the
         processor table the drain loop delivers through, whether the id
         was materialised before or only covered by a lazy range.
         Messages already in flight are delivered to the new program.
@@ -300,12 +304,12 @@ class Network:
             if self._lazy_factory(pid) is None:
                 raise UnknownProcessorError(f"no processor with id {pid}")
             self._unmaterialised -= 1
-        return self._install(processor)
+        return self._install(processor, pid)
 
-    def _install(self, processor: Processor) -> Processor:
-        """Attach *processor* and enter it in the processor table."""
+    def _install(self, processor: Processor, pid: ProcessorId) -> Processor:
+        """Attach *processor* and enter it in the processor table as *pid*."""
         processor.attach(self)
-        self._processors[processor.pid] = processor
+        self._processors[pid] = processor
         return processor
 
     def _lazy_factory(
@@ -326,12 +330,12 @@ class Network:
         if factory is None:
             return None
         processor = factory(pid)
-        if processor.pid != pid:
+        if processor.pid != pid and processor.pid is not None:
             raise ConfigurationError(
                 f"lazy factory built processor {processor.pid} for id {pid}"
             )
         self._unmaterialised -= 1
-        return self._install(processor)
+        return self._install(processor, pid)
 
     # ------------------------------------------------------------------
     # Fault injection

@@ -40,10 +40,13 @@ from __future__ import annotations
 
 import enum
 import hashlib
+from array import array
 from collections import Counter, defaultdict
+from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import TraceCapabilityError
+from repro.sim.columns import reach
 from repro.sim.messages import NO_OP, MessageRecord, OpIndex, ProcessorId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -95,7 +98,12 @@ class Trace:
         self._op_counts: defaultdict[OpIndex, int] = defaultdict(int)
         self._by_op: defaultdict[OpIndex, list[MessageRecord]] = defaultdict(list)
         self._footprints: dict[OpIndex, set[ProcessorId]] = {}
-        self._sealed_footprints: dict[OpIndex, tuple[int, ...]] = {}
+        # Sealed operations, packed: op i's entry is the message count
+        # then the footprint's ids, _sealed[_sealed_at[i]:][:_sealed_width[i]]
+        # in one flat column; width 0 means "not sealed".
+        self._sealed = array("i")
+        self._sealed_at = array("i")
+        self._sealed_width = array("i")
         self._faults: list["FaultRecord"] = []
         self._fault_counts: dict[str, int] = {}
 
@@ -170,43 +178,58 @@ class Trace:
                 footprint.add(receiver)
 
     def seal_op(self, op_index: OpIndex) -> None:
-        """Pack a finished operation's count and footprint into one tuple.
+        """Pack a finished operation's count and footprint into columns.
 
-        A run keeps one footprint and one message count per operation
-        until the end, and a ``set`` plus a second table entry is the
-        most expensive way to hold a few ids and a number nobody will
-        add to.  The owner calls this at the operation's quiescence
-        barrier; the sealed entry is ``(count, *ids)``.  The
-        per-operation views answer from the sealed and the live part
-        together, so a message that still arrives for a sealed
-        operation is counted, not lost; sealing again folds it in,
-        each id once.
+        The owner calls this at the operation's quiescence barrier: the
+        entry ``count, *ids`` goes to the end of one flat column, its
+        offset and width into two columns indexed by op (a set and a
+        table entry per op cost ~5x as much).  The views answer from
+        the sealed and the live part together, so a message that still
+        arrives for a sealed op is counted; sealing again folds it in,
+        each id once (appended anew; the old entry is left unread).
+        ``NO_OP`` traffic is never sealed.
         """
+        if op_index < 0:
+            return
         live = self._footprints.pop(op_index, None)
-        if live:
-            count = self._op_counts.pop(op_index)
-            sealed = self._sealed_footprints
-            earlier = sealed.get(op_index)
-            if earlier is not None:
-                count += earlier[0]
-                live.update(earlier[1:])
-            sealed[op_index] = (count, *live)
+        if not live:
+            return
+        count = self._op_counts.pop(op_index)
+        flat, at, widths = self._sealed, self._sealed_at, self._sealed_width
+        if op_index >= len(widths):
+            reach(at, op_index)
+            reach(widths, op_index)
+        if widths[op_index]:
+            start = at[op_index]
+            count += flat[start]
+            live.update(flat[start + 1 : start + widths[op_index]])
+        at[op_index] = len(flat)
+        widths[op_index] = 1 + len(live)
+        flat.append(count)
+        flat.extend(live)
+
+    def _width(self, op_index: OpIndex) -> int:
+        """The sealed width of *op_index*; 0 if it was never sealed."""
+        widths = self._sealed_width
+        return widths[op_index] if 0 <= op_index < len(widths) else 0
 
     def release_op(self, op_index: OpIndex) -> None:
         """Forget a finished operation's message count and footprint.
 
         For long-running owners that attribute messages to operations
         but never ask about them afterwards (a serving shard settles
-        millions of batches): at ``LOADS`` the two per-operation
-        columns are the only state that grows with the number of
-        operations, and this bounds them.  Loads and totals are
-        untouched.  At ``FULL`` nothing is released — the record
-        stream, and so the fingerprint, keeps every operation.
+        millions of batches): at ``LOADS`` the per-operation views are
+        the only state that grows with the number of operations, and
+        this bounds them.  A sealed op is unmarked (its entry stays
+        behind, unread; such owners do not seal).  Loads
+        and totals are untouched.  At ``FULL`` nothing is released — the
+        record stream, and so the fingerprint, keeps every operation.
         """
         if self._level is TraceLevel.LOADS:
             self._op_counts.pop(op_index, None)
             self._footprints.pop(op_index, None)
-            self._sealed_footprints.pop(op_index, None)
+            if self._width(op_index):
+                self._sealed_width[op_index] = 0
 
     def record_fault(self, record: "FaultRecord") -> None:
         """Record one injected fault as a first-class trace event.
@@ -335,8 +358,10 @@ class Trace:
     def op_indices(self) -> list[OpIndex]:
         """Sorted list of operation indices that produced traffic."""
         self._require_loads("Trace.op_indices")
-        ops = self._op_counts.keys() | self._sealed_footprints.keys()
-        return sorted(i for i in ops if i != NO_OP)
+        ops = set(compress(range(len(self._sealed_width)), self._sealed_width))
+        ops.update(self._op_counts)
+        ops.discard(NO_OP)
+        return sorted(ops)
 
     def records_for_op(self, op_index: OpIndex) -> list[MessageRecord]:
         """Records attributed to operation *op_index*, in delivery order."""
@@ -346,8 +371,8 @@ class Trace:
     def messages_for_op(self, op_index: OpIndex) -> int:
         """Number of messages attributed to operation *op_index*."""
         self._require_loads("Trace.messages_for_op")
-        sealed = self._sealed_footprints.get(op_index, (0,))
-        return sealed[0] + self._op_counts.get(op_index, 0)
+        sealed = self._width(op_index) and self._sealed[self._sealed_at[op_index]]
+        return sealed + self._op_counts.get(op_index, 0)
 
     def footprint(self, op_index: OpIndex) -> frozenset[ProcessorId]:
         """The paper's ``I_p``: processors touched by operation *op_index*.
@@ -358,8 +383,12 @@ class Trace:
         empty footprint).
         """
         self._require_loads("Trace.footprint")
-        sealed = self._sealed_footprints.get(op_index, (0,))
-        return frozenset(sealed[1:]).union(self._footprints.get(op_index, ()))
+        live = self._footprints.get(op_index, ())
+        width = self._width(op_index)
+        if not width:
+            return frozenset(live)
+        start = self._sealed_at[op_index]
+        return frozenset(self._sealed[start + 1 : start + width]).union(live)
 
     def load_within_op(self, op_index: OpIndex) -> dict[ProcessorId, int]:
         """Per-processor message load restricted to one operation."""

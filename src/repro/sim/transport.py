@@ -158,8 +158,10 @@ class _Endpoint(Processor):
 
     __slots__ = ("_inner", "_transport", "_next_seq", "_low")
 
-    def __init__(self, inner: Processor, transport: "ReliableTransport") -> None:
-        super().__init__(inner.pid)
+    def __init__(
+        self, pid: ProcessorId, inner: Processor, transport: "ReliableTransport"
+    ) -> None:
+        super().__init__(pid)
         self._inner = inner
         self._transport = transport
         self._next_seq: dict[ProcessorId, int] = {}
@@ -335,7 +337,7 @@ class ReliableTransport:
     # ------------------------------------------------------------------
     def register(self, processor: Processor) -> Processor:
         """Wrap *processor* in an endpoint and register it."""
-        endpoint = _Endpoint(processor, self)
+        endpoint = _Endpoint(processor.pid, processor, self)
         self._network.register(endpoint)
         self._adopt(endpoint)
         return processor
@@ -353,7 +355,7 @@ class ReliableTransport:
     def _make_endpoint(
         self, factory: Callable[[ProcessorId], Processor], pid: ProcessorId
     ) -> _Endpoint:
-        endpoint = _Endpoint(factory(pid), self)
+        endpoint = _Endpoint(pid, factory(pid), self)
         self._adopt(endpoint)
         return endpoint
 
@@ -365,6 +367,15 @@ class ReliableTransport:
         """Register every processor in *processors*."""
         for processor in processors:
             self.register(processor)
+
+    def replace(self, processor: Processor) -> Processor:
+        """Swap *processor* in for the program wrapped under its id (see
+        :meth:`Network.replace`): the endpoint and its channel state stay,
+        only the program inside changes."""
+        self._network.processor(processor.pid)  # materialises, or raises
+        self._endpoints[processor.pid]._inner = processor
+        processor.attach(self)
+        return processor
 
     def send(
         self,

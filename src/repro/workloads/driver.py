@@ -33,13 +33,16 @@ routes the same steps through a real asyncio loop.
 from __future__ import annotations
 
 import asyncio
+from array import array
 from collections import deque
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Generator, Iterable, Sequence, TypeVar
 
 from repro.api import CounterFactory, DistributedCounter
 from repro.errors import CapabilityError, ProtocolError
 from repro.runtime import AsyncioRuntime, Runtime, SimulatedRuntime
+from repro.sim.columns import append_value
 from repro.sim.messages import NO_OP, OpIndex, ProcessorId
 from repro.sim.network import Network
 from repro.sim.policies import DeliveryPolicy
@@ -68,6 +71,45 @@ class OpOutcome:
     messages: int
 
 
+class Outcomes(SequenceABC):
+    """A run's completed operations as four columns (~20 bytes each,
+    where an :class:`OpOutcome` object costs ~70): a read-only sequence
+    of outcomes built on access, and :meth:`add`, the one way a driver
+    appends."""
+
+    __slots__ = ("_ops", "_initiators", "_values", "_messages")
+
+    def __init__(self) -> None:
+        self._ops = array("i")
+        self._initiators = array("i")
+        self._values: array | list = array("q")
+        self._messages = array("i")
+
+    def add(
+        self, op_index: OpIndex, initiator: ProcessorId, value: object, messages: int
+    ) -> None:
+        """Append one completed operation."""
+        self._ops.append(op_index)
+        self._initiators.append(initiator)
+        self._values = append_value(self._values, value)
+        self._messages.append(messages)
+
+    def __len__(self) -> int:
+        return len(self._ops)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        columns = self._ops, self._initiators, self._values, self._messages
+        return OpOutcome(*(column[index] for column in columns))
+
+    def __iter__(self):
+        return map(OpOutcome, self._ops, self._initiators, self._values, self._messages)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SequenceABC) and list(self) == list(other)
+
+
 @dataclass(slots=True)
 class RunResult:
     """Everything measured about one workload execution."""
@@ -75,7 +117,7 @@ class RunResult:
     counter_name: str
     n: int
     trace: Trace
-    outcomes: list[OpOutcome] = field(default_factory=list)
+    outcomes: Outcomes = field(default_factory=Outcomes)
 
     @property
     def total_messages(self) -> int:
@@ -117,12 +159,9 @@ class TimedOp:
     response_time: float
 
 
-def _costed(
-    trace: Trace, op_index: OpIndex, pid: ProcessorId, value: int
-) -> OpOutcome:
-    """The outcome of one op with the messages *trace* attributes to it."""
-    messages = trace.messages_for_op(op_index) if trace.keeps_loads else -1
-    return OpOutcome(op_index, pid, value, messages)
+def _cost(trace: Trace, op_index: OpIndex) -> int:
+    """The messages *trace* attributes to one op (-1 at ``OFF``)."""
+    return trace.messages_for_op(op_index) if trace.keeps_loads else -1
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +269,7 @@ def _sequence_steps(
                 )
         if required:
             last_required = value
-        result.outcomes.append(_costed(trace, op_index, pid, value))
+        result.outcomes.add(op_index, pid, value, _cost(trace, op_index))
     return result
 
 
@@ -411,10 +450,12 @@ def _batch_result(
     if check_values:
         _check_counts("concurrent", [op.value for op in ops])
     trace = counter.network.trace
-    outcomes = [
-        _costed(trace, op.op_index, op.initiator, op.value) for op in ops
-    ]
-    return RunResult(counter.name, counter.n, trace, outcomes)
+    result = RunResult(counter.name, counter.n, trace)
+    for op in ops:
+        result.outcomes.add(
+            op.op_index, op.initiator, op.value, _cost(trace, op.op_index)
+        )
+    return result
 
 
 def run_concurrent(

@@ -438,5 +438,7 @@ class TestConstructionCount:
         session.run_sequence()
         trace = session.network.trace
         assert trace._footprints == {}
-        assert len(trace._sealed_footprints) == n
-        assert all(type(f) is tuple for f in trace._sealed_footprints.values())
+        widths = trace._sealed_width
+        assert sum(1 for width in widths if width) == n
+        # Sealed once each: the flat column holds no unread entries.
+        assert len(trace._sealed) == sum(widths)

@@ -82,11 +82,13 @@ class TestDispatchErrors:
         assert counter.registry.role(bottom).believed_child_worker(leaf_key(1)) == 1
 
     def test_request_inc_requires_leaf_parent(self):
+        # Only leaves have a leaf parent; a replacement id past the
+        # leaves may hold a worker but has no belief to send a request along.
         network, counter = _fresh()
-        worker = counter.worker(2)
-        worker._leaf_parent_worker = None
+        pid = counter.geometry.leaf_count + 1
+        assert counter.leaves.parent_worker(pid) is None
         with pytest.raises(ProtocolError, match="leaf parent"):
-            worker.request_inc()
+            counter.leaves.request_inc(pid)
 
 
 class TestForwarding:

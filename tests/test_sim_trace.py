@@ -141,7 +141,7 @@ class TestSealedFootprints:
         assert {op: trace.footprint(op) for op in (0, 1, 2)} == before
         assert isinstance(trace.footprint(0), frozenset)
         assert trace._footprints == {1: {4, 5}}
-        assert set(trace._sealed_footprints) == {0}
+        assert [op for op, width in enumerate(trace._sealed_width) if width] == [0]
         assert trace.messages_for_op(0) == 2
         assert trace.op_indices() == [0, 1]
 
@@ -164,7 +164,7 @@ class TestSealedFootprints:
         trace.record(_record(2, 3, op_index=0))
         trace.release_op(0)
         assert trace.footprint(0) == frozenset()
-        assert trace._footprints == {} and trace._sealed_footprints == {}
+        assert trace._footprints == {} and not any(trace._sealed_width)
 
     @pytest.mark.parametrize("spec", ["ww-tree", "central", "quorum[maekawa]"])
     def test_hot_spot_verdict_over_sealed_loads_equals_full(self, spec):
