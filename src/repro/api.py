@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.sim.columns import append_value, reach
+from repro.sim.columns import Values, reach
 from repro.sim.messages import OpIndex, ProcessorId
 from repro.sim.network import Network
 
@@ -153,7 +153,7 @@ class DistributedCounter(ABC):
         # value, response time, and 1 + the index of the same initiator's
         # previous result (0: none); _result_latest[pid] is 1 + the index
         # of pid's newest, so each pid's history is a chain.
-        self._result_values: array | list = array("q")
+        self._result_values = Values()
         self._result_times = array("d")
         self._result_prior = array("i")
         self._result_latest = array("i")
@@ -199,7 +199,7 @@ class DistributedCounter(ABC):
             reach(latest, pid)
         self._result_prior.append(latest[pid])
         latest[pid] = len(self._result_times) + 1
-        self._result_values = append_value(self._result_values, value)
+        self._result_values.append(value)
         self._result_times.append(self._network.now)
         if self.on_result is not None:
             self.on_result(pid, value)

@@ -12,6 +12,7 @@ lower bound of §3.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import partial
 
 from repro.api import Capabilities, DistributedCounter
@@ -125,8 +126,8 @@ class TreeCounter(DistributedCounter):
         return value
 
     @property
-    def retirements(self) -> list[RetirementEvent]:
-        """All retirement events so far, chronologically."""
+    def retirements(self) -> Sequence[RetirementEvent]:
+        """All retirement events so far, chronologically (read-only)."""
         return self.registry.retirements
 
     def total_forwarded(self) -> int:

@@ -23,12 +23,14 @@ unaffected.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.core.tree.geometry import ROOT, NodeAddr, TreeGeometry
 from repro.core.tree.policy import IntervalMode, TreePolicy
 from repro.core.tree.protocol import addr_of, is_leaf_key, leaf_key, node_key
+from repro.sim.columns import Rows
 from repro.sim.messages import OpIndex, ProcessorId
 
 
@@ -141,6 +143,23 @@ class RetirementEvent:
     time: float
 
 
+class _RetirementLog(Rows):
+    """Retirement events as columns, the node address as level and index:
+    ~30 bytes an event, where a :class:`RetirementEvent` costs ~90."""
+
+    __slots__ = ()
+    schema = {
+        "op_index": "i", "level": "B", "index": "i", "old_worker": "i",
+        "new_worker": "i", "age_at_retirement": "i", "time": "d",
+    }
+
+    row = staticmethod(
+        lambda op_index, level, index, *rest: RetirementEvent(
+            op_index, NodeAddr(level, index), *rest
+        )
+    )
+
+
 class RoleRegistry:
     """Tracks and retires the node roles of one tree counter.
 
@@ -156,7 +175,7 @@ class RoleRegistry:
         self._policy = policy
         self._roles: dict[NodeAddr, NodeRole] = {}
         self._inner_worker_index: dict[ProcessorId, NodeAddr] = {}
-        self._retirements: list[RetirementEvent] = []
+        self._retirements = _RetirementLog()
         self._root_walk_next: ProcessorId = geometry.initial_worker(ROOT) + 1
 
     def _build_role(self, addr: NodeAddr) -> NodeRole:
@@ -219,8 +238,9 @@ class RoleRegistry:
         return [self.role(addr) for addr in self._geometry.all_nodes()]
 
     @property
-    def retirements(self) -> list[RetirementEvent]:
-        """All retirement events in chronological order."""
+    def retirements(self) -> Sequence[RetirementEvent]:
+        """All retirement events in chronological order: a read-only
+        sequence, each event built on access from the log's columns."""
         return self._retirements
 
     def retirement_counts_by_level(self) -> dict[int, int]:
@@ -292,16 +312,11 @@ class RoleRegistry:
                     f"{current_owner} and {role.addr} — interval discipline "
                     "broken"
                 )
-        event = RetirementEvent(
-            op_index=op_index,
-            addr=role.addr,
-            old_worker=role.worker,
-            new_worker=new_worker,
-            age_at_retirement=role.age,
-            time=time,
+        addr, old_worker = role.addr, role.worker
+        event = RetirementEvent(op_index, addr, old_worker, new_worker, role.age, time)
+        self._retirements.add(
+            op_index, addr.level, addr.index, old_worker, new_worker, role.age, time
         )
-        self._retirements.append(event)
-        old_worker = role.worker
         role.worker = new_worker
         role.age = 0
         role.retire_count += 1

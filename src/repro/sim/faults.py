@@ -66,9 +66,11 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 from repro.errors import ConfigurationError
+from repro.sim.columns import Rows
 from repro.sim.messages import Message, OpIndex, ProcessorId
 
 __all__ = [
@@ -125,6 +127,19 @@ class FaultRecord(NamedTuple):
             f"[t={self.time:g}] {self.kind} {self.sender}->{self.receiver} "
             f"(op {self.op_index}, uid {self.uid}) {self.detail}"
         )
+
+
+class _Ledger(Rows):
+    """A plan's injected faults as columns, kind and detail interned:
+    ~38 bytes a fault, where a :class:`FaultRecord` and its detail
+    string cost ~210."""
+
+    __slots__ = ()
+    schema = {
+        "time": "d", "kind": "s", "sender": "i", "receiver": "i",
+        "op_index": "i", "uid": "q", "detail": "s",
+    }
+    row = FaultRecord
 
 
 class _Effect(NamedTuple):
@@ -640,8 +655,8 @@ class FaultPlan:
     """A seeded, deterministic composition of :class:`FaultRule`\\ s.
 
     The plan owns all fault randomness (one seeded generator, drawn in
-    rule order) and the fault ledger: every injected fault is appended
-    to :attr:`events` and tallied in :attr:`counts` regardless of the
+    rule order) and the fault ledger: every injected fault is one row of
+    :attr:`events`, tallied by :attr:`counts`, regardless of the
     network's trace level, so experiments can report fault totals even
     from ``OFF``-traced runs.
 
@@ -706,8 +721,7 @@ class FaultPlan:
         self._recoveries: tuple[RecoveryPoint, ...] = tuple(points)
         self._seed = seed
         self._rng = random.Random(seed)
-        self._events: list[FaultRecord] = []
-        self._counts: dict[str, int] = {}
+        self._events = _Ledger()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -851,14 +865,17 @@ class FaultPlan:
                 rule._arbiter = chooser
 
     @property
-    def events(self) -> list[FaultRecord]:
-        """Every injected fault so far, in injection order (do not mutate)."""
+    def events(self) -> Sequence[FaultRecord]:
+        """Every injected fault so far, in injection order: a read-only
+        sequence of :class:`FaultRecord`, each built on access from the
+        plan's columns (:meth:`reset` starts a new one)."""
         return self._events
 
     @property
     def counts(self) -> dict[str, int]:
-        """Injected-fault tallies by kind (a fresh copy)."""
-        return dict(self._counts)
+        """Injected-fault tallies by kind, in order of first injection
+        (a fresh dict)."""
+        return dict(Counter(record.kind for record in self._events))
 
     @property
     def spec(self) -> str:
@@ -895,8 +912,7 @@ class FaultPlan:
         not consumption.
         """
         self._rng = random.Random(self._seed)
-        self._events.clear()
-        self._counts.clear()
+        self._events = _Ledger()
         for rule in self._rules:
             rule.reset()
 
@@ -948,9 +964,9 @@ class FaultPlan:
             )
             for effect in effects
         )
+        add = self._events.add
         for record in records:
-            self._counts[record.kind] = self._counts.get(record.kind, 0) + 1
-        self._events.extend(records)
+            add(*record)
         replacement = current if current is not message else None
         if drop_reason is not None:
             return FaultOutcome(delivery_times=(), records=records)

@@ -44,10 +44,12 @@ Guarantees restored (and their limits):
 
 State is proportional to channels and messages in flight, never to
 messages ever sent: per (sender, receiver) pair that carried data, the
-next sequence number out and the delivery watermark in (two ``int``);
-one entry per unacknowledged envelope in one transport-wide table; a set
-of sequence numbers only while a channel has a gap open; nothing per
-delivered message.  :meth:`ReliableTransport.held` reads the sizes out.
+next sequence number out at the sender and the delivery watermark in at
+the receiver, each a 4-byte slot of its endpoint's flat ``array("i")``
+table (so a channel carries at most 2**31 - 1 envelopes); one entry per
+unacknowledged envelope in one transport-wide table; a set of sequence
+numbers only while a channel has a gap open; nothing per delivered
+message.  :meth:`ReliableTransport.held` reads the sizes out.
 
 Operation attribution survives faults: retransmissions are re-injected
 under the original operation's index, so per-operation footprints
@@ -57,6 +59,7 @@ would put it.
 
 from __future__ import annotations
 
+from array import array
 from functools import partial
 from typing import Any, Callable, Mapping
 
@@ -135,15 +138,15 @@ class _Pending:
         """Put the envelope on the wire and set the next timer."""
         endpoint = self.endpoint
         transport = endpoint._transport
+        network = endpoint._network
         attempts = self.attempts
         transport._stats["retransmissions" if attempts else "data_sent"] += 1
-        endpoint.send(self.key[1], DATA_KIND, self.envelope)
+        network.send(endpoint.pid, self.key[1], DATA_KIND, self.envelope)
         self.attempts = attempts + 1
-        endpoint.network.inject(
-            self,
-            op_index=self.op_index,
-            delay=min(transport._rto * (2.0**attempts), transport._rto_cap),
-        )
+        delay = transport._rto * (2.0**attempts)
+        if delay > transport._rto_cap:
+            delay = transport._rto_cap
+        network.inject(self, op_index=self.op_index, delay=delay)
 
 
 class _Endpoint(Processor):
@@ -151,12 +154,18 @@ class _Endpoint(Processor):
 
     Outgoing protocol sends become sequenced envelopes with a retransmit
     timer; incoming envelopes are acked, deduplicated, unwrapped and
-    handed to the wrapped protocol processor.  Per peer it keeps two
-    ints: the next sequence number out and the delivery watermark in
-    (every ``seq < _low[source]`` has been delivered).
+    handed to the wrapped protocol processor.  A channel costs it two
+    ints in one of two flat ``array("i")`` tables: ``_out`` lists the
+    peers it has sent to, then a sentinel slot, then the next sequence
+    number to each; ``_in`` the peers whose watermark has moved, the
+    sentinel, then that watermark (every seq below it from that peer
+    has been delivered).  ``_outs`` / ``_ins`` count the peers.  A
+    lookup writes the peer into the sentinel slot and runs one C-level
+    ``index`` scan, which stops there at the latest: a new peer is found
+    at the sentinel, already in place, without an exception.
     """
 
-    __slots__ = ("_inner", "_transport", "_next_seq", "_low")
+    __slots__ = ("_inner", "_transport", "_out", "_outs", "_in", "_ins")
 
     def __init__(
         self, pid: ProcessorId, inner: Processor, transport: "ReliableTransport"
@@ -164,8 +173,10 @@ class _Endpoint(Processor):
         super().__init__(pid)
         self._inner = inner
         self._transport = transport
-        self._next_seq: dict[ProcessorId, int] = {}
-        self._low: dict[ProcessorId, int] = {}
+        self._out = array("i", (0,))
+        self._outs = 0
+        self._in = array("i", (0,))
+        self._ins = 0
 
     # ------------------------------------------------------------------
     # Sending (called by ReliableTransport.send)
@@ -173,11 +184,20 @@ class _Endpoint(Processor):
     def send_reliable(
         self, receiver: ProcessorId, kind: str, payload: Mapping[str, Any]
     ) -> None:
-        seq = self._next_seq.get(receiver, 0)
-        self._next_seq[receiver] = seq + 1
+        out = self._out
+        peers = self._outs
+        out[peers] = receiver  # the sentinel: the scan stops here at the latest
+        at = out.index(receiver)
+        if at == peers:  # the channel's first envelope
+            out.insert(peers + 1, 0)
+            out.append(0)
+            self._outs = peers = peers + 1
+        slot = at + peers + 1
+        seq = out[slot]
+        out[slot] = seq + 1
         key = (self.pid, receiver, seq)
         envelope = {"seq": seq, "kind": kind, "data": payload}
-        pending = _Pending(self, key, envelope, self.network.active_op)
+        pending = _Pending(self, key, envelope, self._network._active_op)
         self._transport._unacked[key] = pending
         pending.transmit()
 
@@ -197,54 +217,59 @@ class _Endpoint(Processor):
             # directly on the real network) passes through unwrapped.
             self._inner.on_message(message)
 
-    def _first_arrival(self, source: ProcessorId, seq: int) -> bool:
-        """Record *seq* from *source*; ``False`` if it was seen before.
-
-        A sliding-window receiver: the seq *at* the watermark advances
-        it, through any run waiting in the channel's out-of-order set; a
-        seq above it joins that set, which exists only while the gap
-        below it is open.
-        """
-        low = self._low.get(source, 0)
-        if seq < low:
-            return False
-        ahead_table = self._transport._ahead
-        if seq > low:
-            ahead = ahead_table.setdefault((self.pid, source), set())
-            if seq in ahead:
-                return False
-            ahead.add(seq)
-            return True
-        low += 1
-        if ahead_table:  # some channel has a gap open; this one?
-            channel = (self.pid, source)
-            ahead = ahead_table.get(channel)
-            if ahead is not None:
-                while low in ahead:
-                    ahead.remove(low)
-                    low += 1
-                if not ahead:
-                    del ahead_table[channel]
-        self._low[source] = low
-        return True
-
     def _on_data(self, message: Message) -> None:
         envelope = message[3]
         seq = envelope["seq"]
         source = message[0]
-        stats = self._transport._stats
+        pid = self.pid
+        transport = self._transport
+        stats = transport._stats
         # Ack every copy: the original ack may itself have been lost.
         stats["acks_sent"] += 1
-        self.send(source, ACK_KIND, {"seq": seq})
-        if not self._first_arrival(source, seq):
+        self._network.send(pid, source, ACK_KIND, {"seq": seq})
+        # A sliding-window receiver: the seq *at* the watermark advances
+        # it, through any run waiting in the channel's out-of-order set; a
+        # seq above it joins that set, which exists only while the gap
+        # below it is open.  A channel enters ``_in`` when its watermark
+        # first moves.
+        table = self._in
+        peers = self._ins
+        table[peers] = source  # the sentinel
+        at = table.index(source)
+        low = table[at + peers + 1] if at < peers else 0
+        if seq < low:
             stats["duplicates_suppressed"] += 1
             return
+        ahead_table = transport._ahead
+        if seq > low:
+            ahead = ahead_table.setdefault((pid, source), set())
+            if seq in ahead:
+                stats["duplicates_suppressed"] += 1
+                return
+            ahead.add(seq)
+        else:
+            low += 1
+            if ahead_table:  # some channel has a gap open; this one?
+                channel = (pid, source)
+                ahead = ahead_table.get(channel)
+                if ahead is not None:
+                    while low in ahead:
+                        ahead.remove(low)
+                        low += 1
+                    if not ahead:
+                        del ahead_table[channel]
+            if at < peers:
+                table[at + peers + 1] = low
+            else:  # the source already sits in the sentinel's slot
+                table.insert(peers + 1, 0)
+                table.append(low)
+                self._ins = peers + 1
         stats["delivered"] += 1
         inner_message = _tuple_new(
             Message,
             (
                 source,
-                self.pid,
+                pid,
                 envelope["kind"],
                 envelope["data"],
                 message[4],
@@ -496,14 +521,15 @@ class ReliableTransport:
     def held(self) -> dict[str, int]:
         """What the transport holds right now (a read-out, not a knob).
 
-        ``channels``: (sender, receiver) pairs with a delivery
-        watermark, one int each; ``pending``: envelopes sent and not yet
-        acknowledged; ``out_of_order``: sequence numbers delivered ahead
-        of a still-open gap.  The last two are zero at every quiescence
-        barrier of a run with ``max_retries=None``.
+        ``channels``: (sender, receiver) pairs whose delivery watermark
+        has moved (each also has a next seq at its sender); ``pending``:
+        envelopes sent and not yet acknowledged; ``out_of_order``:
+        sequence numbers delivered ahead of a still-open gap.  The last
+        two are zero at every quiescence barrier of a run with
+        ``max_retries=None``.
         """
         return {
-            "channels": sum(len(e._low) for e in self._endpoints.values()),
+            "channels": sum(e._ins for e in self._endpoints.values()),
             "pending": len(self._unacked),
             "out_of_order": sum(len(ahead) for ahead in self._ahead.values()),
         }

@@ -33,16 +33,14 @@ routes the same steps through a real asyncio loop.
 from __future__ import annotations
 
 import asyncio
-from array import array
 from collections import deque
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Generator, Iterable, Sequence, TypeVar
 
 from repro.api import CounterFactory, DistributedCounter
 from repro.errors import CapabilityError, ProtocolError
 from repro.runtime import AsyncioRuntime, Runtime, SimulatedRuntime
-from repro.sim.columns import append_value
+from repro.sim.columns import Rows
 from repro.sim.messages import NO_OP, OpIndex, ProcessorId
 from repro.sim.network import Network
 from repro.sim.policies import DeliveryPolicy
@@ -71,43 +69,14 @@ class OpOutcome:
     messages: int
 
 
-class Outcomes(SequenceABC):
+class Outcomes(Rows):
     """A run's completed operations as four columns (~20 bytes each,
     where an :class:`OpOutcome` object costs ~70): a read-only sequence
-    of outcomes built on access, and :meth:`add`, the one way a driver
-    appends."""
+    of outcomes built on access; a driver appends through :meth:`add`."""
 
-    __slots__ = ("_ops", "_initiators", "_values", "_messages")
-
-    def __init__(self) -> None:
-        self._ops = array("i")
-        self._initiators = array("i")
-        self._values: array | list = array("q")
-        self._messages = array("i")
-
-    def add(
-        self, op_index: OpIndex, initiator: ProcessorId, value: object, messages: int
-    ) -> None:
-        """Append one completed operation."""
-        self._ops.append(op_index)
-        self._initiators.append(initiator)
-        self._values = append_value(self._values, value)
-        self._messages.append(messages)
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        columns = self._ops, self._initiators, self._values, self._messages
-        return OpOutcome(*(column[index] for column in columns))
-
-    def __iter__(self):
-        return map(OpOutcome, self._ops, self._initiators, self._values, self._messages)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SequenceABC) and list(self) == list(other)
+    __slots__ = ()
+    schema = {"op_index": "i", "initiator": "i", "value": "O", "messages": "i"}
+    row = OpOutcome
 
 
 @dataclass(slots=True)

@@ -2,28 +2,48 @@
 
 A sealed operation's footprint and message count live in the trace's
 flat columns, every delivered result in the counter's result columns,
-and every completed operation in :class:`~repro.workloads.driver.Outcomes`.
+and every completed operation in :class:`~repro.workloads.driver.Outcomes`;
+a faulty run's logs too — the fault plan's ledger, the tree's retirement
+log and the reliable transport's per-channel tables.
 ``TestAgainstTheRecordStream`` recomputes each view independently — the
 per-operation ones from a ``FULL`` trace's records, the results through
-the counter's ``on_result`` hook — and compares.  The direct classes pin
-the edge cases the columns have to get right, and
-``TestServingStaysFlat`` that an owner which releases as it goes holds
-a fixed amount however many operations pass.
+the counter's ``on_result`` hook — and compares; the ledger, log and
+channel classes do the same for theirs.  The direct classes pin the
+edge cases the columns have to get right, and ``TestServingStaysFlat``
+that an owner which releases as it goes holds a fixed amount however
+many operations pass.
 """
 
 from __future__ import annotations
 
+import copy
+import gc
 import random
-from collections import defaultdict
+import tracemalloc
+from collections import Counter, defaultdict
 
 import pytest
 
 from repro.api import DistributedCounter
+from repro.core.tree.roles import RetirementEvent
 from repro.registry import RunSession
 from repro.shard import CounterShardMap
+from repro.sim.faults import (
+    CrashRule,
+    DropRule,
+    DuplicateRule,
+    FaultPlan,
+    FaultRecord,
+    MixedRule,
+    PartitionRule,
+    ReorderRule,
+)
 from repro.sim.messages import NO_OP, MessageRecord
 from repro.sim.network import Network
+from repro.sim.policies import RandomDelay
+from repro.sim.processor import InertProcessor, Processor
 from repro.sim.trace import Trace, TraceLevel
+from repro.sim.transport import DATA_KIND, ReliableTransport
 from repro.workloads.driver import OpOutcome, Outcomes
 
 N = 625
@@ -183,21 +203,25 @@ class TestResultColumns:
 
     def test_outcome_columns_keep_any_value(self):
         outcomes = Outcomes()
-        outcomes.add(0, 4, 10, 3)
+        outcomes.add(0, 4, True, 3)
         outcomes.add(1, 2, None, -1)
-        assert list(outcomes) == [OpOutcome(0, 4, 10, 3), OpOutcome(1, 2, None, -1)]
-        assert outcomes[-1].value is None
-        assert len(outcomes) == 2
+        outcomes.add(2, 1, 2**70, 5)
+        assert list(outcomes) == [
+            OpOutcome(0, 4, True, 3), OpOutcome(1, 2, None, -1),
+            OpOutcome(2, 1, 2**70, 5),
+        ]
+        assert outcomes[0].value is True and outcomes[1].value is None
+        assert len(outcomes) == 3
         with pytest.raises(IndexError):
-            outcomes[2]
+            outcomes[3]
 
 
 class TestServingStaysFlat:
     def test_a_keyed_shard_holds_a_fixed_amount_of_per_op_state(self):
-        """2 000 batches through one keyed shard: after warm-up neither
-        the trace's per-op columns nor the counter's result columns grow.
-        The tree's retirement log does grow (one event per retirement)
-        and is deliberately not checked here."""
+        """2 000 batches through one keyed shard after 200 of warm-up:
+        neither the trace's per-op columns nor the counter's result
+        columns grow, and all that is still held afterwards — the tree's
+        retirement log included — stays under 60 traced bytes a batch."""
         shard_map = CounterShardMap(
             "ww-tree?interval_mode=wrap", 8, shards=1, batch_max=1,
             trace_level="LOADS",
@@ -227,8 +251,288 @@ class TestServingStaysFlat:
 
         assert shard_map.apply([f"k{i % 7}" for i in range(200)])[-1] == 28
         warm = held()
-        values = shard_map.apply([f"k{i % 7}" for i in range(1_800)])
-        assert values[-1] == 286
-        assert shard.batches == 2_000
+        retired = len(counter.retirements)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            values = shard_map.apply([f"k{i % 7}" for i in range(2_000)])
+            gc.collect()
+            per_batch = tracemalloc.get_traced_memory()[0] / 2_000
+        finally:
+            tracemalloc.stop()
+        assert values[-1] == 313
+        assert shard.batches == 2_200
         assert held() == warm
         assert not warm["results_held"] and warm["sealed"] == [0, 0, 0]
+        assert len(counter.retirements) - retired > 1_000  # the log did grow
+        assert per_batch <= 60, f"{per_batch:.0f} traced bytes per batch"
+
+
+# ----------------------------------------------------------------------
+# A faulty run's logs: ledger, retirement log, channel tables
+# ----------------------------------------------------------------------
+def _blast_rounds(network, rounds, pids):
+    """Every round, each pid sends one int payload to the next; the
+    network drains between rounds, so send times climb."""
+    for round_ in range(rounds):
+        for at, pid in enumerate(pids):
+            network.send(pid, pids[(at + 1) % len(pids)], "m", {"i": round_})
+        network.run_until_quiescent()
+
+
+class TestFaultLedger:
+    FAMILIES = {
+        "drop", "duplicate", "reorder", "partition", "crash",
+        "corrupt", "equivocate", "silence",
+    }
+
+    def _plan(self):
+        plan = FaultPlan(
+            [
+                DropRule(0.05),
+                DuplicateRule(0.05),
+                ReorderRule(0.05),
+                PartitionRule([1, 2], [3, 4], start=10.0, end=30.0),
+                CrashRule(5, start=40.0, end=70.0),
+                MixedRule(2),
+            ],
+            seed=3,
+        )
+        plan.bind_clients(8)
+        return plan
+
+    def _run(self, plan):
+        network = Network(fault_plan=plan, trace_level=TraceLevel.FULL)
+        network.register_all([InertProcessor(pid) for pid in range(1, 9)])
+        _blast_rounds(network, 120, list(range(1, 9)))
+        return network.trace
+
+    def test_every_family_round_trips_against_the_full_trace(self):
+        plan = self._plan()
+        trace = self._run(plan)
+        recorded = trace.fault_events
+        assert {record.kind for record in recorded} == self.FAMILIES
+        assert len(set(record.detail for record in recorded)) > 20
+        events = plan.events
+        assert list(events) == recorded and events == recorded
+        assert len(events) == len(recorded)
+        assert [events[at] for at in (0, 5, -1)] == [
+            recorded[0], recorded[5], recorded[-1]
+        ]
+        assert events[3:40:4] == recorded[3:40:4]
+        assert all(type(record) is FaultRecord for record in events)
+        assert str(events[-1]) == str(recorded[-1])
+        assert plan.counts == trace.fault_counts()
+        assert plan.counts == dict(Counter(r.kind for r in recorded))
+
+    def test_reset_and_fork_start_an_empty_ledger(self):
+        plan = self._plan()
+        first = list(self._run(plan).fault_events)
+        fork = plan.fork()
+        assert len(fork.events) == 0 and fork.counts == {}
+        plan.reset()
+        assert len(plan.events) == 0 and plan.events == [] and plan.counts == {}
+        assert list(self._run(plan).fault_events) == first
+        assert plan.events == first  # not first twice over
+        assert list(self._run(fork).fault_events) == first
+        assert fork.events == first
+
+    def test_the_ledger_cannot_be_changed_from_outside(self):
+        plan = self._plan()
+        self._run(plan)
+        events = plan.events
+        size = len(events)
+        for mutate in (
+            lambda: events.append(events[0]),
+            lambda: events.clear(),
+            lambda: events.extend([]),
+            lambda: events.__setitem__(0, events[1]),
+            lambda: events.__delitem__(0),
+        ):
+            with pytest.raises((AttributeError, TypeError)):
+                mutate()
+        assert len(plan.events) == size
+        assert sum(plan.counts.values()) == size
+
+
+class TestRetirementLog:
+    def _session(self):
+        """A session whose registry notes each retirement as the role
+        stands when it is committed, before the log is written."""
+        session = RunSession("ww-tree", 625, policy="random", seed=2,
+                             trace_level="FULL")
+        registry = session.counter.registry
+        returned = []
+        commit = registry.commit_retirement
+
+        def recording(role, new_worker, op_index, time):
+            returned.append(RetirementEvent(
+                op_index, role.addr, role.worker, new_worker, role.age, time
+            ))
+            event = commit(role, new_worker, op_index=op_index, time=time)
+            assert event == returned[-1]
+            return event
+
+        registry.commit_retirement = recording
+        return session, returned
+
+    def test_the_log_equals_each_retirement_as_committed(self):
+        session, returned = self._session()
+        order = list(range(1, 626))
+        random.Random(2).shuffle(order)
+        session.run_sequence(order)
+        counter = session.counter
+        log = counter.retirements
+        assert len(returned) > 100
+        assert {event.addr.level for event in returned} == {0, 1, 2, 3}
+        assert list(log) == returned and log == returned
+        assert counter.registry.retirements is log
+        assert [log[at] for at in (0, 7, -1)] == [
+            returned[0], returned[7], returned[-1]
+        ]
+        assert log[10:20] == returned[10:20]
+        assert counter.registry.retirement_counts_by_level() == {
+            level: sum(e.addr.level == level for e in returned)
+            for level in counter.registry.geometry.inner_levels()
+        }
+
+    def test_the_log_cannot_be_changed_from_outside(self):
+        session, _ = self._session()
+        session.run_sequence()
+        log = session.counter.retirements
+        size = len(log)
+        for mutate in (
+            lambda: log.append(log[0]),
+            lambda: log.clear(),
+            lambda: log.__setitem__(0, log[1]),
+            lambda: log.__delitem__(0),
+        ):
+            with pytest.raises((AttributeError, TypeError)):
+                mutate()
+        assert len(session.counter.registry.retirements) == size
+
+
+class _Log(Processor):
+    def __init__(self, pid):
+        super().__init__(pid)
+        self.delivered = []
+
+    def on_message(self, message):
+        self.delivered.append((message.sender, dict(message.payload)))
+
+
+def _channel_tables(endpoint):
+    """An endpoint's two flat tables (peers, a sentinel slot, then an
+    int per peer), read back as peer → int dicts."""
+    out, outs = endpoint._out, endpoint._outs
+    into, ins = endpoint._in, endpoint._ins
+    assert len(out) == 2 * outs + 1 and len(into) == 2 * ins + 1
+    return (
+        dict(zip(out[:outs], out[outs + 1:])),
+        dict(zip(into[:ins], into[ins + 1:])),
+    )
+
+
+def _assert_settled(transport, records):
+    """With nothing given up, each channel that carried data (named by a
+    ``FULL`` trace's *records*) holds one int each way, and they agree:
+    the next seq out equals the watermark in.  They sum to the envelopes
+    sent, each delivered once."""
+    sent, marks = {}, {}
+    for pid, endpoint in transport._endpoints.items():
+        out, into = _channel_tables(endpoint)
+        sent.update(((pid, peer), seq) for peer, seq in out.items())
+        marks.update(((peer, pid), mark) for peer, mark in into.items())
+    carried = {(r.sender, r.receiver) for r in records if r.kind == DATA_KIND}
+    assert sent == marks and sent.keys() == carried
+    stats = transport.stats()
+    assert sum(sent.values()) == stats["data_sent"] == stats["delivered"]
+    assert transport.held() == {
+        "channels": len(carried), "pending": 0, "out_of_order": 0,
+    }
+
+
+class TestChannelTables:
+    def _hub(self, peers, plan=None):
+        network = Network(
+            policy=RandomDelay(seed=4), fault_plan=plan,
+            trace_level=TraceLevel.FULL,
+        )
+        transport = ReliableTransport(network)
+        transport.register_all([_Log(pid) for pid in range(1, peers + 2)])
+        return network, transport
+
+    def test_a_hub_with_forty_five_peers_over_a_lossy_wire(self):
+        # Per-peer counts span the peer ids, so a seq or watermark
+        # equals some other peer's id in both of the hub's tables.
+        plan = FaultPlan([DropRule(0.1), DuplicateRule(0.1)], seed=6)
+        network, transport = self._hub(45, plan)
+        hub = transport.processor(1)
+        sends = [pid for pid in range(2, 47) for _ in range(pid % 17)]
+        random.Random(6).shuffle(sends)
+        for pid in sends:
+            transport.send(1, pid, "m", {"to": pid})
+            transport.send(pid, 1, "m", {"from": pid})
+        transport.run_until_quiescent()
+        expected = {pid: pid % 17 for pid in range(2, 47) if pid % 17}
+        sent, marks = _channel_tables(transport._endpoints[1])
+        assert sent == marks == expected
+        assert len(expected) >= 40
+        assert Counter(s for s, _ in hub.delivered) == expected
+        assert transport.stats()["duplicates_suppressed"] > 0
+        _assert_settled(transport, network.trace.records)
+
+    def test_a_first_arrival_above_the_watermark_stores_no_watermark(self):
+        network, transport = self._hub(2)
+        for seq in (2, 1):
+            network.send(3, 1, DATA_KIND, {"seq": seq, "kind": "m", "data": {}})
+            network.run_until_quiescent()
+        assert transport.held() == {"channels": 0, "pending": 0, "out_of_order": 2}
+        assert _channel_tables(transport._endpoints[1]) == ({}, {})
+        network.send(3, 1, DATA_KIND, {"seq": 0, "kind": "m", "data": {}})
+        network.run_until_quiescent()
+        assert transport.held() == {"channels": 1, "pending": 0, "out_of_order": 0}
+        assert _channel_tables(transport._endpoints[1]) == ({}, {3: 3})
+        assert len(transport.processor(1).delivered) == 3
+
+    def test_a_silent_give_up_leaves_its_hole_and_no_watermark(self):
+        plan = FaultPlan([CrashRule(2, start=0.0, end=12.0)], seed=1)
+        network = Network(fault_plan=plan, trace_level=TraceLevel.FULL)
+        transport = ReliableTransport(network, rto=5.0, max_retries=1)
+        transport.register_all([_Log(1), _Log(2)])
+        transport.send(1, 2, "m", {"i": 0})
+        transport.run_until_quiescent()
+        assert transport.stats()["gave_up"] == 1
+        for index in range(1, 41):
+            transport.send(1, 2, "m", {"i": index})
+            transport.send(2, 1, "m", {"i": index})
+        transport.run_until_quiescent()
+        assert _channel_tables(transport._endpoints[1]) == ({2: 41}, {2: 40})
+        assert _channel_tables(transport._endpoints[2]) == ({1: 40}, {})
+        assert transport.held() == {"channels": 1, "pending": 0, "out_of_order": 40}
+        delivered = transport.processor(2).delivered
+        assert [payload["i"] for _, payload in delivered] == list(range(1, 41))
+
+    def test_a_faulty_reliable_session_copied_mid_run_finishes_identically(self):
+        n = 625
+        session = RunSession(
+            "ww-tree", n, policy="random", seed=8, faults="drop=0.05,dup=0.05",
+            reliable=True, trace_level="FULL",
+        )
+        order = list(range(1, n + 1))
+        random.Random(8).shuffle(order)
+        for op_index, pid in enumerate(order):
+            session.counter.begin_inc(pid, op_index)
+        session.network.run(6_000)
+        assert not session.network.is_quiescent()
+        clone = copy.deepcopy(session)
+        for each in (session, clone):
+            each.network.run_until_quiescent()
+            assert sorted(each.counter.all_results()) == list(range(n))
+            assert each.fault_plan.events == each.network.trace.fault_events
+            _assert_settled(each.transport, each.network.trace.records)
+        assert clone.network.trace.fingerprint() == session.network.trace.fingerprint()
+        assert list(clone.fault_plan.events) == list(session.fault_plan.events)
+        assert clone.counter.retirements == session.counter.retirements
+        assert clone.transport.held() == session.transport.held()
+        assert clone.transport.stats() == session.transport.stats()
