@@ -1,6 +1,7 @@
 # Convenience targets for the reproduction.
 
 PYTHON ?= python
+export PYTHONPATH := src
 
 .PHONY: install test bench experiments validate figures apidocs all clean
 
@@ -8,7 +9,7 @@ install:
 	$(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest -x -q
 
 bench:
 	python3 bench/run.py

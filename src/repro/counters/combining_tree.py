@@ -26,6 +26,7 @@ Behaviour to expect (and what the benchmarks show):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.api import Capabilities, DistributedCounter
 from repro.errors import ConfigurationError, ProtocolError
@@ -123,7 +124,7 @@ class _CombiningHost(Processor):
         if not state.window_armed:
             state.window_armed = True
             self.network.inject(
-                (lambda s=state: self._close_window(s)),
+                partial(self._close_window, state),
                 op_index=self.network.active_op,
                 delay=self._counter.window,
             )

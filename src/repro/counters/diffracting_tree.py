@@ -21,6 +21,7 @@ at the prisms and spread the load.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from repro.api import Capabilities, DistributedCounter
 from repro.errors import ConfigurationError, ProtocolError
@@ -86,7 +87,7 @@ class _DiffractingHost(Processor):
             return
         self._waiting[key] = (origin, seq)
         self.network.inject(
-            (lambda: self._prism_timeout(key, origin, seq)),
+            partial(self._prism_timeout, key, origin, seq),
             op_index=self.network.active_op,
             delay=self._counter.prism_wait,
         )

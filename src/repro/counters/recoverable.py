@@ -43,6 +43,7 @@ chance to make the peer irrelevant.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any
 
 from repro.api import Capabilities, DistributedCounter
@@ -144,7 +145,7 @@ class _StandbyNode(Processor):
 
     def _schedule_retry(self, rid: tuple[int, int]) -> None:
         self.network.inject(
-            lambda: self._retry(rid),
+            partial(self._retry, rid),
             op_index=self.network.active_op,
             delay=self._counter.retry,
         )
@@ -535,7 +536,7 @@ class _BypassHost(_CombiningHost):
 
     def _schedule_retry(self, attempt: int) -> None:
         self.network.inject(
-            lambda: self._retry(attempt),
+            partial(self._retry, attempt),
             op_index=self.network.active_op,
             delay=self._counter.retry,
         )
@@ -760,7 +761,7 @@ class BypassCombiningTreeCounter(CombiningTreeCounter, Recoverable):
                 if not state.window_armed:
                     state.window_armed = True
                     self.network.inject(
-                        lambda s=state, h=host: h._close_window(s),
+                        partial(host._close_window, state),
                         delay=self.window,
                     )
 

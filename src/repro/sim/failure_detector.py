@@ -32,11 +32,11 @@ horizon is chosen by the caller to cover every crash window of interest;
 :class:`~repro.sim.recovery.RecoveryManager` derives it from the fault
 plan.
 
-Suspicions and restores are first-class events: each becomes a
+Suspicions and restores are first-class events: each becomes one
 :class:`~repro.sim.faults.FaultRecord` (kinds ``"suspect"`` /
-``"restore"``) recorded in the trace at ``LOADS``\\ + levels, appended to
-the detector's own ledger at every level, and fanned out to registered
-callbacks — which is how role failover is triggered.
+``"restore"``) in the detector's own ledger
+(:attr:`FailureDetector.events`, their only record) and is fanned out to
+registered callbacks — which is how role failover is triggered.
 """
 
 from __future__ import annotations
@@ -253,4 +253,3 @@ class FailureDetector:
             detail=f"silence > {self._timeout:g}" if kind == "suspect" else "",
         )
         self._events.append(record)
-        self._network.trace.record_fault(record)

@@ -7,8 +7,9 @@ consults on its send path.  With no plan installed the simulator is
 byte-identical to the failure-free substrate (:meth:`Network.send
 <repro.sim.network.Network.send>` skips the plan after one ``None``
 test); with a plan installed, every
-injected fault becomes a first-class :class:`FaultRecord` in both the
-plan's ledger and the execution trace.
+injected fault becomes one first-class :class:`FaultRecord` in the
+plan's ledger (:attr:`FaultPlan.events`), its only record: the
+execution trace keeps deliveries, not faults.
 
 A plan composes :class:`FaultRule` instances, evaluated in order per
 message:
@@ -97,16 +98,16 @@ __all__ = [
 
 
 class FaultRecord(NamedTuple):
-    """One injected fault, as recorded by the plan and the trace.
+    """One injected fault, as the plan's ledger returns it.
 
     Attributes:
         time: simulated send time of the affected message.
         kind: fault family — ``"drop"``, ``"duplicate"``, ``"reorder"``,
             ``"partition"`` or ``"crash"`` for wire faults, and
             ``"corrupt"``, ``"equivocate"`` or ``"silence"`` for the
-            Byzantine rules; the recovery layer additionally records
-            ``"suspect"``, ``"restore"`` and ``"recover"`` events
-            through the same channel.
+            Byzantine rules.  The failure detector keeps its
+            ``"suspect"`` and ``"restore"`` events in its own ledger in
+            this shape.
         sender: sender of the affected message.
         receiver: receiver of the affected message.
         op_index: operation the affected message belongs to.
@@ -159,7 +160,6 @@ class FaultOutcome(NamedTuple):
     Attributes:
         delivery_times: absolute simulated times at which copies of the
             message are delivered; empty when the message was dropped.
-        records: the :class:`FaultRecord` entries the decision produced.
         message: a rewritten message to deliver in place of the
             original (same uid, same endpoints — only the payload
             lies), or ``None`` when the content is untouched.  Only
@@ -167,7 +167,6 @@ class FaultOutcome(NamedTuple):
     """
 
     delivery_times: tuple[float, ...]
-    records: tuple[FaultRecord, ...]
     message: Message | None = None
 
 
@@ -926,12 +925,11 @@ class FaultPlan:
 
         Returns ``None`` when no rule touches the message (the network's
         common case: schedule one delivery at *deliver_time* exactly as
-        the clean path would).  Otherwise returns the absolute delivery
-        times of every copy (empty on drop) plus the fault records the
-        decision produced — already appended to the plan's own ledger.
+        the clean path would).  Otherwise appends one row per effect to
+        the plan's ledger and returns the absolute delivery times of
+        every copy (empty on drop) and any rewritten message.
         """
         rng = self._rng
-        drop_reason: str | None = None
         effects: list[_Effect] = []
         current = message
         for rule in self._rules:
@@ -939,45 +937,33 @@ class FaultPlan:
             if effect is None:
                 continue
             effects.append(effect)
+            if effect.drop_reason is not None:
+                break
             if effect.replace is not None:
                 # Later rules judge the rewritten message; the last
                 # rewrite is what goes on the wire.
                 current = effect.replace
-            if effect.drop_reason is not None:
-                drop_reason = effect.drop_reason
-                break
         if not effects:
             return None
         sender, receiver = message[0], message[1]
         op_index, uid = message[4], message[5]
-        records = tuple(
-            FaultRecord(
-                time=send_time,
-                kind=effect.kind
-                or effect.drop_reason
-                or ("duplicate" if effect.copy_delays else "reorder"),
-                sender=sender,
-                receiver=receiver,
-                op_index=op_index,
-                uid=uid,
-                detail=effect.detail,
-            )
-            for effect in effects
-        )
         add = self._events.add
-        for record in records:
-            add(*record)
-        replacement = current if current is not message else None
-        if drop_reason is not None:
-            return FaultOutcome(delivery_times=(), records=records)
+        for effect in effects:
+            kind = (
+                effect.kind
+                or effect.drop_reason
+                or ("duplicate" if effect.copy_delays else "reorder")
+            )
+            add(send_time, kind, sender, receiver, op_index, uid, effect.detail)
+        if effects[-1].drop_reason is not None:  # a drop ends the loop
+            return FaultOutcome(delivery_times=())
         base = deliver_time + sum(e.extra_delay for e in effects)
         times = [base]
         for effect in effects:
             times.extend(base + extra for extra in effect.copy_delays)
         return FaultOutcome(
             delivery_times=tuple(times),
-            records=records,
-            message=replacement,
+            message=current if current is not message else None,
         )
 
 

@@ -398,8 +398,10 @@ class Network:
         bucket entry per copy, all sharing the uid), boost its delay, or
         rewrite its payload (Byzantine rules: the corrupted message is
         what gets delivered).  Every injected fault lands in the plan's
-        ledger and, levels permitting, the trace.  A message no rule
-        touches is scheduled exactly as without a plan.
+        ledger (:attr:`FaultPlan.events
+        <repro.sim.faults.FaultPlan.events>`) and nowhere else: the
+        trace records deliveries only.  A message no rule touches is
+        scheduled exactly as without a plan.
         """
         if receiver not in self._processors and self._materialise(receiver) is None:
             raise UnknownProcessorError(
@@ -425,9 +427,6 @@ class Network:
         if self._fault_plan is not None:
             outcome = self._fault_plan.consult(message, now, time)
             if outcome is not None:
-                trace = self._trace
-                for record in outcome.records:
-                    trace.record_fault(record)
                 # A Byzantine rewrite replaces what goes on the wire (same
                 # uid, same endpoints); the caller still gets the message
                 # it sent.

@@ -35,12 +35,13 @@ from __future__ import annotations
 import copy
 import math
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Any, NamedTuple, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.failure_detector import FailureDetector
-from repro.sim.faults import FaultPlan, FaultRecord, RecoveryPoint
-from repro.sim.messages import NO_OP, ProcessorId
+from repro.sim.faults import FaultPlan, RecoveryPoint
+from repro.sim.messages import ProcessorId
 from repro.sim.network import Network
 
 __all__ = ["Recoverable", "RecoveryEvent", "RecoveryManager"]
@@ -51,8 +52,7 @@ class RecoveryEvent(NamedTuple):
 
     Attributes:
         time: simulated time of the event.
-        kind: ``"suspect"``, ``"restore"``, ``"recover"``, ``"failover"``
-            or ``"checkpoint"``.
+        kind: ``"recover"``, ``"failover"`` or ``"checkpoint"``.
         pid: the processor concerned (for failovers: the *old* role
             holder).
         detail: human-readable specifics.
@@ -152,8 +152,8 @@ class RecoveryManager:
             timeout=timeout,
             horizon=horizon,
         )
-        self._detector.add_suspect_callback(self._suspected)
-        self._detector.add_restore_callback(self._restored)
+        self._detector.add_suspect_callback(counter.on_processor_suspected)
+        self._detector.add_restore_callback(counter.on_processor_restored)
         self._checkpoints: dict[ProcessorId, Any] = {}
         self._events: list[RecoveryEvent] = []
         self._failover_latencies: list[float] = []
@@ -194,7 +194,7 @@ class RecoveryManager:
                     f"recovery point {point} lies in the past (now={now:g})"
                 )
             self._network.inject(
-                lambda p=point: self._recover(p), delay=point.time - now
+                partial(self._recover, point), delay=point.time - now
             )
 
     # ------------------------------------------------------------------
@@ -221,7 +221,8 @@ class RecoveryManager:
         The failover latency is measured from the *start* of the crash
         window that felled *old_pid* — the whole detection-plus-handoff
         cost, which is what an experiment comparing against a crash-free
-        run wants.
+        run wants.  A handoff away from a processor with no crash rule (a
+        false suspicion) is logged but has no latency.
         """
         now = self._network.now
         starts = [
@@ -247,7 +248,8 @@ class RecoveryManager:
 
     @property
     def events(self) -> list[RecoveryEvent]:
-        """The recovery ledger, in order (do not mutate)."""
+        """The recovery ledger, in order (do not mutate): every
+        recovery, failover and checkpoint, once."""
         return self._events
 
     def suspicion_count(self) -> int:
@@ -255,8 +257,8 @@ class RecoveryManager:
         return self._detector.suspicion_count()
 
     def failover_count(self) -> int:
-        """Role handoffs performed so far."""
-        return len(self._failover_latencies)
+        """Role handoffs performed so far, whatever caused them."""
+        return sum(1 for event in self._events if event.kind == "failover")
 
     def failover_latency(self) -> float | None:
         """Crash-start → handoff latency of the first failover, if any."""
@@ -267,32 +269,13 @@ class RecoveryManager:
         return sum(1 for event in self._events if event.kind == "recover")
 
     # ------------------------------------------------------------------
-    # Detector / schedule plumbing
+    # Schedule plumbing
     # ------------------------------------------------------------------
-    def _suspected(self, pid: ProcessorId, time: float) -> None:
-        self._events.append(RecoveryEvent(time, "suspect", pid))
-        self._counter.on_processor_suspected(pid, time)
-
-    def _restored(self, pid: ProcessorId, time: float) -> None:
-        self._events.append(RecoveryEvent(time, "restore", pid))
-        self._counter.on_processor_restored(pid, time)
-
     def _recover(self, point: RecoveryPoint) -> None:
         now = self._network.now
         checkpoint = self.checkpoint_for(point.pid)
         detail = "from checkpoint" if checkpoint is not None else "no checkpoint"
         self._events.append(
             RecoveryEvent(now, "recover", point.pid, detail)
-        )
-        self._network.trace.record_fault(
-            FaultRecord(
-                time=now,
-                kind="recover",
-                sender=point.pid,
-                receiver=point.pid,
-                op_index=NO_OP,
-                uid=-1,
-                detail=detail,
-            )
         )
         self._counter.on_processor_recovered(point.pid, now, checkpoint)

@@ -10,6 +10,11 @@ The trace is the single source of truth for the paper's quantities:
 * the per-operation message lists that the communication-DAG and
   communication-list constructions of §3 consume.
 
+Deliveries are all a trace records.  Injected faults live in the fault
+plan's ledger, suspicions and restores in the failure detector's, and
+recoveries, failovers and checkpoints in the recovery manager's: each
+event once, in the ledger of the component that made it.
+
 A trace is append-only during the simulation and read-only afterwards.
 All analysis (loads, bottleneck, DAGs, lemma checkers) happens on the
 trace, never inside protocol code, so no counter implementation can skew
@@ -43,14 +48,11 @@ import hashlib
 from array import array
 from collections import Counter, defaultdict
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import TraceCapabilityError
 from repro.sim.columns import reach
 from repro.sim.messages import NO_OP, MessageRecord, OpIndex, ProcessorId
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.sim.faults import FaultRecord
 
 
 class TraceLevel(enum.Enum):
@@ -104,8 +106,6 @@ class Trace:
         self._sealed = array("i")
         self._sealed_at = array("i")
         self._sealed_width = array("i")
-        self._faults: list["FaultRecord"] = []
-        self._fault_counts: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Level introspection
@@ -231,25 +231,6 @@ class Trace:
             if self._width(op_index):
                 self._sealed_width[op_index] = 0
 
-    def record_fault(self, record: "FaultRecord") -> None:
-        """Record one injected fault as a first-class trace event.
-
-        Called by the network when an installed
-        :class:`~repro.sim.faults.FaultPlan` touches a message.  Kind
-        tallies are kept at ``FULL`` and ``LOADS`` (they are load-class
-        bookkeeping, one dict bump per fault); the record stream itself
-        only at ``FULL``.  At ``OFF`` nothing is kept — the plan's own
-        ledger (:attr:`FaultPlan.events`) remains available.
-        """
-        level = self._level
-        if level is TraceLevel.OFF:
-            return
-        self._fault_counts[record.kind] = (
-            self._fault_counts.get(record.kind, 0) + 1
-        )
-        if level is TraceLevel.FULL:
-            self._faults.append(record)
-
     # ------------------------------------------------------------------
     # Whole-trace views
     # ------------------------------------------------------------------
@@ -287,30 +268,6 @@ class Trace:
             digest.update(repr(record).encode())
             digest.update(b"\n")
         return digest.hexdigest()
-
-    # ------------------------------------------------------------------
-    # Fault views (populated only when a FaultPlan was installed)
-    # ------------------------------------------------------------------
-    @property
-    def fault_events(self) -> list["FaultRecord"]:
-        """Injected faults in injection order (``FULL`` only; do not
-        mutate).  Empty on failure-free runs."""
-        self._require_records("Trace.fault_events")
-        return self._faults
-
-    def fault_counts(self) -> dict[str, int]:
-        """Injected-fault tallies by kind (a fresh copy).
-
-        Empty on failure-free runs.  Available at ``FULL`` and ``LOADS``.
-        """
-        self._require_loads("Trace.fault_counts")
-        return dict(self._fault_counts)
-
-    @property
-    def total_faults(self) -> int:
-        """Total injected faults recorded by this trace."""
-        self._require_loads("Trace.total_faults")
-        return sum(self._fault_counts.values())
 
     # ------------------------------------------------------------------
     # Loads (the paper's m_p)

@@ -225,7 +225,6 @@ class _Endpoint(Processor):
         transport = self._transport
         stats = transport._stats
         # Ack every copy: the original ack may itself have been lost.
-        stats["acks_sent"] += 1
         self._network.send(pid, source, ACK_KIND, {"seq": seq})
         # A sliding-window receiver: the seq *at* the watermark advances
         # it, through any run waiting in the channel's out-of-order set; a
@@ -351,7 +350,7 @@ class ReliableTransport:
         self._stats: dict[str, int] = {
             "data_sent": 0,
             "retransmissions": 0,
-            "acks_sent": 0,
+            "acks_sent": 0,  # derived by stats(), never bumped
             "duplicates_suppressed": 0,
             "delivered": 0,
             "gave_up": 0,
@@ -514,9 +513,13 @@ class ReliableTransport:
         Keys: ``data_sent`` (first transmissions), ``retransmissions``,
         ``acks_sent``, ``duplicates_suppressed``, ``delivered`` (unique
         envelopes handed to protocol handlers — the goodput), and
-        ``gave_up`` (envelopes abandoned after ``max_retries``).
+        ``gave_up`` (envelopes abandoned after ``max_retries``).  Every
+        data arrival is acked and then either delivered or suppressed, so
+        ``acks_sent`` is their sum.
         """
-        return dict(self._stats)
+        stats = dict(self._stats)
+        stats["acks_sent"] = stats["delivered"] + stats["duplicates_suppressed"]
+        return stats
 
     def held(self) -> dict[str, int]:
         """What the transport holds right now (a read-out, not a knob).

@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Collection, Generator, Iterable, Sequence, TypeVar
 
 from repro.api import CounterFactory, DistributedCounter
@@ -333,7 +334,7 @@ def _start_batch(
         delay = offset * gap
         started.append((op_index, pid, network.now + delay))
         network.inject(
-            (lambda p=pid, o=op_index: counter.begin_inc(p, o)),
+            partial(counter.begin_inc, pid, op_index),
             op_index=op_index,
             delay=delay,
         )
@@ -624,6 +625,11 @@ def run_open_loop(
     Sequential-only counters are rejected (open-loop traffic overlaps
     operations by construction).  *check_values* enforces that the
     returned values are a permutation of ``0..ops-1``.
+
+    The arrival and re-arm actions this driver injects are closures over
+    its own queue of waiting requests, which lives in this call's frame:
+    a deep copy of the network taken mid-run still runs them against the
+    original's queue, so such a copy is not an independent run.
     """
     _require_concurrent(counter, "open-loop")
     if turnaround < 0:

@@ -106,6 +106,8 @@ class TestLifecycle:
         assert restored[0][1] > 60.0  # only after the links healed
 
     def test_suspicions_are_first_class_trace_events(self):
+        """The detector's ledger is a suspicion's one record: once there,
+        and nowhere in the fault plan's ledger."""
         plan = FaultPlan([CrashRule(2, start=10.0)])
         network = _network(plan, trace_level=TraceLevel.FULL)
         detector = FailureDetector(
@@ -114,13 +116,12 @@ class TestLifecycle:
         detector.start()
         network.run_until_quiescent()
         suspects = [
-            record
-            for record in network.trace.fault_events
-            if record.kind == "suspect"
+            record for record in detector.events if record.kind == "suspect"
         ]
         assert len(suspects) == 1
         assert suspects[0].sender == 2
         assert suspects[0].receiver == detector.hub_pid
+        assert {record.kind for record in plan.events} == {"crash"}
 
     def test_detection_is_deterministic(self):
         def run():

@@ -116,7 +116,7 @@ def faulty_run(name: str) -> dict:
     session.run_sequence(check_values=False)
     return {
         **_summary(session.network),
-        "faults": session.network.trace.fault_counts(),
+        "faults": session.fault_plan.counts,
     }
 
 

@@ -210,7 +210,7 @@ class TestNetworkResetUnderFaults:
         network.reset()
         assert network.fault_plan.counts == {}
         assert network.fault_plan.events == []
-        assert network.trace.fault_counts() == {}
+        assert network.trace.total_messages == 0
 
     def test_faulty_second_run_replays_the_first_exactly(self):
         network = self._fresh()

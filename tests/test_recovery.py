@@ -9,6 +9,8 @@ auto-assembly.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.linearizability import check_linearizable_counting
@@ -289,3 +291,73 @@ class TestSessionIntegration:
         )
         assert plan.permanent_crash_pids == frozenset({3})
         assert len(plan.byzantine_pids) == 1
+
+
+def _tallied(calls, kind, method=None):
+    """A callable that counts its calls under *kind* in *calls*, then
+    forwards them to *method* if there is one."""
+
+    def call(*args):
+        calls[kind] += 1
+        return method(*args) if method is not None else None
+
+    return call
+
+
+class TestOneRecordPerEvent:
+    """Each run event is logged once, by the component that made it:
+    wire faults by the plan, suspicions and restores by the detector,
+    recoveries, failovers and checkpoints by the recovery manager."""
+
+    WIRE = {"drop", "duplicate", "reorder", "partition", "crash"}
+
+    def test_a_crash_run_logs_each_event_in_exactly_one_ledger(self):
+        session = RunSession(
+            "central[standby]", 8, policy="random", seed=3,
+            faults="drop=0.05,crash=1@t20-t60,recover=1@t60",
+            trace_level="FULL",
+        )
+        manager = session.recovery
+        detector = manager.detector
+        calls = Counter()
+        detector.add_suspect_callback(_tallied(calls, "suspect"))
+        detector.add_restore_callback(_tallied(calls, "restore"))
+        manager.note_failover = _tallied(
+            calls, "failover", manager.note_failover
+        )
+        manager.save_checkpoint = _tallied(
+            calls, "checkpoint", manager.save_checkpoint
+        )
+        session.run_staggered()
+
+        plan_kinds = [record.kind for record in session.fault_plan.events]
+        detector_kinds = [record.kind for record in detector.events]
+        manager_kinds = [event.kind for event in manager.events]
+        assert set(plan_kinds) == {"drop", "crash"} <= self.WIRE
+        assert len({(r.uid, r.kind) for r in session.fault_plan.events}) == (
+            len(plan_kinds)
+        )
+        assert detector_kinds.count("suspect") == calls["suspect"] == 1
+        assert detector_kinds.count("restore") == calls["restore"] == 1
+        assert set(detector_kinds) == {"suspect", "restore"}
+        assert manager_kinds.count("failover") == calls["failover"] == 1
+        assert manager_kinds.count("checkpoint") == calls["checkpoint"] > 0
+        assert manager_kinds.count("recover") == len(session.fault_plan.recoveries)
+        assert set(manager_kinds) == {"recover", "failover", "checkpoint"}
+        # The delivery trace keeps deliveries, nothing else.
+        assert not [name for name in dir(session.network.trace) if "fault" in name]
+
+    def test_failover_count_counts_failovers_a_false_suspicion_caused(self):
+        # Heavy loss makes the detector suspect the primary long before
+        # its crash window: every handoff here has no crash-start to be
+        # timed from, and each still counts.
+        session = RunSession(
+            "central[standby]", 8, policy="random", seed=1,
+            faults="drop=0.35,crash=5@t200-t210,recover=5@t210",
+        )
+        session.run_staggered()
+        manager = session.recovery
+        failovers = [e for e in manager.events if e.kind == "failover"]
+        assert len(failovers) == 3
+        assert manager.failover_count() == 3
+        assert manager.failover_latency() is None
