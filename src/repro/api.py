@@ -9,18 +9,17 @@ Implementations in this library are *protocol wirings*: constructing a
 counter registers processor programs with a :class:`~repro.sim.Network`,
 and :meth:`DistributedCounter.begin_inc` injects an operation request at
 the initiating processor.  All communication goes through the network, so
-message loads are measured, never self-reported.
+message loads are measured, never self-reported.  Each returned value
+leaves through the one observer slot and the counter keeps no history.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from array import array
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
-from repro.errors import ConfigurationError, ProtocolError
-from repro.sim.columns import Values, reach
+from repro.errors import ConfigurationError
 from repro.sim.messages import OpIndex, ProcessorId
 from repro.sim.network import Network
 
@@ -125,15 +124,18 @@ class DistributedCounter(ABC):
     """Base class for distributed counter implementations.
 
     Subclasses register all their processors in ``__init__`` and implement
-    :meth:`begin_inc`.  Returned values are delivered asynchronously; the
-    driver reads them via :meth:`results_for` after quiescence.
+    :meth:`begin_inc`.  Returned values are delivered asynchronously,
+    through :attr:`on_result`; the counter keeps no history of them.
 
     Attributes:
         on_result: the one observer slot — ``None``, or a callable
             ``(pid, value)`` invoked from :meth:`deliver_result` the
-            moment a value is recorded.  Whoever drives the counter (a
-            serving shard, the open-loop driver) sets it to learn of
-            results as they arrive instead of wrapping the method.
+            moment a value is returned.  Whoever drives the counter (a
+            workload driver, a serving shard or service) sets it and
+            keeps the only record of the results.  Make it a bound
+            method (or a :func:`functools.partial` over one) of a record
+            object, not a closure: a deep copy of the counter taken
+            mid-run then delivers into its own copy of the record.
         name: short human-readable implementation name; for registered
             implementations this equals the canonical registry key, so
             report tables, sweep cache keys and BENCH JSON agree.
@@ -149,14 +151,6 @@ class DistributedCounter(ABC):
             raise ConfigurationError(f"need at least one processor, got n={n}")
         self._network = network
         self._n = n
-        # Result history as columns, one entry per delivered result:
-        # value, response time, and 1 + the index of the same initiator's
-        # previous result (0: none); _result_latest[pid] is 1 + the index
-        # of pid's newest, so each pid's history is a chain.
-        self._result_values = Values()
-        self._result_times = array("d")
-        self._result_prior = array("i")
-        self._result_latest = array("i")
         self.on_result: Callable[[ProcessorId, int], None] | None = None
 
     # ------------------------------------------------------------------
@@ -188,71 +182,14 @@ class DistributedCounter(ABC):
         """
 
     def deliver_result(self, pid: ProcessorId, value: int) -> None:
-        """Record that *pid* learned counter value *value*.
+        """Hand *value* to *pid*: the moment its ``inc`` returns.
 
-        Called by protocol code at the moment the initiating processor
-        receives its answer.  The simulated response time is recorded
-        alongside, which is what the linearizability checker consumes.
+        Called by protocol code when the initiating processor receives
+        its answer, and passed straight on to :attr:`on_result`.  The
+        counter keeps no record of it: whoever asked keeps the result.
         """
-        latest = self._result_latest
-        if pid >= len(latest):
-            reach(latest, pid)
-        self._result_prior.append(latest[pid])
-        latest[pid] = len(self._result_times) + 1
-        self._result_values.append(value)
-        self._result_times.append(self._network.now)
         if self.on_result is not None:
             self.on_result(pid, value)
-
-    def _history(self, pid: ProcessorId) -> list[int]:
-        """Column indices of *pid*'s results, oldest first."""
-        latest = self._result_latest
-        at = latest[pid] if 0 <= pid < len(latest) else 0
-        prior = self._result_prior
-        chain = []
-        while at:
-            chain.append(at - 1)
-            at = prior[at - 1]
-        return chain[::-1]
-
-    def results_for(self, pid: ProcessorId) -> list[int]:
-        """All values returned to *pid* so far, in arrival order."""
-        values = self._result_values
-        return [values[at] for at in self._history(pid)]
-
-    def result_times_for(self, pid: ProcessorId) -> list[float]:
-        """Simulated times at which *pid* received its values."""
-        times = self._result_times
-        return [times[at] for at in self._history(pid)]
-
-    def last_result_for(self, pid: ProcessorId) -> int:
-        """The most recent value returned to *pid*; raises if none."""
-        history = self._history(pid)
-        if not history:
-            raise ProtocolError(f"no inc result was delivered to processor {pid}")
-        return self._result_values[history[-1]]
-
-    def release_results(self, pid: ProcessorId) -> None:
-        """Forget the values (and times) delivered to *pid* so far.
-
-        For owners that consume each result as it arrives (a serving
-        shard reads it through :attr:`on_result`): the history is the only
-        counter state that grows with the number of operations.  Once no
-        pid holds a result, the columns are emptied for reuse.
-        """
-        latest = self._result_latest
-        if 0 <= pid < len(latest):
-            latest[pid] = 0
-        if not any(latest):
-            for column in (
-                self._result_values, self._result_times, self._result_prior
-            ):
-                del column[:]
-
-    def all_results(self) -> list[int]:
-        """Every value handed out, across all processors (unordered)."""
-        pids = range(len(self._result_latest))
-        return [value for pid in pids for value in self.results_for(pid)]
 
 
 CounterFactory = Callable[[Network, int], DistributedCounter]

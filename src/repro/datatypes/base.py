@@ -24,6 +24,7 @@ from repro.core.tree.counter import TreeCounter
 from repro.errors import ProtocolError
 from repro.sim.messages import OpIndex, ProcessorId
 from repro.sim.trace import Trace
+from repro.workloads.driver import Received, observing
 
 
 class TreeDataStructure(TreeCounter):
@@ -101,23 +102,24 @@ def run_ops(
     """
     network = structure.network
     result = AdtRunResult(name=structure.name, n=structure.n, trace=network.trace)
-    for op_index, (pid, request) in enumerate(ops):
-        before = len(structure.results_for(pid))
-        structure.begin_op(pid, op_index, request)
-        network.run_until_quiescent()
-        replies = structure.results_for(pid)
-        if len(replies) != before + 1:
-            raise ProtocolError(
-                f"operation {op_index}: processor {pid} received "
-                f"{len(replies) - before} replies instead of 1"
+    received = Received(network)
+    with observing(structure, received.add):
+        for op_index, (pid, request) in enumerate(ops):
+            structure.begin_op(pid, op_index, request)
+            network.run_until_quiescent()
+            replies = received.take().get(pid, ())
+            if len(replies) != 1:
+                raise ProtocolError(
+                    f"operation {op_index}: processor {pid} received "
+                    f"{len(replies)} replies instead of 1"
+                )
+            result.outcomes.append(
+                AdtOutcome(
+                    op_index=op_index,
+                    initiator=pid,
+                    request=request,
+                    reply=replies[0][0],
+                    messages=network.trace.messages_for_op(op_index),
+                )
             )
-        result.outcomes.append(
-            AdtOutcome(
-                op_index=op_index,
-                initiator=pid,
-                request=request,
-                reply=replies[-1],
-                messages=network.trace.messages_for_op(op_index),
-            )
-        )
     return result

@@ -30,15 +30,15 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.analysis.dag import build_list
-from repro.api import CounterFactory
-from repro.errors import ProtocolError
+from repro.api import CounterFactory, DistributedCounter
 from repro.lowerbound.weights import LedgerStep
 from repro.sim.messages import ProcessorId
 from repro.sim.network import Network
 from repro.sim.policies import DeliveryPolicy
-from repro.workloads.driver import RunResult
+from repro.workloads.driver import RunResult, run_sequence
 
 
 @dataclass(slots=True)
@@ -103,65 +103,51 @@ class GreedyAdversary:
         # the fast trace levels do not keep.
         network = Network(policy=self._policy)
         counter = self._factory(network, self._n)
-        remaining = list(range(1, self._n + 1))
-        order: list[ProcessorId] = []
-        chosen_lengths: list[int] = []
-        trials_by_step: list[dict[ProcessorId, tuple[ProcessorId, ...]]] = []
-        loads_by_step: list[dict[ProcessorId, int]] = []
-        result = RunResult(counter_name=counter.name, n=self._n, trace=network.trace)
-
-        for op_index in range(self._n):
-            candidates = self._candidates(remaining)
-            trials: dict[ProcessorId, tuple[ProcessorId, ...]] = {}
-            best_pid = candidates[0]
-            best_length = -1
-            for pid in candidates:
-                labels = self._trial_list(network, counter, pid, op_index)
-                trials[pid] = labels
-                length = len(labels) - 1
-                if length > best_length or (
-                    length == best_length and pid < best_pid
-                ):
-                    best_length = length
-                    best_pid = pid
-            loads_by_step.append(network.trace.load_snapshot(op_index))
-            trials_by_step.append(trials)
-            # Commit the chosen processor's inc on the real system.
-            before = counter.results_for(best_pid)
-            counter.begin_inc(best_pid, op_index)
-            network.run_until_quiescent()
-            after = counter.results_for(best_pid)
-            if len(after) != len(before) + 1:
-                raise ProtocolError(
-                    f"adversary step {op_index}: processor {best_pid} got "
-                    f"{len(after) - len(before)} results instead of 1"
-                )
-            order.append(best_pid)
-            chosen_lengths.append(best_length)
-            remaining.remove(best_pid)
-            result.outcomes.add(
-                op_index,
-                best_pid,
-                after[-1],
-                network.trace.messages_for_op(op_index),
-            )
-
-        q = order[-1]
-        ledger = [
-            LedgerStep(
-                op_index=op_index,
-                q_list=trials_by_step[op_index].get(q, (q,)),
-                chosen_list_length=chosen_lengths[op_index],
-                loads_before=loads_by_step[op_index],
-            )
-            for op_index in range(self._n)
-        ]
+        steps: list[tuple[ProcessorId, int, dict, dict]] = []
+        choices = self._choices(network, counter, steps)
+        result = run_sequence(counter, choices, check_values=False)
+        q = steps[-1][0]
         return AdversarialRun(
             result=result,
-            order=order,
-            chosen_lengths=chosen_lengths,
-            ledger=ledger,
+            order=[pid for pid, _, _, _ in steps],
+            chosen_lengths=[length for _, length, _, _ in steps],
+            ledger=[
+                LedgerStep(
+                    op_index=op_index,
+                    q_list=trials.get(q, (q,)),
+                    chosen_list_length=length,
+                    loads_before=loads,
+                )
+                for op_index, (_, length, trials, loads) in enumerate(steps)
+            ],
         )
+
+    def _choices(
+        self,
+        network: Network,
+        counter: DistributedCounter,
+        steps: list[tuple[ProcessorId, int, dict, dict]],
+    ) -> Iterator[ProcessorId]:
+        """Yield each step's processor with the longest trial list.
+
+        Lazy on purpose: the driver asks for step ``i``'s initiator only
+        once step ``i - 1`` has committed, so every trial copies the
+        system as the committed prefix left it.  Each step goes to
+        *steps* first, as ``(pid, list length, every candidate's trial
+        list, loads before the step)``.
+        """
+        remaining = list(range(1, self._n + 1))
+        for op_index in range(self._n):
+            trials: dict[ProcessorId, tuple[ProcessorId, ...]] = {}
+            for pid in self._candidates(remaining):
+                trial_network, _ = _trial(network, counter, pid, op_index)
+                trials[pid] = build_list(trial_network.trace, op_index, pid).labels
+            # the longest list; the smallest id among equals
+            best = max(trials, key=lambda pid: (len(trials[pid]), -pid))
+            loads = network.trace.load_snapshot(op_index)
+            steps.append((best, len(trials[best]) - 1, trials, loads))
+            remaining.remove(best)
+            yield best
 
     # ------------------------------------------------------------------
     # Internals
@@ -183,15 +169,13 @@ class GreedyAdversary:
             sample[0] = anchor
         return sample
 
-    def _trial_list(
-        self,
-        network: Network,
-        counter,
-        pid: ProcessorId,
-        op_index: int,
-    ) -> tuple[ProcessorId, ...]:
-        """Run *pid*'s next inc on a deep copy; return its list labels."""
-        network_copy, counter_copy = copy.deepcopy((network, counter))
-        counter_copy.begin_inc(pid, op_index)
-        network_copy.run_until_quiescent()
-        return build_list(network_copy.trace, op_index, pid).labels
+
+def _trial(
+    network: Network, counter: DistributedCounter, pid: ProcessorId, op_index: int
+) -> tuple[Network, DistributedCounter]:
+    """Run *pid*'s next inc on a deep copy of the system, to quiescence;
+    return the copy (the original is untouched)."""
+    network_copy, counter_copy = copy.deepcopy((network, counter))
+    counter_copy.begin_inc(pid, op_index)
+    network_copy.run_until_quiescent()
+    return network_copy, counter_copy

@@ -15,11 +15,11 @@ one-shot workload.  Feasible for small ``n`` only (the search runs
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from repro.api import CounterFactory
 from repro.errors import ConfigurationError
+from repro.lowerbound.adversary import _trial
 from repro.sim.messages import ProcessorId
 from repro.sim.network import Network
 from repro.sim.policies import DeliveryPolicy
@@ -101,9 +101,7 @@ class ExactAdversary:
         op_index = len(chosen)
         seen_signatures: set = set()
         for pid in remaining:
-            network_copy, counter_copy = copy.deepcopy((network, counter))
-            counter_copy.begin_inc(pid, op_index)
-            network_copy.run_until_quiescent()
+            network_copy, counter_copy = _trial(network, counter, pid, op_index)
             # Symmetry pruning: two candidates whose incs touch the
             # same multiset of (relabelled-self) endpoints from the
             # same state lead to isomorphic futures; keep one.

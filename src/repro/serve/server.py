@@ -609,10 +609,11 @@ class CounterService(LineProtocolService):
         self._pump_task: asyncio.Task | None = None
         self._work = asyncio.Event()
         self._free = deque(self.session.counter.client_ids())
-        # admitted operations as (rid, reply): oldest first while they
-        # wait for a processor, by processor once injected
+        # admitted operations as (rid, reply), oldest first while they
+        # wait for a processor; by processor as (op index, rid, reply)
+        # once injected
         self._queued: deque[tuple[str | None, Reply]] = deque()
-        self._waiters: dict[int, tuple[str | None, Reply]] = {}
+        self._waiters: dict[int, tuple[int, str | None, Reply]] = {}
         self._op_index = 0
         self.session.counter.on_result = self._on_result
 
@@ -675,22 +676,25 @@ class CounterService(LineProtocolService):
             self._queued.append((rid, reply))
 
     def _inject(self, pid: int, rid: str | None, reply: Reply) -> None:
-        self._waiters[pid] = (rid, reply)
+        self._waiters[pid] = (self._op_index, rid, reply)
         self.session.counter.begin_inc(pid, self._op_index)
         self._op_index += 1
         self._work.set()
 
     def _on_result(self, pid: int, value: int) -> None:
         """The counter's observer: settle outside the protocol handler."""
-        op = self._waiters.pop(pid, None)
-        if op is not None:
-            asyncio.get_running_loop().call_soon(self._settle, pid, value, *op)
+        waiter = self._waiters.pop(pid, None)
+        if waiter is not None:
+            asyncio.get_running_loop().call_soon(self._settle, pid, value, *waiter)
 
     def _settle(
-        self, pid: int, value: int, rid: str | None, reply: Reply
+        self, pid: int, value: int, op: int, rid: str | None, reply: Reply
     ) -> None:
         """Commit a value and hand *pid* on before answering with it."""
         self._served += 1
+        # nothing reads a settled op's per-op trace columns (STATS reads
+        # the total), so they go: the service holds a fixed amount per op
+        self.session.network.trace.release_op(op)
         if rid is not None:
             self._dedup.commit(rid, value)
         while self._queued:
@@ -723,7 +727,8 @@ class CounterService(LineProtocolService):
 
     def _poison(self, error: BaseException) -> None:
         """Fail every injected and queued operation so no client hangs."""
-        ops = [*self._waiters.values(), *self._queued]
+        ops = [waiter[1:] for waiter in self._waiters.values()]
+        ops += self._queued
         self._free.extend(self._waiters)
         self._waiters.clear()
         self._queued.clear()

@@ -533,10 +533,8 @@ class CounterShardMap:
         )
         shard.last_value = value
         # nothing reads a settled batch's per-op trace columns (stats
-        # and load profiles use totals and per-processor loads) or the
-        # counter's own copy of the value just popped from `delivered`
+        # and load profiles use totals and per-processor loads)
         shard.session.network.trace.release_op(batch.index)
-        shard.session.counter.release_results(batch.pid)
         shard.busy = False
         shard.batches += 1
         shard.local_ops += batch.size

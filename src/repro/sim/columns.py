@@ -1,9 +1,9 @@
 """Flat columns for what a run keeps per processor, operation or event.
 
-A footprint, a result, an outcome, a fault or a retirement costs 50–220
-bytes as an object and 1–8 per field as a slot of an
-:class:`array.array`.  Nothing is sized when a session is built: a
-column grows as ids reach it.  :class:`Rows` is the one read-only
+A footprint, an outcome, a fault or a retirement costs 50–220 bytes as
+an object and 1–8 per field as a slot of an :class:`array.array`.
+Nothing is sized when a session is built: a column grows as ids reach
+it.  :class:`Rows` is the one read-only
 sequence a log of records is kept as.
 """
 
@@ -50,9 +50,6 @@ class Values:
 
     def __getitem__(self, index: int) -> Any:
         return self._items[index]
-
-    def __delitem__(self, index: int | slice) -> None:
-        del self._items[index]
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self._items)

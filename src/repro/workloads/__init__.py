@@ -18,7 +18,6 @@ from repro.workloads.driver import (
     RunResult,
     run_concurrent,
     run_concurrent_async,
-    run_factory_once,
     run_open_loop,
     run_sequence,
     run_sequence_async,
@@ -66,7 +65,6 @@ __all__ = [
     "round_robin",
     "run_concurrent",
     "run_concurrent_async",
-    "run_factory_once",
     "run_open_loop",
     "run_sequence",
     "run_sequence_async",

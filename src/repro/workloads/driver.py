@@ -24,28 +24,34 @@ every quiescence barrier (:func:`_sequence_steps`, :func:`_batch_steps`);
 :func:`_drive` pumps it from synchronous code and :func:`_drive_async`
 from inside a running loop, so ``run_sequence`` / ``run_sequence_async``
 (and the concurrent pair, and the timed drivers the linearizability
-checker consumes) are entry points over one body.  Every driver takes an
-optional :class:`~repro.runtime.Runtime`: the default is the
-discrete-event scheduler, and an :class:`~repro.runtime.AsyncioRuntime`
-routes the same steps through a real asyncio loop.
+checker consumes) are entry points over one body.  The counter keeps no
+history of the values it returns: each driver installs its own record
+(:class:`Received`, or the open-loop client pool) as the counter's one
+observer for the run and puts the previous observer back after it.
+Every driver takes an optional :class:`~repro.runtime.Runtime`: the
+default is the discrete-event scheduler, and an
+:class:`~repro.runtime.AsyncioRuntime` routes the same steps through a
+real asyncio loop.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
+from collections import defaultdict, deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Collection, Generator, Iterable, Sequence, TypeVar
+from typing import (
+    Any, Callable, Collection, Generator, Iterable, Iterator, Sequence, TypeVar,
+)
 
-from repro.api import CounterFactory, DistributedCounter
+from repro.api import DistributedCounter
 from repro.errors import CapabilityError, ProtocolError
 from repro.runtime import AsyncioRuntime, Runtime, SimulatedRuntime
 from repro.sim.columns import Rows
 from repro.sim.messages import NO_OP, OpIndex, ProcessorId
 from repro.sim.network import Network
-from repro.sim.policies import DeliveryPolicy
-from repro.sim.trace import Trace, TraceLevel
+from repro.sim.trace import Trace
 from repro.workloads.sequences import percentile
 
 _T = TypeVar("_T")
@@ -134,6 +140,45 @@ def _cost(trace: Trace, op_index: OpIndex) -> int:
     return trace.messages_for_op(op_index) if trace.keeps_loads else -1
 
 
+class Received:
+    """A driver's record of the results its counter returned: per
+    initiator, ``(value, time)`` pairs in arrival order.
+
+    The counter keeps no history of its own; :meth:`add` is the observer
+    a driver installs (see :func:`observing`) — a bound method, so a
+    deep copy of the counter taken mid-run delivers into its own copy
+    of the record.
+    """
+
+    __slots__ = ("network", "by_pid")
+
+    def __init__(self, network: Network) -> None:
+        self.network = network
+        self.by_pid: defaultdict[ProcessorId, deque] = defaultdict(deque)
+
+    def add(self, pid: ProcessorId, value: Any) -> None:
+        """Note that *pid* received *value* now."""
+        self.by_pid[pid].append((value, self.network.now))
+
+    def take(self) -> defaultdict[ProcessorId, deque[tuple[Any, float]]]:
+        """Everything noted so far; the record starts empty again."""
+        taken, self.by_pid = self.by_pid, defaultdict(deque)
+        return taken
+
+
+@contextmanager
+def observing(
+    counter: DistributedCounter, observer: Callable[[ProcessorId, Any], None]
+) -> Iterator[None]:
+    """Make *observer* *counter*'s ``on_result`` for the block, then put
+    the previous observer back."""
+    previous, counter.on_result = counter.on_result, observer
+    try:
+        yield
+    finally:
+        counter.on_result = previous
+
+
 # ----------------------------------------------------------------------
 # Pumps: a regime is a generator that yields at every quiescence
 # barrier; these run it, from sync or from async code
@@ -181,7 +226,7 @@ def _run(
 
 def _sequence_steps(
     counter: DistributedCounter,
-    initiators: Sequence[ProcessorId],
+    initiators: Iterable[ProcessorId],
     check_values: bool,
     optional: Collection[ProcessorId],
 ) -> Generator[None, None, RunResult]:
@@ -200,52 +245,53 @@ def _sequence_steps(
     trace = counter.network.trace
     result = RunResult(counter_name=counter.name, n=counter.n, trace=trace)
     last_required = -1
-    for op_index, pid in enumerate(initiators):
-        before = len(counter.results_for(pid))
-        counter.begin_inc(pid, op_index)
-        yield
-        # Quiescent: the operation's footprint is final, so it is
-        # sealed into its compact form before anything else.
-        trace.seal_op(op_index)
-        after = counter.results_for(pid)
-        got = len(after) - before
-        required = pid not in optional
-        if got != 1:
-            if required:
-                raise ProtocolError(
-                    f"operation {op_index}: processor {pid} received "
-                    f"{got} results instead of 1"
-                )
-            # A Byzantine initiator may get no result (its corrupted
-            # request never formed a quorum) or several (it spawned
-            # parallel bogus instances); neither is evidence of
-            # anything.  Record the last value if any.
-            if got == 0:
-                continue
-        value = after[-1]
-        if check_values:
-            if not optional:
-                if value != op_index:
+    received = Received(counter.network)
+    with observing(counter, received.add):
+        for op_index, pid in enumerate(initiators):
+            counter.begin_inc(pid, op_index)
+            yield
+            # Quiescent: the operation's footprint is final, so it is
+            # sealed into its compact form before anything else.
+            trace.seal_op(op_index)
+            mine = received.take().get(pid, ())
+            required = pid not in optional
+            if len(mine) != 1:
+                if required:
                     raise ProtocolError(
-                        f"operation {op_index}: processor {pid} received value "
-                        f"{value}, expected {op_index} (sequential semantics)"
+                        f"operation {op_index}: processor {pid} received "
+                        f"{len(mine)} results instead of 1"
                     )
-            elif required and value <= last_required:
-                raise ProtocolError(
-                    f"operation {op_index}: processor {pid} received value "
-                    f"{value}, but an earlier operation already received "
-                    f"{last_required} (sequential values must strictly "
-                    "increase)"
-                )
-        if required:
-            last_required = value
-        result.outcomes.add(op_index, pid, value, _cost(trace, op_index))
+                # A Byzantine initiator may get no result (its corrupted
+                # request never formed a quorum) or several (it spawned
+                # parallel bogus instances); neither is evidence of
+                # anything.  Record the last value if any.
+                if not mine:
+                    continue
+            value = mine[-1][0]
+            if check_values:
+                if not optional:
+                    if value != op_index:
+                        raise ProtocolError(
+                            f"operation {op_index}: processor {pid} received "
+                            f"value {value}, expected {op_index} "
+                            "(sequential semantics)"
+                        )
+                elif required and value <= last_required:
+                    raise ProtocolError(
+                        f"operation {op_index}: processor {pid} received "
+                        f"value {value}, but an earlier operation already "
+                        f"received {last_required} (sequential values must "
+                        "strictly increase)"
+                    )
+            if required:
+                last_required = value
+            result.outcomes.add(op_index, pid, value, _cost(trace, op_index))
     return result
 
 
 def run_sequence(
     counter: DistributedCounter,
-    initiators: Sequence[ProcessorId],
+    initiators: Iterable[ProcessorId],
     check_values: bool = True,
     runtime: Runtime | None = None,
     optional: frozenset[ProcessorId] = frozenset(),
@@ -272,7 +318,7 @@ def run_sequence(
 
 async def run_sequence_async(
     counter: DistributedCounter,
-    initiators: Sequence[ProcessorId],
+    initiators: Iterable[ProcessorId],
     time_scale: float = 0.0,
     check_values: bool = True,
     runtime: Runtime | None = None,
@@ -311,22 +357,18 @@ def _start_batch(
     batch: Sequence[ProcessorId],
     first_op: OpIndex,
     gap: float | None,
-) -> tuple[list[tuple[OpIndex, ProcessorId, float]], dict[ProcessorId, int]]:
-    """Start every op of *batch*; return them and each initiator's prior
-    result count.
+) -> list[tuple[OpIndex, ProcessorId, float]]:
+    """Start every op of *batch*; return ``(op_index, pid,
+    request_time)`` for each, in start order.
 
     Without *gap* all requests begin at this instant, before any event
     runs; with it request ``k`` is injected ``k * gap`` time units from
-    now (the first included, so every start is an event of its op).  The
-    started list holds ``(op_index, pid, request_time)`` in start order.
+    now (the first included, so every start is an event of its op).
     """
     network = counter.network
     started: list[tuple[OpIndex, ProcessorId, float]] = []
-    prior: dict[ProcessorId, int] = {}
     for offset, pid in enumerate(batch):
         op_index = first_op + offset
-        if pid not in prior:
-            prior[pid] = len(counter.results_for(pid))
         if gap is None:
             started.append((op_index, pid, network.now))
             counter.begin_inc(pid, op_index)
@@ -338,44 +380,40 @@ def _start_batch(
             op_index=op_index,
             delay=delay,
         )
-    return started, prior
+    return started
 
 
 def _match_results(
-    counter: DistributedCounter,
     started: list[tuple[OpIndex, ProcessorId, float]],
-    cursor: dict[ProcessorId, int],
+    received: dict[ProcessorId, deque[tuple[Any, float]]],
     optional: Collection[ProcessorId],
 ) -> list[TimedOp]:
-    """Pair the k-th op started at ``p`` with the k-th result ``p`` received.
+    """Pair the k-th op started at ``p`` with the k-th result ``p`` received
+    (*received* holds the batch's results, oldest first per initiator).
 
-    *cursor* enters as each initiator's result count before the batch
-    and is advanced per matched op, so an initiator repeated inside the
-    batch reads consecutive results.  An op left without a result is a
-    :class:`~repro.errors.ProtocolError` unless its initiator is in
-    *optional*, whose unanswered ops are omitted — the standard
-    treatment of incomplete operations: a linearization is free to place
-    or drop them, and at-most-once counters burn any value such an op
-    reserved.
+    An op left without a result is a :class:`~repro.errors.ProtocolError`
+    unless its initiator is in *optional*, whose unanswered ops are
+    omitted — the standard treatment of incomplete operations: a
+    linearization is free to place or drop them, and at-most-once
+    counters burn any value such an op reserved.
     """
     ops: list[TimedOp] = []
     for op_index, pid, request_time in started:
-        position = cursor[pid]
-        values = counter.results_for(pid)
-        if position >= len(values):
+        results = received.get(pid)
+        if not results:
             if pid in optional:
                 continue
             raise ProtocolError(
                 f"operation {op_index}: processor {pid} never got a result"
             )
-        cursor[pid] = position + 1
+        value, response_time = results.popleft()
         ops.append(
             TimedOp(
                 op_index=op_index,
                 initiator=pid,
-                value=values[position],
+                value=value,
                 request_time=request_time,
-                response_time=counter.result_times_for(pid)[position],
+                response_time=response_time,
             )
         )
     return ops
@@ -394,11 +432,13 @@ def _batch_steps(
     """
     ops: list[TimedOp] = []
     next_op = 0
-    for batch in batches:
-        started, prior = _start_batch(counter, batch, next_op, gap)
-        next_op += len(started)
-        yield
-        ops += _match_results(counter, started, prior, optional)
+    received = Received(counter.network)
+    with observing(counter, received.add):
+        for batch in batches:
+            started = _start_batch(counter, batch, next_op, gap)
+            next_op += len(started)
+            yield
+            ops += _match_results(started, received.take(), optional)
     return ops
 
 
@@ -595,6 +635,64 @@ class OpenLoopResult:
         return percentile(self.latencies(), q)
 
 
+class _OpenLoop:
+    """An open-loop run's client pool and waiting requests.  Its methods
+    are the actions the driver injects and the counter's observer, so a
+    deep copy of the network taken mid-run drives its own copy."""
+
+    __slots__ = ("counter", "turnaround", "outcomes", "free", "backlog", "in_flight")
+
+    def __init__(self, counter: DistributedCounter, turnaround: float) -> None:
+        self.counter = counter
+        self.turnaround = turnaround
+        self.outcomes: list[OpenLoopOutcome] = []
+        # Round-robin the client pool (take from the left, return to the
+        # right) so load spreads over all n processors instead of
+        # hammering the lowest free pid — which for e.g. the central
+        # counter is the server itself and would serve its own requests
+        # for free.
+        self.free: deque[ProcessorId] = deque(counter.client_ids())
+        self.backlog: deque[tuple[OpIndex, float]] = deque()
+        self.in_flight: dict[ProcessorId, tuple[OpIndex, float, float]] = {}
+
+    def _start(self, pid: ProcessorId, op_index: OpIndex, arrival: float) -> None:
+        self.in_flight[pid] = (op_index, arrival, self.counter.network.now)
+        self.counter.begin_inc(pid, op_index)
+
+    def arrive(self, op_index: OpIndex, arrival: float) -> None:
+        """A request arrives: a free client starts it, or it waits."""
+        if self.free:
+            self._start(self.free.popleft(), op_index, arrival)
+        else:
+            self.backlog.append((op_index, arrival))
+
+    def rearm(self, pid: ProcessorId) -> None:
+        """*pid* is ready again: it takes the oldest waiting request."""
+        if self.backlog:
+            self._start(pid, *self.backlog.popleft())
+        else:
+            self.free.append(pid)
+
+    def completed(self, pid: ProcessorId, value: int) -> None:
+        """The observer: *pid*'s operation returned *value*."""
+        pending = self.in_flight.pop(pid, None)
+        if pending is None:
+            # A result for an operation this driver did not start
+            # (e.g. protocol-internal bookkeeping); leave it alone.
+            return
+        op_index, arrival, started = pending
+        network = self.counter.network
+        self.outcomes.append(
+            OpenLoopOutcome(op_index, pid, value, arrival, started, network.now)
+        )
+        if self.turnaround > 0:
+            network.inject(
+                partial(self.rearm, pid), op_index=NO_OP, delay=self.turnaround
+            )
+        else:
+            self.rearm(pid)
+
+
 def run_open_loop(
     counter: DistributedCounter,
     arrivals: Sequence[float],
@@ -625,11 +723,6 @@ def run_open_loop(
     Sequential-only counters are rejected (open-loop traffic overlaps
     operations by construction).  *check_values* enforces that the
     returned values are a permutation of ``0..ops-1``.
-
-    The arrival and re-arm actions this driver injects are closures over
-    its own queue of waiting requests, which lives in this call's frame:
-    a deep copy of the network taken mid-run still runs them against the
-    original's queue, so such a copy is not an independent run.
     """
     _require_concurrent(counter, "open-loop")
     if turnaround < 0:
@@ -637,82 +730,26 @@ def run_open_loop(
     if list(arrivals) != sorted(arrivals):
         raise ValueError("arrival times must be ascending")
     network = counter.network
-    trace = network.trace
-    duration = arrivals[-1] if len(arrivals) else 0.0
-    result = OpenLoopResult(
-        counter_name=counter.name,
-        n=counter.n,
-        trace=trace,
-        offered_rate=(len(arrivals) / duration if duration > 0 else 0.0),
-    )
-    # Round-robin the client pool (deque: take from the left, return to
-    # the right) so load spreads over all n processors instead of
-    # hammering the lowest free pid — which for e.g. the central counter
-    # is the server itself and would serve its own requests for free.
-    free: deque[ProcessorId] = deque(counter.client_ids())
-    backlog: list[tuple[OpIndex, float]] = []
-    backlog_head = 0
-    in_flight: dict[ProcessorId, tuple[OpIndex, float, float]] = {}
-
-    def start(op_index: OpIndex, arrival: float, pid: ProcessorId) -> None:
-        in_flight[pid] = (op_index, arrival, network.now)
-        counter.begin_inc(pid, op_index)
-
-    def on_arrival(op_index: OpIndex, arrival: float) -> None:
-        if free:
-            start(op_index, arrival, free.popleft())
-        else:
-            backlog.append((op_index, arrival))
-
-    def rearm(pid: ProcessorId) -> None:
-        nonlocal backlog_head
-        if backlog_head < len(backlog):
-            next_op, next_arrival = backlog[backlog_head]
-            backlog_head += 1
-            start(next_op, next_arrival, pid)
-        else:
-            free.append(pid)
-
-    def completed(pid: ProcessorId, value: int) -> None:
-        pending = in_flight.pop(pid, None)
-        if pending is None:
-            # A result for an operation this driver did not start
-            # (e.g. protocol-internal bookkeeping); leave it alone.
-            return
-        op_index, arrival, started = pending
-        result.outcomes.append(
-            OpenLoopOutcome(
-                op_index=op_index,
-                initiator=pid,
-                value=value,
-                arrival_time=arrival,
-                start_time=started,
-                completion_time=network.now,
-            )
-        )
-        if turnaround > 0:
-            network.inject(
-                (lambda p=pid: rearm(p)), op_index=NO_OP, delay=turnaround
-            )
-        else:
-            rearm(pid)
-
-    previous_observer = counter.on_result
-    counter.on_result = completed
+    clients = _OpenLoop(counter, turnaround)
     origin = network.now
-    try:
+    with observing(counter, clients.completed):
         for op_index, offset in enumerate(arrivals):
-            arrival = origin + offset
             network.inject(
-                (lambda op=op_index, t=arrival: on_arrival(op, t)),
+                partial(clients.arrive, op_index, origin + offset),
                 op_index=NO_OP,
                 delay=offset,
             )
         # One barrier for the whole run; an async runtime's
         # until_quiescent() spins up a private loop for it.
         (runtime or SimulatedRuntime(network)).until_quiescent()
-    finally:
-        counter.on_result = previous_observer
+    duration = arrivals[-1] if len(arrivals) else 0.0
+    result = OpenLoopResult(
+        counter_name=counter.name,
+        n=counter.n,
+        trace=network.trace,
+        offered_rate=(len(arrivals) / duration if duration > 0 else 0.0),
+        outcomes=clients.outcomes,
+    )
     if len(result.outcomes) != len(arrivals):
         raise ProtocolError(
             f"open-loop run completed {len(result.outcomes)} of "
@@ -722,20 +759,3 @@ def run_open_loop(
         _check_counts("open-loop", result.values())
     return result
 
-
-def run_factory_once(
-    factory: CounterFactory,
-    n: int,
-    initiators: Sequence[ProcessorId],
-    policy: DeliveryPolicy | None = None,
-    check_values: bool = True,
-    trace_level: TraceLevel | str = TraceLevel.FULL,
-) -> RunResult:
-    """Convenience: fresh network + counter, run *initiators*, return result.
-
-    *trace_level* selects the tracing fidelity; loads-only analysis is
-    much faster with :attr:`~repro.sim.trace.TraceLevel.LOADS`.
-    """
-    network = Network(policy=policy, trace_level=trace_level)
-    counter = factory(network, n)
-    return run_sequence(counter, initiators, check_values=check_values)

@@ -22,6 +22,7 @@ from repro.counters import (
 )
 from repro.quorum import MaekawaGrid, QuorumCounter
 from repro.sim.network import Network
+from repro.workloads.driver import Received
 
 
 def make_quorum_counter(network: Network, n: int) -> DistributedCounter:
@@ -52,3 +53,24 @@ def any_counter_factory(request):
 def network() -> Network:
     """A fresh unit-delay network."""
     return Network()
+
+
+def observed(counter: DistributedCounter) -> Received:
+    """Install a fresh :class:`Received` as *counter*'s observer and
+    return it: the test's own record of the values the counter returns
+    (the counter keeps none)."""
+    received = Received(counter.network)
+    counter.on_result = received.add
+    return received
+
+
+def values(received: Received, pid: int) -> list:
+    """The values *received* holds for *pid*, oldest first."""
+    return [value for value, _ in received.by_pid.get(pid, ())]
+
+
+def all_values(received: Received) -> list:
+    """Every value *received* holds, across initiators, sorted."""
+    return sorted(
+        value for results in received.by_pid.values() for value, _ in results
+    )

@@ -6,9 +6,11 @@ import pytest
 
 from repro.api import CounterFactory, DistributedCounter
 from repro.counters import CentralCounter
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.sim.network import Network
-from repro.workloads import one_shot, run_sequence
+from repro.workloads import one_shot, run_concurrent, run_open_loop, run_sequence
+
+from conftest import all_values, observed, values
 
 
 class TestConstruction:
@@ -33,77 +35,60 @@ class TestConstruction:
         assert counter.n == 3
 
 
+def _inc(counter, initiators):
+    """Drive *counter* by hand, quiescing after each inc."""
+    for op_index, pid in enumerate(initiators):
+        counter.begin_inc(pid, op_index)
+        counter.network.run_until_quiescent()
+
+
 class TestResultBookkeeping:
+    """The counter keeps no history: every value leaves through
+    ``on_result``, and whoever installed the observer keeps the record."""
+
     def test_results_accumulate_in_order(self):
-        network = Network()
-        counter = CentralCounter(network, 4)
-        run_sequence(counter, [2, 2, 2])
-        assert counter.results_for(2) == [0, 1, 2]
-        assert counter.results_for(3) == []
-
-    def test_last_result_for(self):
-        network = Network()
-        counter = CentralCounter(network, 4)
-        run_sequence(counter, [3, 3])
-        assert counter.last_result_for(3) == 1
-
-    def test_last_result_for_empty_raises(self):
         counter = CentralCounter(Network(), 4)
-        with pytest.raises(ProtocolError):
-            counter.last_result_for(1)
+        received = observed(counter)
+        _inc(counter, [2, 2, 2])
+        assert values(received, 2) == [0, 1, 2]
+        assert values(received, 3) == []
+        result = run_sequence(CentralCounter(Network(), 4), [2, 2, 2])
+        assert [(o.initiator, o.value) for o in result.outcomes] == [
+            (2, 0), (2, 1), (2, 2)
+        ]
 
     def test_all_results_collects_everything(self):
-        network = Network()
-        counter = CentralCounter(network, 4)
-        run_sequence(counter, one_shot(4))
-        assert sorted(counter.all_results()) == [0, 1, 2, 3]
-
-    def test_results_for_returns_copies(self):
-        network = Network()
-        counter = CentralCounter(network, 4)
-        run_sequence(counter, [1])
-        snapshot = counter.results_for(1)
-        snapshot.append(999)
-        assert counter.results_for(1) == [0]
+        counter = CentralCounter(Network(), 4)
+        received = observed(counter)
+        _inc(counter, one_shot(4))
+        assert all_values(received) == [0, 1, 2, 3]
+        assert vars(counter).keys() == vars(CentralCounter(Network(), 4)).keys()
 
     def test_result_times_monotone_per_processor(self):
         network = Network()
         counter = CentralCounter(network, 4)
-        run_sequence(counter, [2, 2, 2])
-        times = counter.result_times_for(2)
+        received = observed(counter)
+        _inc(counter, [2, 2, 2])
+        times = [time for _, time in received.by_pid[2]]
         assert times == sorted(times)
         assert len(times) == 3
-
-    def test_release_results_forgets_one_processors_history(self):
-        counter = CentralCounter(Network(), 4)
-        run_sequence(counter, [2, 3, 2])
-        counter.release_results(2)
-        counter.release_results(4)  # nothing delivered yet: nothing to do
-        assert counter.results_for(2) == [] == counter.result_times_for(2)
-        assert counter.results_for(3) == [1]
-        with pytest.raises(ProtocolError):
-            counter.last_result_for(2)
-        # the counter itself is untouched: the next value is still 3
-        counter.begin_inc(2, 3)
-        counter.network.run_until_quiescent()
-        assert counter.results_for(2) == [3]
 
     def test_on_result_observes_each_value_as_it_is_recorded(self):
         counter = CentralCounter(Network(), 4)
         assert counter.on_result is None
         seen = []
-
-        def observer(pid, value):
-            # already recorded when the observer runs
-            assert counter.last_result_for(pid) == value
-            seen.append((pid, value))
-
-        counter.on_result = observer
-        run_sequence(counter, [2, 3, 2])
+        counter.on_result = lambda pid, value: seen.append((pid, value))
+        _inc(counter, [2, 3, 2])
         assert seen == [(2, 0), (3, 1), (2, 2)]
-        counter.on_result = None
+        # a driver observes through its own record for its run, then
+        # puts the previous observer back
         run_sequence(counter, [4], check_values=False)
-        assert len(seen) == 3 and counter.results_for(4) == [3]
+        run_concurrent(counter, [[1, 2]], check_values=False)
+        run_open_loop(counter, [0.0, 0.0], check_values=False)
+        assert len(seen) == 3
+        counter.begin_inc(1, 9)
+        counter.network.run_until_quiescent()
+        assert seen[3:] == [(1, 8)]
 
 
 class TestFactoryProtocol:

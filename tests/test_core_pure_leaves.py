@@ -26,6 +26,8 @@ from repro.errors import ProtocolError
 from repro.registry import RunSession
 from repro.sim.messages import Message
 
+from conftest import all_values, observed, values
+
 
 def _role_free_leaf(counter):
     """A leaf id the scheme starts on no inner node."""
@@ -93,6 +95,7 @@ class TestTheSharedLeafProgram:
     def test_asking_for_a_pure_leaf_worker_promotes_it_in_place(self):
         session = RunSession("ww-tree", 81)
         counter, network = session.counter, session.network
+        received = observed(counter)
         pid = _role_free_leaf(counter)
         update = Message(
             sender=1, receiver=pid, kind=KIND_ID_UPDATE,
@@ -105,25 +108,26 @@ class TestTheSharedLeafProgram:
         assert counter.leaves.parent_worker(pid) == 42  # the belief is the leaf's
         value = Message(sender=1, receiver=pid, kind=KIND_VALUE, payload={"value": 9})
         worker.on_message(value)
-        assert counter.results_for(pid) == [9]
+        assert values(received, pid) == [9]
 
     def test_a_copy_taken_mid_run_finishes_identically_with_its_own_leaves(self):
         n = 625
         session = RunSession("ww-tree", n, policy="random", seed=11)
         order = list(range(1, n + 1))
         random.Random(11).shuffle(order)
+        received = observed(session.counter)
         for op_index, pid in enumerate(order):
             session.counter.begin_inc(pid, op_index)
         session.network.run(2_000)
         assert not session.network.is_quiescent()
-        clone = copy.deepcopy(session)
+        clone, clone_received = copy.deepcopy((session, received))
         for each in (session, clone):
             each.network.run_until_quiescent()
 
         assert clone.network.trace.fingerprint() == session.network.trace.fingerprint()
-        assert sorted(clone.counter.all_results()) == list(range(n))
-        assert [clone.counter.results_for(p) for p in order] == [
-            session.counter.results_for(p) for p in order
+        assert all_values(clone_received) == list(range(n))
+        assert [values(clone_received, p) for p in order] == [
+            values(received, p) for p in order
         ]
         assert clone.counter.leaves.parents == session.counter.leaves.parents
         ours, theirs = _program_table(session), _program_table(clone)

@@ -38,6 +38,8 @@ from repro.sim.processor import InertProcessor
 from repro.sim.transport import ReliableTransport
 from repro.workloads import one_shot
 
+from conftest import all_values, observed, values
+
 
 class _Recorder(InertProcessor):
     """Keeps what it is handed."""
@@ -147,6 +149,7 @@ class TestDeepcopyMidRun:
             )
         else:
             session = RunSession("ww-tree", n)
+        received = observed(session.counter)
         for op_index, pid in enumerate(one_shot(n)):
             session.counter.begin_inc(pid, op_index)
         session.network.run(300)
@@ -158,15 +161,15 @@ class TestDeepcopyMidRun:
         roles_before = set(session.counter.registry._roles)
         assert 0 < len(roles_before) < session.counter.geometry.total_inner_nodes()
 
-        clone = copy.deepcopy(session)
+        clone, clone_received = copy.deepcopy((session, received))
         for each in (session, clone):
             each.network.run_until_quiescent()
 
         assert clone.network.trace.fingerprint() == session.network.trace.fingerprint()
         assert clone.counter.retirements == session.counter.retirements
-        assert sorted(clone.counter.all_results()) == list(range(n))
-        assert [clone.counter.results_for(p) for p in range(1, n + 1)] == [
-            session.counter.results_for(p) for p in range(1, n + 1)
+        assert all_values(clone_received) == list(range(n))
+        assert [values(clone_received, p) for p in range(1, n + 1)] == [
+            values(received, p) for p in range(1, n + 1)
         ]
         assert clone.network.materialised_ids() == session.network.materialised_ids()
 

@@ -23,6 +23,8 @@ from repro.sim.network import Network
 from repro.sim.policies import SkewedDelay
 from repro.workloads import one_shot, run_sequence, shuffled
 
+from conftest import observed, values
+
 
 def _fresh(n=8, policy=None):
     network = Network()
@@ -110,7 +112,7 @@ class TestForwarding:
         old_worker = counter.worker(event.old_worker)
         # Send an inc for the retired role to the OLD worker; expect it
         # to arrive at the current worker and be answered.
-        before = counter.results_for(1)
+        received = observed(counter)
         stale = Message(
             sender=1, receiver=event.old_worker, kind=KIND_INC,
             payload={"role": node_key(event.addr), "origin": 1},
@@ -119,7 +121,7 @@ class TestForwarding:
         network.inject(lambda: old_worker.on_message(stale), op_index=999)
         network.run_until_quiescent()
         assert old_worker.forwarded_messages == forwarded_before + 1
-        assert len(counter.results_for(1)) == len(before) + 1
+        assert len(values(received, 1)) == 1
 
     def test_no_pointer_and_no_role_defers(self):
         network, counter = _fresh()
@@ -192,9 +194,10 @@ class TestMultiRoleDispatch:
         assert ("node", 0, 0) in keys and ("node", 1, 0) in keys
         # An inc addressed to the root role on processor 1 is answered
         # even though processor 1 also plays node(1,0).
+        received = observed(counter)
         counter.begin_inc(2, 0)
         network.run_until_quiescent()
-        assert counter.results_for(2) == [0]
+        assert values(received, 2) == [0]
 
     def test_roles_keep_distinct_ages(self):
         network, counter = _fresh(81)

@@ -4,14 +4,15 @@ Lookahead strategies score a choice by deep-copying ``(network,
 counter)`` and draining the copy.  That is sound only if every pending
 event belongs to the copy: an injected action must be a bound method or
 a :func:`functools.partial` over one, because a closure still calls
-into the original.  Every registered spec runs a staggered batch, and a
-copy taken at each odd event count must leave the original alone while
-it drains, and finish exactly as the original does: same values, same
-``FULL`` fingerprint, same recovery ledgers.
-
-:func:`~repro.workloads.driver.run_open_loop` is left out on purpose:
-its arrival and re-arm actions are closures over the driver's own queue
-of waiting requests (its docstring says so).
+into the original.  The same holds for the counter's observer: the
+driver's record of returned values is the only one (the counter keeps
+none), and a copy must deliver into its own copy of it.  Every
+registered spec runs a staggered batch, and a copy taken at each odd
+event count must leave the original alone while it drains, and finish
+exactly as the original does: same values in each one's own driver
+record, same ``FULL`` fingerprint, same recovery ledgers.  An open-loop
+run, whose arrivals and re-arms are injected too, copied mid-run
+finishes the same way.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import copy
 import pytest
 
 from repro.registry import RunSession, registered_specs
-from repro.workloads.driver import _batch_steps
+from repro.workloads.driver import _batch_steps, run_open_loop
 from repro.workloads.sequences import one_shot
+
+from conftest import values
 
 # n = 8 where the spec allows it.  Maekawa quorums need a perfect
 # square; phase-king traffic grows ~n^3 (4 608 events at n = 8, a copy
@@ -35,9 +38,9 @@ _N = {"quorum[maekawa]": 9, "byz-counter": 4}
 _CRASH = "crash=2@t5-t40,crash=5@t5-t40,recover=2@t40,recover=5@t40"
 
 
-def _final(network, counter, recovery, n):
+def _final(network, counter, recovery, received, n):
     return (
-        [counter.results_for(pid) for pid in range(1, n + 1)],
+        [values(received, pid) for pid in range(1, n + 1)],
         network.trace.fingerprint(),
         recovery and (list(recovery.detector.events), list(recovery.events)),
     )
@@ -53,9 +56,11 @@ def test_a_copy_taken_at_any_odd_event_finishes_as_the_original(spec):
     )
     # Sequential-only protocols get starts far enough apart not to overlap.
     gap = 1.0 if capabilities.supports_concurrent else 100.0
-    next(_batch_steps(session.counter, [one_shot(n)], gap))  # inject starts
+    steps = _batch_steps(session.counter, [one_shot(n)], gap)
+    next(steps)  # inject starts
+    received = steps.gi_frame.f_locals["received"]  # the driver's record
     network = session.network
-    live = (network, session.counter, session.recovery)
+    live = (network, session.counter, session.recovery, received)
     finals = []
     ran = network.run(1)
     while not network.is_quiescent():
@@ -71,3 +76,29 @@ def test_a_copy_taken_at_any_odd_event_finishes_as_the_original(spec):
     assert len(finals) >= 10
     diverged = [at for at, final in finals if final != reference]
     assert not diverged, f"copies taken after events {diverged[:5]} diverged"
+
+
+class _CopyMidRun:
+    """A runtime that copies the run after *events* events, drains the
+    copy, then the original."""
+
+    def __init__(self, network, counter, events):
+        self.network, self.counter, self.events = network, counter, events
+
+    def until_quiescent(self):
+        self.network.run(self.events)
+        assert not self.network.is_quiescent()
+        self.twin = copy.deepcopy((self.network, self.counter))
+        self.twin[0].run_until_quiescent()
+        self.network.run_until_quiescent()
+
+
+def test_an_open_loop_run_copied_mid_run_finishes_as_the_original():
+    session = RunSession("combining-tree", 8, policy="random", seed=1)
+    runtime = _CopyMidRun(session.network, session.counter, 60)
+    arrivals = [0.5 * i for i in range(24)]
+    result = run_open_loop(session.counter, arrivals, runtime=runtime)
+    twin_network, twin_counter = runtime.twin
+    # the copy's observer is still its own client pool's
+    assert twin_counter.on_result.__self__.outcomes == result.outcomes
+    assert twin_network.trace.fingerprint() == session.network.trace.fingerprint()

@@ -28,6 +28,8 @@ from repro.analysis.linearizability import (
 )
 from repro.registry import RunSession, get_spec, registered_specs
 
+from conftest import observed
+
 pytestmark = pytest.mark.recovery
 
 N = 16
@@ -62,18 +64,20 @@ def _run_sequential_timed(session: RunSession) -> list[TimedOp]:
     """One op at a time, timed: the real-time order is exactly the
     issue order, so any inversion is a genuine protocol bug."""
     counter, network = session.counter, session.network
+    received = observed(counter)
     ops: list[TimedOp] = []
     for op_index, pid in enumerate(range(1, N + 1)):
         request_time = network.now
         counter.begin_inc(pid, op_index)
         network.run_until_quiescent()
+        value, response_time = received.take()[pid][-1]
         ops.append(
             TimedOp(
                 op_index=op_index,
                 initiator=pid,
-                value=counter.results_for(pid)[-1],
+                value=value,
                 request_time=request_time,
-                response_time=counter.result_times_for(pid)[-1],
+                response_time=response_time,
             )
         )
     return ops

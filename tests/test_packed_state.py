@@ -1,33 +1,35 @@
 """What a finished run keeps per operation is held in columns, not objects.
 
 A sealed operation's footprint and message count live in the trace's
-flat columns, every delivered result in the counter's result columns,
-and every completed operation in :class:`~repro.workloads.driver.Outcomes`;
-a faulty run's logs too — the fault plan's ledger, the tree's retirement
-log and the reliable transport's per-channel tables.
-``TestAgainstTheRecordStream`` recomputes each view independently — the
-per-operation ones from a ``FULL`` trace's records, the results through
-the counter's ``on_result`` hook — and compares; the ledger, log and
-channel classes do the same for theirs.  The direct classes pin the
-edge cases the columns have to get right, and ``TestServingStaysFlat``
-that an owner which releases as it goes holds a fixed amount however
-many operations pass.
+flat columns and every completed operation in
+:class:`~repro.workloads.driver.Outcomes`; a faulty run's logs too — the
+fault plan's ledger, the tree's retirement log and the reliable
+transport's per-channel tables.  ``TestAgainstTheRecordStream``
+recomputes each view independently from a ``FULL`` trace's records and
+compares; the ledger, log and channel classes do the same for theirs.
+The direct classes pin the edge cases the columns have to get right,
+and ``TestServingStaysFlat`` that an owner which releases as it goes — a
+keyed shard, a plain service — holds a fixed amount however many
+operations pass.
 """
 
 from __future__ import annotations
 
+import asyncio
 import copy
 import gc
 import random
 import tracemalloc
+from array import array
 from collections import Counter, defaultdict
 
 import pytest
 
-from repro.api import DistributedCounter
 from repro.core.tree.roles import RetirementEvent
 from repro.registry import RunSession
+from repro.serve import CounterService
 from repro.shard import CounterShardMap
+from repro.sim.columns import Values
 from repro.sim.faults import (
     CrashRule,
     DropRule,
@@ -46,6 +48,8 @@ from repro.sim.processor import InertProcessor, Processor
 from repro.sim.trace import Trace, TraceLevel
 from repro.sim.transport import DATA_KIND, ReliableTransport
 from repro.workloads.driver import OpOutcome, Outcomes
+
+from conftest import all_values, observed
 
 N = 625
 
@@ -66,11 +70,6 @@ class TestAgainstTheRecordStream:
     def test_every_packed_view_equals_its_recomputation(self, leg):
         spec, options = LEGS[leg]
         session = RunSession(spec, N, trace_level="FULL", **options)
-        network, counter = session.network, session.counter
-        observed: dict[int, list[tuple[int, float]]] = defaultdict(list)
-        counter.on_result = lambda pid, value: observed[pid].append(
-            (value, network.now)
-        )
         order = list(range(1, N + 1))
         random.Random(leg).shuffle(order)
         result = session.run_sequence(order)
@@ -90,12 +89,10 @@ class TestAgainstTheRecordStream:
             assert trace.footprint(op) == frozenset(touched)
             assert trace.messages_for_op(op) == len(records)
 
-        for pid in range(1, N + 1):
-            assert counter.results_for(pid) == [v for v, _ in observed[pid]]
-            assert counter.result_times_for(pid) == [t for _, t in observed[pid]]
+        # every op's value is the one its initiator's process delivered:
+        # sequential, so op i returns i
         expected = [
-            OpOutcome(op, pid, observed[pid][0][0], len(by_op[op]))
-            for op, pid in enumerate(order)
+            OpOutcome(op, pid, op, len(by_op[op])) for op, pid in enumerate(order)
         ]
         assert list(result.outcomes) == expected
         assert result.outcomes == expected
@@ -166,41 +163,16 @@ class TestSealedColumns:
         assert len(trace._sealed_width) == 0
 
 
-class _Echo(DistributedCounter):
-    """Answers every request at once with whatever it is told."""
-
-    def begin_inc(self, pid, op_index):  # pragma: no cover - unused
-        raise NotImplementedError
-
-
 class TestResultColumns:
-    def test_many_results_per_pid_interleaved_and_released(self):
-        counter = _Echo(Network(), 4)
-        for pid, value in [(2, 0), (3, 1), (2, 2), (1, 3), (2, 4)]:
-            counter.deliver_result(pid, value)
-        assert counter.results_for(2) == [0, 2, 4]
-        assert counter.last_result_for(2) == 4
-        assert counter.results_for(4) == []
-        assert counter.results_for(99) == []
-        assert sorted(counter.all_results()) == [0, 1, 2, 3, 4]
-        counter.release_results(2)
-        assert counter.results_for(2) == []
-        assert counter.results_for(3) == [1]
-        counter.release_results(3)
-        counter.release_results(1)
-        assert len(counter._result_times) == 0  # nothing held: reused
-        counter.deliver_result(2, 5)
-        assert counter.results_for(2) == [5]
-
     def test_values_that_are_not_ints_are_kept_as_they_are(self):
-        counter = _Echo(Network(), 3)
-        counter.deliver_result(1, 7)
-        counter.deliver_result(2, True)
-        counter.deliver_result(3, ("heap", [1, 2]))
-        counter.deliver_result(1, 2**70)
-        assert counter.results_for(1) == [7, 2**70]
-        assert counter.results_for(2)[0] is True
-        assert counter.last_result_for(3) == ("heap", [1, 2])
+        column = Values()
+        for value in (7, -(2**63)):
+            column.append(value)
+        assert type(column._items) is array  # ints stay unboxed
+        for value in (True, ("heap", [1, 2]), 2**70, 3):
+            column.append(value)
+        assert list(column) == [7, -(2**63), True, ("heap", [1, 2]), 2**70, 3]
+        assert column[2] is True and len(column) == 6
 
     def test_outcome_columns_keep_any_value(self):
         outcomes = Outcomes()
@@ -217,41 +189,37 @@ class TestResultColumns:
             outcomes[3]
 
 
+def _held(session):
+    """What a served session holds that could grow with its op count."""
+    trace = session.network.trace
+    return {
+        "op_counts": len(trace._op_counts),
+        "live_footprints": len(trace._footprints),
+        "sealed": [
+            len(column)
+            for column in (trace._sealed, trace._sealed_at, trace._sealed_width)
+        ],
+        "leaf_parents": len(session.counter.leaves.parents),
+    }
+
+
 class TestServingStaysFlat:
+    """An owner that releases as it goes holds a fixed amount however
+    many operations pass: the trace's per-op columns do not grow, the
+    counter keeps no results, and all that is still held afterwards —
+    the tree's retirement log included — stays under 60 traced bytes an
+    operation."""
+
     def test_a_keyed_shard_holds_a_fixed_amount_of_per_op_state(self):
-        """2 000 batches through one keyed shard after 200 of warm-up:
-        neither the trace's per-op columns nor the counter's result
-        columns grow, and all that is still held afterwards — the tree's
-        retirement log included — stays under 60 traced bytes a batch."""
+        """2 000 batches through one keyed shard after 200 of warm-up."""
         shard_map = CounterShardMap(
             "ww-tree?interval_mode=wrap", 8, shards=1, batch_max=1,
             trace_level="LOADS",
         )
         (shard,) = shard_map.shards()
-        trace = shard.session.network.trace
         counter = shard.session.counter
-
-        def held():
-            return {
-                "op_counts": len(trace._op_counts),
-                "live_footprints": len(trace._footprints),
-                "sealed": [
-                    len(column) for column in (
-                        trace._sealed, trace._sealed_at, trace._sealed_width,
-                    )
-                ],
-                "results": [
-                    len(column) for column in (
-                        counter._result_values, counter._result_times,
-                        counter._result_prior, counter._result_latest,
-                    )
-                ],
-                "results_held": any(counter._result_latest),
-                "leaf_parents": len(counter.leaves.parents),
-            }
-
         assert shard_map.apply([f"k{i % 7}" for i in range(200)])[-1] == 28
-        warm = held()
+        warm = _held(shard.session)
         retired = len(counter.retirements)
         gc.collect()
         tracemalloc.start()
@@ -263,10 +231,42 @@ class TestServingStaysFlat:
             tracemalloc.stop()
         assert values[-1] == 313
         assert shard.batches == 2_200
-        assert held() == warm
-        assert not warm["results_held"] and warm["sealed"] == [0, 0, 0]
+        assert _held(shard.session) == warm
+        assert warm["sealed"] == [0, 0, 0] and not shard.delivered
         assert len(counter.retirements) - retired > 1_000  # the log did grow
         assert per_batch <= 60, f"{per_batch:.0f} traced bytes per batch"
+
+    def test_a_plain_service_holds_a_fixed_amount_of_per_request_state(self):
+        """2 000 in-process increments on a plain service after 200 of
+        warm-up, one in flight at a time."""
+
+        async def serve():
+            service = CounterService(
+                "ww-tree?interval_mode=wrap", 8, trace_level="LOADS"
+            )
+            await service.start()
+            try:
+                for _ in range(200):
+                    await service.inc()
+                warm = _held(service.session)
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    for _ in range(2_000):
+                        await service.inc()
+                    gc.collect()
+                    per_request = tracemalloc.get_traced_memory()[0] / 2_000
+                finally:
+                    tracemalloc.stop()
+                return service, warm, per_request
+            finally:
+                await service.stop()
+
+        service, warm, per_request = asyncio.run(serve())
+        assert service.served == 2_200 and service.inflight == 0
+        assert _held(service.session) == warm
+        assert warm["op_counts"] == warm["live_footprints"] == 0
+        assert per_request <= 60, f"{per_request:.0f} traced bytes per request"
 
 
 # ----------------------------------------------------------------------
@@ -548,14 +548,15 @@ class TestChannelTables:
         )
         order = list(range(1, n + 1))
         random.Random(8).shuffle(order)
+        received = observed(session.counter)
         for op_index, pid in enumerate(order):
             session.counter.begin_inc(pid, op_index)
         session.network.run(6_000)
         assert not session.network.is_quiescent()
-        clone = copy.deepcopy(session)
-        for each in (session, clone):
+        clone, clone_received = copy.deepcopy((session, received))
+        for each, record in ((session, received), (clone, clone_received)):
             each.network.run_until_quiescent()
-            assert sorted(each.counter.all_results()) == list(range(n))
+            assert all_values(record) == list(range(n))
             _assert_settled(each.transport, each.network.trace.records)
         assert clone.network.trace.fingerprint() == session.network.trace.fingerprint()
         assert list(clone.fault_plan.events) == list(session.fault_plan.events)

@@ -33,6 +33,8 @@ from repro.datatypes import (
 )
 from repro.sim.network import Network
 
+from conftest import all_values, observed
+
 _N = 8  # k = 2 tree: small enough for fast stateful runs
 _POLICY = TreePolicy(retire_threshold=8, interval_mode=IntervalMode.WRAP)
 
@@ -49,6 +51,7 @@ class PriorityQueueMachine(RuleBasedStateMachine):
             geometry=TreeGeometry.paper_shape(2),
             policy=_POLICY,
         )
+        self.received = observed(self.queue)
         self.model: list[int] = []
         self.op_index = 0
 
@@ -56,7 +59,7 @@ class PriorityQueueMachine(RuleBasedStateMachine):
         self.queue.begin_op(pid, self.op_index, request)
         self.network.run_until_quiescent()
         self.op_index += 1
-        return self.queue.results_for(pid)[-1]
+        return self.received.take()[pid][-1][0]
 
     @rule(pid=st.integers(1, _N), key=st.integers(0, 999))
     def insert(self, pid, key):
@@ -99,6 +102,7 @@ class FlipBitMachine(RuleBasedStateMachine):
             geometry=TreeGeometry.paper_shape(2),
             policy=_POLICY,
         )
+        self.received = observed(self.bit)
         self.model = 0
         self.op_index = 0
 
@@ -106,7 +110,7 @@ class FlipBitMachine(RuleBasedStateMachine):
         self.bit.begin_op(pid, self.op_index, request)
         self.network.run_until_quiescent()
         self.op_index += 1
-        return self.bit.results_for(pid)[-1]
+        return self.received.take()[pid][-1][0]
 
     @rule(pid=st.integers(1, _N))
     def flip(self, pid):
@@ -140,6 +144,7 @@ class StandbyCentralMachine(RuleBasedStateMachine):
     def setup(self):
         self.network = Network()
         self.counter = StandbyCentralCounter(self.network, _N)
+        self.received = observed(self.counter)
         self.expected = 0
         self.op_index = 0
 
@@ -179,7 +184,7 @@ class StandbyCentralMachine(RuleBasedStateMachine):
     def every_inc_answered_exactly_once(self):
         if not hasattr(self, "counter"):
             return
-        values = self.counter.all_results()
+        values = all_values(self.received)
         assert len(values) == self.expected
         assert sorted(values) == list(range(self.expected))
 
@@ -203,6 +208,7 @@ class BypassTreeMachine(RuleBasedStateMachine):
     def setup(self):
         self.network = Network()
         self.counter = BypassCombiningTreeCounter(self.network, _N)
+        self.received = observed(self.counter)
         self.hosts = self.counter.critical_pids()
         self.expected = 0
         self.op_index = 0
@@ -239,7 +245,7 @@ class BypassTreeMachine(RuleBasedStateMachine):
     def at_most_once_and_nothing_lost(self):
         if not hasattr(self, "counter"):
             return
-        values = self.counter.all_results()
+        values = all_values(self.received)
         assert len(set(values)) == len(values)  # never delivered twice
         assert len(values) == self.expected  # hosts are alive: no losses
         assert self.counter.burned_values >= 0

@@ -13,12 +13,13 @@ from repro.workloads import (
     reversed_one_shot,
     round_robin,
     run_concurrent,
-    run_factory_once,
     run_sequence,
     shuffled,
     single_hotspot,
     zipf_sequence,
 )
+
+from conftest import observed, values
 
 
 class TestSequences:
@@ -71,24 +72,24 @@ class TestSequences:
 
 class TestSequentialDriver:
     def test_values_are_sequential(self):
-        result = run_factory_once(CentralCounter, 10, one_shot(10))
+        result = run_sequence(CentralCounter(Network(), 10), one_shot(10))
         assert result.values() == list(range(10))
 
     def test_outcomes_record_initiators(self):
-        result = run_factory_once(CentralCounter, 5, reversed_one_shot(5))
+        result = run_sequence(CentralCounter(Network(), 5), reversed_one_shot(5))
         assert [o.initiator for o in result.outcomes] == [5, 4, 3, 2, 1]
 
     def test_per_op_message_counts_sum_to_total(self):
-        result = run_factory_once(CentralCounter, 8, one_shot(8))
+        result = run_sequence(CentralCounter(Network(), 8), one_shot(8))
         assert sum(o.messages for o in result.outcomes) == result.total_messages
 
     def test_average_messages_per_op(self):
-        result = run_factory_once(CentralCounter, 8, one_shot(8))
+        result = run_sequence(CentralCounter(Network(), 8), one_shot(8))
         # Server (pid 1) incs locally: 0 msgs; others: 2 msgs.
         assert result.average_messages_per_op() == pytest.approx(14 / 8)
 
     def test_bottleneck_is_central_server(self):
-        result = run_factory_once(CentralCounter, 8, one_shot(8))
+        result = run_sequence(CentralCounter(Network(), 8), one_shot(8))
         assert result.bottleneck_processor() == 1
         assert result.bottleneck_load() == 14
 
@@ -152,13 +153,20 @@ class TestConcurrentDriver:
         # the k-th op started at p reads the k-th result p received: a
         # matcher that reads one result twice reports a duplicate value
         # on a correct counter
+        batch = [1, 2, 1, 2, 3]
         session = RunSession(spec, 4, runtime=runtime)
-        result = session.run_concurrent([[1, 2, 1, 2, 3]])
+        result = session.run_concurrent([batch])
         assert sorted(result.values()) == list(range(5))
-        assert [o.initiator for o in result.outcomes] == [1, 2, 1, 2, 3]
+        assert [o.initiator for o in result.outcomes] == batch
+        # the same run by hand, observed by the test: arrival order per pid
+        reference = RunSession(spec, 4)
+        received = observed(reference.counter)
+        for op_index, pid in enumerate(batch):
+            reference.counter.begin_inc(pid, op_index)
+        reference.network.run_until_quiescent()
         for pid in (1, 2):
             own = [o.value for o in result.outcomes if o.initiator == pid]
-            assert own == session.counter.results_for(pid)
+            assert own == values(received, pid)
 
     def test_duplicate_check_catches_broken_counter(self, network):
         class StuckCounter(CentralCounter):
