@@ -37,7 +37,6 @@ Quickstart::
 from repro.api import Capabilities, CounterFactory, DistributedCounter
 from repro.core import (
     IntervalMode,
-    NodeAddr,
     TreeCounter,
     TreeGeometry,
     TreePolicy,
@@ -128,7 +127,6 @@ __all__ = [
     "Message",
     "MessageRecord",
     "Network",
-    "NodeAddr",
     "OpenLoopResult",
     "Processor",
     "ProtocolError",

@@ -378,18 +378,18 @@ class RetirementMonotonicityOracle(Oracle):
         for event in ledger:
             if event.time < previous_time:
                 return self._fail(
-                    f"retirement at node {event.addr} (t={event.time:g}) "
+                    f"retirement at node {event.node} (t={event.time:g}) "
                     f"precedes an earlier-recorded one (t={previous_time:g})"
                 )
             previous_time = event.time
             if event.age_at_retirement < 0:
                 return self._fail(
-                    f"retirement at node {event.addr} has negative age "
+                    f"retirement at node {event.node} has negative age "
                     f"{event.age_at_retirement}"
                 )
             if event.new_worker == event.old_worker:
                 return self._fail(
-                    f"retirement at node {event.addr} kept worker "
+                    f"retirement at node {event.node} kept worker "
                     f"{event.old_worker} (role must move)"
                 )
         return self._pass()

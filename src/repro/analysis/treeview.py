@@ -31,11 +31,7 @@ def render_tree(counter: TreeCounter) -> str:
     ]
     retire_counts = registry.retirement_counts_by_level()
     for level in geometry.inner_levels():
-        roles = [
-            registry.role(addr)
-            for addr in geometry.all_nodes()
-            if addr.level == level
-        ]
+        roles = [registry.role(node) for node in geometry.level_nodes(level)]
         workers = [role.worker for role in roles]
         max_age = max(role.age for role in roles)
         label = "root " if level == 0 else f"lvl {level}"

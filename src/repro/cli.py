@@ -863,9 +863,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
         if level == 0:
             interval = "1,2,3,... (walk)"
         else:
-            from repro.core import NodeAddr
-
-            example = geometry.id_interval(NodeAddr(level, 0))
+            example = geometry.id_interval(geometry.level_nodes(level)[0])
             interval = f"width {len(example)} (e.g. {example.start}..{example.stop - 1})"
         rows.append([level, geometry.nodes_on_level(level), interval])
     print(

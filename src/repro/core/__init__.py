@@ -5,9 +5,7 @@ checkers of :mod:`repro.core.invariants`.
 """
 
 from repro.core.tree import (
-    ROOT,
     IntervalMode,
-    NodeAddr,
     NodeRole,
     RetirementEvent,
     RoleRegistry,
@@ -20,9 +18,7 @@ from repro.core.tree import (
 
 __all__ = [
     "IntervalMode",
-    "NodeAddr",
     "NodeRole",
-    "ROOT",
     "RetirementEvent",
     "RoleRegistry",
     "TreeCounter",

@@ -49,11 +49,11 @@ class LemmaReport:
 
 def check_retirement_lemma(counter: TreeCounter) -> LemmaReport:
     """No node retires more than once during a single inc operation."""
-    per_op_node: Counter[tuple[int, object]] = Counter()
+    per_op_node: Counter[tuple[int, int]] = Counter()
     for event in counter.retirements:
         if event.op_index == NO_OP:
             continue
-        per_op_node[(event.op_index, event.addr)] += 1
+        per_op_node[(event.op_index, event.node)] += 1
     worst = max(per_op_node.values(), default=0)
     offenders = [key for key, count in per_op_node.items() if count > 1]
     return LemmaReport(
@@ -101,13 +101,13 @@ def check_number_of_retirements(counter: TreeCounter) -> LemmaReport:
     geometry = counter.geometry
     offenders: list[str] = []
     for role in counter.registry.all_roles():
-        if role.addr.is_root:
+        if role.is_root:
             budget = geometry.root_walk_budget()
         else:
-            budget = len(geometry.id_interval(role.addr)) - 1
+            budget = len(geometry.id_interval(role.node)) - 1
         if role.retire_count > budget:
             offenders.append(
-                f"{role.addr} retired {role.retire_count}x (budget {budget})"
+                f"node {role.node} retired {role.retire_count}x (budget {budget})"
             )
     return LemmaReport(
         lemma="Number of Retirements Lemma",
@@ -122,11 +122,11 @@ def pure_leaves(counter: TreeCounter) -> set[ProcessorId]:
     ever_workers: set[ProcessorId] = set()
     geometry = counter.geometry
     for role in counter.registry.all_roles():
-        if role.addr.is_root:
+        if role.is_root:
             ever_workers.update(range(1, counter.registry.root_ids_used() + 1))
-            ever_workers.add(geometry.initial_worker(role.addr))
+            ever_workers.add(geometry.initial_worker(role.node))
         else:
-            interval = geometry.id_interval(role.addr)
+            interval = geometry.id_interval(role.node)
             used = min(len(interval), role.retire_count + 1)
             ever_workers.update(interval[offset] for offset in range(used))
     return set(range(1, geometry.leaf_count + 1)) - ever_workers
@@ -135,8 +135,8 @@ def pure_leaves(counter: TreeCounter) -> set[ProcessorId]:
 def check_leaf_work(counter: TreeCounter, result: RunResult) -> LemmaReport:
     """Pure-leaf load ≤ 2 (its own inc) + retirements of its leaf parent."""
     geometry = counter.geometry
-    retire_count_by_addr: Counter = Counter(
-        event.addr for event in counter.retirements
+    retire_count_by_node: Counter[int] = Counter(
+        event.node for event in counter.retirements
     )
     incs_by_pid: Counter[ProcessorId] = Counter(
         outcome.initiator for outcome in result.outcomes
@@ -144,7 +144,7 @@ def check_leaf_work(counter: TreeCounter, result: RunResult) -> LemmaReport:
     offenders: list[str] = []
     for pid in pure_leaves(counter):
         load = result.trace.load(pid)
-        parent_retires = retire_count_by_addr[geometry.leaf_parent(pid)]
+        parent_retires = retire_count_by_node[geometry.leaf_parent(pid)]
         budget = 2 * incs_by_pid[pid] + parent_retires
         if load > budget:
             offenders.append(f"leaf {pid}: load {load} > budget {budget}")

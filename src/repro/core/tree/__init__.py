@@ -15,8 +15,6 @@
 
 from repro.core.tree.counter import TreeCounter
 from repro.core.tree.geometry import (
-    ROOT,
-    NodeAddr,
     TreeGeometry,
     lower_bound_k,
     paper_k_for,
@@ -26,9 +24,7 @@ from repro.core.tree.roles import NodeRole, RetirementEvent, RoleRegistry
 
 __all__ = [
     "IntervalMode",
-    "NodeAddr",
     "NodeRole",
-    "ROOT",
     "RetirementEvent",
     "RoleRegistry",
     "TreeCounter",

@@ -7,55 +7,37 @@ root is on level 0, all leaves are on level ``k+1``, so there are
 ``depth+1``); the paper's shape is ``arity = depth = k``, and the shape
 ablation (experiment E10) sweeps the generalization.
 
+Node numbering: an inner node is one ``int``, its position in level
+order — the root is 0, level ``i`` holds ``arityⁱ`` consecutive numbers
+left to right.  The parent of node ``v`` is ``(v-1)//arity`` and its
+children are ``arity·v+1 … arity·v+arity``; :class:`TreeGeometry` is the
+one place that knows this, and the one place that turns a node into its
+wire key ``("node", level, index)`` (:meth:`TreeGeometry.encode`) and
+back (:meth:`TreeGeometry.decode`).  Leaves are not numbered: a leaf is
+its processor id.
+
 Identifier scheme, reconstructed from §4: leaves are processors ``1..n``
 left to right.  The level-``i`` (1 ≤ i ≤ depth) inner node number ``j``
-(0-based) initially uses processor ``(i-1)·arityᵈ + j·arity^(d-i) + 1``
-(with ``d = depth``) and owns the following ``arity^(d-i)`` ids as
-replacement candidates.  Bands of ``arityᵈ`` ids per level make intervals
-disjoint across levels, sub-intervals of ``arity^(d-i)`` ids make them
-disjoint within a level, and the largest id used is ``depth·arityᵈ``,
-which for the paper's shape equals ``k·kᵏ = n``.  The root walks ids
-``1, 2, 3, …`` independently; the paper's accounting ("each processor
-starts working at most once for the root and at most once for another
-inner node", Bottleneck Theorem) is preserved because the root's walk is
-strictly increasing and each inner interval is consumed left to right.
+(0-based within its level) initially uses processor
+``(i-1)·arityᵈ + j·arity^(d-i) + 1`` (with ``d = depth``) and owns the
+following ``arity^(d-i)`` ids as replacement candidates.  Bands of
+``arityᵈ`` ids per level make intervals disjoint across levels,
+sub-intervals of ``arity^(d-i)`` ids make them disjoint within a level,
+and the largest id used is ``depth·arityᵈ``, which for the paper's shape
+equals ``k·kᵏ = n``.  The root walks ids ``1, 2, 3, …`` independently;
+the paper's accounting ("each processor starts working at most once for
+the root and at most once for another inner node", Bottleneck Theorem)
+is preserved because the root's walk is strictly increasing and each
+inner interval is consumed left to right.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.sim.messages import ProcessorId
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class NodeAddr:
-    """Address of an inner node: ``(level, index)``.
-
-    ``level`` 0 is the root; ``index`` runs 0 .. arity^level - 1 left to
-    right.  Leaves are not :class:`NodeAddr`; they are identified by their
-    processor id.
-    """
-
-    level: int
-    index: int
-
-    @property
-    def is_root(self) -> bool:
-        """True for the root node ``(0, 0)``."""
-        return self.level == 0
-
-    def key(self) -> tuple[int, int]:
-        """A plain-tuple form safe to embed in message payloads."""
-        return (self.level, self.index)
-
-    def __str__(self) -> str:
-        return "root" if self.is_root else f"node({self.level},{self.index})"
-
-
-ROOT = NodeAddr(0, 0)
 
 _PAPER_SHAPES: dict[int, "TreeGeometry"] = {}
 
@@ -79,6 +61,8 @@ class TreeGeometry:
         self.depth = depth
         self.leaf_count = arity ** (depth + 1)
         self._band = arity**depth  # ids per level band = leaf_count / arity
+        # First node number of each level 0..depth, then the node count.
+        self._starts = [(arity**level - 1) // (arity - 1) for level in range(depth + 2)]
 
     # ------------------------------------------------------------------
     # Constructors
@@ -118,100 +102,147 @@ class TreeGeometry:
         """Levels that hold inner nodes (0 = root .. depth)."""
         return range(self.depth + 1)
 
+    def level_nodes(self, level: int) -> range:
+        """The inner nodes on *level*, left to right."""
+        if not 0 <= level <= self.depth:
+            raise ConfigurationError(
+                f"level {level} outside inner levels 0..{self.depth}"
+            )
+        return range(self._starts[level], self._starts[level + 1])
+
     def nodes_on_level(self, level: int) -> int:
         """Number of inner nodes on *level*."""
-        self._check_level(level)
-        return self.arity**level
+        return len(self.level_nodes(level))
 
     def total_inner_nodes(self) -> int:
         """Inner nodes over all levels: (arity^(depth+1) - 1)/(arity - 1)."""
-        return (self.arity ** (self.depth + 1) - 1) // (self.arity - 1)
+        return self._starts[-1]
 
-    def all_nodes(self) -> list[NodeAddr]:
+    def all_nodes(self) -> range:
         """Every inner node, root first, in level order."""
-        return [
-            NodeAddr(level, index)
-            for level in self.inner_levels()
-            for index in range(self.nodes_on_level(level))
-        ]
+        return range(self._starts[-1])
 
-    def leaves_under(self, addr: NodeAddr) -> int:
-        """Number of leaves in the subtree of *addr* (paths through it)."""
-        self._check_addr(addr)
-        return self.arity ** (self.depth + 1 - addr.level)
+    def level_of(self, node: int) -> int:
+        """The level inner node *node* lies on (0 for the root)."""
+        if not 0 <= node < self._starts[-1]:
+            raise self._no_node(node)
+        return bisect_right(self._starts, node) - 1
+
+    def leaves_under(self, node: int) -> int:
+        """Number of leaves in the subtree of *node* (paths through it)."""
+        return self.arity ** (self.depth + 1 - self.level_of(node))
+
+    # ------------------------------------------------------------------
+    # Wire keys
+    # ------------------------------------------------------------------
+    def encode(self, node: int) -> tuple[str, int, int]:
+        """The wire key ``("node", level, index)`` of inner node *node*;
+        *index* counts from 0 left to right within the level."""
+        level = bisect_right(self._starts, node) - 1
+        return ("node", level, node - self._starts[level])
+
+    def decode(self, key) -> int:
+        """The inner node a wire key ``("node", level, index)`` names.
+
+        Raises :class:`ProtocolError` for anything else — a leaf's key
+        ``("leaf", pid)`` included.
+        """
+        starts = self._starts
+        try:
+            tag, level, index = key
+            if tag == "node" and 0 <= level <= self.depth:
+                node = starts[level] + index
+                if starts[level] <= node < starts[level + 1]:
+                    return node
+        except (TypeError, ValueError):
+            pass
+        raise ProtocolError(f"{key!r} names no inner node of {self!r}")
 
     # ------------------------------------------------------------------
     # Adjacency
     # ------------------------------------------------------------------
-    def parent(self, addr: NodeAddr) -> NodeAddr:
-        """Parent of inner node *addr*; the root has no parent."""
-        self._check_addr(addr)
-        if addr.is_root:
+    def parent(self, node: int) -> int:
+        """Parent of inner node *node*; the root has no parent."""
+        if 0 < node < self._starts[-1]:
+            return (node - 1) // self.arity
+        if node == 0:
             raise ConfigurationError("the root has no parent")
-        return NodeAddr(addr.level - 1, addr.index // self.arity)
+        raise self._no_node(node)
 
-    def children(self, addr: NodeAddr) -> list[NodeAddr]:
-        """Inner-node children of *addr*; empty for level-``depth`` nodes."""
-        self._check_addr(addr)
-        if addr.level == self.depth:
-            return []
-        base = addr.index * self.arity
-        return [NodeAddr(addr.level + 1, base + c) for c in range(self.arity)]
+    def children(self, node: int) -> range:
+        """Inner-node children of *node*; empty for last-level nodes."""
+        if not 0 <= node < self._starts[-1]:
+            raise self._no_node(node)
+        if node >= self._starts[self.depth]:
+            return range(0)
+        first = self.arity * node + 1
+        return range(first, first + self.arity)
 
-    def leaf_children(self, addr: NodeAddr) -> list[ProcessorId]:
-        """Leaf (processor id) children of a level-``depth`` node."""
-        self._check_addr(addr)
-        if addr.level != self.depth:
-            raise ConfigurationError(f"{addr} is not on the last inner level")
-        base = addr.index * self.arity
-        return [base + c + 1 for c in range(self.arity)]
+    def leaf_children(self, node: int) -> range:
+        """Leaf (processor id) children of a last-level node."""
+        if not 0 <= node < self._starts[-1]:
+            raise self._no_node(node)
+        last = self._starts[self.depth]
+        if node < last:
+            raise ConfigurationError(f"node {node} is not on the last inner level")
+        first = (node - last) * self.arity + 1
+        return range(first, first + self.arity)
 
-    def leaf_parent(self, leaf_pid: ProcessorId) -> NodeAddr:
-        """The level-``depth`` inner node above leaf processor *leaf_pid*."""
+    def leaf_parent(self, leaf_pid: ProcessorId) -> int:
+        """The last-level inner node above leaf processor *leaf_pid*."""
         if not 1 <= leaf_pid <= self.leaf_count:
             raise ConfigurationError(
                 f"leaf id {leaf_pid} outside 1..{self.leaf_count}"
             )
-        return NodeAddr(self.depth, (leaf_pid - 1) // self.arity)
+        return self._starts[self.depth] + (leaf_pid - 1) // self.arity
 
-    def path_to_root(self, leaf_pid: ProcessorId) -> list[NodeAddr]:
+    def path_to_root(self, leaf_pid: ProcessorId) -> list[int]:
         """Inner nodes on the path from *leaf_pid*'s parent up to the root."""
         path = [self.leaf_parent(leaf_pid)]
-        while not path[-1].is_root:
+        while path[-1] != 0:
             path.append(self.parent(path[-1]))
         return path
 
     # ------------------------------------------------------------------
     # Identifier intervals (§4's replacement-processor scheme)
     # ------------------------------------------------------------------
-    def id_interval(self, addr: NodeAddr) -> range:
+    def id_interval(self, node: int) -> range:
         """Replacement-id interval of a non-root inner node.
 
         The first id of the interval is the node's initial worker; retired
         workers are replaced by the next id.  Intervals are pairwise
         disjoint over all non-root inner nodes.
         """
-        self._check_addr(addr)
-        if addr.is_root:
+        level = self.level_of(node)
+        if level == 0:
             raise ConfigurationError(
                 "the root walks ids 1, 2, 3, ... and has no static interval"
             )
-        width = self.arity ** (self.depth - addr.level)
-        start = (addr.level - 1) * self._band + addr.index * width + 1
+        width = self.arity ** (self.depth - level)
+        start = (level - 1) * self._band + (node - self._starts[level]) * width + 1
         return range(start, start + width)
 
-    def initial_worker(self, addr: NodeAddr) -> ProcessorId:
-        """Initial processor id working for inner node *addr*.
+    def initial_worker(self, node: int) -> ProcessorId:
+        """Initial processor id working for inner node *node*.
 
         The root starts at processor 1 (it shares ids with other roles by
         design; the Bottleneck Theorem's accounting allows one root tenure
         plus one inner tenure per processor).
         """
-        if addr.is_root:
+        if node == 0:
             return 1
-        return self.id_interval(addr)[0]
+        return self.id_interval(node)[0]
 
-    def initially_worked_node(self, pid: ProcessorId) -> NodeAddr | None:
+    def interval_node(self, pid: ProcessorId) -> int | None:
+        """The non-root inner node whose interval holds *pid*, if any.
+
+        Intervals are disjoint, so this is the one inner node besides the
+        root that processor *pid* can ever work for.
+        """
+        located = self._locate(pid)
+        return None if located is None else located[0]
+
+    def initially_worked_node(self, pid: ProcessorId) -> int | None:
         """The non-root inner node whose initial worker is *pid*, if any.
 
         The inverse of :meth:`initial_worker` on the non-root nodes
@@ -221,19 +252,14 @@ class TreeGeometry:
         is what lets a processor's program be built on first contact
         without consulting any live state.
         """
-        below = pid - 1
-        band = self._band
-        if not 0 <= below < self.depth * band:
-            return None
-        level = below // band + 1
-        index, inside = divmod(below % band, self.arity ** (self.depth - level))
-        return None if inside else NodeAddr(level, index)
+        located = self._locate(pid)
+        return None if located is None or located[1] else located[0]
 
     def initial_leaf_parent_worker(self, leaf_pid: ProcessorId) -> ProcessorId:
         """Initial worker of the inner node above leaf *leaf_pid*.
 
         What ``initial_worker(leaf_parent(leaf_pid))`` computes, without
-        the address round trip (last-level intervals have width 1).
+        the node round trip (last-level intervals have width 1).
         """
         if not 1 <= leaf_pid <= self.leaf_count:
             raise ConfigurationError(
@@ -266,21 +292,23 @@ class TreeGeometry:
         return max(self.leaf_count, self.max_interval_id(), self.root_walk_budget())
 
     # ------------------------------------------------------------------
-    # Internal checks
+    # Internals
     # ------------------------------------------------------------------
-    def _check_level(self, level: int) -> None:
-        if not 0 <= level <= self.depth:
-            raise ConfigurationError(
-                f"level {level} outside inner levels 0..{self.depth}"
-            )
+    def _locate(self, pid: ProcessorId) -> tuple[int, int] | None:
+        """``(node, offset)``: the interval holding *pid* and *pid*'s
+        place in it, or None outside every interval."""
+        below = pid - 1
+        band = self._band
+        if not 0 <= below < self.depth * band:
+            return None
+        level = below // band + 1
+        index, offset = divmod(below % band, self.arity ** (self.depth - level))
+        return self._starts[level] + index, offset
 
-    def _check_addr(self, addr: NodeAddr) -> None:
-        self._check_level(addr.level)
-        if not 0 <= addr.index < self.arity**addr.level:
-            raise ConfigurationError(
-                f"index {addr.index} outside level {addr.level} "
-                f"(0..{self.arity ** addr.level - 1})"
-            )
+    def _no_node(self, node: int) -> ConfigurationError:
+        return ConfigurationError(
+            f"no inner node {node} (nodes are 0..{self._starts[-1] - 1})"
+        )
 
     def __repr__(self) -> str:
         return (

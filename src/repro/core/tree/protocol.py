@@ -3,7 +3,7 @@
 Four message kinds implement §4's counter:
 
 * ``inc`` — an increment request climbing toward the root.  Carries the
-  originating leaf's id and the address of the node role it is meant for.
+  originating leaf's id and the key of the node role it is meant for.
 * ``value`` — the root's answer, sent directly to the originating leaf.
 * ``handoff`` — one of the ``k+2`` (``k+3`` for the root) messages a
   retiring worker sends its successor: the new job, the parent id, the
@@ -12,46 +12,21 @@ Four message kinds implement §4's counter:
 * ``id-update`` — a retiring worker telling the node's parent and children
   where the role now lives.
 
-Role addressing: messages meant for a node role carry the node's address
-key so a processor playing several roles (leaf + inner + root is possible
-by design) can dispatch, and so a processor that no longer plays the role
+Role addressing: messages meant for a role carry its key — an inner
+node's ``("node", level, index)``, a leaf's ``("leaf", pid)`` — so a
+processor playing several roles (leaf + inner + root is possible by
+design) can dispatch, and so a processor that no longer plays the role
 can forward the message to its successor — the "proper handshaking
 protocol with a constant number of extra messages" the paper appeals to.
+Inside a processor an inner node is its level-order number;
+:meth:`~repro.core.tree.geometry.TreeGeometry.encode` builds its key at
+send and :meth:`~repro.core.tree.geometry.TreeGeometry.decode` reads it
+back on receipt.
 """
 
 from __future__ import annotations
-
-from repro.core.tree.geometry import NodeAddr
-from repro.sim.messages import ProcessorId
 
 KIND_INC = "inc"
 KIND_VALUE = "value"
 KIND_HANDOFF = "handoff"
 KIND_ID_UPDATE = "id-update"
-
-RoleKey = tuple
-"""Payload-safe role identifier: ``("node", level, index)`` or
-``("leaf", pid)``."""
-
-
-def node_key(addr: NodeAddr) -> RoleKey:
-    """Role key for inner node *addr*."""
-    return ("node", addr.level, addr.index)
-
-
-def leaf_key(pid: ProcessorId) -> RoleKey:
-    """Role key for the leaf role of processor *pid*."""
-    return ("leaf", pid)
-
-
-def is_leaf_key(key: RoleKey) -> bool:
-    """True if *key* addresses a leaf role."""
-    return key[0] == "leaf"
-
-
-def addr_of(key: RoleKey) -> NodeAddr:
-    """Recover the :class:`NodeAddr` from an inner-node role key."""
-    if key[0] != "node":
-        raise ValueError(f"{key!r} is not an inner-node role key")
-    return NodeAddr(key[1], key[2])
-

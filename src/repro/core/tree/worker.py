@@ -30,9 +30,6 @@ from repro.core.tree.protocol import (
     KIND_ID_UPDATE,
     KIND_INC,
     KIND_VALUE,
-    RoleKey,
-    addr_of,
-    node_key,
 )
 from repro.core.tree.roles import NodeRole
 from repro.errors import ProtocolError
@@ -86,12 +83,16 @@ class LeafProgram(Processor):
         parent_worker = self.parent_worker(pid)
         if parent_worker is None:
             raise ProtocolError(f"processor {pid} has no leaf parent set")
-        parent_key = node_key(self._counter.geometry.leaf_parent(pid))
+        geometry = self._counter.geometry
         self._counter._network.send(
             pid,
             parent_worker,
             KIND_INC,
-            {"origin": pid, "role": parent_key, "request": request},
+            {
+                "origin": pid,
+                "role": geometry.encode(geometry.leaf_parent(pid)),
+                "request": request,
+            },
         )
 
     def on_message(self, message: Message) -> None:
@@ -122,19 +123,20 @@ class TreeWorker(Processor):
     takes a role up only when the hand-off arrives.  Its leaf role is
     the shared :class:`LeafProgram`'s.
 
-    A worker stores only what can change.  The role table and the
-    deferral table are allocated on first write (``None`` until then),
-    and the role table goes back to ``None`` when the last role
-    retires.  Forwarding
-    pointers — one per role retired from, read only on the rare
-    stale-address path — are one flat ``(key, successor, …)`` tuple,
-    ``()`` when there are none.
+    A processor works for at most two nodes over a whole run: the root,
+    and the one inner node whose interval holds its pid (the registry's
+    no-aliasing check enforces it).  So a worker keeps one slot for
+    each, ``_root`` and ``_inner``.  A slot holds the role while the
+    worker works for the node, the successor's pid once it retired from
+    it — the forwarding pointer, read only on the rare stale-address
+    path — and ``None`` before it ever did.  The deferral table is
+    allocated on first write (``None`` until then).
     """
 
     __slots__ = (
         "_counter",
-        "_roles",
-        "_forward",
+        "_root",
+        "_inner",
         "_pending",
         "forwarded_messages",
         "deferred_messages",
@@ -143,44 +145,44 @@ class TreeWorker(Processor):
     def __init__(self, pid: ProcessorId, counter: "TreeCounter") -> None:
         super().__init__(pid)
         self._counter = counter
-        self._roles: dict[RoleKey, NodeRole] | None = None
-        self._forward: tuple = ()
-        self._pending: dict[RoleKey, list[Message]] | None = None
+        self._root: NodeRole | ProcessorId | None = None
+        self._inner: NodeRole | ProcessorId | None = None
+        self._pending: dict[int, list[Message]] | None = None
         self.forwarded_messages = 0
         self.deferred_messages = 0
         if pid == 1:
-            self.adopt_role(counter.registry.root())
-        addr = counter.geometry.initially_worked_node(pid)
-        if addr is not None:
-            self.adopt_role(counter.registry.role(addr))
+            self._root = counter.registry.root()
+        node = counter.geometry.initially_worked_node(pid)
+        if node is not None:
+            self._inner = counter.registry.role(node)
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
     def adopt_role(self, role: NodeRole) -> None:
         """Take up work for *role* (initial assignment or hand-off)."""
-        if self._roles is None:
-            self._roles = {}
-        key = role.key
-        self._roles[key] = role
-        forward = self._forward
-        if key in forward:
-            at = forward.index(key)
-            self._forward = forward[:at] + forward[at + 2 :]
+        if role.node == 0:
+            self._root = role
+        else:
+            self._inner = role
 
-    def active_role_keys(self) -> list[RoleKey]:
-        """Role keys this worker currently plays (test introspection)."""
-        return list(self._roles or ())
+    def held_nodes(self) -> list[int]:
+        """The nodes this worker currently works for, root first (test
+        introspection)."""
+        slots = (self._root, self._inner)
+        return [slot.node for slot in slots if type(slot) is NodeRole]
 
-    def forward_target(self, key: RoleKey) -> ProcessorId | None:
-        """The successor this worker forwards messages for role *key* to
-        (set when it retired from the role), or None."""
-        forward = self._forward
-        return forward[forward.index(key) + 1] if key in forward else None
+    def forward_target(self, node: int) -> ProcessorId | None:
+        """The successor this worker forwards messages for *node* to (set
+        when it retired from the node), or None."""
+        if node == 0:
+            slot = self._root
+        elif node == self._counter.geometry.interval_node(self.pid):
+            slot = self._inner
+        else:
+            return None
+        return slot if type(slot) is int else None
 
-    # ------------------------------------------------------------------
-    # Operation entry point (a local event, not a message)
-    # ------------------------------------------------------------------
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
@@ -190,22 +192,22 @@ class TreeWorker(Processor):
         if kind == KIND_VALUE or payload["role"][0] == "leaf":
             self._counter.leaves.on_message(message)  # addressed to self.pid
             return
-        role_key: RoleKey = tuple(payload["role"])
+        node = self._counter.geometry.decode(payload["role"])
         if kind == KIND_HANDOFF:
-            self._handle_handoff(role_key, message)
+            self._handle_handoff(node)
             return
-        role = self._roles.get(role_key) if self._roles else None
-        if role is not None:
+        role = self._root if node == 0 else self._inner
+        if type(role) is NodeRole and role.node == node:
             if kind == KIND_INC:
                 self._handle_inc(role, payload["origin"], payload.get("request"))
             elif kind == KIND_ID_UPDATE:
-                self._handle_id_update(role, message)
+                self._handle_id_update(role, payload)
             else:
                 raise ProtocolError(
-                    f"node {role.addr} cannot handle message kind {kind!r}"
+                    f"node {node} cannot handle message kind {kind!r}"
                 )
             return
-        successor = self.forward_target(role_key)
+        successor = self.forward_target(node)
         if successor is not None:
             # Stale addressing: pass the message along to the new worker.
             self.forwarded_messages += 1
@@ -216,7 +218,7 @@ class TreeWorker(Processor):
         self.deferred_messages += 1
         if self._pending is None:
             self._pending = {}
-        self._pending.setdefault(role_key, []).append(message)
+        self._pending.setdefault(node, []).append(message)
 
     # ------------------------------------------------------------------
     # Inner-node roles
@@ -226,57 +228,74 @@ class TreeWorker(Processor):
     ) -> None:
         """Receive an operation climbing the tree; answer or forward it."""
         role.age += 1  # received the request
-        if role.parent_addr is None:  # the root
+        if role.node == 0:
             reply = self._counter.apply_at_root(role, request)
             self.send(origin, KIND_VALUE, {"value": reply})
         else:
-            assert role.parent_worker is not None
+            geometry = self._counter.geometry
             self.send(
                 role.parent_worker,
                 KIND_INC,
-                {"origin": origin, "role": role.parent_key, "request": request},
+                {
+                    "origin": origin,
+                    "role": geometry.encode(geometry.parent(role.node)),
+                    "request": request,
+                },
             )
         role.age += 1  # sent the answer/forward
         self._maybe_retire(role)
 
-    def _handle_id_update(self, role: NodeRole, message: Message) -> None:
+    def _handle_id_update(self, role: NodeRole, payload: dict) -> None:
         """A neighbour node moved: update the local belief of its worker."""
-        changed: RoleKey = tuple(message.payload["node"])
-        new_worker: ProcessorId = message.payload["new_worker"]
-        if changed == role.parent_key:
+        changed = payload["node"]
+        new_worker: ProcessorId = payload["new_worker"]
+        if changed[0] == "leaf":
+            raise ProtocolError(
+                f"node {role.node} got an id-update for leaf {changed!r}; "
+                "a leaf is worked by its own processor and never moves"
+            )
+        geometry = self._counter.geometry
+        changed = geometry.decode(changed)
+        if role.node != 0 and changed == geometry.parent(role.node):
             role.parent_worker = new_worker
         else:
-            role.move_child(changed, new_worker)
+            try:
+                position = geometry.children(role.node).index(changed)
+            except ValueError:
+                raise ProtocolError(
+                    f"node {role.node} got an id-update for non-neighbour "
+                    f"node {changed}"
+                ) from None
+            role.children[position] = new_worker
         role.age += 1
         self._maybe_retire(role)
 
     # ------------------------------------------------------------------
     # Hand-off handling
     # ------------------------------------------------------------------
-    def _handle_handoff(self, role_key: RoleKey, message: Message) -> None:
-        role = self._roles.get(role_key) if self._roles else None
-        if role is None:
-            registry_role = self._counter.registry.role(addr_of(role_key))
-            if registry_role.worker != self.pid:
+    def _handle_handoff(self, node: int) -> None:
+        role = self._root if node == 0 else self._inner
+        if type(role) is not NodeRole or role.node != node:
+            role = self._counter.registry.role(node)
+            if role.worker != self.pid:
                 # A stale hand-off from a past tenure (possible only under
                 # wrapped intervals with heavy reordering).  Receiving it
                 # already cost load; there is nothing to do.
                 return
-            self.adopt_role(registry_role)
-            role = registry_role
-            self._replay_pending(role_key)
+            self.adopt_role(role)
+            self._replay_pending(node)
         if self._counter.policy.count_handoff_in_age:
             role.age += 1
             self._maybe_retire(role)
 
-    def _replay_pending(self, role_key: RoleKey) -> None:
+    def _replay_pending(self, node: int) -> None:
         """Re-dispatch messages that arrived before the role did.
 
         Replays run as injected local events attributed to the deferred
         message's own operation, so footprints stay exact and no new
         messages are charged.
         """
-        pending = self._pending.pop(role_key, None) if self._pending else None
+        pending = self._pending.pop(node, None) if self._pending else None
         if not pending:
             return
         for deferred in pending:
@@ -291,23 +310,26 @@ class TreeWorker(Processor):
         threshold = self._counter.policy.retire_threshold
         if threshold is None or role.age < threshold:
             return
-        registry = self._counter.registry
-        successor = registry.next_worker_for(role)
-        key = role.key
-        registry.commit_retirement(
+        counter = self._counter
+        geometry = counter.geometry
+        successor = counter.registry.next_worker_for(role)
+        node = role.node
+        counter.registry.commit_retirement(
             role,
             successor,
             op_index=self.network.active_op,
             time=self.network.now,
         )
-        del self._roles[key]
-        if not self._roles:
-            self._roles = None
-        self._forward += (key, successor)
+        # The slot keeps the successor: the forwarding pointer.
+        if node == 0:
+            self._root = successor
+        else:
+            self._inner = successor
+        key = geometry.encode(node)
         # k+2 hand-off messages (k+3 for the root, which also ships val):
         # the new job, the parent id, the k child ids — each O(log n) bits.
-        handoff_total = self._counter.geometry.arity + 2
-        if role.parent_addr is None:  # the root also ships val
+        handoff_total = geometry.arity + 2
+        if node == 0:  # the root also ships val
             handoff_total += 1
         for seq in range(handoff_total):
             self.send(
@@ -316,14 +338,23 @@ class TreeWorker(Processor):
                 {"role": key, "seq": seq, "total": handoff_total},
             )
         # One id-update to the parent (the root saves this message) ...
-        if role.parent_addr is not None and role.parent_worker is not None:
+        if node != 0 and role.parent_worker is not None:
             self.send(
                 role.parent_worker,
                 KIND_ID_UPDATE,
-                {"role": role.parent_key, "node": key, "new_worker": successor},
+                {
+                    "role": geometry.encode(geometry.parent(node)),
+                    "node": key,
+                    "new_worker": successor,
+                },
             )
         # ... and one to each child (leaves included).
-        for child_key, believed_worker in role.child_beliefs():
+        children = role.children
+        if type(children) is range:  # leaves, each worked by its own pid
+            child_keys = [("leaf", pid) for pid in children]
+        else:
+            child_keys = [geometry.encode(child) for child in geometry.children(node)]
+        for child_key, believed_worker in zip(child_keys, children):
             self.send(
                 believed_worker,
                 KIND_ID_UPDATE,

@@ -75,24 +75,17 @@ def _e5_table(k: int) -> ExperimentTable:
     counter = TreeCounter(network, n)
     result = run_sequence(counter, one_shot(n))
     geometry = counter.geometry
-    retires_by_node: Counter = Counter()
+    retires_by_node: Counter[int] = Counter()
     worst_age: defaultdict[int, int] = defaultdict(int)
     for event in counter.retirements:
-        retires_by_node[event.addr] += 1
-        worst_age[event.addr.level] = max(
-            worst_age[event.addr.level], event.age_at_retirement
-        )
+        retires_by_node[event.node] += 1
+        level = geometry.level_of(event.node)
+        worst_age[level] = max(worst_age[level], event.age_at_retirement)
     rows = []
     for level in geometry.inner_levels():
-        level_retires = sum(
-            count for addr, count in retires_by_node.items()
-            if addr.level == level
-        )
-        worst_node = max(
-            (count for addr, count in retires_by_node.items()
-             if addr.level == level),
-            default=0,
-        )
+        on_level = [retires_by_node[node] for node in geometry.level_nodes(level)]
+        level_retires = sum(on_level)
+        worst_node = max(on_level)
         budget = (
             geometry.root_walk_budget()
             if level == 0

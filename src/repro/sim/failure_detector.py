@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.sim.faults import FaultRecord
+from repro.sim.faults import FaultRecord, _Ledger
 from repro.sim.messages import NO_OP, Message, ProcessorId
 from repro.sim.network import Network
 from repro.sim.processor import Processor
@@ -131,7 +131,7 @@ class FailureDetector:
         self._hub: _FailureDetectorHub | None = None
         self._last_heard: dict[ProcessorId, float] = {}
         self._suspected: set[ProcessorId] = set()
-        self._events: list[FaultRecord] = []
+        self._events = _Ledger()
         self._on_suspect: list[SuspicionCallback] = []
         self._on_restore: list[SuspicionCallback] = []
 
@@ -197,8 +197,9 @@ class FailureDetector:
         return frozenset(self._suspected)
 
     @property
-    def events(self) -> list[FaultRecord]:
-        """Suspicions and restores, in order (do not mutate)."""
+    def events(self) -> Sequence[FaultRecord]:
+        """Suspicions and restores, in order: a read-only sequence, each
+        record built on access from the ledger's columns."""
         return self._events
 
     def is_suspected(self, pid: ProcessorId) -> bool:
@@ -243,13 +244,5 @@ class FailureDetector:
                 callback(pid, now)
 
     def _record(self, kind: str, pid: ProcessorId, time: float) -> None:
-        record = FaultRecord(
-            time=time,
-            kind=kind,
-            sender=pid,
-            receiver=self._hub_pid or 0,
-            op_index=NO_OP,
-            uid=-1,
-            detail=f"silence > {self._timeout:g}" if kind == "suspect" else "",
-        )
-        self._events.append(record)
+        detail = f"silence > {self._timeout:g}" if kind == "suspect" else ""
+        self._events.add(time, kind, pid, self._hub_pid or 0, NO_OP, -1, detail)

@@ -40,6 +40,7 @@ from typing import Any, NamedTuple, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.failure_detector import FailureDetector
+from repro.sim.columns import Rows
 from repro.sim.faults import FaultPlan, RecoveryPoint
 from repro.sim.messages import ProcessorId
 from repro.sim.network import Network
@@ -65,6 +66,14 @@ class RecoveryEvent(NamedTuple):
 
     def __str__(self) -> str:
         return f"[t={self.time:g}] {self.kind} pid={self.pid} {self.detail}"
+
+
+class _RecoveryLog(Rows):
+    """The recovery ledger as columns, kind and detail interned."""
+
+    __slots__ = ()
+    schema = {"time": "d", "kind": "s", "pid": "i", "detail": "s"}
+    row = RecoveryEvent
 
 
 class Recoverable(ABC):
@@ -155,7 +164,7 @@ class RecoveryManager:
         self._detector.add_suspect_callback(counter.on_processor_suspected)
         self._detector.add_restore_callback(counter.on_processor_restored)
         self._checkpoints: dict[ProcessorId, Any] = {}
-        self._events: list[RecoveryEvent] = []
+        self._events = _RecoveryLog()
         self._failover_latencies: list[float] = []
         self._started = False
 
@@ -203,9 +212,7 @@ class RecoveryManager:
     def save_checkpoint(self, pid: ProcessorId, state: Any) -> None:
         """Persist *state* as *pid*'s crash-surviving checkpoint."""
         self._checkpoints[pid] = copy.deepcopy(state)
-        self._events.append(
-            RecoveryEvent(self._network.now, "checkpoint", pid)
-        )
+        self._events.add(self._network.now, "checkpoint", pid, "")
 
     def checkpoint_for(self, pid: ProcessorId) -> Any:
         """The latest checkpoint of *pid* (a copy), or ``None``."""
@@ -232,11 +239,7 @@ class RecoveryManager:
         ]
         if starts:
             self._failover_latencies.append(now - min(starts))
-        self._events.append(
-            RecoveryEvent(
-                now, "failover", old_pid, f"role moved to {new_pid}"
-            )
-        )
+        self._events.add(now, "failover", old_pid, f"role moved to {new_pid}")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -247,9 +250,10 @@ class RecoveryManager:
         return self._detector
 
     @property
-    def events(self) -> list[RecoveryEvent]:
-        """The recovery ledger, in order (do not mutate): every
-        recovery, failover and checkpoint, once."""
+    def events(self) -> Sequence[RecoveryEvent]:
+        """The recovery ledger, in order: every recovery, failover and
+        checkpoint, once, as a read-only sequence built on access from
+        the ledger's columns."""
         return self._events
 
     def suspicion_count(self) -> int:
@@ -275,7 +279,5 @@ class RecoveryManager:
         now = self._network.now
         checkpoint = self.checkpoint_for(point.pid)
         detail = "from checkpoint" if checkpoint is not None else "no checkpoint"
-        self._events.append(
-            RecoveryEvent(now, "recover", point.pid, detail)
-        )
+        self._events.add(now, "recover", point.pid, detail)
         self._counter.on_processor_recovered(point.pid, now, checkpoint)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ROOT, NodeAddr, TreeGeometry, lower_bound_k, paper_k_for
-from repro.errors import ConfigurationError
+from repro.core import TreeGeometry, lower_bound_k, paper_k_for
+from repro.errors import ConfigurationError, ProtocolError
 
 
 class TestShape:
@@ -30,14 +30,15 @@ class TestShape:
     def test_all_nodes_root_first(self):
         geometry = TreeGeometry(arity=2, depth=2)
         nodes = geometry.all_nodes()
-        assert nodes[0] == ROOT
+        assert nodes[0] == 0
         assert len(nodes) == geometry.total_inner_nodes()
+        assert [geometry.level_of(node) for node in nodes] == [0, 1, 1, 2, 2, 2, 2]
 
     def test_leaves_under(self):
         geometry = TreeGeometry.paper_shape(2)  # leaves = 8
-        assert geometry.leaves_under(ROOT) == 8
-        assert geometry.leaves_under(NodeAddr(1, 0)) == 4
-        assert geometry.leaves_under(NodeAddr(2, 3)) == 2
+        assert geometry.leaves_under(0) == 8
+        assert geometry.leaves_under(1) == 4  # level 1, index 0
+        assert geometry.leaves_under(6) == 2  # level 2, index 3
 
     def test_for_processors_rounds_up(self):
         assert TreeGeometry.for_processors(8).arity == 2
@@ -55,39 +56,38 @@ class TestAdjacency:
     def test_parent_child_inverse(self):
         geometry = TreeGeometry.paper_shape(3)
         for level in range(geometry.depth):
-            for index in range(geometry.nodes_on_level(level)):
-                addr = NodeAddr(level, index)
-                for child in geometry.children(addr):
-                    assert geometry.parent(child) == addr
+            for node in geometry.level_nodes(level):
+                for child in geometry.children(node):
+                    assert geometry.parent(child) == node
 
     def test_root_has_no_parent(self):
         with pytest.raises(ConfigurationError):
-            TreeGeometry.paper_shape(2).parent(ROOT)
+            TreeGeometry.paper_shape(2).parent(0)
 
     def test_last_level_has_leaf_children(self):
         geometry = TreeGeometry.paper_shape(2)
-        addr = NodeAddr(2, 0)
-        assert geometry.children(addr) == []
-        assert geometry.leaf_children(addr) == [1, 2]
+        first_on_last_level = 3
+        assert not geometry.children(first_on_last_level)
+        assert list(geometry.leaf_children(first_on_last_level)) == [1, 2]
 
     def test_leaf_children_partition_leaves(self):
         geometry = TreeGeometry.paper_shape(2)
         seen = []
-        for index in range(geometry.nodes_on_level(geometry.depth)):
-            seen.extend(geometry.leaf_children(NodeAddr(geometry.depth, index)))
+        for node in geometry.level_nodes(geometry.depth):
+            seen.extend(geometry.leaf_children(node))
         assert seen == list(range(1, geometry.leaf_count + 1))
 
     def test_leaf_children_only_on_last_level(self):
         geometry = TreeGeometry.paper_shape(2)
         with pytest.raises(ConfigurationError):
-            geometry.leaf_children(NodeAddr(1, 0))
+            geometry.leaf_children(1)
 
     def test_leaf_parent(self):
         geometry = TreeGeometry.paper_shape(2)
-        assert geometry.leaf_parent(1) == NodeAddr(2, 0)
-        assert geometry.leaf_parent(2) == NodeAddr(2, 0)
-        assert geometry.leaf_parent(3) == NodeAddr(2, 1)
-        assert geometry.leaf_parent(8) == NodeAddr(2, 3)
+        assert geometry.leaf_parent(1) == 3
+        assert geometry.leaf_parent(2) == 3
+        assert geometry.leaf_parent(3) == 4
+        assert geometry.leaf_parent(8) == 6
 
     def test_leaf_parent_bounds(self):
         geometry = TreeGeometry.paper_shape(2)
@@ -100,27 +100,28 @@ class TestAdjacency:
         geometry = TreeGeometry.paper_shape(3)
         path = geometry.path_to_root(1)
         assert len(path) == geometry.depth + 1
-        assert path[-1] == ROOT
+        assert path[-1] == 0
         assert path[0] == geometry.leaf_parent(1)
 
     def test_out_of_range_addr_rejected(self):
         geometry = TreeGeometry.paper_shape(2)
         with pytest.raises(ConfigurationError):
-            geometry.children(NodeAddr(1, 5))
+            geometry.children(7)
         with pytest.raises(ConfigurationError):
-            geometry.children(NodeAddr(7, 0))
+            geometry.children(-1)
+        for key in (("node", 1, 5), ("node", 7, 0), ("node", 1, -1), ("leaf", 1)):
+            with pytest.raises(ProtocolError):
+                geometry.decode(key)
 
 
 class TestIdentifierScheme:
     def test_intervals_disjoint_and_within_n(self):
         geometry = TreeGeometry.paper_shape(3)
         seen: set[int] = set()
-        for addr in geometry.all_nodes():
-            if addr.is_root:
-                continue
-            interval = geometry.id_interval(addr)
+        for node in geometry.all_nodes()[1:]:
+            interval = geometry.id_interval(node)
             ids = set(interval)
-            assert not ids & seen, f"overlap at {addr}"
+            assert not ids & seen, f"overlap at {node}"
             seen |= ids
         assert max(seen) == geometry.max_interval_id() == 3 * 3**3
         assert geometry.max_interval_id() <= geometry.leaf_count
@@ -128,7 +129,7 @@ class TestIdentifierScheme:
     def test_interval_width_shrinks_with_level(self):
         geometry = TreeGeometry.paper_shape(3)
         widths = [
-            len(geometry.id_interval(NodeAddr(level, 0)))
+            len(geometry.id_interval(geometry.level_nodes(level)[0]))
             for level in range(1, geometry.depth + 1)
         ]
         assert widths == [9, 3, 1]  # k^(k-i) for i = 1..k
@@ -136,28 +137,23 @@ class TestIdentifierScheme:
     def test_levels_occupy_disjoint_bands(self):
         geometry = TreeGeometry.paper_shape(2)
         band = geometry.arity**geometry.depth
-        for addr in geometry.all_nodes():
-            if addr.is_root:
-                continue
-            interval = geometry.id_interval(addr)
-            assert (addr.level - 1) * band < interval.start
-            assert interval.stop - 1 <= addr.level * band
+        for node in geometry.all_nodes()[1:]:
+            interval = geometry.id_interval(node)
+            level = geometry.level_of(node)
+            assert (level - 1) * band < interval.start
+            assert interval.stop - 1 <= level * band
 
     def test_root_has_no_interval(self):
         with pytest.raises(ConfigurationError):
-            TreeGeometry.paper_shape(2).id_interval(ROOT)
+            TreeGeometry.paper_shape(2).id_interval(0)
 
     def test_initial_workers_unique_among_non_root(self):
         geometry = TreeGeometry.paper_shape(3)
-        workers = [
-            geometry.initial_worker(addr)
-            for addr in geometry.all_nodes()
-            if not addr.is_root
-        ]
+        workers = [geometry.initial_worker(node) for node in geometry.all_nodes()[1:]]
         assert len(workers) == len(set(workers))
 
     def test_root_initial_worker_is_one(self):
-        assert TreeGeometry.paper_shape(4).initial_worker(ROOT) == 1
+        assert TreeGeometry.paper_shape(4).initial_worker(0) == 1
 
     def test_processor_requirement_covers_everything(self):
         for k in (2, 3, 4):
@@ -178,9 +174,7 @@ class TestInitialStateArithmetic:
     def test_initially_worked_node_inverts_initial_worker(self, arity, depth):
         geometry = TreeGeometry(arity=arity, depth=depth)
         expected = {
-            geometry.initial_worker(addr): addr
-            for addr in geometry.all_nodes()
-            if not addr.is_root
+            geometry.initial_worker(node): node for node in geometry.all_nodes()[1:]
         }
         assert len(expected) == geometry.total_inner_nodes() - 1
         for pid in range(-1, geometry.processor_requirement() + 3):
@@ -216,19 +210,3 @@ class TestBoundCurve:
         for n in (2, 8, 9, 81, 82, 1024, 1025):
             assert paper_k_for(n) == TreeGeometry.for_processors(n).arity
 
-
-class TestNodeAddr:
-    def test_root_flag(self):
-        assert ROOT.is_root
-        assert not NodeAddr(1, 0).is_root
-
-    def test_key_round_trip(self):
-        addr = NodeAddr(2, 5)
-        assert addr.key() == (2, 5)
-
-    def test_str(self):
-        assert str(ROOT) == "root"
-        assert str(NodeAddr(1, 2)) == "node(1,2)"
-
-    def test_ordering(self):
-        assert ROOT < NodeAddr(1, 0) < NodeAddr(1, 1) < NodeAddr(2, 0)

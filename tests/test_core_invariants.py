@@ -119,7 +119,7 @@ class TestLeafWork:
         counter, _ = _run(8)
         leaves = pure_leaves(counter)
         for role in counter.registry.all_roles():
-            assert counter.geometry.initial_worker(role.addr) not in leaves
+            assert counter.geometry.initial_worker(role.node) not in leaves
 
 
 class TestBottleneckTheorem:

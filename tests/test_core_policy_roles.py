@@ -5,16 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
-    ROOT,
     IntervalMode,
-    NodeAddr,
     RoleRegistry,
+    TreeCounter,
     TreeGeometry,
     TreePolicy,
 )
-from repro.core.tree.protocol import leaf_key, node_key
+from repro.core.tree.protocol import KIND_ID_UPDATE
 from repro.errors import ConfigurationError, ProtocolError
 from repro.registry import RunSession
+from repro.sim.messages import Message
+from repro.sim.network import Network
 
 
 class TestTreePolicy:
@@ -65,41 +66,37 @@ class TestRegistryConstruction:
     def test_initial_workers_match_geometry(self):
         registry = _registry(3)
         for role in registry.all_roles():
-            assert role.worker == registry.geometry.initial_worker(role.addr)
+            assert role.worker == registry.geometry.initial_worker(role.node)
 
     def test_neighbour_beliefs_initialized(self):
         registry = _registry(2)
-        child = registry.role(NodeAddr(1, 0))
-        assert child.parent_addr == ROOT
+        child = registry.role(1)
+        assert registry.geometry.parent(child.node) == 0
         assert child.parent_worker == registry.root().worker
         root = registry.root()
-        assert set(root.children_workers.values()) == {
-            registry.role(NodeAddr(1, 0)).worker,
-            registry.role(NodeAddr(1, 1)).worker,
-        }
+        assert root.children == [registry.role(1).worker, registry.role(2).worker]
 
     def test_last_level_children_are_leaves(self):
         registry = _registry(2)
-        bottom = registry.role(NodeAddr(2, 0))
-        assert ("leaf", 1) in bottom.children_workers
-        assert bottom.children_workers[("leaf", 1)] == 1
+        bottom = registry.role(registry.geometry.leaf_parent(1))
+        assert bottom.children == range(1, 3)
 
     def test_unknown_addr_rejected(self):
         with pytest.raises(ConfigurationError):
-            _registry().role(NodeAddr(9, 9))
+            _registry().role(99)
 
 
 class TestRetirementDiscipline:
     def test_next_worker_walks_the_interval(self):
         registry = _registry(3)
-        role = registry.role(NodeAddr(1, 0))
-        interval = registry.geometry.id_interval(role.addr)
+        role = registry.role(1)
+        interval = registry.geometry.id_interval(role.node)
         first_successor = registry.next_worker_for(role)
         assert first_successor == interval[1]
 
     def test_commit_updates_role(self):
         registry = _registry(3)
-        role = registry.role(NodeAddr(1, 0))
+        role = registry.role(1)
         role.age = 99
         successor = registry.next_worker_for(role)
         event = registry.commit_retirement(role, successor, op_index=2, time=5.0)
@@ -123,7 +120,7 @@ class TestRetirementDiscipline:
 
     def test_strict_interval_exhaustion_raises(self):
         registry = _registry(2)
-        role = registry.role(NodeAddr(2, 0))  # width-1 interval: no spares
+        role = registry.role(3)  # last level: width-1 interval, no spares
         with pytest.raises(ProtocolError, match="exhausted"):
             registry.next_worker_for(role)
 
@@ -131,21 +128,21 @@ class TestRetirementDiscipline:
         geometry = TreeGeometry.paper_shape(2)
         policy = TreePolicy(retire_threshold=8, interval_mode=IntervalMode.WRAP)
         registry = RoleRegistry(geometry, policy)
-        role = registry.role(NodeAddr(2, 0))
+        role = registry.role(3)
         successor = registry.next_worker_for(role)
-        assert successor == geometry.id_interval(role.addr)[0]
+        assert successor == geometry.id_interval(role.node)[0]
 
     def test_aliasing_between_inner_nodes_rejected(self):
         registry = _registry(3)
-        role_a = registry.role(NodeAddr(1, 0))
-        role_b = registry.role(NodeAddr(1, 1))
+        role_a = registry.role(1)
+        role_b = registry.role(2)
         with pytest.raises(ProtocolError, match="interval discipline"):
             registry.commit_retirement(role_a, role_b.worker, op_index=0, time=0.0)
 
     def test_root_exempt_from_aliasing(self):
         registry = _registry(3)
         root = registry.root()
-        inner_worker = registry.role(NodeAddr(1, 1)).worker
+        inner_worker = registry.role(2).worker
         # The root walking onto an id that works for an inner node is by
         # design: "at most once for the root and at most once for another
         # inner node".
@@ -154,7 +151,7 @@ class TestRetirementDiscipline:
 
     def test_retirement_counts_by_level(self):
         registry = _registry(3)
-        role = registry.role(NodeAddr(1, 0))
+        role = registry.role(1)
         registry.commit_retirement(
             role, registry.next_worker_for(role), op_index=0, time=0.0
         )
@@ -167,17 +164,26 @@ class TestNodeRoleHelpers:
     def test_believed_child_worker(self):
         registry = _registry(2)
         root = registry.root()
-        key = ("node", 1, 0)
-        assert root.believed_child_worker(key) == registry.role(NodeAddr(1, 0)).worker
+        children = registry.geometry.children(0)
+        assert root.children[children.index(1)] == registry.role(1).worker
 
     def test_unknown_child_rejected(self):
-        registry = _registry(2)
-        with pytest.raises(ProtocolError):
-            registry.root().believed_child_worker(("node", 5, 5))
+        counter = TreeCounter(Network(), 8)
+        worker = counter.worker(1)  # works for the root
+        beliefs = list(counter.registry.root().children)
+        for stranger in (("node", 5, 5), ("node", 2, 0)):
+            update = Message(
+                sender=2, receiver=1, kind=KIND_ID_UPDATE,
+                payload={"role": ("node", 0, 0), "node": stranger, "new_worker": 7},
+            )
+            with pytest.raises(ProtocolError):
+                worker.on_message(update)
+        assert counter.registry.root().children == beliefs
 
     def test_child_keys(self):
-        registry = _registry(2)
-        assert set(registry.root().child_keys()) == {("node", 1, 0), ("node", 1, 1)}
+        geometry = _registry(2).geometry
+        keys = [geometry.encode(child) for child in geometry.children(0)]
+        assert keys == [("node", 1, 0), ("node", 1, 1)]
 
 
 class TestBeliefsAfterQuiescence:
@@ -202,17 +208,13 @@ class TestBeliefsAfterQuiescence:
         registry = session.counter.registry
         assert registry.retirements, "the run retired no worker"
         beliefs = 0
+        geometry = registry.geometry
         for role in registry.all_roles():
-            if role.child_addrs:
-                actual = {
-                    node_key(addr): registry.role(addr).worker
-                    for addr in role.child_addrs
-                }
+            children = geometry.children(role.node)
+            if children:
+                actual = [registry.role(child).worker for child in children]
             else:
-                leaves = registry.geometry.leaf_children(role.addr)
-                actual = {leaf_key(pid): pid for pid in leaves}
-            assert role.children_workers == actual, role.addr
-            for key, worker in actual.items():
-                assert role.believed_child_worker(key) == worker
+                actual = geometry.leaf_children(role.node)
+            assert role.children == actual, role.node
             beliefs += len(actual)
         assert beliefs == checked

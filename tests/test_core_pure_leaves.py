@@ -20,7 +20,7 @@ import random
 import pytest
 
 from repro.core.invariants import check_all, pure_leaves
-from repro.core.tree.protocol import KIND_ID_UPDATE, KIND_INC, KIND_VALUE, leaf_key
+from repro.core.tree.protocol import KIND_ID_UPDATE, KIND_INC, KIND_VALUE
 from repro.core.tree.worker import LeafProgram, TreeWorker
 from repro.errors import ProtocolError
 from repro.registry import RunSession
@@ -86,7 +86,7 @@ class TestTheSharedLeafProgram:
         assert network.processor(pid) is counter.leaves
         bogus = Message(
             sender=2, receiver=pid, kind=KIND_INC,
-            payload={"role": leaf_key(pid), "origin": 2},
+            payload={"role": ("leaf", pid), "origin": 2},
         )
         with pytest.raises(ProtocolError, match=f"leaf {pid} cannot handle"):
             network.processor(pid).on_message(bogus)
@@ -99,12 +99,12 @@ class TestTheSharedLeafProgram:
         pid = _role_free_leaf(counter)
         update = Message(
             sender=1, receiver=pid, kind=KIND_ID_UPDATE,
-            payload={"role": leaf_key(pid), "node": ("node", 9, 9), "new_worker": 42},
+            payload={"role": ("leaf", pid), "node": ("node", 9, 9), "new_worker": 42},
         )
         network.processor(pid).on_message(update)
         worker = counter.worker(pid)
         assert type(worker) is TreeWorker and network.processor(pid) is worker
-        assert worker.active_role_keys() == []
+        assert worker.held_nodes() == []
         assert counter.leaves.parent_worker(pid) == 42  # the belief is the leaf's
         value = Message(sender=1, receiver=pid, kind=KIND_VALUE, payload={"value": 9})
         worker.on_message(value)

@@ -177,14 +177,12 @@ class TestWorkerIntrospection:
         counter = TreeCounter(network, 8)
         # Processor 1 initially works for the root AND node(1,0) — the
         # paper's id scheme allows exactly this double duty.
-        keys = counter.worker(1).active_role_keys()
-        assert ("node", 0, 0) in keys
-        assert ("node", 1, 0) in keys
+        assert counter.worker(1).held_nodes() == [0, 1]
 
     def test_roles_migrate_after_run(self):
         counter, _ = _run_tree(81)
         root_worker = counter.registry.root().worker
-        assert ("node", 0, 0) in counter.worker(root_worker).active_role_keys()
+        assert 0 in counter.worker(root_worker).held_nodes()
 
     def test_deferred_messages_counted(self):
         counter, _ = _run_tree(81, delivery=RandomDelay(seed=5))

@@ -22,7 +22,7 @@ import re
 import pytest
 
 from repro.core import TreeCounter
-from repro.core.tree.geometry import ROOT, NodeAddr, TreeGeometry
+from repro.core.tree.geometry import TreeGeometry
 from repro.core.tree.policy import TreePolicy
 from repro.core.tree.roles import RoleRegistry
 from repro.core.tree.worker import TreeWorker
@@ -111,25 +111,23 @@ class TestEagerLazyEquivalence:
             session.network.materialised_ids()
         )
         initial = {
-            geometry.initial_worker(role.addr): role.addr
+            geometry.initial_worker(role.node): role.node
             for role in counter.registry.all_roles()
             if not role.is_root
         }
         assert untouched & set(initial), "the run left no initial worker unbuilt"
         for pid in untouched:
-            keys = counter.worker(pid).active_role_keys()
-            addr = initial.get(pid)
-            expected = [] if addr is None else [("node", addr.level, addr.index)]
-            assert keys == expected
+            node = initial.get(pid)
+            expected = [] if node is None else [node]
+            assert counter.worker(pid).held_nodes() == expected
 
 
 def _role_state(registry: RoleRegistry) -> list[tuple]:
     """Every field of every role, in level order (forces the build)."""
     return [
         (
-            role.addr, role.worker, role.age, role.parent_addr,
-            role.parent_worker, list(role.child_addrs),
-            dict(role.children_workers), role.value, role.retire_count,
+            role.node, role.worker, role.age, role.parent_worker,
+            list(role.children), role.value, role.retire_count,
         )
         for role in registry.all_roles()
     ]
@@ -192,8 +190,8 @@ class TestDeepcopyMidRun:
         assert list(theirs._roles) == list(ours._roles)
         roles_built_later = set(theirs._roles) - roles_before
         assert roles_built_later
-        for addr in (min(roles_before), min(roles_built_later)):
-            assert theirs.role(addr) is not ours.role(addr)
+        for node in (min(roles_before), min(roles_built_later)):
+            assert theirs.role(node) is not ours.role(node)
         assert _role_state(theirs) == _role_state(ours)
 
 
@@ -221,37 +219,32 @@ class TestRolesOnDemand:
         session = RunSession("ww-tree", 100)
         session.run_sequence()
         registry, geometry = session.counter.registry, session.counter.geometry
-        unbuilt = [a for a in geometry.all_nodes() if a not in registry._roles]
-        assert unbuilt and ROOT not in unbuilt
-        for addr in unbuilt:
-            role = registry.role(addr)
-            assert role is registry.role(addr)
+        unbuilt = [v for v in geometry.all_nodes() if v not in registry._roles]
+        assert unbuilt and 0 not in unbuilt
+        for node in unbuilt:
+            role = registry.role(node)
+            assert role is registry.role(node)
             assert (role.worker, role.age, role.retire_count, role.value) == (
-                geometry.initial_worker(addr), 0, 0, None,
+                geometry.initial_worker(node), 0, 0, None,
             )
-            parent = geometry.parent(addr)
-            assert role.parent_addr == parent
+            parent = geometry.parent(node)
             assert role.parent_worker == geometry.initial_worker(parent)
-            assert role.child_addrs == geometry.children(addr)
-            if addr.level == geometry.depth:
-                expected = {("leaf", p): p for p in geometry.leaf_children(addr)}
+            if geometry.level_of(node) == geometry.depth:
+                assert role.children == geometry.leaf_children(node)
             else:
-                expected = {
-                    ("node", c.level, c.index): geometry.initial_worker(c)
-                    for c in geometry.children(addr)
-                }
-            assert role.children_workers == expected
-            assert list(role.children_workers) == list(expected)
+                assert role.children == [
+                    geometry.initial_worker(c) for c in geometry.children(node)
+                ]
 
     def test_all_roles_is_level_order_whatever_was_built_first(self):
         registry = RoleRegistry(
             TreeGeometry.paper_shape(3), TreePolicy.paper_default(3)
         )
-        registry.role(NodeAddr(3, 26))
-        registry.role(NodeAddr(1, 2))
-        assert [r.addr for r in registry.all_roles()] == registry.geometry.all_nodes()
-        assert registry.root() is registry.role(ROOT) is registry.all_roles()[0]
-        for bad in (NodeAddr(4, 0), NodeAddr(0, 1), NodeAddr(2, 9), NodeAddr(1, -1)):
+        registry.role(39)  # level 3, index 26: the last node
+        registry.role(3)  # level 1, index 2
+        assert [r.node for r in registry.all_roles()] == list(range(40))
+        assert registry.root() is registry.role(0) is registry.all_roles()[0]
+        for bad in (40, 41, -1):
             with pytest.raises(ConfigurationError, match="no inner node"):
                 registry.role(bad)
         assert len(registry._roles) == registry.geometry.total_inner_nodes()
@@ -262,28 +255,30 @@ class TestNoAliasingAcrossTheBuildBoundary:
     inner node — whether or not anything has asked for that node yet."""
 
     def _registry(self):
-        # 3^4 shape: node(1,0) owns ids 1..9, node(1,1) starts at 10,
-        # node(2,0) starts at 28.
+        # 3^4 shape: node 1 (level 1, index 0) owns ids 1..9, node 2
+        # (level 1, index 1) starts at 10, node 4 (level 2, index 0) at 28.
         return RoleRegistry(TreeGeometry.paper_shape(3), TreePolicy.paper_default(3))
 
     def test_successor_is_the_initial_worker_of_a_never_built_role(self):
         registry = self._registry()
-        role = registry.role(NodeAddr(1, 0))
-        for taken, owner in ((10, "node(1,1)"), (28, "node(2,0)")):
-            with pytest.raises(ProtocolError, match=re.escape(f"both {owner} and")):
+        role = registry.role(1)
+        for taken, owner in ((10, 2), (28, 4)):
+            with pytest.raises(
+                ProtocolError, match=re.escape(f"both node {owner} and")
+            ):
                 registry.commit_retirement(role, taken, op_index=0, time=0.0)
-        assert NodeAddr(1, 1) not in registry._roles  # the check built nothing
+        assert 2 not in registry._roles  # the check built nothing
         assert role.retire_count == 0 and registry.retirements == []
 
     def test_successor_is_the_worker_of_a_built_role_that_has_not_retired(self):
         registry = self._registry()
-        role, other = registry.role(NodeAddr(1, 0)), registry.role(NodeAddr(1, 1))
+        role, other = registry.role(1), registry.role(2)
         with pytest.raises(ProtocolError, match="interval discipline"):
             registry.commit_retirement(role, other.worker, op_index=0, time=0.0)
 
     def test_no_error_once_that_role_has_moved_on(self):
         registry = self._registry()
-        role, other = registry.role(NodeAddr(1, 0)), registry.role(NodeAddr(1, 1))
+        role, other = registry.role(1), registry.role(2)
         registry.commit_retirement(other, 11, op_index=0, time=0.0)
         registry.commit_retirement(role, 10, op_index=1, time=0.0)
         assert (role.worker, other.worker) == (10, 11)
@@ -293,7 +288,7 @@ class TestNoAliasingAcrossTheBuildBoundary:
 
     def test_own_ids_and_unowned_ids_pass(self):
         registry = self._registry()
-        role = registry.role(NodeAddr(1, 0))
+        role = registry.role(1)
         registry.commit_retirement(role, 2, op_index=0, time=0.0)  # own interval
         registry.commit_retirement(role, 1, op_index=1, time=0.0)  # wrap to own start
         registry.commit_retirement(role, 11, op_index=2, time=0.0)  # nobody's start
@@ -414,7 +409,7 @@ class TestConstructionCount:
         assert session.counter.registry._roles == {}
         assert session.counter.registry._inner_worker_index == {}
         assert session.counter.value == 0  # reading the value builds the root
-        assert list(session.counter.registry._roles) == [ROOT]
+        assert list(session.counter.registry._roles) == [0]
 
     def test_a_partly_filled_tree_builds_the_roles_its_processors_reach(self):
         """n = 50 of the 3^4 shape's 81 leaves: a role exists iff a
@@ -430,7 +425,7 @@ class TestConstructionCount:
             geometry.initially_worked_node(pid)
             for pid in session.network.materialised_ids()
         } - {None}
-        assert built == started_by_a_built_processor | {ROOT}
+        assert built == started_by_a_built_processor | {0}
         assert on_paths <= built
         assert len(on_paths) == 1 + 2 + 6 + 17
         assert len(built) < geometry.total_inner_nodes() == 40

@@ -9,14 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import NodeAddr, TreeCounter, TreeGeometry, TreePolicy
-from repro.core.tree.protocol import (
-    KIND_HANDOFF,
-    KIND_ID_UPDATE,
-    KIND_INC,
-    leaf_key,
-    node_key,
-)
+from repro.core import TreeCounter, TreeGeometry, TreePolicy
+from repro.core.tree.protocol import KIND_HANDOFF, KIND_ID_UPDATE, KIND_INC
 from repro.errors import ProtocolError
 from repro.sim.messages import Message
 from repro.sim.network import Network
@@ -35,10 +29,10 @@ def _fresh(n=8, policy=None):
 class TestDispatchErrors:
     def test_unknown_kind_for_node_role_raises(self):
         network, counter = _fresh()
-        worker = counter.worker(1)  # plays root and node(1,0)
+        worker = counter.worker(1)  # plays the root and node 1
         bogus = Message(
             sender=2, receiver=1, kind="bogus",
-            payload={"role": node_key(NodeAddr(1, 0))},
+            payload={"role": ("node", 1, 0)},
         )
         with pytest.raises(ProtocolError, match="bogus"):
             worker.on_message(bogus)
@@ -48,7 +42,7 @@ class TestDispatchErrors:
         worker = counter.worker(3)
         bogus = Message(
             sender=2, receiver=3, kind=KIND_INC,
-            payload={"role": leaf_key(3), "origin": 2},
+            payload={"role": ("leaf", 3), "origin": 2},
         )
         with pytest.raises(ProtocolError, match="leaf"):
             worker.on_message(bogus)
@@ -59,8 +53,8 @@ class TestDispatchErrors:
         bogus = Message(
             sender=2, receiver=1, kind=KIND_ID_UPDATE,
             payload={
-                "role": node_key(NodeAddr(1, 0)),
-                "node": ("node", 2, 3),  # not adjacent to node(1,0)
+                "role": ("node", 1, 0),
+                "node": ("node", 2, 3),  # not adjacent to ("node", 1, 0)
                 "new_worker": 5,
             },
         )
@@ -73,15 +67,19 @@ class TestDispatchErrors:
         # next retirement would send that leaf's update to processor 42
         # and overwrite 42's own leaf-parent belief).
         network, counter = _fresh()
-        bottom = NodeAddr(counter.geometry.depth, 0)
+        bottom = counter.geometry.leaf_parent(1)
         worker = counter.worker(counter.registry.role(bottom).worker)
         bogus = Message(
             sender=2, receiver=worker.pid, kind=KIND_ID_UPDATE,
-            payload={"role": node_key(bottom), "node": leaf_key(1), "new_worker": 42},
+            payload={
+                "role": counter.geometry.encode(bottom),
+                "node": ("leaf", 1),
+                "new_worker": 42,
+            },
         )
         with pytest.raises(ProtocolError, match="leaf"):
             worker.on_message(bogus)
-        assert counter.registry.role(bottom).believed_child_worker(leaf_key(1)) == 1
+        assert counter.registry.role(bottom).children == range(1, 3)
 
     def test_request_inc_requires_leaf_parent(self):
         # Only leaves have a leaf parent; a replacement id past the
@@ -100,10 +98,9 @@ class TestForwarding:
         # Every retirement leaves a forwarding pointer at the old worker.
         for event in counter.retirements:
             old = counter.worker(event.old_worker)
-            key = node_key(event.addr)
-            if key in old.active_role_keys():
+            if event.node in old.held_nodes():
                 continue  # role wrapped back (not in strict mode)
-            assert old.forward_target(key) is not None
+            assert old.forward_target(event.node) is not None
 
     def test_stale_message_is_forwarded_to_successor(self):
         network, counter = _fresh(81)
@@ -115,7 +112,7 @@ class TestForwarding:
         received = observed(counter)
         stale = Message(
             sender=1, receiver=event.old_worker, kind=KIND_INC,
-            payload={"role": node_key(event.addr), "origin": 1},
+            payload={"role": counter.geometry.encode(event.node), "origin": 1},
         )
         forwarded_before = old_worker.forwarded_messages
         network.inject(lambda: old_worker.on_message(stale), op_index=999)
@@ -125,17 +122,16 @@ class TestForwarding:
 
     def test_no_pointer_and_no_role_defers(self):
         network, counter = _fresh()
-        # Processor 5 never plays node(1,1) (initial worker is elsewhere)
+        # Processor 5 never plays node 2 (its initial worker is elsewhere)
         worker = counter.worker(5)
-        key = node_key(NodeAddr(1, 1))
-        assert key not in worker.active_role_keys()
+        assert 2 not in worker.held_nodes()
         orphan = Message(
             sender=1, receiver=5, kind=KIND_INC,
-            payload={"role": key, "origin": 1},
+            payload={"role": ("node", 1, 1), "origin": 1},
         )
         worker.on_message(orphan)
         assert worker.deferred_messages == 1
-        assert worker._pending[key]
+        assert worker._pending[2]
 
 
 class TestHandoffEdges:
@@ -143,15 +139,15 @@ class TestHandoffEdges:
         network, counter = _fresh()
         # Craft a handoff for a role whose registry worker is NOT the
         # receiver: must be swallowed without state change.
-        role = counter.registry.role(NodeAddr(1, 0))
+        role = counter.registry.role(1)
         receiver = counter.worker(5)
         assert role.worker != 5
         stale = Message(
             sender=1, receiver=5, kind=KIND_HANDOFF,
-            payload={"role": node_key(NodeAddr(1, 0)), "seq": 0, "total": 4},
+            payload={"role": ("node", 1, 0), "seq": 0, "total": 4},
         )
         receiver.on_message(stale)
-        assert node_key(NodeAddr(1, 0)) not in receiver.active_role_keys()
+        assert 1 not in receiver.held_nodes()
 
     def test_deferred_messages_replay_after_activation(self):
         # Under heavily skewed delays some message must overtake its
@@ -190,10 +186,9 @@ class TestMultiRoleDispatch:
     def test_processor_one_plays_root_and_inner_simultaneously(self):
         network, counter = _fresh()
         worker = counter.worker(1)
-        keys = set(worker.active_role_keys())
-        assert ("node", 0, 0) in keys and ("node", 1, 0) in keys
+        assert worker.held_nodes() == [0, 1]
         # An inc addressed to the root role on processor 1 is answered
-        # even though processor 1 also plays node(1,0).
+        # even though processor 1 also plays node 1.
         received = observed(counter)
         counter.begin_inc(2, 0)
         network.run_until_quiescent()
@@ -202,7 +197,5 @@ class TestMultiRoleDispatch:
     def test_roles_keep_distinct_ages(self):
         network, counter = _fresh(81)
         run_sequence(counter, one_shot(10))
-        ages = {
-            role.addr: role.age for role in counter.registry.all_roles()
-        }
+        ages = {role.node: role.age for role in counter.registry.all_roles()}
         assert len(set(ages.values())) > 1  # not all in lockstep

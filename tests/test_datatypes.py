@@ -202,7 +202,7 @@ class TestSharedTreeMachinery:
         run_ops(queue, inserts)
         assert len(queue) == 81
         root_retires = sum(
-            1 for event in queue.retirements if event.addr.is_root
+            1 for event in queue.retirements if event.node == 0
         )
         assert root_retires > 0
 

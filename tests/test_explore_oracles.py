@@ -139,7 +139,7 @@ class TestNoLostIncrementOracle:
 
 @dataclass
 class _Retirement:
-    addr: int
+    node: int
     time: float
     age_at_retirement: int
     old_worker: int

@@ -394,7 +394,7 @@ class TestRetirementLog:
 
         def recording(role, new_worker, op_index, time):
             returned.append(RetirementEvent(
-                op_index, role.addr, role.worker, new_worker, role.age, time
+                op_index, role.node, role.worker, new_worker, role.age, time
             ))
             event = commit(role, new_worker, op_index=op_index, time=time)
             assert event == returned[-1]
@@ -411,7 +411,8 @@ class TestRetirementLog:
         counter = session.counter
         log = counter.retirements
         assert len(returned) > 100
-        assert {event.addr.level for event in returned} == {0, 1, 2, 3}
+        level_of = counter.geometry.level_of
+        assert {level_of(event.node) for event in returned} == {0, 1, 2, 3}
         assert list(log) == returned and log == returned
         assert counter.registry.retirements is log
         assert [log[at] for at in (0, 7, -1)] == [
@@ -419,7 +420,7 @@ class TestRetirementLog:
         ]
         assert log[10:20] == returned[10:20]
         assert counter.registry.retirement_counts_by_level() == {
-            level: sum(e.addr.level == level for e in returned)
+            level: sum(level_of(e.node) == level for e in returned)
             for level in counter.registry.geometry.inner_levels()
         }
 

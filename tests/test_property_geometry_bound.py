@@ -7,7 +7,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import NodeAddr, TreeGeometry, lower_bound_k
+from repro.core import TreeGeometry, lower_bound_k
 from repro.lowerbound import (
     LedgerStep,
     am_gm_holds,
@@ -26,8 +26,8 @@ class TestGeometryProperties:
         arity, depth = shape
         geometry = TreeGeometry(arity=arity, depth=depth)
         seen: list[int] = []
-        for index in range(geometry.nodes_on_level(depth)):
-            seen.extend(geometry.leaf_children(NodeAddr(depth, index)))
+        for node in geometry.level_nodes(depth):
+            seen.extend(geometry.leaf_children(node))
         assert seen == list(range(1, geometry.leaf_count + 1))
 
     @given(shape=shapes, leaf=st.integers(0, 10_000))
@@ -36,21 +36,19 @@ class TestGeometryProperties:
         geometry = TreeGeometry(arity=arity, depth=depth)
         pid = (leaf % geometry.leaf_count) + 1
         path = geometry.path_to_root(pid)
-        assert path[-1].is_root
+        assert path[-1] == 0
         assert len(path) == depth + 1
         for lower, upper in zip(path, path[1:]):
             assert geometry.parent(lower) == upper
-            assert lower in geometry.children(upper) or upper.level == depth
+            assert lower in geometry.children(upper)
 
     @given(shape=shapes)
     def test_intervals_pairwise_disjoint(self, shape):
         arity, depth = shape
         geometry = TreeGeometry(arity=arity, depth=depth)
         seen: set[int] = set()
-        for addr in geometry.all_nodes():
-            if addr.is_root:
-                continue
-            ids = set(geometry.id_interval(addr))
+        for node in geometry.all_nodes()[1:]:
+            ids = set(geometry.id_interval(node))
             assert not (ids & seen)
             seen |= ids
 
@@ -60,8 +58,7 @@ class TestGeometryProperties:
         geometry = TreeGeometry(arity=arity, depth=depth)
         for level in range(1, depth + 1):
             total = sum(
-                len(geometry.id_interval(NodeAddr(level, index)))
-                for index in range(geometry.nodes_on_level(level))
+                len(geometry.id_interval(node)) for node in geometry.level_nodes(level)
             )
             assert total == arity**depth
 

@@ -68,7 +68,7 @@ def test_roles_never_alias_after_any_run(k, seed):
     workers = [
         role.worker
         for role in counter.registry.all_roles()
-        if not role.addr.is_root
+        if not role.is_root
     ]
     assert len(workers) == len(set(workers))
 

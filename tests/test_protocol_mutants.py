@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import TreeCounter
-from repro.core.tree.protocol import KIND_ID_UPDATE, node_key
+from repro.core.tree.protocol import KIND_ID_UPDATE
 from repro.core.tree.worker import TreeWorker
 from repro.errors import ProtocolError, ReproError, SimulationLimitError
 from repro.sim.network import Network
@@ -37,8 +37,8 @@ class _NoChildUpdatesWorker(TreeWorker):
 
     def _is_parent_update(self, payload) -> bool:
         # An update TO the parent names the child as changed; the parent
-        # stores it among children_workers.  Updates to children name
-        # the parent as changed.  We detect direction via the registry.
+        # stores it among its children's workers.  Updates to children
+        # name the parent as changed.  The keys' levels tell which.
         changed = tuple(payload["node"])
         target = tuple(payload["role"])
         if target[0] == "leaf":
@@ -86,17 +86,11 @@ class _NoForwardingWorker(TreeWorker):
     forwarding them."""
 
     def on_message(self, message):
-        role_key = (
-            tuple(message.payload.get("role", ()))
-            if message.kind != "value"
-            else None
-        )
-        if (
-            role_key
-            and self.forward_target(role_key) is not None
-            and role_key not in (self._roles or ())
-        ):
-            return  # drop: the handshake's forwarding is disabled
+        key = message.payload.get("role", ()) if message.kind != "value" else ()
+        if key and key[0] == "node":
+            node = self._counter.geometry.decode(key)
+            if self.forward_target(node) is not None:
+                return  # drop: the handshake's forwarding is disabled
         super().on_message(message)
 
 

@@ -16,10 +16,10 @@ import pytest
 from repro.analysis.linearizability import check_linearizable_counting
 from repro.errors import CapabilityError, ConfigurationError
 from repro.registry import RunSession, parse_spec
-from repro.sim.faults import CrashRule, FaultPlan, parse_fault_spec
+from repro.sim.faults import CrashRule, FaultPlan, FaultRecord, parse_fault_spec
 from repro.sim.network import Network
 from repro.sim.processor import InertProcessor
-from repro.sim.recovery import Recoverable, RecoveryManager
+from repro.sim.recovery import Recoverable, RecoveryEvent, RecoveryManager
 
 pytestmark = pytest.mark.recovery
 
@@ -361,3 +361,56 @@ class TestOneRecordPerEvent:
         assert len(failovers) == 3
         assert manager.failover_count() == 3
         assert manager.failover_latency() is None
+
+    def _crash_run(self):
+        session = RunSession(
+            "central[standby]", 8, policy="random", seed=3,
+            faults="drop=0.05,crash=1@t20-t60,recover=1@t60",
+            trace_level="FULL",
+        )
+        session.run_staggered()
+        return session.recovery
+
+    def test_the_crash_run_keeps_the_same_records(self):
+        manager = self._crash_run()
+        assert list(manager.detector.events) == [
+            FaultRecord(40.0, "suspect", 1, 9, -1, -1, "silence > 15"),
+            FaultRecord(66.10287548287968, "restore", 1, 9, -1, -1, ""),
+        ]
+        checkpoints = [
+            (4.014574082206753, 1), (9.237240366663848, 1),
+            (11.963863136116073, 1), (13.930856028223477, 1),
+            (14.45595627991637, 1), (19.108298663156475, 1),
+        ]
+        assert list(manager.events) == [
+            *(RecoveryEvent(time, "checkpoint", pid) for time, pid in checkpoints),
+            RecoveryEvent(40.0, "failover", 1, "role moved to 2"),
+            RecoveryEvent(43.8492332732114, "checkpoint", 2),
+            RecoveryEvent(47.05039203321689, "checkpoint", 2),
+            RecoveryEvent(60.0, "recover", 1, "from checkpoint"),
+        ]
+
+    def test_the_ledgers_cannot_be_changed_from_outside(self):
+        manager = self._crash_run()
+        detector = manager.detector
+        counts = (
+            manager.suspicion_count(), manager.failover_count(),
+            manager.recovery_count(),
+        )
+        assert counts == (1, 1, 1)
+        for ledger, record in (
+            (detector.events, detector.events[0]),
+            (manager.events, manager.events[-1]),
+        ):
+            size = len(ledger)
+            with pytest.raises(AttributeError):
+                ledger.append(record)
+            with pytest.raises(TypeError):
+                ledger[0] = record
+            with pytest.raises(TypeError):
+                del ledger[0]
+            assert len(ledger) == size
+        assert counts == (
+            manager.suspicion_count(), manager.failover_count(),
+            manager.recovery_count(),
+        )
