@@ -21,7 +21,7 @@ from repro.core.tree.policy import TreePolicy
 from repro.core.tree.roles import RetirementEvent, RoleRegistry
 from repro.core.tree.worker import LeafProgram, TreeWorker
 from repro.errors import ConfigurationError
-from repro.sim.messages import OpIndex, ProcessorId
+from repro.sim.messages import Message, OpIndex, ProcessorId
 from repro.sim.network import Network
 
 
@@ -62,6 +62,12 @@ class TreeCounter(DistributedCounter):
         self.registry = RoleRegistry(self.geometry, self.policy)
         self.leaves = LeafProgram(self)
         """The one program of every processor that holds no role."""
+        # The stale-addressing paths are rare, so their state is the
+        # counter's, not a slot of every worker: the two totals, and the
+        # messages deferred until a hand-off arrives, by (worker, node).
+        self._forwarded = 0
+        self._deferred = 0
+        self._pending: dict[tuple[ProcessorId, int], list[Message]] = {}
         # Every id the tree may touch is registered at once; its program
         # is chosen the first time the id is addressed.  The paper rounds
         # n up to the next k^(k+1) and preallocates whole replacement
@@ -107,17 +113,6 @@ class TreeCounter(DistributedCounter):
         program = self.network.processor(pid)
         return self._promote(pid) if program is self.leaves else program
 
-    def _built_workers(self) -> list[TreeWorker]:
-        """The workers that exist — the only ones that can hold state."""
-        network = self.network
-        limit = self.geometry.processor_requirement()
-        programs = (
-            network.processor(pid)
-            for pid in network.materialised_ids()
-            if pid <= limit
-        )
-        return [program for program in programs if program is not self.leaves]
-
     @property
     def value(self) -> int:
         """Current counter value, read off the root role."""
@@ -132,11 +127,11 @@ class TreeCounter(DistributedCounter):
 
     def total_forwarded(self) -> int:
         """Messages re-sent due to stale addressing (handshake overhead)."""
-        return sum(worker.forwarded_messages for worker in self._built_workers())
+        return self._forwarded
 
     def total_deferred(self) -> int:
         """Messages that arrived before their role's hand-off did."""
-        return sum(worker.deferred_messages for worker in self._built_workers())
+        return self._deferred
 
     # ------------------------------------------------------------------
     # Root semantics (overridden by the generalized data structures)

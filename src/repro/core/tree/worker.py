@@ -129,27 +129,17 @@ class TreeWorker(Processor):
     each, ``_root`` and ``_inner``.  A slot holds the role while the
     worker works for the node, the successor's pid once it retired from
     it — the forwarding pointer, read only on the rare stale-address
-    path — and ``None`` before it ever did.  The deferral table is
-    allocated on first write (``None`` until then).
+    path — and ``None`` before it ever did.  What that path counts, and
+    the messages an early arrival defers, the counter keeps.
     """
 
-    __slots__ = (
-        "_counter",
-        "_root",
-        "_inner",
-        "_pending",
-        "forwarded_messages",
-        "deferred_messages",
-    )
+    __slots__ = ("_counter", "_root", "_inner")
 
     def __init__(self, pid: ProcessorId, counter: "TreeCounter") -> None:
         super().__init__(pid)
         self._counter = counter
         self._root: NodeRole | ProcessorId | None = None
         self._inner: NodeRole | ProcessorId | None = None
-        self._pending: dict[int, list[Message]] | None = None
-        self.forwarded_messages = 0
-        self.deferred_messages = 0
         if pid == 1:
             self._root = counter.registry.root()
         node = counter.geometry.initially_worked_node(pid)
@@ -210,15 +200,14 @@ class TreeWorker(Processor):
         successor = self.forward_target(node)
         if successor is not None:
             # Stale addressing: pass the message along to the new worker.
-            self.forwarded_messages += 1
+            self._counter._forwarded += 1
             self.send(successor, kind, payload)
             return
         # Early arrival: the hand-off naming us the new worker is still in
         # flight.  Defer; replay when the role activates.
-        self.deferred_messages += 1
-        if self._pending is None:
-            self._pending = {}
-        self._pending.setdefault(node, []).append(message)
+        counter = self._counter
+        counter._deferred += 1
+        counter._pending.setdefault((self.pid, node), []).append(message)
 
     # ------------------------------------------------------------------
     # Inner-node roles
@@ -295,10 +284,10 @@ class TreeWorker(Processor):
         message's own operation, so footprints stay exact and no new
         messages are charged.
         """
-        pending = self._pending.pop(node, None) if self._pending else None
+        pending = self._counter._pending
         if not pending:
             return
-        for deferred in pending:
+        for deferred in pending.pop((self.pid, node), ()):
             self.network.inject(
                 partial(self.on_message, deferred), op_index=deferred.op_index
             )

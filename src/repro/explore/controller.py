@@ -18,11 +18,12 @@ shrunk ones — are always legal schedules.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.events import SchedulerHook
 from repro.sim.messages import Message
 from repro.sim.policies import DeliveryPolicy
+from repro.sim.trace import Trace, TraceLevel
 from repro.explore.schedule import DEFAULT_DELAY_MENU, Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -60,10 +61,10 @@ class ScheduleController(DeliveryPolicy, SchedulerHook):
         self._menu = delay_menu
         self._decisions: list[int] = []
         self._kinds: list[str] = []
-        # Readers over the trace's load columns; until attach binds them
-        # (and at TraceLevel.OFF) they read an empty map, so loads are 0.
-        self._sent: Callable[[int, int], int] = {}.get
-        self._received = self._sent
+        # The trace whose load columns load() reads; until attach binds
+        # the network's (and at TraceLevel.OFF) its columns stay empty,
+        # so every load is 0.
+        self._trace = Trace(TraceLevel.OFF)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -76,16 +77,21 @@ class ScheduleController(DeliveryPolicy, SchedulerHook):
         the contention profile *so far*.
         """
         network.install_scheduler_hook(self)
-        trace = network.trace
-        if trace.keeps_loads:
-            # The columns Trace.load sums, read directly: its capability
-            # check is made here once instead of on every read.
-            self._sent = trace._sent.get
-            self._received = trace._received.get
+        self._trace = network.trace
 
     def load(self, pid: int) -> int:
-        """Message load of *pid* so far (0 before attach)."""
-        return self._sent(pid, 0) + self._received(pid, 0)
+        """Message load of *pid* so far (0 before attach).
+
+        The columns :meth:`Trace.load <repro.sim.trace.Trace.load>` sums,
+        read directly with the bounds check alone: its capability check
+        would raise at ``OFF``, where the columns stay empty.  They are
+        looked up on the trace per read, since widening replaces them.
+        """
+        trace = self._trace
+        sent = trace._sent
+        if pid < len(sent):
+            return sent[pid] + trace._received[pid]
+        return 0
 
     @property
     def delay_menu(self) -> tuple[float, ...]:

@@ -152,7 +152,7 @@ class FailureDetector:
             raise ConfigurationError("failure detector already started")
         hub_pid = self._hub_pid
         if hub_pid is None:
-            hub_pid = max(self._network.registered_ids(), default=0) + 1
+            hub_pid = self._network.id_bound + 1
             self._hub_pid = hub_pid
         self._hub = _FailureDetectorHub(hub_pid, self)
         self._network.register(self._hub)

@@ -50,7 +50,7 @@ from repro.sim.faults import FaultPlan
 from repro.sim.messages import NO_OP, Message, MessageRecord, OpIndex, ProcessorId
 from repro.sim.policies import DeliveryPolicy, UnitDelay
 from repro.sim.processor import Processor
-from repro.sim.trace import Trace, TraceLevel
+from repro.sim.trace import INT_MAX, Trace, TraceLevel
 
 DEFAULT_EVENT_LIMIT = 5_000_000
 """Safety valve: a run consuming this many events is assumed to be stuck."""
@@ -113,6 +113,9 @@ class Network:
         # enters the table above the first time its id is addressed.
         self._lazy: list[tuple[range, Callable[[ProcessorId], Processor]]] = []
         self._unmaterialised = 0
+        # The largest registered id, materialised or not: the trace's
+        # load columns are sized to it at the first count.
+        self._id_bound: ProcessorId = 0
         self._trace = Trace(level=trace_level)
         self._trace_level = trace_level
         self._active_op: OpIndex = NO_OP
@@ -205,14 +208,20 @@ class Network:
         """True if *pid* is registered, materialised or not."""
         return pid in self._processors or self._lazy_factory(pid) is not None
 
-    def registered_ids(self) -> list[ProcessorId]:
-        """All registered processor ids, ascending — materialised or not.
+    @property
+    def id_bound(self) -> ProcessorId:
+        """The largest registered processor id, materialised or not (0
+        with none registered); lazy ranges count by their ends, without
+        being expanded.
 
         Infrastructure that needs a fresh id on an already-wired network
         (e.g. the failure detector's hub processor) picks
-        ``max(registered_ids()) + 1`` so it never collides with counter
-        processors.
+        ``id_bound + 1`` so it never collides with counter processors.
         """
+        return self._id_bound
+
+    def registered_ids(self) -> list[ProcessorId]:
+        """All registered processor ids, ascending — materialised or not."""
         ids = set(self._processors)
         for lazy_ids, _ in self._lazy:
             ids.update(lazy_ids)
@@ -288,6 +297,7 @@ class Network:
                 )
         self._lazy.append((ids, factory))
         self._unmaterialised += len(ids)
+        self._raise_id_bound(ids.stop - 1)
 
     def replace(self, processor: Processor) -> Processor:
         """Swap *processor* in for the one registered under its id.
@@ -310,7 +320,18 @@ class Network:
         """Attach *processor* and enter it in the processor table as *pid*."""
         processor.attach(self)
         self._processors[pid] = processor
+        if pid > self._id_bound:
+            self._raise_id_bound(pid)
         return processor
+
+    def _raise_id_bound(self, pid: ProcessorId) -> None:
+        """Make *pid* the id bound if it is larger, growing the trace's
+        load columns to it once they are sized (before the first count
+        they stay empty: the drain sizes them)."""
+        if pid > self._id_bound:
+            self._id_bound = pid
+            if self._trace._received:
+                self._trace._fit(pid)
 
     def _lazy_factory(
         self, pid: ProcessorId
@@ -407,6 +428,8 @@ class Network:
             raise UnknownProcessorError(
                 f"message from {sender} addressed to unknown processor {receiver}"
             )
+        if sender < 0:  # it would index the load columns from their end
+            raise ValueError(f"message from negative processor id {sender}")
         queue = self._queue
         uid = self._next_uid
         self._next_uid = uid + 1
@@ -531,10 +554,10 @@ class Network:
         return SimulationLimitError(
             f"exceeded event limit of {self._event_limit} "
             f"({self._events_executed} events executed, "
-            f"{self._in_flight} messages in flight){suffix}; "
-            "the protocol appears not to quiesce — raise "
-            "event_limit for genuinely long runs, or suspect a "
-            "retransmission/livelock loop",
+            f"{self._in_flight} messages in flight){suffix}; either the "
+            f"run is longer than {self._event_limit} events — raise "
+            "event_limit — or the protocol does not quiesce: suspect a "
+            "livelock or a retransmission loop",
             events_executed=self._events_executed,
             in_flight=self._in_flight,
             context=context,
@@ -559,6 +582,14 @@ class Network:
         columnar counters (``NO_OP`` traffic counts toward loads and
         totals only), ``FULL`` also materializes the record and indexes
         ``NO_OP`` traffic in the per-operation views.
+
+        The load columns are checked once per call, never per message:
+        they are sized to the id bound here at the first count (and kept
+        there by registration), so a receiver always indexes them; and
+        since no count exceeds the trace's total, they widen to 64-bit
+        here if this call's *limit* could take the total past
+        :data:`~repro.sim.trace.INT_MAX`.  Only a sender past the end
+        (unregistered) takes the rare path that grows them.
         """
         queue = self._queue
         buckets = queue._buckets
@@ -570,6 +601,11 @@ class Network:
         level = self._trace_level
         loads = level is not _OFF
         full = level is _FULL
+        if loads:
+            if len(trace._received) <= self._id_bound:
+                trace._fit(self._id_bound)
+            if trace._total + limit > INT_MAX:
+                trace._widen()
         records = trace._records
         by_op = trace._by_op
         sent_counts = trace._sent
@@ -617,7 +653,11 @@ class Network:
                 if loads:
                     sender = item[0]
                     trace._total += 1
-                    sent_counts[sender] += 1
+                    try:
+                        sent_counts[sender] += 1
+                    except IndexError:
+                        trace._reach(sender)
+                        sent_counts[sender] += 1
                     received_counts[pid] += 1
                     if op_index != NO_OP or full:
                         if full:

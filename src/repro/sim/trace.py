@@ -29,8 +29,9 @@ the simulator's per-message cost at scale:
   linearizability checks, ``load_snapshot`` and the lower-bound
   adversaries.
 * ``LOADS`` — columnar counters only: per-processor sent/received (hence
-  ``m_p``), per-operation message counts and footprints, total messages.
-  No record list.  Sufficient for every load/bottleneck measurement.
+  ``m_p``) as two int columns indexed by pid, per-operation message
+  counts and footprints, total messages.  No record list.  Sufficient
+  for every load/bottleneck measurement.
 * ``OFF`` — nothing is kept; the simulator runs at full speed as a pure
   executor.
 
@@ -48,11 +49,17 @@ import hashlib
 from array import array
 from collections import Counter, defaultdict
 from itertools import compress
+from operator import add, indexOf, itemgetter
 from typing import Iterable, Iterator
 
 from repro.errors import TraceCapabilityError
 from repro.sim.columns import reach
 from repro.sim.messages import NO_OP, MessageRecord, OpIndex, ProcessorId
+
+INT_MAX = 2**31 - 1
+"""The largest count an ``array("i")`` load column holds; no count
+exceeds the trace's total, so the columns widen to ``"q"`` before the
+total can pass it."""
 
 
 class TraceLevel(enum.Enum):
@@ -95,8 +102,11 @@ class Trace:
         self._level = level
         self._total = 0
         self._records: list[MessageRecord] = []
-        self._sent: defaultdict[ProcessorId, int] = defaultdict(int)
-        self._received: defaultdict[ProcessorId, int] = defaultdict(int)
+        # m_p's two halves, indexed by pid (pids are dense 1..n).  Both
+        # are sized at the first count (Network._drain sizes them to its
+        # id bound; record() to the ids it meets) and grow together.
+        self._sent = array("i")
+        self._received = array("i")
         self._op_counts: defaultdict[OpIndex, int] = defaultdict(int)
         self._by_op: defaultdict[OpIndex, list[MessageRecord]] = defaultdict(list)
         self._footprints: dict[OpIndex, set[ProcessorId]] = {}
@@ -162,6 +172,12 @@ class Trace:
         sender = record.sender
         receiver = record.receiver
         op_index = record.op_index
+        size = len(self._sent)
+        if not (0 <= sender < size and 0 <= receiver < size):
+            self._reach(sender)
+            self._reach(receiver)
+        if self._total >= INT_MAX:
+            self._widen()
         self._total += 1
         self._sent[sender] += 1
         self._received[receiver] += 1
@@ -176,6 +192,43 @@ class Trace:
             else:
                 footprint.add(sender)
                 footprint.add(receiver)
+
+    def _fit(self, bound: ProcessorId) -> None:
+        """Zero-extend both load columns to ``bound + 1`` slots (the
+        network's registered id bound; never shrinks them).
+
+        Empty columns are replaced by exactly sized ones (``frombytes``
+        would over-allocate by 1/16); sized ones grow in place, since a
+        drain in progress holds them.
+        """
+        sent = self._sent
+        short = bound + 1 - len(sent)
+        if short <= 0:
+            return
+        if not sent:
+            zero = array(sent.typecode, (0,))
+            self._sent = zero * short
+            self._received = zero * short
+        else:
+            zeros = bytes(sent.itemsize * short)
+            sent.frombytes(zeros)
+            self._received.frombytes(zeros)
+
+    def _reach(self, pid: ProcessorId) -> None:
+        """Grow both load columns so *pid* indexes them — the rare path
+        of an id past the end (an unregistered sender, or ``record`` on
+        its own), doubling so a rising id costs amortised O(1)."""
+        if pid < 0:
+            raise ValueError(f"processor id {pid} is negative")
+        reach(self._sent, pid)
+        reach(self._received, pid)
+
+    def _widen(self) -> None:
+        """Re-type both load columns to 64-bit before a count can pass
+        :data:`INT_MAX` (idempotent)."""
+        if self._sent.typecode != "q":
+            self._sent = array("q", self._sent)
+            self._received = array("q", self._received)
 
     def seal_op(self, op_index: OpIndex) -> None:
         """Pack a finished operation's count and footprint into columns.
@@ -275,39 +328,40 @@ class Trace:
     def load(self, pid: ProcessorId) -> int:
         """Messages sent plus received by *pid* — the paper's ``m_p``."""
         self._require_loads("Trace.load")
-        return self._sent.get(pid, 0) + self._received.get(pid, 0)
+        if 0 <= pid < len(self._sent):
+            return self._sent[pid] + self._received[pid]
+        return 0
 
     def sent_by(self, pid: ProcessorId) -> int:
         """Messages sent by *pid*."""
         self._require_loads("Trace.sent_by")
-        return self._sent.get(pid, 0)
+        return self._sent[pid] if 0 <= pid < len(self._sent) else 0
 
     def received_by(self, pid: ProcessorId) -> int:
         """Messages received by *pid*."""
         self._require_loads("Trace.received_by")
-        return self._received.get(pid, 0)
+        return self._received[pid] if 0 <= pid < len(self._received) else 0
 
     def loads(self) -> dict[ProcessorId, int]:
-        """Mapping of processor id to load, for processors with load > 0."""
+        """Mapping of processor id to load, for processors with load > 0,
+        in ascending id order."""
         self._require_loads("Trace.loads")
-        merged = dict(self._sent)
-        get = merged.get
-        for pid, count in self._received.items():
-            merged[pid] = get(pid, 0) + count
-        return merged
+        totals = enumerate(map(add, self._sent, self._received))
+        return dict(filter(itemgetter(1), totals))
 
     def bottleneck(self) -> tuple[ProcessorId, int]:
         """The paper's bottleneck processor: ``argmax_p m_p`` and its load.
 
         Returns ``(0, 0)`` for an empty trace.  Ties are broken toward the
-        smallest processor id so results are deterministic.
+        smallest processor id so results are deterministic.  Two passes
+        over the columns, neither of which builds a table.
         """
-        loads = self.loads()
-        if not loads:
+        self._require_loads("Trace.bottleneck")
+        sent, received = self._sent, self._received
+        best_load = max(map(add, sent, received), default=0)
+        if not best_load:
             return (0, 0)
-        best_load = max(loads.values())
-        best_pid = min(p for p, m in loads.items() if m == best_load)
-        return (best_pid, best_load)
+        return (indexOf(map(add, sent, received), best_load), best_load)
 
     # ------------------------------------------------------------------
     # Per-operation views

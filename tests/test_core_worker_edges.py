@@ -114,10 +114,18 @@ class TestForwarding:
             sender=1, receiver=event.old_worker, kind=KIND_INC,
             payload={"role": counter.geometry.encode(event.node), "origin": 1},
         )
-        forwarded_before = old_worker.forwarded_messages
+        forwarded_before = counter.total_forwarded()
         network.inject(lambda: old_worker.on_message(stale), op_index=999)
         network.run_until_quiescent()
-        assert old_worker.forwarded_messages == forwarded_before + 1
+        # The old worker re-sent it once, to its successor; the counter's
+        # total also holds what the extra inc's climb forwarded after it.
+        resent = [
+            (record.receiver, record.kind)
+            for record in network.trace.records_for_op(999)
+            if record.sender == event.old_worker
+        ]
+        assert resent == [(event.new_worker, KIND_INC)]
+        assert counter.total_forwarded() > forwarded_before
         assert len(values(received, 1)) == 1
 
     def test_no_pointer_and_no_role_defers(self):
@@ -130,8 +138,8 @@ class TestForwarding:
             payload={"role": ("node", 1, 1), "origin": 1},
         )
         worker.on_message(orphan)
-        assert worker.deferred_messages == 1
-        assert worker._pending[2]
+        assert counter.total_deferred() == 1
+        assert counter._pending[(5, 2)] == [orphan]
 
 
 class TestHandoffEdges:

@@ -302,6 +302,14 @@ class TestLimitError:
         assert f"{error.events_executed} events executed" in str(error)
         assert "in flight" in str(error)
 
+    def test_error_names_both_causes_with_the_budget(self):
+        # A budget overrun is either a run longer than the budget or one
+        # that never quiesces; the error cannot tell them apart.
+        message = str(self._livelock())
+        assert "longer than 40 events" in message
+        assert "raise event_limit" in message
+        assert "does not quiesce" in message
+
     def test_error_names_the_run_context(self):
         network = Network(event_limit=40)
         network.run_context = "ww-tree?interval_mode=wrap"
