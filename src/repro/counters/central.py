@@ -38,7 +38,7 @@ class _CentralClient(Processor):
             value = self._counter.take_value()
             self._counter.deliver_result(self.pid, value)
             return
-        self.send(self._counter.server_id, KIND_INC, {})
+        self.send(self._counter.server_id, KIND_INC)
 
     def on_message(self, message: Message) -> None:
         if message.kind == KIND_VALUE:

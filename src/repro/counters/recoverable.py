@@ -254,7 +254,7 @@ class _StandbyNode(Processor):
             self._assigned.clear()
             self._solo = False
         if self._joining and primary != self.pid:
-            self.send(primary, KIND_SC_JOIN, {})
+            self.send(primary, KIND_SC_JOIN)
         # Nudge outstanding ops toward the newly learned primary.
         for rid in list(self._outstanding):
             self.send(primary, KIND_SC_INC, {"rid": rid})
@@ -478,7 +478,7 @@ class StandbyCentralCounter(DistributedCounter, Recoverable):
         # who is (a non-primary seat redirects, which re-issues the join).
         for seat in (self.primary_id, self.standby_id):
             if seat != pid:
-                node.send(seat, KIND_SC_JOIN, {})
+                node.send(seat, KIND_SC_JOIN)
 
     # ------------------------------------------------------------------
     # Operations

@@ -294,8 +294,10 @@ class GuidedStrategy(Strategy):
         self.begin_episode(0)
 
     def begin_episode(self, episode: int) -> None:
+        # The generator's bound ``random`` is looked up at each use, never
+        # kept: deepcopy shares builtin bound methods, so a copied
+        # strategy would draw from this one's generator.
         self._rng = episode_rng(self._seed, episode)
-        self._random = self._rng.random
 
     def _score(self, message: Message, load: Callable[[int], int]) -> float:
         # The proof's per-list weight, applied to the message's
@@ -314,7 +316,7 @@ class GuidedStrategy(Strategy):
         # cold traffic mostly keeps the unit delay.
         score = self._score(message, controller.load)
         return _weighted_index(
-            self._random, [1.0 + score * index for index in range(menu_size)]
+            self._rng.random, [1.0 + score * index for index in range(menu_size)]
         )
 
     def choose_tiebreak(
@@ -325,7 +327,7 @@ class GuidedStrategy(Strategy):
         # Prefer running the heaviest-weighted delivery first, keeping
         # the hot spot saturated; non-message events score the floor.
         load = controller.load
-        random = self._random
+        random = self._rng.random
         best_index = 0
         best_score = -1.0
         for index, entry in enumerate(ready):
@@ -346,7 +348,7 @@ class GuidedStrategy(Strategy):
         # while keeping every choice reachable.
         if kind == "byz-pid":
             weights = [self._base ** (count - 1 - i) for i in range(count)]
-            return _weighted_index(self._random, weights)
+            return _weighted_index(self._rng.random, weights)
         return self._rng.randrange(count)
 
     def __repr__(self) -> str:

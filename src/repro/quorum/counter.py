@@ -18,11 +18,12 @@ this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.api import Capabilities, DistributedCounter
 from repro.errors import ConfigurationError, ProtocolError
 from repro.quorum.systems import QuorumSystem
-from repro.sim.messages import Message, OpIndex, ProcessorId
+from repro.sim.messages import _EMPTY_PAYLOAD, Message, OpIndex, ProcessorId
 from repro.sim.network import Network
 from repro.sim.processor import Processor
 
@@ -52,25 +53,46 @@ def system_slug(system: QuorumSystem) -> str:
     return SYSTEM_SLUGS.get(type(system).__name__, type(system).__name__.lower())
 
 
+_NO_REPLY: Mapping[str, int] = {"version": -1, "value": 0}
+"""A read round's best reply before any copy was read (immutable by
+convention): every real copy's version beats it."""
+
+
 @dataclass(slots=True)
 class _PendingInc:
     """Initiator-side state of one in-flight inc."""
 
     quorum: frozenset[ProcessorId]
     awaiting: int
-    best_version: int = -1
-    best_value: int = 0
+    best: Mapping[str, int]
 
 
 class _QuorumMember(Processor):
-    """A processor holding a versioned counter copy and running incs."""
+    """A processor holding a versioned counter copy and running incs.
+
+    The copy is one ``{"version", "value"}`` mapping, immutable by
+    convention: a read is answered with the mapping itself, an applied
+    write adopts the write's payload, and a write round sends one
+    payload to every remote member — no message builds a payload of its
+    own.  Sends go through ``network.send``, looked up once per round
+    (never cached: a bit meter wraps it on the instance).
+    """
 
     def __init__(self, pid: ProcessorId, counter: "QuorumCounter") -> None:
         super().__init__(pid)
         self._counter = counter
-        self.version = 0
-        self.value = 0
+        self.state: Mapping[str, int] = {"version": 0, "value": 0}
         self._pending: _PendingInc | None = None
+
+    @property
+    def version(self) -> int:
+        """Version of this member's copy."""
+        return self.state["version"]
+
+    @property
+    def value(self) -> int:
+        """Counter value of this member's copy."""
+        return self.state["value"]
 
     # -- initiator side --------------------------------------------------
     def request_inc(self) -> None:
@@ -79,67 +101,58 @@ class _QuorumMember(Processor):
                 f"processor {self.pid} already has an inc in flight "
                 "(the quorum counter is sequential)"
             )
+        pid = self.pid
         quorum = self._counter.next_quorum()
-        remote = [member for member in quorum if member != self.pid]
-        self._pending = _PendingInc(quorum=quorum, awaiting=len(remote))
-        if self.pid in quorum:
-            self._absorb_reply(self.version, self.value)
-        for member in remote:
-            self.send(member, KIND_READ, {})
-        if not remote:
+        if pid in quorum:
+            pending = _PendingInc(quorum, len(quorum) - 1, self.state)
+        else:
+            pending = _PendingInc(quorum, len(quorum), _NO_REPLY)
+        self._pending = pending
+        if not pending.awaiting:
             self._finish_read_round()
-
-    def _absorb_reply(self, version: int, value: int) -> None:
-        assert self._pending is not None
-        pending = self._pending
-        if version > pending.best_version:
-            pending.best_version = version
-            pending.best_value = value
+            return
+        send = self._network.send
+        for member in quorum:
+            if member != pid:
+                send(pid, member, KIND_READ, _EMPTY_PAYLOAD)
 
     def _finish_read_round(self) -> None:
-        assert self._pending is not None
         pending = self._pending
+        assert pending is not None
         self._pending = None
-        current = pending.best_value if pending.best_version >= 0 else 0
-        new_version = pending.best_version + 1
-        new_value = current + 1
+        best = pending.best
+        current = best["value"]
+        write = {"version": best["version"] + 1, "value": current + 1}
         self._counter.deliver_result(self.pid, current)
+        pid = self.pid
+        send = self._network.send
         for member in pending.quorum:
-            if member == self.pid:
-                self._apply_write(new_version, new_value)
-            else:
-                self.send(
-                    member,
-                    KIND_WRITE,
-                    {"version": new_version, "value": new_value},
-                )
+            if member != pid:
+                send(pid, member, KIND_WRITE, write)
+            elif write["version"] > self.state["version"]:
+                self.state = write
 
     # -- member side -----------------------------------------------------
-    def _apply_write(self, version: int, value: int) -> None:
-        if version > self.version:
-            self.version = version
-            self.value = value
-
     def on_message(self, message: Message) -> None:
-        if message.kind == KIND_READ:
-            self.send(
-                message.sender,
-                KIND_READ_REPLY,
-                {"version": self.version, "value": self.value},
-            )
-        elif message.kind == KIND_READ_REPLY:
-            if self._pending is None:
+        kind = message.kind
+        if kind == KIND_READ:
+            self._network.send(self.pid, message.sender, KIND_READ_REPLY, self.state)
+        elif kind == KIND_READ_REPLY:
+            pending = self._pending
+            if pending is None:
                 raise ProtocolError(
                     f"processor {self.pid} got a read reply with no inc open"
                 )
-            self._absorb_reply(
-                message.payload["version"], message.payload["value"]
-            )
-            self._pending.awaiting -= 1
-            if self._pending.awaiting == 0:
+            reply = message.payload
+            if reply["version"] > pending.best["version"]:
+                pending.best = reply
+            pending.awaiting -= 1
+            if pending.awaiting == 0:
                 self._finish_read_round()
-        elif message.kind == KIND_WRITE:
-            self._apply_write(message.payload["version"], message.payload["value"])
+        elif kind == KIND_WRITE:
+            write = message.payload
+            if write["version"] > self.state["version"]:
+                self.state = write
         else:
             raise ProtocolError(
                 f"quorum counter: unknown message kind {message.kind!r}"

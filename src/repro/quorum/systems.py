@@ -208,21 +208,18 @@ class WheelQuorum(QuorumSystem):
         if not 1 <= hub <= n:
             raise ConfigurationError(f"hub {hub} outside 1..{n}")
         self.hub = hub
-
-    def _spokes(self) -> list[ProcessorId]:
-        return [p for p in range(1, self.n + 1) if p != self.hub]
+        self._spokes = tuple(p for p in range(1, n + 1) if p != hub)
 
     def quorums(self) -> Iterator[frozenset[ProcessorId]]:
-        spokes = self._spokes()
-        for spoke in spokes:
+        for spoke in self._spokes:
             yield frozenset({self.hub, spoke})
-        yield frozenset(spokes)
+        yield frozenset(self._spokes)
 
     def quorum_count(self) -> int:
         return self.n  # n-1 spoke quorums + the rim
 
     def quorum_for(self, index: int) -> frozenset[ProcessorId]:
-        spokes = self._spokes()
+        spokes = self._spokes
         position = index % self.n
         if position < len(spokes):
             return frozenset({self.hub, spokes[position]})

@@ -9,9 +9,11 @@ reproducibility:
   message semantics live entirely in :mod:`repro.sim.network`.
 
 :class:`EventQueue` is a bucket (calendar) queue: one list per distinct
-timestamp, a heap over the distinct timestamps only, and recycled bucket
-storage.  Appending to an existing bucket is a single ``list.append``,
-which is what makes constant-delay workloads (the common case) cheap.
+timestamp and a heap over the distinct timestamps only.  Appending to
+an existing bucket is a single ``list.append``, which is what makes
+constant-delay workloads (the common case) cheap; a new timestamp gets a
+fresh one-item list and a drained bucket is dropped (CPython's own free
+list of list objects makes the next one cheap).
 Within a bucket append order *is* scheduling order and buckets drain in
 time order, so the total order is the classic ``(time, seq)``; same-time
 items scheduled while a bucket drains are appended to the live bucket
@@ -80,7 +82,6 @@ class EventQueue:
     __slots__ = (
         "_buckets",
         "_times",
-        "_free",
         "_active",
         "_active_pos",
         "_now",
@@ -91,7 +92,6 @@ class EventQueue:
     def __init__(self) -> None:
         self._buckets: dict[float, list[Any]] = {}
         self._times: list[float] = []
-        self._free: list[list[Any]] = []
         # The live bucket (the one at ``now``) and the cursor into it.
         # It stays registered in ``_buckets`` until fully drained, so
         # zero-delay schedules land in it and run this pass.
@@ -135,11 +135,10 @@ class EventQueue:
         """Append *item* to the bucket for absolute *time*."""
         bucket = self._buckets.get(time)
         if bucket is None:
-            free = self._free
-            bucket = free.pop() if free else []
-            self._buckets[time] = bucket
+            self._buckets[time] = [item]
             heapq.heappush(self._times, time)
-        bucket.append(item)
+        else:
+            bucket.append(item)
         self._len += 1
 
     def schedule(self, delay: float, action: Callable[[], None]) -> Event:
@@ -169,8 +168,6 @@ class EventQueue:
         if bucket is None or pos >= len(bucket):
             if bucket is not None:
                 del self._buckets[self._now]
-                bucket.clear()
-                self._free.append(bucket)
                 self._active = None
             time = heapq.heappop(self._times)
             bucket = self._active = self._buckets[time]
@@ -235,7 +232,6 @@ class EventQueue:
         """
         self._buckets.clear()
         self._times.clear()
-        self._free.clear()
         self._active = None
         self._active_pos = 0
         self._now = 0.0

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.faults import FaultRecord, _Ledger
-from repro.sim.messages import NO_OP, Message, ProcessorId
+from repro.sim.messages import _EMPTY_PAYLOAD, NO_OP, Message, ProcessorId
 from repro.sim.network import Network
 from repro.sim.processor import Processor
 
@@ -228,7 +228,7 @@ class FailureDetector:
         for pid in self._monitored:
             # The monitored processor is the sender, so its crash window
             # swallows the beat — silence is how crashes are detected.
-            self._network.send(pid, hub_pid, HEARTBEAT_KIND, {})
+            self._network.send(pid, hub_pid, HEARTBEAT_KIND, _EMPTY_PAYLOAD)
         if now + self._period <= self._horizon:
             self._network.inject(self._tick, delay=self._period)
 

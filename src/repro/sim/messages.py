@@ -16,8 +16,7 @@ defaults, equality and reprs.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Iterator, Mapping, NamedTuple
 
 ProcessorId = int
 """Processors are identified by the integers ``1 .. n`` as in the paper."""
@@ -28,9 +27,34 @@ OpIndex = int
 NO_OP: OpIndex = -1
 """Sentinel op index for traffic outside any tracked operation."""
 
-_EMPTY_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
-"""Shared immutable default payload (a mapping proxy, so it cannot be
-mutated through the default)."""
+class _EmptyPayload(Mapping[str, Any]):
+    """The type of :data:`_EMPTY_PAYLOAD`: an empty mapping with no
+    mutators, which ``copy``, ``deepcopy`` and ``pickle`` keep as the
+    one shared object (a mapping proxy cannot be deep-copied, and a run
+    copied mid-drain carries it in flight)."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key: str) -> Any:
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "_EMPTY_PAYLOAD"
+
+    def __reduce__(self) -> str:
+        return "_EMPTY_PAYLOAD"
+
+
+_EMPTY_PAYLOAD: Mapping[str, Any] = _EmptyPayload()
+"""Shared immutable empty payload: the default of :class:`Message` and
+of :meth:`Processor.send <repro.sim.processor.Processor.send>`, and what
+protocols pass for a message that carries nothing."""
 
 
 class Message(NamedTuple):

@@ -58,6 +58,9 @@ DEFAULT_EVENT_LIMIT = 5_000_000
 _LIMIT_CHECK_BATCH = 4096
 """How many events run between event-limit checks in the drain loop."""
 
+_DRAINED: tuple = ()
+"""The drain loop's "no live bucket": empty, so one length test covers it."""
+
 _tuple_new = tuple.__new__
 """Direct tuple allocation for Message/MessageRecord on the hot path —
 skips the NamedTuple's Python-level ``__new__`` wrapper."""
@@ -120,7 +123,9 @@ class Network:
         self._trace_level = trace_level
         self._active_op: OpIndex = NO_OP
         self._next_uid = 0
-        self._in_flight = 0
+        # Local actions queued: the rest of the queue is messages in
+        # flight, so sends keep no count of their own.
+        self._pending_actions = 0
         self._event_limit = event_limit
         self._events_executed = 0
         self._fault_plan: FaultPlan | None = None
@@ -414,8 +419,8 @@ class Network:
         through.
 
         With a fault plan installed, the plan is consulted once per
-        message and may drop it (nothing queued, no in-flight increment
-        — a lost message cannot block quiescence), duplicate it (one
+        message and may drop it (nothing queued — a lost message cannot
+        block quiescence), duplicate it (one
         bucket entry per copy, all sharing the uid), boost its delay, or
         rewrite its payload (Byzantine rules: the corrupted message is
         what gets delivered).  Every injected fault lands in the plan's
@@ -455,21 +460,18 @@ class Network:
                 # it sent.
                 delivered = outcome.message or message
                 for time in outcome.delivery_times:
-                    self._in_flight += 1
                     queue.push_at(time, delivered)
                 return message
-        self._in_flight += 1
         # Inlined EventQueue.push_at: the message rides bare in its time
         # bucket — no per-event tuple, no heap traffic unless the
         # timestamp is new.
         buckets = queue._buckets
         bucket = buckets.get(time)
         if bucket is None:
-            free = queue._free
-            bucket = free.pop() if free else []
-            buckets[time] = bucket
+            buckets[time] = [message]
             heappush(queue._times, time)
-        bucket.append(message)
+        else:
+            bucket.append(message)
         queue._len += 1
         return message
 
@@ -496,6 +498,7 @@ class Network:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._queue.push_at(self._queue._now + delay, (action, op_index))
+        self._pending_actions += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -512,7 +515,7 @@ class Network:
         queue = self._queue
         run = self.run
         executed = 0
-        while queue:
+        while queue._len:
             executed += run(_LIMIT_CHECK_BATCH)
         return executed
 
@@ -554,12 +557,12 @@ class Network:
         return SimulationLimitError(
             f"exceeded event limit of {self._event_limit} "
             f"({self._events_executed} events executed, "
-            f"{self._in_flight} messages in flight){suffix}; either the "
+            f"{self.in_flight} messages in flight){suffix}; either the "
             f"run is longer than {self._event_limit} events — raise "
             "event_limit — or the protocol does not quiesce: suspect a "
             "livelock or a retransmission loop",
             events_executed=self._events_executed,
-            in_flight=self._in_flight,
+            in_flight=self.in_flight,
             context=context,
         )
 
@@ -570,10 +573,14 @@ class Network:
         in time order with the cursor held in locals; a message goes to
         its receiver's ``on_message`` through the processor table, an
         ``(action, op_index)`` pair runs *action* under *op_index*.
-        Queue length, the in-flight count and the active operation are
-        reconciled once in the ``finally`` — ``send`` updates
-        ``_len``/``_in_flight`` through the instance during the loop, so
-        only this loop's own deltas are applied there.
+        Queue length, the pending-action count, the trace's message
+        total and the active operation are reconciled once in the
+        ``finally`` — ``send`` and ``inject`` update ``_len`` and
+        ``_pending_actions`` through the instance during the loop, so
+        only this loop's own deltas are applied there, and the
+        deliveries are the events run less the local actions counted.
+        The active operation lives in a local and is stored on the
+        instance only when it changes.
 
         Each delivered message updates the trace exactly as
         :meth:`~repro.sim.trace.Trace.record` would — that method is the
@@ -594,7 +601,6 @@ class Network:
         queue = self._queue
         buckets = queue._buckets
         times = queue._times
-        free = queue._free
         hook = queue._hook
         processors = self._processors
         trace = self._trace
@@ -614,25 +620,25 @@ class Network:
         footprints = trace._footprints
         bucket = queue._active
         pos = queue._active_pos
+        if bucket is None:
+            bucket = _DRAINED  # the loop's length test then advances
         ran = 0
-        delivered = 0
-        previous_op = self._active_op
+        actions = 0
+        previous_op = active_op = self._active_op
         try:
             while ran < limit:
-                if bucket is None or pos >= len(bucket):
-                    if bucket is not None:
+                if pos >= len(bucket):
+                    if bucket is not _DRAINED:
                         del buckets[queue._now]
-                        bucket.clear()
-                        free.append(bucket)
-                        bucket = queue._active = None
                     if not times:
+                        bucket = _DRAINED
+                        queue._active = None
                         break
+                    # A bucket off the heap holds at least one item.
                     time = heappop(times)
-                    bucket = buckets[time]
+                    bucket = queue._active = buckets[time]
                     queue._now = time
-                    queue._active = bucket
                     pos = 0
-                    continue
                 if hook is not None and len(bucket) - pos > 1:
                     if pos:
                         del bucket[:pos]
@@ -644,15 +650,14 @@ class Network:
                     pos += 1
                 ran += 1
                 if type(item) is not Message:
-                    self._active_op = item[1]
+                    actions += 1
+                    active_op = self._active_op = item[1]
                     item[0]()
                     continue
-                delivered += 1
                 pid = item[1]
                 op_index = item[4]
                 if loads:
                     sender = item[0]
-                    trace._total += 1
                     try:
                         sent_counts[sender] += 1
                     except IndexError:
@@ -682,13 +687,15 @@ class Network:
                         else:
                             footprint.add(sender)
                             footprint.add(pid)
-                if op_index != self._active_op:
-                    self._active_op = op_index
+                if op_index != active_op:
+                    active_op = self._active_op = op_index
                 processors[pid].on_message(item)
         finally:
-            queue._active_pos = pos if bucket is not None else 0
+            queue._active_pos = pos if bucket is not _DRAINED else 0
             queue._len -= ran
-            self._in_flight -= delivered
+            self._pending_actions -= actions
+            if loads:
+                trace._total += ran - actions
             self._active_op = previous_op
         return ran
 
@@ -707,7 +714,7 @@ class Network:
         rebuild counters on a long-lived network.
         """
         self._queue.clear()
-        self._in_flight = 0
+        self._pending_actions = 0
         self._events_executed = 0
         self._next_uid = 0
         self._active_op = NO_OP
@@ -724,5 +731,6 @@ class Network:
 
     @property
     def in_flight(self) -> int:
-        """Number of messages currently in flight."""
-        return self._in_flight
+        """Number of messages currently in flight: the queued events
+        that are not local actions."""
+        return self._queue._len - self._pending_actions

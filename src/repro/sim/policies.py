@@ -72,10 +72,15 @@ class RandomDelay(DeliveryPolicy):
         self._seed = seed
         self._low = low
         self._high = high
+        self._span = high - low
         self._rng = random.Random(seed)
 
     def delay(self, message: Message) -> float:
-        return self._rng.uniform(self._low, self._high)
+        # Random.uniform's arithmetic without its Python frame: the same
+        # float.  The generator's method is looked up per call, never
+        # kept: deepcopy shares builtin bound methods, so a copy would
+        # draw from this policy's generator.
+        return self._low + self._span * self._rng.random()
 
     def fork(self) -> "RandomDelay":
         return RandomDelay(seed=self._seed, low=self._low, high=self._high)
@@ -99,11 +104,12 @@ class FifoRandomDelay(DeliveryPolicy):
         self._seed = seed
         self._low = low
         self._high = high
+        self._span = high - low
         self._rng = random.Random(seed)
         self._last_delivery: dict[tuple[int, int], float] = {}
 
     def delay(self, message: Message) -> float:
-        drawn = self._rng.uniform(self._low, self._high)
+        drawn = self._low + self._span * self._rng.random()  # as RandomDelay
         channel = (message.sender, message.receiver)
         delivery = message.send_time + drawn
         floor = self._last_delivery.get(channel)

@@ -17,7 +17,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import SimulationError
-from repro.sim.messages import Message, ProcessorId
+from repro.sim.messages import _EMPTY_PAYLOAD, Message, ProcessorId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.sim.network import Network
@@ -71,18 +71,19 @@ class Processor(ABC):
         self,
         receiver: ProcessorId,
         kind: str,
-        payload: Mapping[str, Any] | None = None,
+        payload: Mapping[str, Any] = _EMPTY_PAYLOAD,
     ) -> None:
         """Send one message to *receiver* through the network.
 
         The message is attributed to the operation currently executing on
         the network, is delayed by the delivery policy, and adds one unit
-        of load to both endpoints when delivered.
+        of load to both endpoints when delivered.  With no *payload* the
+        message carries the shared, immutable empty one.
         """
         network = self._network
         if network is None:
             network = self.network  # raises: not registered
-        network.send(self.pid, receiver, kind, payload or {})
+        network.send(self.pid, receiver, kind, payload)
 
     # ------------------------------------------------------------------
     # Behaviour

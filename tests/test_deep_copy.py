@@ -21,7 +21,10 @@ import copy
 
 import pytest
 
+from repro.explore import GuidedStrategy
+from repro.explore.controller import ScheduleController
 from repro.registry import RunSession, registered_specs
+from repro.sim.messages import _EMPTY_PAYLOAD, Message
 from repro.workloads.driver import _batch_steps, run_open_loop
 from repro.workloads.sequences import one_shot
 
@@ -102,3 +105,49 @@ def test_an_open_loop_run_copied_mid_run_finishes_as_the_original():
     # the copy's observer is still its own client pool's
     assert twin_counter.on_result.__self__.outcomes == result.outcomes
     assert twin_network.trace.fingerprint() == session.network.trace.fingerprint()
+
+
+@pytest.mark.parametrize("spec", ["central", "quorum[majority]"])
+def test_a_copy_at_loads_level_shares_the_empty_payload_in_flight(spec):
+    # Below FULL the network passes payloads through uncopied, so the
+    # shared empty payload itself rides in the queue the copy clones.
+    session = RunSession(spec, 8, policy="random", seed=1, trace_level="LOADS")
+    steps = _batch_steps(session.counter, [one_shot(8)], 100.0)
+    next(steps)
+    received = steps.gi_frame.f_locals["received"]
+    network = session.network
+    while not any(
+        type(item) is Message and item.payload is _EMPTY_PAYLOAD
+        for bucket in network._queue._buckets.values()
+        for item in bucket
+    ):
+        assert network.run(1), "the run sent no empty payload"
+    twin_network, _, twin_received = copy.deepcopy(
+        (network, session.counter, received)
+    )
+    twin_network.run_until_quiescent()
+    network.run_until_quiescent()
+    for pid in range(1, 9):
+        assert values(twin_received, pid) == values(received, pid)
+        assert twin_network.trace.load(pid) == network.trace.load(pid)
+
+
+def _guided_run():
+    controller = ScheduleController(GuidedStrategy(seed=3))
+    session = RunSession("combining-tree[bypass]", 8, policy=controller)
+    controller.attach(session.network)
+    steps = _batch_steps(session.counter, [one_shot(8)], 1.0)
+    next(steps)
+    return controller, session.network
+
+
+def test_a_copied_guided_controller_draws_from_its_own_generator():
+    reference, network = _guided_run()
+    network.run_until_quiescent()
+    controller, network = _guided_run()
+    network.run(5)
+    twin = copy.deepcopy(network)
+    twin.run_until_quiescent()  # draws from the copy's strategy
+    network.run_until_quiescent()
+    assert controller.recorded == reference.recorded
+    assert twin.policy.recorded == reference.recorded
