@@ -30,7 +30,7 @@ from typing import Sequence
 
 from repro.analysis import LoadProfile, format_table
 from repro.core import TreeGeometry
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.lowerbound import (
     GreedyAdversary,
     am_gm_holds,
@@ -468,14 +468,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     from repro.workloads import shuffled
 
-    if session.recovery is not None:
-        return _run_with_recovery(args, session)
     order = (
         one_shot(args.n)
         if args.order == "identity"
         else shuffled(args.n, seed=args.seed)
     )
     try:
+        if session.recovery is not None:
+            return _run_with_recovery(args, session)
         if args.concurrent:
             result = session.run_concurrent([order])
         else:
@@ -483,6 +483,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigurationError as error:  # e.g. CapabilityError
         print(str(error), file=sys.stderr)
         return 2
+    except SimulationError as error:  # a protocol failure, not bad input
+        print(f"run failed: {error}", file=sys.stderr)
+        return 1
     profile = LoadProfile.from_trace(result.trace, population=args.n)
     print(f"counter:    {session.canonical}  (n={args.n}, "
           f"policy={args.policy}, "
@@ -490,11 +493,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.runtime == "sync":
         print(f"runtime:    sync — {session.runtime.rounds} lockstep rounds")
     if session.fault_plan is not None:
-        counts = session.fault_plan.counts
-        injected = ", ".join(
-            f"{kind}:{count}" for kind, count in sorted(counts.items())
-        ) or "none"
-        print(f"faults:     {session.fault_plan.spec}  (injected: {injected})")
+        _print_faults(session.fault_plan)
     if session.transport is not None:
         stats = session.transport_stats()
         print(f"transport:  reliable — {stats['data_sent']} data, "
@@ -513,6 +512,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"p{pid}:{load}" for pid, load in profile.top(args.top)
     ))
     return 0
+
+
+def _print_faults(plan) -> None:
+    counts = ", ".join(f"{kind}:{n}" for kind, n in sorted(plan.counts.items()))
+    print(f"faults:     {plan.spec}  (injected: {counts or 'none'})")
 
 
 def _run_with_recovery(args: argparse.Namespace, session: RunSession) -> int:
@@ -534,12 +538,7 @@ def _run_with_recovery(args: argparse.Namespace, session: RunSession) -> int:
     )
     print(f"counter:    {session.canonical}  (n={args.n}, "
           f"policy={args.policy}, staggered — crash-recovery run)")
-    plan = session.fault_plan
-    counts = plan.counts
-    injected = ", ".join(
-        f"{kind}:{count}" for kind, count in sorted(counts.items())
-    ) or "none"
-    print(f"faults:     {plan.spec}  (injected: {injected})")
+    _print_faults(session.fault_plan)
     print(f"operations: {len(ops)} completed of {args.n}, "
           f"linearizable: {'yes' if report.linearizable else 'NO'} "
           f"({len(report.inversions)} inversions, "

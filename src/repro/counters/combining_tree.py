@@ -91,26 +91,22 @@ class _CombiningHost(Processor):
         elif message.kind == KIND_GRANT:
             self._on_grant(message)
         elif message.kind == KIND_CLIENT_GRANT:
-            self._counter.deliver_result(self.pid, message.payload["value"])
+            self._on_client_grant(message.payload)
         else:
             raise ProtocolError(
                 f"combining tree: unknown message kind {message.kind!r}"
             )
+
+    def _on_client_grant(self, payload: dict) -> None:
+        self._counter.deliver_result(self.pid, payload["value"])
 
     def _on_request(self, message: Message) -> None:
         node_id = message.payload["node"]
         if node_id == -1:
             # The virtual root: hand out an interval of counter values.
             base = self._counter.take_values(message.payload["count"])
-            self.send(
-                message.sender,
-                KIND_GRANT,
-                {
-                    "node": message.payload["reply_node"],
-                    "base": base,
-                    "batch": message.payload["batch"],
-                },
-            )
+            reply_node = message.payload["reply_node"]
+            self._grant("node", reply_node, message.payload["batch"], base)
             return
         state = self._node(node_id)
         state.pending.append(
@@ -134,12 +130,15 @@ class _CombiningHost(Processor):
         state.window_armed = False
         if not state.pending:
             return
-        batch = state.pending
-        state.pending = []
         batch_id = state.next_batch_id
         state.next_batch_id += 1
-        state.batches[batch_id] = batch
-        total = sum(count for _, _, count, _ in batch)
+        state.batches[batch_id] = state.pending
+        state.pending = []
+        self._ship(state, batch_id)
+
+    def _ship(self, state: _NodeState, batch_id: int) -> None:
+        """Send batch *batch_id* of *state* upward as one request."""
+        total = sum(count for _, _, count, _ in state.batches[batch_id])
         if state.parent is None:
             # Top node talks to the root-value holder.
             self.send(
@@ -174,18 +173,24 @@ class _CombiningHost(Processor):
                 f"combining node {state.node} got a grant for unknown "
                 f"batch {batch_id}"
             )
-        batch = state.batches.pop(batch_id)
         base = message.payload["base"]
-        for from_kind, from_id, count, from_batch in batch:
-            if from_kind == "client":
-                self._counter.grant_client(self, from_id, base)
-            else:
-                self.send(
-                    self._counter.host_of(from_id),
-                    KIND_GRANT,
-                    {"node": from_id, "base": base, "batch": from_batch},
-                )
+        for from_kind, from_id, count, from_batch in state.batches.pop(batch_id):
+            self._grant(from_kind, from_id, from_batch, base)
             base += count
+
+    def _grant(self, kind: str, requester: int, batch: int, base: int) -> None:
+        """Hand *base* on to one requester: a node's batch, or a client
+        (one message unless the client is this host)."""
+        if kind == "node":
+            self.send(
+                self._counter.host_of(requester),
+                KIND_GRANT,
+                {"node": requester, "base": base, "batch": batch},
+            )
+        elif requester == self.pid:
+            self._counter.deliver_result(requester, base)
+        else:
+            self.send(requester, KIND_CLIENT_GRANT, {"value": base})
 
     def _node(self, node_id: int) -> _NodeState:
         """The combining state of *node_id*, created on first use.
@@ -315,15 +320,6 @@ class CombiningTreeCounter(DistributedCounter):
     def value(self) -> int:
         """Current counter value (test introspection)."""
         return self._value
-
-    def grant_client(
-        self, granting_host: _CombiningHost, client: ProcessorId, value: int
-    ) -> None:
-        """Deliver *value* to *client* — one message unless it is local."""
-        if granting_host.pid == client:
-            self.deliver_result(client, value)
-        else:
-            granting_host.send(client, KIND_CLIENT_GRANT, {"value": value})
 
     # ------------------------------------------------------------------
     # Operations

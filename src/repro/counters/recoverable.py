@@ -16,21 +16,27 @@ contains crash rules.
     on two processors before anyone sees it, which is what makes a
     primary crash survivable.  The failure detector triggers failover
     (standby promotes itself under a higher epoch and announces to all
-    clients); end-to-end client retries plus request-id deduplication
-    give exactly-once results under drops, duplicates, partitions and
-    crashes — values are never skipped and never handed out twice.
+    clients); end-to-end client retries plus the servers' request
+    windows give exactly-once results under drops, duplicates,
+    partitions and crashes — values are never skipped and never handed
+    out twice.
 
 ``combining-tree[bypass]`` — :class:`BypassCombiningTreeCounter`
     The combining tree where a crashed host is *routed around*: every
     requester re-links to its first live ancestor (or straight to the
     root), in-flight combines whose upward request targeted the dead
-    host are re-issued under fresh batch ids, and stale grants for
-    re-issued batches are silently discarded instead of raising.
-    Semantics are at-most-once: a value parked in a crashed combine can
-    be *burned* (a gap in the handed-out sequence), but no value is ever
+    host are shipped again around it, and a second grant for a batch is
+    silently discarded instead of raising.  A retry never takes a second
+    value, so failure-free runs count exactly.  Under crashes semantics
+    are at-most-once: a value parked in a crashed combine can be
+    *burned* (a gap in the handed-out sequence), but no value is ever
     delivered twice — the uniqueness half of counter correctness
     survives, which is the honest best a combining structure offers
     without replicating every node.
+
+Both keep one request bookkeeping: a client names each request by its
+pid and a per-client seq, and every server remembers requests in a
+:class:`_RequestWindow`, which forgets whatever the client has closed.
 
 Both variants are loss-tolerant *bare* (no
 :class:`~repro.sim.transport.ReliableTransport` needed): their
@@ -50,6 +56,7 @@ from repro.api import Capabilities, DistributedCounter
 from repro.errors import ConfigurationError, ProtocolError
 from repro.counters.combining_tree import (
     DEFAULT_WINDOW,
+    KIND_CLIENT_GRANT,
     KIND_REQUEST,
     CombiningTreeCounter,
     _CombiningHost,
@@ -80,16 +87,103 @@ DEFAULT_TREE_RETRY = 90.0
 """Default end-to-end retry timeout for the bypass combining tree.
 A clean combining-tree operation spans several up-and-down hops plus
 a combining window per level (~40 time units at n=8 under random
-delays), so the tree's timeout must sit well above that — a spurious
-retry is not just wasted traffic here, it burns a counter value."""
+delays, more in deeper trees), so the timeout sits above that.  A
+spurious retry costs messages only: it climbs to the host that holds
+its answer and never reserves a second value."""
 
 RETRY_CAP = 25
 """Attempts per operation before a client gives up silently.  Spans
 hundreds of simulated time units — only a destination that is dead
 forever (and never failed over) exhausts it."""
 
+_OPEN = -1
+"""Window value of a request that is known but not answered yet."""
+_CLOSED = -2
+"""What :meth:`_RequestWindow.claim` returns for a seq below the floor."""
 
-class _StandbyNode(Processor):
+
+class _RequestWindow:
+    """Exactly-once bookkeeping for requests named ``(origin, seq)``.
+
+    Per origin it keeps a *floor* — every seq below it is closed at the
+    origin — and the value recorded for each seq at or above it.  Every
+    request carries its origin's lowest open seq, and the window forgets
+    each value below that, so it holds O(origins × open requests) however
+    many requests pass.
+    """
+
+    __slots__ = ("_origins",)
+
+    def __init__(self) -> None:
+        self._origins: dict[int, list[Any]] = {}  # origin -> [floor, {seq: value}]
+
+    def claim(self, origin: int, seq: int, floor: int, value: int) -> int | None:
+        """Record *value* for a new *seq* and return ``None``; for a
+        known one return what is recorded, and :data:`_CLOSED` for one
+        below the origin's floor.  *floor* is the origin's lowest open
+        seq when it sent the request."""
+        entry = self._origins.get(origin)
+        if entry is None:
+            entry = self._origins[origin] = [floor, {}]
+        elif floor > entry[0]:
+            entry[0] = floor
+            entry[1] = {s: v for s, v in entry[1].items() if s >= floor}
+        if seq < entry[0]:
+            return _CLOSED
+        values = entry[1]
+        known = values.get(seq)
+        if known is None:
+            values[seq] = value
+        return known
+
+    def put(self, origin: int, seq: int, value: int) -> None:
+        """Replace the value of a seq :meth:`claim` recorded, unless the
+        floor has passed it since."""
+        floor, values = self._origins[origin]
+        if seq >= floor:
+            values[seq] = value
+
+
+class _RetryingClient:
+    """The client half both counters share: open requests, one retry chain.
+
+    ``_open`` maps each open seq to the retries sent for it so far.  The
+    first answer for an open seq closes it, which stops its chain; an
+    answer for a closed seq is dropped.  A host sets ``_next_seq`` and
+    ``_open`` and defines ``_resend(seq)``: where a try goes.
+    """
+
+    def request_inc(self) -> None:
+        seq = self._next_seq
+        self._next_seq += 1
+        self._open[seq] = 0
+        self._try(seq)
+
+    def _floor(self) -> int:
+        """The lowest open seq (seqs open in order, so the first key)."""
+        return next(iter(self._open), self._next_seq)
+
+    def _try(self, seq: int) -> None:
+        self._resend(seq)
+        self.network.inject(
+            partial(self._retry, seq),
+            op_index=self.network.active_op,
+            delay=self._counter.retry,
+        )
+
+    def _retry(self, seq: int) -> None:
+        attempts = self._open.get(seq)
+        # Stop once answered, or when the destination is dead forever.
+        if attempts is not None and attempts + 1 < RETRY_CAP:
+            self._open[seq] = attempts + 1
+            self._try(seq)
+
+    def _accept(self, seq: int, value: int) -> None:
+        if self._open.pop(seq, None) is not None:
+            self._counter.deliver_result(self.pid, value)
+
+
+class _StandbyNode(_RetryingClient, Processor):
     """One processor of the standby-replicated central counter.
 
     Every pid is a client; pids holding the primary/standby role layer
@@ -109,81 +203,45 @@ class _StandbyNode(Processor):
         # so a deposed primary's stale pointer sends its commits to the
         # new primary, which rejects them by epoch and demotes it.
         self._next_value = 0
-        self._assigned: dict[tuple[int, int], int] = {}
+        self._assigned = _RequestWindow()
         self._standby_pid: ProcessorId | None = None
         self._solo = False
         # Standby state.
         self._mirror_next = 0
-        self._committed: dict[tuple[int, int], int] = {}
-        # Client state: rid -> retry attempts so far.
+        self._committed = _RequestWindow()
         self._next_seq = 0
-        self._outstanding: dict[tuple[int, int], int] = {}
+        self._open: dict[int, int] = {}
         self._joining = False
 
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
-    def request_inc(self) -> None:
-        rid = (self.pid, self._next_seq)
-        self._next_seq += 1
-        self._outstanding[rid] = 0
-        self._send_inc(rid)
-        self._schedule_retry(rid)
-
-    def _send_inc(self, rid: tuple[int, int]) -> None:
+    def _resend(self, seq: int) -> None:
         # Retries rotate through the believed primary and both initial
         # server seats, so a lost failover announcement cannot strand a
         # client retrying into a permanently dead ex-primary.
         counter = self._counter
-        candidates = list(
-            dict.fromkeys(
-                (self._believed_primary, counter.primary_id, counter.standby_id)
-            )
-        )
-        target = candidates[self._outstanding.get(rid, 0) % len(candidates)]
-        self.send(target, KIND_SC_INC, {"rid": rid})
-
-    def _schedule_retry(self, rid: tuple[int, int]) -> None:
-        self.network.inject(
-            partial(self._retry, rid),
-            op_index=self.network.active_op,
-            delay=self._counter.retry,
-        )
-
-    def _retry(self, rid: tuple[int, int]) -> None:
-        attempts = self._outstanding.get(rid)
-        if attempts is None:
-            return  # completed
-        if attempts + 1 >= RETRY_CAP:
-            return  # destination dead forever; stop generating traffic
-        self._outstanding[rid] = attempts + 1
-        self._send_inc(rid)
-        self._schedule_retry(rid)
-
-    def _on_result(self, message: Message) -> None:
-        rid = message.payload["rid"]
-        if self._outstanding.pop(rid, None) is not None:
-            self._counter.deliver_result(self.pid, message.payload["value"])
-        # else: duplicate of an already-delivered result — drop.
+        seats = (self._believed_primary, counter.primary_id, counter.standby_id)
+        candidates = list(dict.fromkeys(seats))
+        target = candidates[self._open[seq] % len(candidates)]
+        self.send(target, KIND_SC_INC, {"rid": (self.pid, seq, self._floor())})
 
     # ------------------------------------------------------------------
     # Primary side
     # ------------------------------------------------------------------
     def _on_inc(self, message: Message) -> None:
         if self._role != "primary":
-            self.send(
-                message.sender,
-                KIND_SC_REDIRECT,
-                {"primary": self._believed_primary, "epoch": self._epoch},
-            )
+            self._tell_primary(message.sender, KIND_SC_REDIRECT)
             return
+        # A rid is (origin, seq, the origin's lowest open seq).
         rid = message.payload["rid"]
-        value = self._assigned.get(rid)
+        value = self._assigned.claim(*rid, self._next_value)
         if value is None:
             value = self._next_value
             self._next_value += 1
-            self._assigned[rid] = value
             self._checkpoint()
+        elif value == _CLOSED:
+            return  # the client has its answer already
         if self._solo:
             # No standby to replicate to: answer directly.  Retried rids
             # re-send the same assigned value, keeping exactly-once.
@@ -215,22 +273,19 @@ class _StandbyNode(Processor):
         epoch = message.payload["epoch"]
         if epoch < self._epoch:
             # A deposed primary does not know it was deposed: tell it.
-            self.send(
-                message.sender,
-                KIND_SC_ANNOUNCE,
-                {"primary": self._believed_primary, "epoch": self._epoch},
-            )
+            self._tell_primary(message.sender, KIND_SC_ANNOUNCE)
             return
         if epoch > self._epoch:
             self._epoch = epoch
             self._believed_primary = message.sender
         rid = message.payload["rid"]
-        committed = self._committed.get(rid)
+        committed = self._committed.claim(*rid, message.payload["value"])
         if committed is None:
             committed = message.payload["value"]
-            self._committed[rid] = committed
             if committed + 1 > self._mirror_next:
                 self._mirror_next = committed + 1
+        elif committed == _CLOSED:
+            return
         # Answer with the *committed* value: a retried commit after a
         # failover round-trip must not hand out a second value.
         self.send(rid[0], KIND_SC_RESULT, {"rid": rid, "value": committed})
@@ -238,6 +293,11 @@ class _StandbyNode(Processor):
     # ------------------------------------------------------------------
     # Epoch / role traffic
     # ------------------------------------------------------------------
+    def _tell_primary(self, pid: ProcessorId, kind: str) -> None:
+        self.send(
+            pid, kind, {"primary": self._believed_primary, "epoch": self._epoch}
+        )
+
     def _learn_primary(self, primary: ProcessorId, epoch: int) -> None:
         if epoch < self._epoch:
             return
@@ -251,21 +311,18 @@ class _StandbyNode(Processor):
             # must go too, or a later re-promotion could resurrect stale
             # values.
             self._role = "client"
-            self._assigned.clear()
+            self._assigned = _RequestWindow()
             self._solo = False
         if self._joining and primary != self.pid:
             self.send(primary, KIND_SC_JOIN)
-        # Nudge outstanding ops toward the newly learned primary.
-        for rid in list(self._outstanding):
-            self.send(primary, KIND_SC_INC, {"rid": rid})
+        # Nudge open ops toward the newly learned primary.
+        floor = self._floor()
+        for seq in self._open:
+            self.send(primary, KIND_SC_INC, {"rid": (self.pid, seq, floor)})
 
     def _on_join(self, message: Message) -> None:
         if self._role != "primary":
-            self.send(
-                message.sender,
-                KIND_SC_REDIRECT,
-                {"primary": self._believed_primary, "epoch": self._epoch},
-            )
+            self._tell_primary(message.sender, KIND_SC_REDIRECT)
             return
         self._standby_pid = message.sender
         self._solo = False
@@ -285,14 +342,14 @@ class _StandbyNode(Processor):
         self._epoch = epoch
         self._believed_primary = message.sender
         self._mirror_next = message.payload["next_value"]
-        self._committed.clear()
-        self._assigned.clear()
+        self._committed = _RequestWindow()
+        self._assigned = _RequestWindow()
         self._solo = False
 
     def on_message(self, message: Message) -> None:
         kind = message.kind
         if kind == KIND_SC_RESULT:
-            self._on_result(message)
+            self._accept(message.payload["rid"][1], message.payload["value"])
         elif kind == KIND_SC_INC:
             self._on_inc(message)
         elif kind == KIND_SC_COMMIT:
@@ -412,9 +469,6 @@ class StandbyCentralCounter(DistributedCounter, Recoverable):
     def critical_pids(self) -> tuple[ProcessorId, ...]:
         return (self.primary_id, self.standby_id)
 
-    def attach_recovery(self, manager: RecoveryManager) -> None:
-        self._recovery_manager = manager
-
     def on_processor_suspected(self, pid: ProcessorId, time: float) -> None:
         if pid == self._current_primary:
             standby_pid = self._current_standby
@@ -433,11 +487,7 @@ class StandbyCentralCounter(DistributedCounter, Recoverable):
                 self._recovery_manager.note_failover(pid, standby_pid)
             for client in self.client_ids():
                 if client != standby_pid:
-                    standby.send(
-                        client,
-                        KIND_SC_ANNOUNCE,
-                        {"primary": standby_pid, "epoch": standby._epoch},
-                    )
+                    standby._tell_primary(client, KIND_SC_ANNOUNCE)
         elif pid == self._current_standby:
             self._current_standby = None
             primary = self._nodes[self._current_primary]
@@ -462,7 +512,7 @@ class StandbyCentralCounter(DistributedCounter, Recoverable):
             # failed over — the crash was shorter than detection — the
             # seat is still formally the primary and keeps its role.)
             node._role = "client"
-            node._assigned.clear()
+            node._assigned = _RequestWindow()
             node._solo = False
         self._reattach(pid)
 
@@ -491,123 +541,117 @@ class StandbyCentralCounter(DistributedCounter, Recoverable):
         self.network.inject(self._nodes[pid].request_inc, op_index=op_index)
 
 
-class _BypassHost(_CombiningHost):
+class _BypassHost(_RetryingClient, _CombiningHost):
     """Combining host that tolerates crashes around it.
 
     Adds: routing via live ancestors, per-batch target tracking (so
-    combines aimed at a dead host can be re-issued), silent discarding
-    of grants for re-issued batches, direct client→root requests when a
-    client's whole ancestor chain is dead, and end-to-end client
-    retries.
+    combines aimed at a dead host can be shipped around it), silent
+    discarding of a batch's second grant, direct requests to the root
+    holder when a requester's whole ancestor chain is dead, end-to-end
+    client retries, and one :class:`_RequestWindow` over every requester
+    it serves.
+
+    A requester names each request: a client by its seq, a node by its
+    batch id, both in the ``batch`` slot of the request.  A retry that
+    finds its request still open here is not combined again: if the
+    request already left in one of this host's batches, that batch is
+    shipped again under the same id, so the retry climbs until it meets
+    the host that holds the answer, and every answer is re-sent with
+    the value first granted.  No retry reserves a second value.
     """
 
     def __init__(self, pid: ProcessorId, counter: "BypassCombiningTreeCounter") -> None:
         super().__init__(pid, counter)
-        self._outstanding = 0
+        self._next_seq = 0
+        self._open: dict[int, int] = {}
+        self._window = _RequestWindow()
         self._batch_targets: dict[tuple[int, int], ProcessorId] = {}
 
     # -- client side ---------------------------------------------------
-    def request_inc(self) -> None:
-        self._outstanding += 1
-        self._send_request()
-        self._schedule_retry(1)
-
-    def _send_request(self) -> None:
+    def _resend(self, seq: int) -> None:
         counter = self._counter
         entry = counter.effective_entry(self.pid)
-        if entry is None:
-            # Whole ancestor chain is dead: go straight to the root.
-            self.send(
-                counter.root_host,
-                KIND_REQUEST,
-                {"node": -1, "count": 1, "client": self.pid},
-            )
-        else:
-            self.send(
-                counter.host_of(entry),
-                KIND_REQUEST,
-                {
-                    "node": entry,
-                    "from_kind": "client",
-                    "from_id": self.pid,
-                    "count": 1,
-                },
-            )
-
-    def _schedule_retry(self, attempt: int) -> None:
-        self.network.inject(
-            partial(self._retry, attempt),
-            op_index=self.network.active_op,
-            delay=self._counter.retry,
+        # A dead ancestor chain sends the client straight to the root.
+        self.send(
+            counter.root_host if entry is None else counter.host_of(entry),
+            KIND_REQUEST,
+            {
+                "node": -1 if entry is None else entry,
+                "from_kind": "client",
+                "from_id": self.pid,
+                "count": 1,
+                "batch": seq,
+                "floor": self._floor(),
+            },
         )
 
-    def _retry(self, attempt: int) -> None:
-        if self._outstanding <= 0 or attempt >= RETRY_CAP:
-            return
-        self._send_request()
-        self._schedule_retry(attempt + 1)
+    def _on_client_grant(self, payload: dict) -> None:
+        self._accept(payload["seq"], payload["value"])
 
     # -- node side -----------------------------------------------------
     def _on_request(self, message: Message) -> None:
         payload = message.payload
-        if payload["node"] == -1 and "client" in payload:
-            # Orphaned client talking to the root directly.
-            base = self._counter.take_values(payload["count"])
-            self._counter.grant_client(self, payload["client"], base)
-            return
-        super()._on_request(message)
+        kind = payload["from_kind"]
+        requester = payload["from_id"]
+        seq = payload["batch"]
+        root = payload["node"] == -1
+        # Clients and nodes share one window: a node keys as -1 - node.
+        origin = requester if kind == "client" else -1 - requester
+        known = self._window.claim(origin, seq, payload["floor"], _OPEN)
+        if known is None:
+            if root:  # the root value holder answers at once
+                base = self._counter.take_values(payload["count"])
+                self._grant(kind, requester, seq, base)
+            else:
+                super()._on_request(message)
+        elif known >= 0:
+            self._grant(kind, requester, seq, known)
+        elif known == _OPEN and not root:
+            # Shipped already: ship its batch again.  (Still pending
+            # here: the window ships it.)
+            state = self._node(payload["node"])
+            entry = (kind, requester, payload["count"], seq)
+            for batch_id, batch in state.batches.items():
+                if entry in batch:
+                    self._ship(state, batch_id)
+                    break
 
-    def _close_window(self, state: _NodeState) -> None:
-        state.window_armed = False
-        if not state.pending:
-            return
-        batch = state.pending
-        state.pending = []
-        batch_id = state.next_batch_id
-        state.next_batch_id += 1
-        state.batches[batch_id] = batch
-        total = sum(count for _, _, count, _ in batch)
+    def _grant(self, kind: str, requester: int, seq: int, base: int) -> None:
+        self._window.put(requester if kind == "client" else -1 - requester, seq, base)
+        if kind == "node":
+            super()._grant(kind, requester, seq, base)
+        elif requester == self.pid:
+            self._accept(seq, base)
+        else:
+            self.send(requester, KIND_CLIENT_GRANT, {"value": base, "seq": seq})
+
+    def _ship(self, state: _NodeState, batch_id: int) -> None:
         counter = self._counter
         parent = counter.effective_parent(state.node)
-        if parent is None:
-            target = counter.root_host
-            self.send(
-                target,
-                KIND_REQUEST,
-                {
-                    "node": -1,
-                    "count": total,
-                    "reply_node": state.node,
-                    "batch": batch_id,
-                },
-            )
-        else:
-            target = counter.host_of(parent)
-            self.send(
-                target,
-                KIND_REQUEST,
-                {
-                    "node": parent,
-                    "from_kind": "node",
-                    "from_id": state.node,
-                    "count": total,
-                    "batch": batch_id,
-                },
-            )
+        target = counter.root_host if parent is None else counter.host_of(parent)
         self._batch_targets[(state.node, batch_id)] = target
+        self.send(
+            target,
+            KIND_REQUEST,
+            {
+                "node": -1 if parent is None else parent,
+                "from_kind": "node",
+                "from_id": state.node,
+                "count": sum(entry[2] for entry in state.batches[batch_id]),
+                "batch": batch_id,
+                # Batches open in id order, so the first is the lowest.
+                "floor": next(iter(state.batches)),
+            },
+        )
 
     def _on_grant(self, message: Message) -> None:
-        node_id = message.payload["node"]
+        state = self._nodes.get(message.payload["node"])
         batch_id = message.payload["batch"]
-        state = self._nodes.get(node_id)
-        if state is None or batch_id not in state.batches:
-            # A grant for a batch re-issued around a crash: its values
-            # were already reserved at the root — burn them (a gap, not
-            # a duplicate) instead of raising.
-            self._counter.note_discarded_grant()
-            return
-        self._batch_targets.pop((node_id, batch_id), None)
-        super()._on_grant(message)
+        if state is not None and batch_id in state.batches:
+            del self._batch_targets[(state.node, batch_id)]
+            super()._on_grant(message)
+        # else: a second answer to a batch shipped again.  If the two
+        # answers came from two hosts, the later one's values are burned.
 
 
 class BypassCombiningTreeCounter(CombiningTreeCounter, Recoverable):
@@ -617,17 +661,18 @@ class BypassCombiningTreeCounter(CombiningTreeCounter, Recoverable):
     what moves is the *routing*: once the failure detector suspects a
     host, every node whose effective parent chain passes through it
     re-links to the first live ancestor (or ships straight to the root
-    holder), combines awaiting a grant from the dead host are re-issued
-    under fresh batch ids, and the root-holder role itself migrates to a
-    live host if its seat crashes.
+    holder), combines awaiting a grant from the dead host are shipped
+    again around it, and the root-holder role itself migrates to a live
+    host if its seat crashes.
 
-    Semantics under faults are **at-most-once**: values reserved by a
-    combine that died with a host are burned (gaps in the handed-out
-    sequence), and surplus grants caused by retries are burned at the
-    client — but no value is ever delivered twice, which the uniqueness
-    checker verifies.  The root value itself is modelled as stable
-    (checkpointed counter-side state), mirroring the standby variant's
-    stable-storage assumption.
+    Semantics under crashes are **at-most-once**: values reserved by a
+    combine that died with a host, or granted twice to a batch shipped
+    around a falsely suspected host, are burned (gaps in the handed-out
+    sequence) — but no value is ever delivered twice, which the
+    uniqueness checker verifies.  Retries alone never burn a value.
+    The root value itself is modelled as stable (checkpointed
+    counter-side state), mirroring the standby variant's stable-storage
+    assumption.
 
     Args:
         network: simulator to wire into.
@@ -661,8 +706,7 @@ class BypassCombiningTreeCounter(CombiningTreeCounter, Recoverable):
             raise ConfigurationError(f"retry must be positive, got {retry}")
         self.retry = float(retry)
         self._dead_hosts: set[ProcessorId] = set()
-        self._granted: set[int] = set()
-        self._discarded_grants = 0
+        self._delivered = 0
         self._recovery_manager: RecoveryManager | None = None
         super().__init__(network, n, arity=arity, window=window)
 
@@ -696,31 +740,10 @@ class BypassCombiningTreeCounter(CombiningTreeCounter, Recoverable):
     @property
     def burned_values(self) -> int:
         """Values reserved at the root but never delivered (the gaps)."""
-        return self._value - len(self._granted)
-
-    @property
-    def discarded_grants(self) -> int:
-        """Stale grants dropped after their batch was re-issued."""
-        return self._discarded_grants
-
-    @property
-    def recovery_manager(self) -> RecoveryManager | None:
-        """The attached manager (``None`` on crash-free runs)."""
-        return self._recovery_manager
-
-    def note_discarded_grant(self) -> None:
-        self._discarded_grants += 1
+        return self._value - self._delivered
 
     def deliver_result(self, pid: ProcessorId, value: int) -> None:
-        host = self._hosts[pid]
-        if value in self._granted or host._outstanding <= 0:
-            # A duplicated grant, or a surplus one caused by a retry
-            # racing the original: burn it.  Root intervals are
-            # disjoint, so a repeated value always means a duplicate
-            # delivery attempt, never a second legitimate grant.
-            return
-        self._granted.add(value)
-        host._outstanding -= 1
+        self._delivered += 1
         super().deliver_result(pid, value)
 
     # ------------------------------------------------------------------
@@ -728,9 +751,6 @@ class BypassCombiningTreeCounter(CombiningTreeCounter, Recoverable):
     # ------------------------------------------------------------------
     def critical_pids(self) -> tuple[ProcessorId, ...]:
         return tuple(sorted({self.host_of(node) for node in range(self.node_count)}))
-
-    def attach_recovery(self, manager: RecoveryManager) -> None:
-        self._recovery_manager = manager
 
     def on_processor_suspected(self, pid: ProcessorId, time: float) -> None:
         self._dead_hosts.add(pid)
@@ -742,28 +762,13 @@ class BypassCombiningTreeCounter(CombiningTreeCounter, Recoverable):
                     if self._recovery_manager is not None:
                         self._recovery_manager.note_failover(old, candidate)
                     break
-        # Re-issue every combine whose upward request targeted the dead
-        # host: merge its entries back into the sending node's window so
-        # they re-combine and ship via the bypass route.
+        # Ship every combine that awaits the dead host again, under the
+        # same batch id, around it.  (Combines the dead host itself holds
+        # are shipped again by their clients' retries.)
         for host in self._hosts.values():
-            stale = [
-                key
-                for key, target in host._batch_targets.items()
-                if target == pid
-            ]
-            for node_id, batch_id in stale:
-                del host._batch_targets[(node_id, batch_id)]
-                state = host._nodes[node_id]
-                entries = state.batches.pop(batch_id, None)
-                if not entries:
-                    continue
-                state.pending.extend(entries)
-                if not state.window_armed:
-                    state.window_armed = True
-                    self.network.inject(
-                        partial(host._close_window, state),
-                        delay=self.window,
-                    )
+            for (node, batch_id), target in list(host._batch_targets.items()):
+                if target == pid:
+                    host._ship(host._nodes[node], batch_id)
 
     def on_processor_restored(self, pid: ProcessorId, time: float) -> None:
         # False suspicion cleared (or a transient crash's links came
@@ -777,5 +782,5 @@ class BypassCombiningTreeCounter(CombiningTreeCounter, Recoverable):
         # Links were restored at the recovery point; the host resumes
         # its node roles with empty combining state (its pre-crash
         # batches are garbage nobody waits on — requesters already
-        # re-issued around it).
+        # shipped around it).
         self._dead_hosts.discard(pid)

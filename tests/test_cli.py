@@ -45,6 +45,23 @@ class TestRunCommand:
         assert code == 0
         assert "concurrent" in out
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            # the reliable transport gives up on a peer dead for good
+            (("--counter", "central", "--reliable",
+              "--faults", "crash=1@t0-t1000000"), "abandoned"),
+            # a crash-recovery run: both server seats die, nobody answers
+            (("--counter", "central[standby]",
+              "--faults", "crash=1@t1,crash=2@t1"), "never got a result"),
+        ],
+    )
+    def test_a_failed_run_is_one_line_and_exit_1(self, capsys, argv, reason):
+        code, _, err = _run(capsys, "run", "--n", "4", *argv)
+        assert code == 1
+        assert err.startswith("run failed: ") and reason in err
+        assert err.count("\n") == 1
+
     def test_random_policy(self, capsys):
         code, out, _ = _run(
             capsys, "run", "--n", "16", "--policy", "random", "--seed", "4"

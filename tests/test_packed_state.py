@@ -192,6 +192,7 @@ class TestResultColumns:
 def _held(session):
     """What a served session holds that could grow with its op count."""
     trace = session.network.trace
+    leaves = getattr(session.counter, "leaves", None)  # a ww-tree's
     return {
         "op_counts": len(trace._op_counts),
         "live_footprints": len(trace._footprints),
@@ -199,7 +200,7 @@ def _held(session):
             len(column)
             for column in (trace._sealed, trace._sealed_at, trace._sealed_width)
         ],
-        "leaf_parents": len(session.counter.leaves.parents),
+        "leaf_parents": 0 if leaves is None else len(leaves.parents),
     }
 
 
@@ -236,14 +237,14 @@ class TestServingStaysFlat:
         assert len(counter.retirements) - retired > 1_000  # the log did grow
         assert per_batch <= 60, f"{per_batch:.0f} traced bytes per batch"
 
-    def test_a_plain_service_holds_a_fixed_amount_of_per_request_state(self):
+    @staticmethod
+    def _serve(spec):
         """2 000 in-process increments on a plain service after 200 of
-        warm-up, one in flight at a time."""
+        warm-up, one in flight at a time: the service, what its session
+        held after the warm-up, and the traced bytes per request."""
 
         async def serve():
-            service = CounterService(
-                "ww-tree?interval_mode=wrap", 8, trace_level="LOADS"
-            )
+            service = CounterService(spec, 8, trace_level="LOADS")
             await service.start()
             try:
                 for _ in range(200):
@@ -266,7 +267,20 @@ class TestServingStaysFlat:
         assert service.served == 2_200 and service.inflight == 0
         assert _held(service.session) == warm
         assert warm["op_counts"] == warm["live_footprints"] == 0
+        return per_request
+
+    def test_a_plain_service_holds_a_fixed_amount_of_per_request_state(self):
+        per_request = self._serve("ww-tree?interval_mode=wrap")
         assert per_request <= 60, f"{per_request:.0f} traced bytes per request"
+
+    @pytest.mark.parametrize(
+        "spec", ["central[standby]", "combining-tree[bypass]"]
+    )
+    def test_a_crash_tolerant_counter_forgets_each_answered_request(self, spec):
+        # Its servers keep one window per origin, not one entry per
+        # request ever served.
+        per_request = self._serve(spec)
+        assert per_request <= 40, f"{per_request:.0f} traced bytes per request"
 
 
 # ----------------------------------------------------------------------
