@@ -71,6 +71,9 @@ class _CombiningHost(Processor):
     def __init__(self, pid: ProcessorId, counter: "CombiningTreeCounter") -> None:
         super().__init__(pid)
         self._counter = counter
+        # host_of's modulus, kept here: every node-bound message is sent
+        # to ``node % n + 1``.
+        self._n = counter.n
         self._nodes: dict[int, _NodeState] = {}
 
     # -- client side ---------------------------------------------------
@@ -101,27 +104,33 @@ class _CombiningHost(Processor):
         self._counter.deliver_result(self.pid, payload["value"])
 
     def _on_request(self, message: Message) -> None:
-        node_id = message.payload["node"]
+        payload = message.payload
+        node_id = payload["node"]
         if node_id == -1:
             # The virtual root: hand out an interval of counter values.
-            base = self._counter.take_values(message.payload["count"])
-            reply_node = message.payload["reply_node"]
-            self._grant("node", reply_node, message.payload["batch"], base)
+            base = self._counter.take_values(payload["count"])
+            self._grant("node", payload["reply_node"], payload["batch"], base)
             return
-        state = self._node(node_id)
-        state.pending.append(
+        self._pend(
+            node_id,
             (
-                message.payload["from_kind"],
-                message.payload["from_id"],
-                message.payload["count"],
-                message.payload.get("batch", 0),
-            )
+                payload["from_kind"],
+                payload["from_id"],
+                payload["count"],
+                payload.get("batch", 0),
+            ),
         )
+
+    def _pend(self, node_id: int, entry: tuple[str, int, int, int]) -> None:
+        """Queue *entry* at node *node_id*, arming its combining window."""
+        state = self._nodes.get(node_id) or self._node(node_id)
+        state.pending.append(entry)
         if not state.window_armed:
             state.window_armed = True
-            self.network.inject(
+            network = self._network
+            network.inject(
                 partial(self._close_window, state),
-                op_index=self.network.active_op,
+                op_index=network.active_op,
                 delay=self._counter.window,
             )
 
@@ -153,7 +162,7 @@ class _CombiningHost(Processor):
             )
         else:
             self.send(
-                self._counter.host_of(state.parent),
+                state.parent % self._n + 1,  # host_of(state.parent)
                 KIND_REQUEST,
                 {
                     "node": state.parent,
@@ -166,15 +175,16 @@ class _CombiningHost(Processor):
 
     def _on_grant(self, message: Message) -> None:
         """Split a granted interval among the batch that requested it."""
-        state = self._node(message.payload["node"])
-        batch_id = message.payload["batch"]
-        if batch_id not in state.batches:
+        payload = message.payload
+        state = self._node(payload["node"])
+        batch = state.batches.pop(payload["batch"], None)
+        if batch is None:
             raise ProtocolError(
                 f"combining node {state.node} got a grant for unknown "
-                f"batch {batch_id}"
+                f"batch {payload['batch']}"
             )
-        base = message.payload["base"]
-        for from_kind, from_id, count, from_batch in state.batches.pop(batch_id):
+        base = payload["base"]
+        for from_kind, from_id, count, from_batch in batch:
             self._grant(from_kind, from_id, from_batch, base)
             base += count
 
@@ -183,7 +193,7 @@ class _CombiningHost(Processor):
         (one message unless the client is this host)."""
         if kind == "node":
             self.send(
-                self._counter.host_of(requester),
+                requester % self._n + 1,  # host_of(requester)
                 KIND_GRANT,
                 {"node": requester, "base": base, "batch": batch},
             )

@@ -57,6 +57,7 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.counters.combining_tree import (
     DEFAULT_WINDOW,
     KIND_CLIENT_GRANT,
+    KIND_GRANT,
     KIND_REQUEST,
     CombiningTreeCounter,
     _CombiningHost,
@@ -92,9 +93,14 @@ spurious retry costs messages only: it climbs to the host that holds
 its answer and never reserves a second value."""
 
 RETRY_CAP = 25
-"""Attempts per operation before a client gives up silently.  Spans
-hundreds of simulated time units — only a destination that is dead
-forever (and never failed over) exhausts it."""
+"""Attempts per operation, per layer a try crosses, before a client
+gives up silently.  The standby pair is one layer (client, primary,
+standby and back), so its clients get 25.  A bypass try climbs one
+combining node per tree layer and its answer comes back down them, each
+hop lossy, so its clients get 25 per layer
+(:attr:`BypassCombiningTreeCounter.retry_cap`).  A destination dead
+forever (and never failed over) exhausts the budget; so can a long
+enough run of lost tries."""
 
 _OPEN = -1
 """Window value of a request that is known but not answered yet."""
@@ -173,8 +179,8 @@ class _RetryingClient:
 
     def _retry(self, seq: int) -> None:
         attempts = self._open.get(seq)
-        # Stop once answered, or when the destination is dead forever.
-        if attempts is not None and attempts + 1 < RETRY_CAP:
+        # Stop once answered, or once the counter's budget is spent.
+        if attempts is not None and attempts + 1 < self._counter.retry_cap:
             self._open[seq] = attempts + 1
             self._try(seq)
 
@@ -393,6 +399,8 @@ class StandbyCentralCounter(DistributedCounter, Recoverable):
     """
 
     name = "central[standby]"
+    #: Attempts per operation before a client gives up (one layer).
+    retry_cap = RETRY_CAP
     capabilities = Capabilities(
         tolerates_message_loss=True,
         tolerates_crash=True,
@@ -562,18 +570,25 @@ class _BypassHost(_RetryingClient, _CombiningHost):
 
     def __init__(self, pid: ProcessorId, counter: "BypassCombiningTreeCounter") -> None:
         super().__init__(pid, counter)
+        self._entry = counter.entry_node_of(pid)
         self._next_seq = 0
         self._open: dict[int, int] = {}
         self._window = _RequestWindow()
         self._batch_targets: dict[tuple[int, int], ProcessorId] = {}
 
+    # Each handler below takes one pass per message: the payload is read
+    # once, the static route is taken while no host is dead, and hosts
+    # are ``node % n + 1`` (``host_of``) over the cached n.
+
     # -- client side ---------------------------------------------------
     def _resend(self, seq: int) -> None:
         counter = self._counter
-        entry = counter.effective_entry(self.pid)
+        entry = self._entry
+        if counter._dead_hosts:
+            entry = counter.effective_entry(self.pid)
         # A dead ancestor chain sends the client straight to the root.
         self.send(
-            counter.root_host if entry is None else counter.host_of(entry),
+            counter.root_host if entry is None else entry % self._n + 1,
             KIND_REQUEST,
             {
                 "node": -1 if entry is None else entry,
@@ -594,22 +609,22 @@ class _BypassHost(_RetryingClient, _CombiningHost):
         kind = payload["from_kind"]
         requester = payload["from_id"]
         seq = payload["batch"]
-        root = payload["node"] == -1
+        node_id = payload["node"]
         # Clients and nodes share one window: a node keys as -1 - node.
         origin = requester if kind == "client" else -1 - requester
         known = self._window.claim(origin, seq, payload["floor"], _OPEN)
         if known is None:
-            if root:  # the root value holder answers at once
+            if node_id == -1:  # the root value holder answers at once
                 base = self._counter.take_values(payload["count"])
                 self._grant(kind, requester, seq, base)
             else:
-                super()._on_request(message)
+                self._pend(node_id, (kind, requester, payload["count"], seq))
         elif known >= 0:
             self._grant(kind, requester, seq, known)
-        elif known == _OPEN and not root:
+        elif known == _OPEN and node_id != -1:
             # Shipped already: ship its batch again.  (Still pending
             # here: the window ships it.)
-            state = self._node(payload["node"])
+            state = self._node(node_id)
             entry = (kind, requester, payload["count"], seq)
             for batch_id, batch in state.batches.items():
                 if entry in batch:
@@ -617,41 +632,63 @@ class _BypassHost(_RetryingClient, _CombiningHost):
                     break
 
     def _grant(self, kind: str, requester: int, seq: int, base: int) -> None:
-        self._window.put(requester if kind == "client" else -1 - requester, seq, base)
         if kind == "node":
-            super()._grant(kind, requester, seq, base)
-        elif requester == self.pid:
+            self._window.put(-1 - requester, seq, base)
+            self.send(
+                requester % self._n + 1,
+                KIND_GRANT,
+                {"node": requester, "base": base, "batch": seq},
+            )
+            return
+        self._window.put(requester, seq, base)
+        if requester == self.pid:
             self._accept(seq, base)
         else:
             self.send(requester, KIND_CLIENT_GRANT, {"value": base, "seq": seq})
 
     def _ship(self, state: _NodeState, batch_id: int) -> None:
         counter = self._counter
-        parent = counter.effective_parent(state.node)
-        target = counter.root_host if parent is None else counter.host_of(parent)
-        self._batch_targets[(state.node, batch_id)] = target
+        node = state.node
+        parent = state.parent
+        if counter._dead_hosts:
+            parent = counter.effective_parent(node)
+        target = counter.root_host if parent is None else parent % self._n + 1
+        self._batch_targets[(node, batch_id)] = target
+        batches = state.batches
+        count = 0
+        for entry in batches[batch_id]:
+            count += entry[2]
+        for floor in batches:  # batches open in id order: the first is lowest
+            break
         self.send(
             target,
             KIND_REQUEST,
             {
                 "node": -1 if parent is None else parent,
                 "from_kind": "node",
-                "from_id": state.node,
-                "count": sum(entry[2] for entry in state.batches[batch_id]),
+                "from_id": node,
+                "count": count,
                 "batch": batch_id,
-                # Batches open in id order, so the first is the lowest.
-                "floor": next(iter(state.batches)),
+                "floor": floor,
             },
         )
 
     def _on_grant(self, message: Message) -> None:
-        state = self._nodes.get(message.payload["node"])
-        batch_id = message.payload["batch"]
-        if state is not None and batch_id in state.batches:
-            del self._batch_targets[(state.node, batch_id)]
-            super()._on_grant(message)
-        # else: a second answer to a batch shipped again.  If the two
-        # answers came from two hosts, the later one's values are burned.
+        payload = message.payload
+        node_id = payload["node"]
+        batch_id = payload["batch"]
+        state = self._nodes.get(node_id)
+        batch = None if state is None else state.batches.pop(batch_id, None)
+        if batch is None:
+            # A second answer to a batch shipped again.  If the two
+            # answers came from two hosts, the later one's values are
+            # burned.
+            return
+        del self._batch_targets[(node_id, batch_id)]
+        base = payload["base"]
+        for kind, requester, count, seq in batch:
+            self._grant(kind, requester, seq, base)
+            base += count
 
 
 class BypassCombiningTreeCounter(CombiningTreeCounter, Recoverable):
@@ -709,6 +746,9 @@ class BypassCombiningTreeCounter(CombiningTreeCounter, Recoverable):
         self._delivered = 0
         self._recovery_manager: RecoveryManager | None = None
         super().__init__(network, n, arity=arity, window=window)
+        #: Attempts per operation before a client gives up: a try climbs
+        #: one combining node per layer, so :data:`RETRY_CAP` per layer.
+        self.retry_cap = RETRY_CAP * (len(self._layer_starts) - 1)
 
     # ------------------------------------------------------------------
     # Fault-aware routing

@@ -59,12 +59,14 @@ class ScheduleController(DeliveryPolicy, SchedulerHook):
             raise ValueError("delay menu must not be empty")
         self._strategy = strategy
         self._menu = delay_menu
+        self._menu_size = len(delay_menu)
         self._decisions: list[int] = []
         self._kinds: list[str] = []
-        # The trace whose load columns load() reads; until attach binds
-        # the network's (and at TraceLevel.OFF) its columns stay empty,
-        # so every load is 0.
-        self._trace = Trace(TraceLevel.OFF)
+        #: The trace whose load columns :meth:`load` (and the guided
+        #: strategy) reads; until :meth:`attach` binds the network's (and
+        #: at ``TraceLevel.OFF``) its columns stay empty, so every load
+        #: is 0.
+        self.trace = Trace(TraceLevel.OFF)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -77,7 +79,7 @@ class ScheduleController(DeliveryPolicy, SchedulerHook):
         the contention profile *so far*.
         """
         network.install_scheduler_hook(self)
-        self._trace = network.trace
+        self.trace = network.trace
 
     def load(self, pid: int) -> int:
         """Message load of *pid* so far (0 before attach).
@@ -87,7 +89,7 @@ class ScheduleController(DeliveryPolicy, SchedulerHook):
         would raise at ``OFF``, where the columns stay empty.  They are
         looked up on the trace per read, since widening replaces them.
         """
-        trace = self._trace
+        trace = self.trace
         sent = trace._sent
         if pid < len(sent):
             return sent[pid] + trace._received[pid]
@@ -114,8 +116,8 @@ class ScheduleController(DeliveryPolicy, SchedulerHook):
     # DeliveryPolicy: the delay decision point
     # ------------------------------------------------------------------
     def delay(self, message: Message) -> float:
-        choice = self._strategy.choose_delay(message, len(self._menu), self)
-        choice %= len(self._menu)
+        choice = self._strategy.choose_delay(message, self._menu_size, self)
+        choice %= self._menu_size
         self._decisions.append(choice)
         self._kinds.append("delay")
         return self._menu[choice]

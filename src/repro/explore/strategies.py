@@ -305,8 +305,17 @@ class GuidedStrategy(Strategy):
         # the most weight, exactly the contention the adversary farms.
         # The float operations of weight_of((receiver, sender), loads,
         # base), in its order, so the score is bit-identical to it.
+        # choose_delay and choose_tiebreak compute it inline, the same
+        # way; this form is their reference.
         receiver, sender = message[1], message[0]
         return (load(receiver) + 1) / self._b1 + (load(sender) + 1) / self._b2
+
+    # The two decisions below run once per delivered message, so each
+    # scores in its own frame: the loads come straight from the trace's
+    # two columns (an id past their end reads 0, as controller.load
+    # does), looked up per call since widening replaces them and a deep
+    # copy must read its own; the generator's ``random`` is looked up
+    # per call for the same reason.
 
     def choose_delay(
         self, message: Message, menu_size: int, controller: "ScheduleController"
@@ -314,9 +323,27 @@ class GuidedStrategy(Strategy):
         # Hot-target messages get spread across the menu (piling distinct
         # delays onto the hot spot's in-box maximizes overlap there);
         # cold traffic mostly keeps the unit delay.
-        score = self._score(message, controller.load)
-        return _weighted_index(
-            self._rng.random, [1.0 + score * index for index in range(menu_size)]
+        trace = controller.trace
+        sent = trace._sent
+        received = trace._received
+        size = len(sent)
+        sender, receiver = message[0], message[1]
+        score = (
+            (sent[receiver] + received[receiver] + 1 if receiver < size else 1)
+            / self._b1
+            + (sent[sender] + received[sender] + 1 if sender < size else 1)
+            / self._b2
+        )
+        # _weighted_index over the weights 1 + score * index, without
+        # the weight list or its frame: the running sums take
+        # accumulate's float additions, and the same bisect_right picks.
+        sums = [0.0] * menu_size
+        total = 0.0
+        for index in range(menu_size):
+            total += 1.0 + score * index
+            sums[index] = total
+        return bisect_right(
+            sums, self._rng.random() * (total + 0.0), 0, menu_size - 1
         )
 
     def choose_tiebreak(
@@ -326,12 +353,26 @@ class GuidedStrategy(Strategy):
     ) -> int:
         # Prefer running the heaviest-weighted delivery first, keeping
         # the hot spot saturated; non-message events score the floor.
-        load = controller.load
+        trace = controller.trace
+        sent = trace._sent
+        received = trace._received
+        size = len(sent)
+        b1, b2 = self._b1, self._b2
         random = self._rng.random
         best_index = 0
         best_score = -1.0
         for index, entry in enumerate(ready):
-            score = self._score(entry, load) if type(entry) is Message else 0.0
+            if type(entry) is Message:
+                sender, receiver = entry[0], entry[1]
+                score = (
+                    sent[receiver] + received[receiver] + 1
+                    if receiver < size
+                    else 1
+                ) / b1 + (
+                    sent[sender] + received[sender] + 1 if sender < size else 1
+                ) / b2
+            else:
+                score = 0.0
             score += random() * 1e-9  # deterministic tie noise
             if score > best_score:
                 best_score = score

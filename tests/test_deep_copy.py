@@ -141,13 +141,23 @@ def _guided_run():
     return controller, session.network
 
 
-def test_a_copied_guided_controller_draws_from_its_own_generator():
+def test_a_copied_guided_episode_steers_on_its_own_loads_and_generator():
+    # Each guided decision reads its own network's load columns and its
+    # own strategy's generator.  A decision path that kept either from
+    # before the copy — a bound ``random``, or a closure over the
+    # columns, both of which deepcopy shares — would steer the twin on
+    # the original's loads, or make the two draw from one generator:
+    # whichever side drains second would then diverge from the uncopied
+    # run.
     reference, network = _guided_run()
     network.run_until_quiescent()
-    controller, network = _guided_run()
-    network.run(5)
-    twin = copy.deepcopy(network)
-    twin.run_until_quiescent()  # draws from the copy's strategy
-    network.run_until_quiescent()
-    assert controller.recorded == reference.recorded
-    assert twin.policy.recorded == reference.recorded
+    for events in (5, 40):
+        for copy_first in (True, False):
+            controller, network = _guided_run()
+            network.run(events)
+            twin = copy.deepcopy(network)
+            for side in (twin, network) if copy_first else (network, twin):
+                side.run_until_quiescent()
+            assert controller.recorded == reference.recorded
+            assert twin.policy.recorded == reference.recorded
+            assert twin.trace.fingerprint() == network.trace.fingerprint()

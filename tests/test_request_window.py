@@ -16,6 +16,7 @@ from repro.counters.recoverable import (
     KIND_SC_COMMIT,
     KIND_SC_INC,
     KIND_SC_RESULT,
+    RETRY_CAP,
 )
 from repro.registry import RunSession
 from repro.workloads import round_robin
@@ -119,6 +120,25 @@ class TestBypassRetries:
             )
             session.run_sequence()  # raises on any skipped value
             assert session.counter.burned_values == 0
+
+    @pytest.mark.parametrize("n, layers", [(2, 1), (8, 3), (32, 5), (64, 6)])
+    def test_a_bypass_client_tries_25_times_per_tree_layer(self, n, layers):
+        assert RunSession("combining-tree[bypass]", n).counter.retry_cap == (
+            RETRY_CAP * layers
+        )
+        assert RunSession("central[standby]", n).counter.retry_cap == RETRY_CAP
+
+    def test_a_deep_tree_under_heavy_loss_answers_every_op(self):
+        # A try at n = 32 climbs five layers and its answer comes back
+        # down them, each hop dropping a fifth of its messages: with 25
+        # tries in all, seeds 16, 35 and 37 left an op without a result.
+        for seed in range(40):
+            session = RunSession(
+                "combining-tree[bypass]", 32, policy="random", seed=seed,
+                faults="drop=0.2,dup=0.1",
+            )
+            ops = session.run_staggered(gap=4.0)  # raises on an unanswered op
+            assert sorted(op.value for op in ops) == list(range(32))
 
     def test_two_open_ops_on_one_pid_each_keep_their_own_retry_chain(self):
         session = RunSession(
