@@ -39,26 +39,16 @@ from repro.lowerbound import (
     lower_bound_k,
     message_load_bound,
 )
-from repro.quorum import (
-    CrumblingWall,
-    MaekawaGrid,
-    QuorumCounter,
-    RotatingMajorityQuorum,
-    SingletonQuorum,
-    TreePathQuorum,
-    WheelQuorum,
-    optimal_load,
-    uniform_load,
-)
+from repro.quorum import optimal_load, uniform_load
 from repro.registry import (
     POLICY_NAMES,
     RunSession,
+    get_spec,
     parse_spec,
     registered_names,
     registered_specs,
 )
-from repro.sim.network import Network
-from repro.workloads import one_shot, run_sequence
+from repro.workloads import one_shot
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -808,22 +798,15 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_quorum(args: argparse.Namespace) -> int:
     n = args.n
-    systems = [
-        SingletonQuorum(n),
-        RotatingMajorityQuorum(n),
-        TreePathQuorum(n),
-        WheelQuorum(n),
-        CrumblingWall(n),
-    ]
-    import math
-
-    if math.isqrt(n) ** 2 == n:
-        systems.insert(2, MaekawaGrid(n))
+    slugs = ["singleton", "majority", "tree-paths", "wheel", "crumbling-wall"]
+    if get_spec("quorum[maekawa]").supports_n(n) is None:
+        slugs.insert(2, "maekawa")
+    # Build every system before running any: an n one refuses fails there.
+    sessions = [RunSession(f"quorum[{slug}]", n) for slug in slugs]
     rows = []
-    for system in systems:
-        network = Network()
-        counter = QuorumCounter(network, n, system)
-        result = run_sequence(counter, one_shot(n))
+    for session in sessions:
+        system = session.counter.system
+        result = session.run_sequence()
         rows.append(
             [
                 type(system).__name__,
@@ -900,9 +883,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         if restriction is not None:
             print(f"  [SKIP] {spec.name}: {restriction}")
             continue
-        network = Network()
-        counter = spec.build(network, run_n)
-        result = run_sequence(counter, one_shot(run_n))
+        session = RunSession(spec.name, run_n)
+        counter = session.counter
+        result = session.run_sequence()
         values_ok = result.values() == list(range(run_n))
         hotspot_ok = check_hot_spot(result).holds
         bound_ok = result.bottleneck_load() >= message_load_bound(run_n)

@@ -11,16 +11,9 @@ from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult, make_table
 from repro.lowerbound import GreedyAdversary, lower_bound_k
-from repro.registry import parse_spec
-from repro.sim import CongestedDelay, Network
-from repro.workloads import (
-    SweepPoint,
-    SweepRunner,
-    one_shot,
-    run_concurrent,
-    run_sequence,
-    shuffled,
-)
+from repro.registry import RunSession, parse_spec
+from repro.sim import CongestedDelay
+from repro.workloads import SweepPoint, SweepRunner, one_shot, shuffled
 
 BASELINES = (
     "central",
@@ -34,9 +27,8 @@ BASELINES = (
 
 
 def _sequential_bottleneck(spec: str, n: int):
-    network = Network()
-    counter = parse_spec(spec).build(network, n)
-    return run_sequence(counter, one_shot(n))
+    # FULL by name: E6's latency profiles are read from records.
+    return RunSession(spec, n, trace_level="FULL").run_sequence()
 
 
 def run_e6(ns: tuple[int, ...] = (8, 27, 81, 256, 1024, 3125)) -> ExperimentResult:
@@ -178,9 +170,8 @@ def run_e13(n: int = 64, adversary_n: int = 16) -> ExperimentResult:
         ref = parse_spec(spec)
         cells: list[object] = [name]
         for _, order in orders:
-            network = Network()
-            counter = ref.build(network, n)
-            cells.append(run_sequence(counter, list(order)).bottleneck_load())
+            session = RunSession(ref, n)
+            cells.append(session.run_sequence(list(order)).bottleneck_load())
         cells.append(GreedyAdversary(ref, adversary_n).run().bottleneck_load)
         rows.append(cells)
     return ExperimentResult(
@@ -210,9 +201,11 @@ def run_e17(n: int = 256) -> ExperimentResult:
     )
     rows = []
     for name, spec in specs:
-        network = Network(policy=CongestedDelay(latency=1.0, service=1.0))
-        counter = parse_spec(spec).build(network, n)
-        result = run_concurrent(counter, [one_shot(n)])
+        session = RunSession(
+            spec, n, policy=CongestedDelay(latency=1.0, service=1.0)
+        )
+        network = session.network
+        result = session.run_concurrent()
         max_received = max(
             network.trace.received_by(p)
             for p in range(1, network.processor_count + 1)

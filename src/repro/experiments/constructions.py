@@ -14,8 +14,7 @@ from collections import Counter
 from repro.analysis import build_dag, build_list
 from repro.experiments.base import ExperimentResult, make_table
 from repro.lowerbound import check_hot_spot
-from repro.registry import parse_spec
-from repro.sim.network import Network
+from repro.registry import RunSession, parse_spec
 from repro.sim.policies import RandomDelay, UnitDelay
 from repro.workloads import one_shot, run_sequence, shuffled
 
@@ -27,8 +26,8 @@ def run_e1(n: int = 64, probe_op: int | None = None) -> ExperimentResult:
     specs = ["central", "static-tree", "ww-tree", "combining-tree"]
     rows = []
     for spec in specs:
-        network = Network()
-        counter = parse_spec(spec).build(network, n)
+        # FULL by name: the DAG and the list are rebuilt from records.
+        counter = RunSession(spec, n, trace_level="FULL").counter
         result = run_sequence(counter, one_shot(n))
         outcome = result.outcomes[probe_op]
         dag = build_dag(result.trace, outcome.op_index, outcome.initiator)
@@ -89,9 +88,8 @@ def run_e2(n: int = 64, seeds: tuple[int, ...] = (1, 2)) -> ExperimentResult:
         holds = True
         for order in orders:
             for policy in (UnitDelay(), RandomDelay(seed=3)):
-                network = Network(policy=policy)
-                counter = ref.build(network, n)
-                result = run_sequence(counter, list(order))
+                session = RunSession(ref, n, policy=policy)
+                result = session.run_sequence(list(order))
                 report = check_hot_spot(result)
                 pairs += report.pairs_checked
                 holds = holds and report.holds

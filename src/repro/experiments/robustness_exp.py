@@ -28,9 +28,8 @@ from __future__ import annotations
 from repro.analysis.stats import summarize_over_seeds
 from repro.experiments.base import ExperimentResult, make_table
 from repro.registry import RunSession, parse_spec
-from repro.sim.network import Network
 from repro.sim.policies import RandomDelay
-from repro.workloads import one_shot, run_sequence, zipf_sequence
+from repro.workloads import zipf_sequence
 
 ROBUSTNESS_COUNTERS = (
     "central",
@@ -51,9 +50,8 @@ def run_e18(n: int = 81, seeds: tuple[int, ...] = tuple(range(8))) -> Experiment
         ref = parse_spec(name)
 
         def measure(seed: int, ref=ref) -> float:
-            network = Network(policy=RandomDelay(seed=seed))
-            counter = ref.build(network, n)
-            return run_sequence(counter, one_shot(n)).bottleneck_load()
+            session = RunSession(ref, n, policy=RandomDelay(seed=seed))
+            return session.run_sequence().bottleneck_load()
 
         summary = summarize_over_seeds(measure, seeds)
         rows.append(
@@ -102,9 +100,9 @@ def run_e19(
             order = [(i % n) + 1 for i in range(length)]
         else:
             order = zipf_sequence(n, length=length, skew=skew, seed=1)
-        network = Network()
-        counter = ref.build(network, n)
-        result = run_sequence(counter, order)
+        session = RunSession(ref, n)
+        counter = session.counter
+        result = session.run_sequence(order)
         geometry = counter.geometry
         initiators = set(order)
         hottest_initiator = max(

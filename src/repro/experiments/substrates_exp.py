@@ -10,6 +10,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from repro.analysis import (
     BitLoadAnalyzer,
@@ -29,7 +30,7 @@ from repro.datatypes import (
     run_ops,
 )
 from repro.experiments.base import ExperimentResult, make_table
-from repro.registry import parse_spec
+from repro.registry import RunSession, assemble_run, parse_spec
 from repro.quorum import (
     CrumblingWall,
     MaekawaGrid,
@@ -45,7 +46,6 @@ from repro.quorum import (
     probe_complexity,
     uniform_load,
 )
-from repro.sim.network import Network
 from repro.sim.policies import DeliveryPolicy, RandomDelay
 from repro.workloads import one_shot, run_sequence
 
@@ -75,8 +75,10 @@ def run_e8(n: int = 64, fpp_order: int = 7) -> ExperimentResult:
                 "yes" if system.verify_intersection() else "NO",
             ]
         )
-        network = Network()
-        counter = QuorumCounter(network, system.n, system)
+        # The counter runs on the very system the row analyses (the
+        # projective plane has no spec).
+        factory = partial(QuorumCounter, system=system)
+        counter = assemble_run(factory, system.n).counter
         result = run_sequence(counter, one_shot(system.n))
         counter_rows.append(
             [
@@ -145,26 +147,21 @@ def run_e11(ks: tuple[int, ...] = (3, 4)) -> ExperimentResult:
     rows = []
     for k in ks:
         n = k ** (k + 1)
-        network = Network()
-        counter = parse_spec("ww-tree").build(network, n)
-        result = run_sequence(counter, one_shot(n))
+        result = RunSession("ww-tree", n).run_sequence()
         rows.append(["counter (inc)", k, n, result.bottleneck_load(),
                      f"{result.bottleneck_load() / k:.1f}"])
-        network = Network()
-        bit = DistributedFlipBit(network, n)
+        bit = assemble_run(DistributedFlipBit, n).counter
         adt = run_ops(bit, [(pid, FLIP) for pid in one_shot(n)])
         rows.append(["flip-bit (flip)", k, n, adt.bottleneck_load(),
                      f"{adt.bottleneck_load() / k:.1f}"])
-        network = Network()
-        queue = DistributedPriorityQueue(network, n)
+        queue = assemble_run(DistributedPriorityQueue, n).counter
         half = n // 2
         ops = [(pid, (INSERT, n - pid)) for pid in range(1, half + 1)]
         ops += [(pid, (DELETE_MIN,)) for pid in range(half + 1, n + 1)]
         adt = run_ops(queue, ops)
         rows.append(["priority-queue (ins/delmin)", k, n, adt.bottleneck_load(),
                      f"{adt.bottleneck_load() / k:.1f}"])
-        network = Network()
-        register = DistributedMaxRegister(network, n)
+        register = assemble_run(DistributedMaxRegister, n).counter
         adt = run_ops(register, [(pid, (WRITE_MAX, pid)) for pid in one_shot(n)])
         rows.append(["max-register (write_max)", k, n, adt.bottleneck_load(),
                      f"{adt.bottleneck_load() / k:.1f}"])
@@ -198,11 +195,11 @@ def run_e14(ns: tuple[int, ...] = (81, 1024)) -> ExperimentResult:
         ref = parse_spec(name)
         cells: list[object] = [name]
         for n in ns:
-            network = Network()
+            # FULL by name: the analyzer meters every sent payload.
+            session = RunSession(ref, n, trace_level="FULL")
             analyzer = BitLoadAnalyzer(n)
-            analyzer.attach(network)
-            counter = ref.build(network, n)
-            run_sequence(counter, one_shot(n))
+            analyzer.attach(session.network)
+            session.run_sequence()
             cells.append(analyzer.max_message_bits)
             cells.append(analyzer.bit_bottleneck()[1])
         cells.append(f"{cells[3] / cells[1]:.2f}x")
@@ -242,9 +239,10 @@ class _StallFirstToken(DeliveryPolicy):
 
 def run_e15(scan_n: int = 16, seeds: int = 10) -> ExperimentResult:
     """E15: the HSW counterexample plus a statistical scan."""
-    network = Network(policy=_StallFirstToken())
-    counter = BitonicCountingNetwork(network, 4, width=2)
-    ops = run_staggered_timed(counter, [1, 2, 3], gap=5.0)
+    session = RunSession(
+        "counting-network?width=2", 4, policy=_StallFirstToken()
+    )
+    ops = run_staggered_timed(session.counter, [1, 2, 3], gap=5.0)
     report = check_linearizable_counting(ops)
     example_rows = [
         [op.op_index, op.initiator, f"{op.request_time:g}",
@@ -266,8 +264,9 @@ def run_e15(scan_n: int = 16, seeds: int = 10) -> ExperimentResult:
         precedence = 0
         steps_ok = True
         for seed in range(seeds):
-            net = Network(policy=RandomDelay(seed=seed, low=0.5, high=20.0))
-            c = ref.build(net, scan_n)
+            c = RunSession(
+                ref, scan_n, policy=RandomDelay(seed=seed, low=0.5, high=20.0)
+            ).counter
             timed = run_staggered_timed(c, list(range(1, scan_n + 1)), gap=2.0)
             rep = check_linearizable_counting(timed)
             linearizable += int(rep.linearizable)

@@ -10,14 +10,14 @@
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from functools import partial
 
 from repro.analysis import LoadProfile
 from repro.core import IntervalMode, TreeCounter, TreeGeometry, TreePolicy
 from repro.core.invariants import check_all, pure_leaves
-from repro.counters import CentralCounter
 from repro.errors import SimulationLimitError
 from repro.experiments.base import ExperimentResult, ExperimentTable, make_table
-from repro.sim.network import Network
+from repro.registry import RunSession, assemble_run
 from repro.workloads import SweepPoint, SweepRunner, one_shot, run_sequence
 
 
@@ -71,8 +71,7 @@ def run_e4(
 
 def _e5_table(k: int) -> ExperimentTable:
     n = k ** (k + 1)
-    network = Network()
-    counter = TreeCounter(network, n)
+    counter = RunSession("ww-tree", n).counter
     result = run_sequence(counter, one_shot(n))
     geometry = counter.geometry
     retires_by_node: Counter[int] = Counter()
@@ -139,15 +138,15 @@ def run_e9(
     """E9: the retirement-threshold ablation."""
     from repro.core.invariants import check_number_of_retirements
 
+    # For n = k^(k+1) the spec's tree is the paper's shape for k.
     n = k ** (k + 1)
-    geometry = TreeGeometry.paper_shape(k)
     rows = []
     for factor in factors:
-        policy = TreePolicy(
-            retire_threshold=factor * k, interval_mode=IntervalMode.WRAP
-        )
-        network = Network(event_limit=2_000_000)
-        counter = TreeCounter(network, n, geometry=geometry, policy=policy)
+        counter = RunSession(
+            f"ww-tree?retire_threshold={factor * k}&interval_mode=wrap",
+            n,
+            event_limit=2_000_000,
+        ).counter
         try:
             result = run_sequence(counter, one_shot(n))
         except SimulationLimitError:
@@ -164,11 +163,8 @@ def run_e9(
                 "yes" if budgets_ok else "OVERRUN",
             ]
         )
-    network = Network()
-    counter = TreeCounter(
-        network, n, geometry=geometry, policy=TreePolicy.never_retire()
-    )
-    result = run_sequence(counter, one_shot(n))
+    static = partial(TreeCounter, policy=TreePolicy.never_retire())
+    result = run_sequence(assemble_run(static, n).counter, one_shot(n))
     rows.append(
         [
             "∞ (static)", "-", result.bottleneck_load(), 0,
@@ -207,8 +203,9 @@ def run_e10(
         policy = TreePolicy(
             retire_threshold=4 * arity, interval_mode=IntervalMode.WRAP
         )
-        network = Network()
-        counter = TreeCounter(network, n, geometry=geometry, policy=policy)
+        counter = assemble_run(
+            partial(TreeCounter, geometry=geometry, policy=policy), n
+        ).counter
         result = run_sequence(counter, one_shot(n))
         reserve = max(0, geometry.processor_requirement() - geometry.leaf_count)
         rows.append(
@@ -244,26 +241,22 @@ def run_e12(k: int = 3, rounds: int = 5) -> ExperimentResult:
     """E12: repeated rounds in wrap mode vs the central counter."""
     n = k ** (k + 1)
 
-    def marks(counter, network):
+    def marks(session):
         out = []
         op_index = 0
         for _ in range(rounds):
             for pid in one_shot(n):
-                counter.begin_inc(pid, op_index)
-                network.run_until_quiescent()
+                session.counter.begin_inc(pid, op_index)
+                session.network.run_until_quiescent()
                 op_index += 1
-            out.append(network.trace.bottleneck()[1])
+            out.append(session.network.trace.bottleneck()[1])
         return out
 
-    tree_network = Network()
-    tree = TreeCounter(
-        tree_network,
-        n,
-        policy=TreePolicy(retire_threshold=4 * k, interval_mode=IntervalMode.WRAP),
-    )
-    tree_marks = marks(tree, tree_network)
-    central_network = Network()
-    central_marks = marks(CentralCounter(central_network, n), central_network)
+    # The spec's wrap tree retires at 4·arity = 4k for n = k^(k+1).
+    tree_session = RunSession("ww-tree?interval_mode=wrap", n)
+    tree = tree_session.counter
+    tree_marks = marks(tree_session)
+    central_marks = marks(RunSession("central", n))
 
     rows = []
     for index in range(rounds):

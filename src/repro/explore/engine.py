@@ -21,6 +21,7 @@ oracle fails again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterator, Sequence
 
 from repro.analysis.oracles import (
@@ -37,6 +38,7 @@ from repro.explore.mutants import build_mutant, is_mutant_spec
 from repro.explore.schedule import ExploreConfig, ReproFile, Schedule
 from repro.explore.shrink import shrink_schedule
 from repro.explore.strategies import ReplayStrategy, Strategy, parse_plan
+from repro.registry import CounterRef, RunSession, assemble_run, parse_spec
 from repro.sim.faults import FaultPlan, parse_fault_spec
 from repro.sim.messages import ProcessorId
 from repro.sim.network import Network
@@ -135,8 +137,7 @@ class Explorer:
             )
         self._config = config
         self._oracles = oracles
-        self._is_mutant = is_mutant_spec(config.counter)
-        if self._is_mutant:
+        if is_mutant_spec(config.counter):
             if config.transport != "bare":
                 raise ConfigurationError(
                     "mutants are explored bare: no reliable transport "
@@ -157,9 +158,9 @@ class Explorer:
                         "Byzantine mutants need liars to trust)"
                     )
             self._canonical = config.counter.strip()
+            self._gated_ref: CounterRef | None = None
+            self._factory = partial(build_mutant, config.counter)
         else:
-            from repro.registry import parse_spec
-
             ref = parse_spec(config.counter)
             capabilities = ref.capabilities
             if not capabilities.explorable:
@@ -174,6 +175,8 @@ class Explorer:
                     "explore it with workload='sequential'"
                 )
             self._canonical = ref.canonical
+            self._gated_ref = ref
+            self._factory = ref.build
         # Parse eagerly so malformed plans fail at construction.
         self._plan = parse_plan(config.strategy, config.budget, config.seed)
 
@@ -234,48 +237,39 @@ class Explorer:
         burning = plan is not None and len(plan.byzantine_rules) != len(
             plan.rules
         )
-        if self._is_mutant:
-            network = Network(
+        if self._gated_ref is not None and (
+            not byz or self._gated_ref.capabilities.tolerates_byzantine
+        ):
+            run = RunSession(
+                self._gated_ref,
+                config.n,
+                policy=controller,
+                seed=config.seed,
+                event_limit=DEFAULT_EPISODE_EVENT_LIMIT,
+                faults=plan,
+                reliable=config.transport == "reliable",
+            )
+        else:
+            # A mutant, or liars on a counter that does not tolerate
+            # them: the session's gates would (rightly) refuse both, and
+            # the explorer's point here is the witness they protect
+            # users from, so assemble without them.
+            run = assemble_run(
+                self._factory,
+                config.n,
                 policy=controller,
                 event_limit=DEFAULT_EPISODE_EVENT_LIMIT,
                 fault_plan=plan,
+                run_context=self._canonical,
+                reliable=config.transport == "reliable",
             )
-            network.run_context = self._canonical
-            counter = build_mutant(config.counter, network, config.n)
-            controller.attach(network)
-            return counter, network, byz, plan is not None, byz, burning
-        from repro.registry import RunSession, parse_spec
-
-        ref = parse_spec(config.counter)
-        if byz and not ref.capabilities.tolerates_byzantine:
-            # The session gate would (rightly) refuse this pairing; the
-            # explorer's whole point here is to produce the witness the
-            # gate is protecting users from, so assemble directly.
-            network = Network(
-                policy=controller,
-                event_limit=DEFAULT_EPISODE_EVENT_LIMIT,
-                fault_plan=plan,
-            )
-            network.run_context = self._canonical
-            counter = ref.build(network, config.n)
-            controller.attach(network)
-            return counter, network, byz, True, byz, burning
-        session = RunSession(
-            config.counter,
-            config.n,
-            policy=controller,
-            seed=config.seed,
-            event_limit=DEFAULT_EPISODE_EVENT_LIMIT,
-            faults=plan,
-            reliable=config.transport == "reliable",
-        )
-        controller.attach(session.network)
+        controller.attach(run.network)
         # Under an active fault plan values may be burned (orphaned
         # combines, re-assigned reservations), so the value set need not
         # be dense — only duplicate-free.
         return (
-            session.counter,
-            session.network,
+            run.counter,
+            run.network,
             plan.unanswerable_pids if plan is not None else frozenset(),
             plan is not None,
             byz,

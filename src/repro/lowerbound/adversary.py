@@ -35,6 +35,7 @@ from typing import Iterator
 from repro.analysis.dag import build_list
 from repro.api import CounterFactory, DistributedCounter
 from repro.lowerbound.weights import LedgerStep
+from repro.registry import assemble_run, resolve_factory
 from repro.sim.messages import ProcessorId
 from repro.sim.network import Network
 from repro.sim.policies import DeliveryPolicy
@@ -88,8 +89,6 @@ class GreedyAdversary:
         sample_size: int | None = None,
         seed: int = 0,
     ) -> None:
-        from repro.registry import resolve_factory
-
         self._factory = resolve_factory(factory)
         self._n = n
         self._policy = policy
@@ -98,11 +97,11 @@ class GreedyAdversary:
 
     def run(self) -> AdversarialRun:
         """Play the full n-step adversarial game; return the run + ledger."""
-        # Always a FULL-tracing network: the adversary's list
-        # reconstruction and weight function need the record history that
-        # the fast trace levels do not keep.
-        network = Network(policy=self._policy)
-        counter = self._factory(network, self._n)
+        # FULL by name: the adversary's list reconstruction and weight
+        # function read the record history the fast levels do not keep.
+        network, _, _, counter, _ = assemble_run(
+            self._factory, self._n, policy=self._policy, trace_level="FULL"
+        )
         steps: list[tuple[ProcessorId, int, dict, dict]] = []
         choices = self._choices(network, counter, steps)
         result = run_sequence(counter, choices, check_values=False)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from repro.api import CounterFactory
 from repro.errors import ConfigurationError
 from repro.lowerbound.adversary import _trial
+from repro.registry import assemble_run, resolve_factory
 from repro.sim.messages import ProcessorId
-from repro.sim.network import Network
 from repro.sim.policies import DeliveryPolicy
 
 
@@ -59,8 +59,6 @@ class ExactAdversary:
         policy: DeliveryPolicy | None = None,
         max_n: int = 9,
     ) -> None:
-        from repro.registry import resolve_factory
-
         if n > max_n:
             raise ConfigurationError(
                 f"exact search over {n}! orders is infeasible (limit {max_n})"
@@ -71,10 +69,11 @@ class ExactAdversary:
 
     def run(self) -> ExactAdversaryResult:
         """Explore the order tree; return the worst order found."""
-        # FULL tracing on purpose: branch evaluation reads record history,
-        # which the fast trace levels do not keep.
-        network = Network(policy=self._policy)
-        counter = self._factory(network, self._n)
+        # FULL by name: branch evaluation reads record history, which
+        # the fast trace levels do not keep.
+        network, _, _, counter, _ = assemble_run(
+            self._factory, self._n, policy=self._policy, trace_level="FULL"
+        )
         best = {
             "order": (),
             "bottleneck": -1,

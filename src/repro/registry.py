@@ -15,9 +15,10 @@ makes each counter the reproduction hosts a first-class artifact:
   whose :attr:`~CounterRef.canonical` form is stable (sorted keys,
   defaults elided), so sweep caches and report tables key on the exact
   configuration;
-* :class:`RunSession` — the one place that assembles delivery policy,
-  network, trace level, counter and driver, replacing the hand-rolled
-  copies every caller used to carry.
+* :class:`RunSession` — parses a spec, checks its capability gates and
+  drives the run; :func:`assemble_run`, beneath it, is the one place
+  any run's policy, network, trace level, transport, counter and
+  recovery are wired.
 
 Every consumer (CLI, experiments, sweeps, the lower-bound adversaries)
 resolves counters through this registry, so adding a protocol is one
@@ -40,14 +41,14 @@ import inspect
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.api import Capabilities, DistributedCounter
 from repro.errors import CapabilityError, ConfigurationError
 from repro.runtime import RUNTIME_NAMES, Runtime, make_runtime
 from repro.sim.faults import FaultPlan, parse_fault_spec
 from repro.sim.messages import ProcessorId
-from repro.sim.network import Network
+from repro.sim.network import DEFAULT_EVENT_LIMIT, Network
 from repro.sim.recovery import Recoverable, RecoveryManager
 from repro.sim.transport import ReliableTransport
 from repro.sim.policies import (
@@ -63,10 +64,12 @@ from repro.sim.trace import TraceLevel
 __all__ = [
     "POLICY_NAMES",
     "WORKLOAD_NAMES",
+    "AssembledRun",
     "CounterRef",
     "CounterSpec",
     "RunSession",
     "Tunable",
+    "assemble_run",
     "canonical_spec",
     "get_spec",
     "make_policy",
@@ -404,15 +407,75 @@ def canonical_spec(text: str | CounterRef) -> str:
 
 
 # ----------------------------------------------------------------------
-# RunSession: the one place a simulation gets assembled
+# The one place a simulation gets assembled, and the session that gates it
 # ----------------------------------------------------------------------
 
-class RunSession:
-    """Owns the network/policy/trace-level/counter/driver assembly.
+class AssembledRun(NamedTuple):
+    """The parts :func:`assemble_run` wires together."""
 
-    Every caller used to hand-roll the same four lines (make a policy,
-    make a network, call a factory, pick a driver); a session does it
-    once, capability-checked, from a spec string::
+    network: Network
+    runtime: Runtime
+    transport: ReliableTransport | None
+    counter: DistributedCounter
+    recovery: RecoveryManager | None
+
+
+def assemble_run(
+    factory: Callable[[Network, int], DistributedCounter],
+    n: int,
+    *,
+    policy: DeliveryPolicy | None = None,
+    trace_level: TraceLevel | str = TraceLevel.FULL,
+    event_limit: int | None = None,
+    fault_plan: FaultPlan | None = None,
+    run_context: str = "",
+    reliable: bool = False,
+    runtime: str = "sim",
+    time_scale: float = 0.0,
+) -> AssembledRun:
+    """Wire one run with no capability gate: every run is built here.
+
+    Builds the network (labelled *run_context* in budget errors), the
+    named runtime over it, a
+    :class:`~repro.sim.transport.ReliableTransport` when *reliable*,
+    and ``factory(fabric, n)`` on the transport or the bare network.
+    When *fault_plan* has crash rules and the counter implements
+    :class:`~repro.sim.recovery.Recoverable`, a started
+    :class:`~repro.sim.recovery.RecoveryManager` runs on the raw network
+    (heartbeats must face the fault plan, not ride the transport).
+
+    :class:`RunSession` calls this after its gates; callers that must
+    pass a pairing the gates refuse (the explorer's mutants and
+    Byzantine witnesses), or whose counter no spec string expresses,
+    call it directly.  Arguments mean what they mean on
+    :class:`RunSession`.
+    """
+    network = Network(
+        policy,
+        DEFAULT_EVENT_LIMIT if event_limit is None else event_limit,
+        trace_level,
+        fault_plan,
+    )
+    network.run_context = run_context
+    scheduler = make_runtime(runtime, network, time_scale=time_scale)
+    transport = ReliableTransport(network) if reliable else None
+    counter = factory(network if transport is None else transport, n)
+    recovery = None
+    if (
+        fault_plan is not None
+        and fault_plan.crash_rules
+        and isinstance(counter, Recoverable)
+    ):
+        recovery = RecoveryManager(network, counter, fault_plan)
+        recovery.start()
+    return AssembledRun(network, scheduler, transport, counter, recovery)
+
+
+class RunSession:
+    """One capability-gated run of a registered counter, and its drivers.
+
+    A session parses a spec string, checks its capability gates, then
+    wires the run with :func:`assemble_run`::
 
         session = RunSession("ww-tree", n=81, policy="random", seed=3)
         result = session.run_sequence()
@@ -466,11 +529,9 @@ class RunSession:
       Byzantine ``silence`` is omission *by a liar* and is covered by
       the Byzantine gate, not this one.
 
-    When the plan has crash rules and the counter implements
-    :class:`~repro.sim.recovery.Recoverable`, the session assembles and
-    starts a :class:`~repro.sim.recovery.RecoveryManager` on the raw
-    network (heartbeats must face the fault plan, not ride the reliable
-    transport); it is exposed as :attr:`recovery`.
+    The parts :func:`assemble_run` builds are the attributes
+    :attr:`network`, :attr:`runtime`, :attr:`transport`, :attr:`counter`
+    and :attr:`recovery`.
     """
 
     def __init__(
@@ -542,34 +603,15 @@ class RunSession:
                     "message loss; rerun with reliable=True (CLI: --reliable) "
                     "to put it behind the retransmitting transport"
                 )
-        network_kwargs: dict[str, Any] = {
-            "policy": policy,
-            "trace_level": trace_level,
-        }
-        if event_limit is not None:
-            network_kwargs["event_limit"] = event_limit
-        if fault_plan is not None:
-            network_kwargs["fault_plan"] = fault_plan
-        self.network = Network(**network_kwargs)
-        self.network.run_context = self._ref.canonical
-        self.runtime: Runtime = make_runtime(
-            runtime, self.network, time_scale=time_scale
+        (
+            self.network, self.runtime, self.transport, self.counter,
+            self.recovery,
+        ) = assemble_run(
+            self._ref.build, n, policy=policy, trace_level=trace_level,
+            event_limit=event_limit, fault_plan=fault_plan,
+            run_context=self._ref.canonical, reliable=reliable,
+            runtime=runtime, time_scale=time_scale,
         )
-        self.transport: ReliableTransport | None = (
-            ReliableTransport(self.network) if reliable else None
-        )
-        fabric = self.transport if self.transport is not None else self.network
-        self.counter = self._ref.build(fabric, n)
-        self.recovery: RecoveryManager | None = None
-        if (
-            fault_plan is not None
-            and fault_plan.crash_rules
-            and isinstance(self.counter, Recoverable)
-        ):
-            self.recovery = RecoveryManager(
-                self.network, self.counter, fault_plan
-            )
-            self.recovery.start()
 
     @property
     def ref(self) -> CounterRef:

@@ -282,13 +282,13 @@ class _Endpoint(Processor):
 class ReliableTransport:
     """A reliable, network-shaped facade counters are built on.
 
-    Pass a transport wherever a :class:`~repro.sim.network.Network` is
-    expected when constructing a counter::
+    A counter is built on a transport wherever it would be built on a
+    :class:`~repro.sim.network.Network`, and runs unmodified; a session
+    asks for one by name::
 
-        network = Network(policy=RandomDelay(seed=3),
-                          fault_plan=parse_fault_spec("drop=0.05", seed=3))
-        transport = ReliableTransport(network)
-        counter = spec.build(transport, n)      # counters run unmodified
+        session = RunSession("central", 16, policy="random", seed=3,
+                             faults="drop=0.05", reliable=True)
+        session.transport                       # this class, on the network
 
     Registration wraps each processor in an acknowledging endpoint on
     the real network; ``send`` routes through the sender's endpoint;

@@ -37,6 +37,7 @@ from repro.explore import (
 from repro.explore.controller import ScheduleController
 from repro.sim.network import Network
 from repro.sim.processor import InertProcessor
+from repro.sim.transport import ReliableTransport
 
 pytestmark = pytest.mark.explore
 
@@ -264,6 +265,37 @@ class TestFaultyExploration:
             budget=4,
         )
         assert report.ok
+
+
+@pytest.mark.faults
+class TestWitnessAssembly:
+    """A Byzantine-witness episode skips only the session's gates: it
+    gets the configured transport and, with crash rules, recovery."""
+
+    @staticmethod
+    def _build(counter, faults):
+        config = ExploreConfig(
+            counter=counter,
+            n=4,
+            seed=3,
+            transport="reliable",
+            workload="sequential",
+            faults=faults,
+        )
+        controller = ScheduleController(BaselineStrategy(), config.delay_menu)
+        return Explorer(config)._build(controller)
+
+    @pytest.mark.parametrize("counter", ["byz-counter", "central"])
+    def test_a_witness_runs_behind_the_reliable_transport(self, counter):
+        built, _, _, _, byz, _ = self._build(counter, "byz=1@corrupt")
+        assert byz
+        assert isinstance(built.network, ReliableTransport)
+
+    def test_a_witness_with_crash_rules_starts_recovery(self):
+        # The recovery manager's first heartbeat is queued at build time.
+        for faults in ("crash=2@t5-t50", "byz=1@corrupt,crash=2@t5-t50"):
+            _, network, *_ = self._build("central[standby]", faults)
+            assert not network.is_quiescent(), faults
 
 
 class TestParallelFaithfulness:
